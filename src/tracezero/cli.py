@@ -53,7 +53,7 @@ _INTERNAL_ERRORS = (
 
 
 def _max_elements(args) -> int:
-    if getattr(args, "max_elements", None):
+    if getattr(args, "max_elements", None) is not None:
         return args.max_elements
     env = os.environ.get(ENV_BUDGET)
     if env:
@@ -291,11 +291,21 @@ def _add_field_args(sp, with_modulus=True):
         )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _add_common(sp, formats=("text", "json")):
     sp.add_argument("--format", choices=formats, default="text")
     sp.add_argument(
         "--max-elements",
-        type=int,
+        type=_positive_int,
         default=None,
         help=f"enumeration cap (default {DEFAULT_MAX_ELEMENTS}, env {ENV_BUDGET})",
     )

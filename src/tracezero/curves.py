@@ -20,6 +20,18 @@ itself has no solutions with x = 0.  Hence
 
 count_points implements exactly that; count_points_naive re-counts by a
 double loop over (x, y) pairs and exists purely as an independent check.
+
+Since A and B lie in F_q, transitivity of the trace gives
+
+    Tr_{F_{q^m}/F_p}(A x + B / x) = Tr_{F_q/F_p}(A a + B b),
+    a = Tr_{F_{q^m}/F_q}(x),  b = Tr_{F_{q^m}/F_q}(1 / x),
+
+so the zero count is a sum over the q x q histogram of trace pairs (a, b)
+of F_{q^m}*, weighted by [Tr_{F_q/F_p}(A a + B b) = 0].  The histogram is
+built once per field and shared by every curve of the family, so after
+the first curve each further one costs O(q**2) base-field work.  For
+m <= 2 the histogram would have at least as many cells as the field has
+elements, so there the trace pairs are read off element by element.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf
-from .errors import BudgetExceededError, HasseWeilError
+from .errors import BudgetExceededError, HasseWeilError, InvariantError
 from .fastfield import table_for
 
 EVEN = "even"
@@ -115,7 +127,8 @@ def beta_representatives(field: gf.FieldSpec) -> list:
         for s in scalars:
             seen.add(field.mul(s, a))
     expect = (field.order - 1) // (field.p - 1)
-    assert len(reps) == expect, "coset scan produced a wrong representative count"
+    if len(reps) != expect:
+        raise InvariantError("coset scan produced a wrong representative count")
     return reps
 
 
@@ -128,31 +141,36 @@ def curve_family(field: gf.FieldSpec) -> list[CurveSpec]:
     return [CurveSpec(field, a, b) for a in units for b in reps]
 
 
-def _abs_trace_after_mul_row(tower: gf.TowerSpec, c) -> list[int]:
-    """Digit-space functional x -> Tr_{F_{q^m}/F_p}(c * x)."""
-    c_emb = tower.embed_base(c)
-    return [
-        tower.absolute_trace(tower.mul(c_emb, tower.basis_element(j)))
-        for j in range(tower.flat_degree)
-    ]
+def _trace_after_mul(field: gf.FieldSpec, c) -> np.ndarray:
+    """Tr_{F_q/F_p}(c * a) for every base-field element a, indexed by code."""
+    p = field.p
+    codes = np.arange(field.order)
+    out = np.zeros(field.order, dtype=np.int64)
+    for j in range(field.r):
+        t = field.trace_to_prime(field.mul(c, field.from_code(p**j)))
+        out += codes // p**j % p * t
+    # narrow, so that sums of two values and gathers over a whole field stay small
+    return (out % p).astype(np.min_scalar_type(2 * (p - 1)))
 
 
 def count_points(curve: CurveSpec, m: int, max_elements: int | None = None) -> int:
     """#C(F_{q^m}) by the additive-character solvability criterion."""
     field = curve.field
-    q = field.order
+    q, p = field.order, field.p
     if max_elements is not None and q**m > max_elements:
         raise BudgetExceededError(f"{q}**{m} elements exceed the cap {max_elements}")
     tower = gf.make_tower(field, m)
     tab = table_for(tower)
     A, B = curve.h_coeffs()
-    vals = tab.functionals_exp(
-        [_abs_trace_after_mul_row(tower, A), _abs_trace_after_mul_row(tower, B)]
-    )
-    u = vals[:, 0]
-    v = tab.reversed_exp(vals[:, 1])
-    zeros = int(((u + v) % field.p == 0).sum())
-    count = field.p * zeros + 2
+    ta, tb = _trace_after_mul(field, A), _trace_after_mul(field, B)
+    if m <= 2:
+        # the histogram would have at least as many cells as F_{q^m} has elements
+        codes = tab.trace_codes_exp()
+        zeros = int(((ta[codes] + tab.reversed_exp(tb[codes])) % p == 0).sum())
+    else:
+        hist = tab.trace_pair_histogram()
+        zeros = int(hist[(ta[:, None] + tb) % p == 0].sum())
+    count = p * zeros + 2
     g = curve.genus
     if (count - q**m - 1) ** 2 > 4 * g * g * q**m:
         raise HasseWeilError(f"count {count} at m={m} violates the Weil bound")

@@ -6,6 +6,14 @@ data (traces, multiplication by a fixed constant) is then evaluated as
 F_p-linear functionals on the flat digit vectors, and inverses come for
 free because (gamma**k)**-1 = gamma**(N-k).
 
+Functionals never decode an encoding digit by digit.  Splitting the
+positional code as enc = lo + p**h * hi with h = d // 2, a functional L
+satisfies L(enc) = L_lo(lo) + L_hi(hi) mod p, so two lookup tables of
+p**h and p**(d-h) entries turn every evaluation into two gathers and an
+addition.  The trace-pair histogram (how often the trace of gamma**k and
+the trace of its inverse take each pair of base-field values) is built
+once per table from compact trace codes, chunk by chunk.
+
 Every matrix and functional is built from gf's definitional arithmetic
 (traces are literal sums of Frobenius conjugates); numpy only accelerates
 the bookkeeping.  No closed-form formula under test enters any table.
@@ -63,6 +71,7 @@ class FieldTable:
         self.exp_enc = self._walk()
         self._check_bijection()
         self._trace_codes = None
+        self._trace_pairs = None
 
     # -- construction --------------------------------------------------------
 
@@ -97,19 +106,41 @@ class FieldTable:
             cur = np.rint(cur.astype(np.float64) @ step).astype(np.int64) % p
 
     def _check_bijection(self):
-        counts = np.bincount(self.exp_enc, minlength=self.tower.order)
-        if counts[0] != 0 or not (counts[1:] == 1).all():
+        # N walk entries covering all N nonzero codes are a bijection
+        seen = np.zeros(self.tower.order, dtype=bool)
+        seen[self.exp_enc] = True
+        if seen[0] or not seen[1:].all():
             raise InvariantError("generator walk did not cover the unit group")
 
     # -- generic access -------------------------------------------------------
 
-    def decode_digits(self, encs: np.ndarray) -> np.ndarray:
-        out = np.empty((encs.size, self.d), dtype=np.int64)
+    def decode_digits(self, encs: np.ndarray, d: int | None = None) -> np.ndarray:
+        """The first d (default all) base-p digits of each encoding."""
+        d = self.d if d is None else d
+        out = np.empty((encs.size, d), dtype=np.int64)
         t = encs.copy()
-        for j in range(self.d):
+        for j in range(d):
             out[:, j] = t % self.p
             t //= self.p
         return out
+
+    def _split_tables(self, rows) -> tuple[int, np.ndarray, np.ndarray]:
+        """(p**h, T_lo, T_hi): the functionals on the low h and high d-h digits."""
+        p, d = self.p, self.d
+        L = np.asarray(rows, dtype=np.int64).T  # (d, k)
+        h = d // 2
+        lo = self.decode_digits(np.arange(p**h), h) @ L[:h]
+        hi = self.decode_digits(np.arange(p ** (d - h)), d - h) @ L[h:]
+        # the narrowest dtype that holds a sum of two values keeps gathers cheap
+        small = np.min_scalar_type(2 * (p - 1))
+        return p**h, (lo % p).astype(small), (hi % p).astype(small)
+
+    def _functional_chunks(self, rows):
+        """Yield (start, values mod p) over the walk, one chunk at a time."""
+        split, lo_tab, hi_tab = self._split_tables(rows)
+        for s in range(0, self.N, _CHUNK):
+            hi, lo = np.divmod(self.exp_enc[s : s + _CHUNK], split)
+            yield s, (lo_tab[lo] + hi_tab[hi]) % self.p
 
     def functionals_exp(self, rows) -> np.ndarray:
         """Evaluate F_p-linear functionals on gamma**k for every k.
@@ -117,11 +148,9 @@ class FieldTable:
         rows is a (k, d) array-like of digit-space functionals; the result
         is an (N, k) int16 array of values mod p, indexed by exponent.
         """
-        L = np.asarray(rows, dtype=np.int64).T  # (d, k)
-        out = np.empty((self.N, L.shape[1]), dtype=np.int16)
-        for s in range(0, self.N, _CHUNK):
-            chunk = self.decode_digits(self.exp_enc[s : s + _CHUNK])
-            out[s : s + chunk.shape[0]] = (chunk @ L) % self.p
+        out = np.empty((self.N, len(rows)), dtype=np.int16)
+        for s, vals in self._functional_chunks(rows):
+            out[s : s + vals.shape[0]] = vals
         return out
 
     @staticmethod
@@ -142,12 +171,39 @@ class FieldTable:
         return rows
 
     def trace_codes_exp(self) -> np.ndarray:
-        """Positional code of Tr(gamma**k) in the base field, per k."""
+        """Positional code of Tr(gamma**k) in the base field, per k.
+
+        Stored in the smallest unsigned dtype that holds q - 1.
+        """
         if self._trace_codes is None:
-            vals = self.functionals_exp(self.trace_rows()).astype(np.int64)
-            weights = self.p ** np.arange(self.tower.base.r, dtype=np.int64)
-            self._trace_codes = vals @ weights
+            codes = np.zeros(self.N, dtype=np.min_scalar_type(self.tower.q - 1))
+            for s, vals in self._functional_chunks(self.trace_rows()):
+                out = codes[s : s + vals.shape[0]]
+                for j in range(vals.shape[1] - 1, -1, -1):  # Horner over the digits
+                    out *= self.p
+                    out += vals[:, j]
+            self._trace_codes = codes
         return self._trace_codes
+
+    def trace_pair_histogram(self) -> np.ndarray:
+        """H[a, b] = #{k : Tr(gamma**k) has code a, Tr(gamma**-k) has code b}.
+
+        A q x q int64 array over base-field codes, summing to N.  Built from
+        the trace codes in chunks: the codes on inverses of a chunk are a
+        reversed slice, so no full-length reversed or wide copy is made.
+        """
+        if self._trace_pairs is None:
+            q, N = self.tower.q, self.N
+            codes = self.trace_codes_exp()
+            hist = np.zeros(q * q, dtype=np.int64)
+            hist[int(codes[0]) * (q + 1)] += 1  # k = 0: gamma**0 = 1 is its own inverse
+            for s in range(1, N, _CHUNK):
+                e = min(s + _CHUNK, N)
+                keys = codes[s:e].astype(np.int64) * q
+                keys += codes[N - e + 1 : N - s + 1][::-1]
+                hist += np.bincount(keys, minlength=q * q)
+            self._trace_pairs = hist.reshape(q, q)
+        return self._trace_pairs
 
     def trace_zero_exp(self) -> np.ndarray:
         return self.trace_codes_exp() == 0

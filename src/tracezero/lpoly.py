@@ -12,9 +12,16 @@ N_n = q**n + 1 - S_n.
 The reciprocal zeros themselves are never materialised: all arithmetic is
 integer and arbitrary precision, which is what makes counts at n in the
 hundreds exact and cheap.
+
+The power sums are cached per instance and extended under a per-instance
+lock, so one LPolynomial (and an engine holding it) can be queried from
+several threads at once; reads of sums already computed take no lock.
 """
 
 from __future__ import annotations
+
+import threading
+from operator import mul
 
 from .errors import HasseWeilError, NegativeCountError, NonIntegralError
 
@@ -22,7 +29,7 @@ from .errors import HasseWeilError, NegativeCountError, NonIntegralError
 class LPolynomial:
     """Integer coefficient vector c_0..c_{2g} with base field size q."""
 
-    __slots__ = ("q", "g", "coeffs", "_sums")
+    __slots__ = ("q", "g", "coeffs", "_sums", "_lock")
 
     def __init__(self, q: int, g: int, coeffs):
         coeffs = tuple(int(c) for c in coeffs)
@@ -39,6 +46,7 @@ class LPolynomial:
         self.g = g
         self.coeffs = coeffs
         self._sums: list[int] = []  # S_1, S_2, ... extended on demand
+        self._lock = threading.Lock()
 
     def __repr__(self):
         return f"LPolynomial(q={self.q}, g={self.g}, coeffs={self.coeffs})"
@@ -84,16 +92,20 @@ class LPolynomial:
         if n < 1:
             raise ValueError("power sums are indexed from 1")
         sums, cs, g, q = self._sums, self.coeffs, self.g, self.q
-        while len(sums) < n:
-            k = len(sums) + 1
-            if k <= 2 * g:
-                t = -k * cs[k]
-                t -= sum(sums[m - 1] * cs[k - m] for m in range(1, k))
-            else:
-                t = -sum(cs[j] * sums[k - j - 1] for j in range(1, 2 * g + 1))
-            if t * t > 4 * g * g * q**k:
-                raise HasseWeilError(f"power sum S_{k} = {t} violates the Weil bound")
-            sums.append(t)
+        if n <= len(sums):
+            return sums[n - 1]
+        rcs = cs[:0:-1]  # c_2g, ..., c_1 against S_{k-2g}, ..., S_{k-1}
+        with self._lock:
+            while len(sums) < n:
+                k = len(sums) + 1
+                if k <= 2 * g:
+                    t = -k * cs[k]
+                    t -= sum(sums[m - 1] * cs[k - m] for m in range(1, k))
+                else:
+                    t = -sum(map(mul, rcs, sums[-2 * g :]))
+                if t * t > 4 * g * g * q**k:
+                    raise HasseWeilError(f"power sum S_{k} = {t} violates the Weil bound")
+                sums.append(t)
         return sums[n - 1]
 
     def predict_count(self, n: int) -> int:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from tracezero.cli import ENV_BUDGET, main
 
 
@@ -208,6 +210,14 @@ class TestContracts:
         )
         assert code == 0
         assert int(json.loads(out)["f_count"]) > 9**37
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_budget_flag_must_be_positive(self, capsys, cap):
+        # a non-positive cap is a usage error, never the silent default
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--p", "2", "--r", "1", "--n", "2", "--max-elements", cap])
+        assert exc.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
 
     def test_env_budget_must_be_integral(self, capsys, monkeypatch):
         monkeypatch.setenv(ENV_BUDGET, "many")

@@ -2,6 +2,8 @@
 the classical sanity formulas."""
 
 import itertools
+import sys
+import threading
 
 import pytest
 
@@ -172,3 +174,34 @@ class TestExactDivisionGuards:
         assert prime_power_parts(9) == (3, 2)
         with pytest.raises(ValueError):
             prime_power_parts(12)
+
+
+class TestThreadSafety:
+    def test_shared_engine_across_threads(self):
+        # more threads than cores extend the same lazily grown power sums
+        # at once, with a short switch interval to interleave them finely
+        shared, fresh = engine_for(4), engine_for(4)
+        want = [fresh.f_count(n) for n in range(1, 3001)]
+        start = threading.Barrier(4)
+        results, errors = {}, []
+
+        def work(i):
+            start.wait()
+            try:
+                results[i] = [shared.f_count(n) for n in range(1, 3001)]
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert all(results[i] == want for i in range(4))

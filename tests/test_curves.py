@@ -14,6 +14,8 @@ from tracezero.curves import (
     curve_family,
 )
 from tracezero.errors import BudgetExceededError, HasseWeilError
+from tracezero.fastfield import multiplicative_generator
+from tracezero.numtheory import prime_power_parts
 from tracezero.oracle import z_count
 
 F2 = gf.make_field(2, 1)
@@ -104,6 +106,45 @@ class TestCountPoints:
             count_points(CurveSpec(F9, F9.one, F9.one), 5, max_elements=1000)
         with pytest.raises(BudgetExceededError):
             count_points_naive(CurveSpec(F9, F9.one, F9.one), 3, max_pairs=1000)
+
+
+def _literal_grid(limit=4096):
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        m = 1
+        while q**m <= limit:
+            yield q, m
+            m += 1
+
+
+class TestCountPointsLiteral:
+    """count_points against the definition, one field element at a time:
+    #C = p * #{x != 0 : absolute_trace(A x + B / x) = 0} + 2."""
+
+    @pytest.mark.parametrize("q,m", list(_literal_grid()))
+    def test_every_curve_of_the_family(self, q, m):
+        field = gf.make_field(*prime_power_parts(q))
+        tower = gf.make_tower(field, m)
+        # x = g**k and 1/x = g**(N-k), multiplied out with the tower arithmetic
+        g = multiplicative_generator(tower)
+        walk = [tower.one]
+        for _ in range(tower.order - 2):
+            walk.append(tower.mul(walk[-1], g))
+        N = len(walk)
+        # absolute_trace of every element, called once per Frobenius orbit:
+        # Tr(y**p) = Tr(y) and (g**j)**p = g**(j*p)
+        traces = {tower.zero: tower.absolute_trace(tower.zero)}
+        for j, y in enumerate(walk):
+            if y not in traces:
+                t = tower.absolute_trace(y)
+                for i in range(tower.flat_degree):
+                    traces[walk[j * field.p**i % N]] = t
+        for curve in curve_family(field):
+            A, B = (tower.embed_base(c) for c in curve.h_coeffs())
+            zeros = sum(
+                traces[tower.add(tower.mul(A, x), tower.mul(B, walk[-k % N]))] == 0
+                for k, x in enumerate(walk)
+            )
+            assert count_points(curve, m) == field.p * zeros + 2, curve.describe()
 
 
 class TestCurveCounts:

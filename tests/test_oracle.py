@@ -1,6 +1,7 @@
 """Brute-force oracles: definitional cross-checks, both irreducible-count
 routes, zero-locus counts, and the full verification sweep on small fields."""
 
+import numpy as np
 import pytest
 
 from tracezero import gf
@@ -140,6 +141,47 @@ class TestTableInternals:
                 tab.decode_digits(encs[(tab.N - k) % tab.N : (tab.N - k) % tab.N + 1])[0]
             )
             assert tower.mul(a, b) == tower.one
+
+
+class TestSplitDigitFunctionals:
+    """functionals_exp against decoding every encoding digit by digit."""
+
+    @pytest.mark.parametrize(
+        "q,n",
+        [(2, 1), (5, 1), (7, 1), (2, 7), (3, 3), (8, 3), (5, 3), (2, 20)],
+        ids=["d1-q2", "d1-q5", "d1-q7", "d7-p2", "d3-p3", "d9-p2", "d3-p5", "d20-p2"],
+    )
+    def test_matches_decoded_digits(self, q, n):
+        tab = table_for(_tower(q, n))
+        rng = np.random.default_rng(q * 100 + n)
+        rows = rng.integers(0, tab.p, size=(3, tab.d))
+        rows[0] = tab.trace_rows()[0]
+        got = tab.functionals_exp(rows)
+        assert got.shape == (tab.N, 3) and got.dtype == np.int16
+        step = 1 << 16
+        for s in range(0, tab.N, step):
+            want = tab.decode_digits(tab.exp_enc[s : s + step]) @ rows.T % tab.p
+            assert (got[s : s + step] == want).all()
+
+    @pytest.mark.parametrize("q,n", [(131, 1), (251, 2), (243, 2), (9, 3), (65536, 1)])
+    def test_compact_trace_codes(self, q, n):
+        tower = _tower(q, n)
+        tab = table_for(tower)
+        codes = tab.trace_codes_exp()
+        assert codes.dtype == np.min_scalar_type(q - 1)
+        for k in np.random.default_rng(q + n).integers(0, tab.N, 64):
+            x = tower.from_flat_digits(tab.decode_digits(tab.exp_enc[k : k + 1])[0])
+            assert codes[k] == tower.base.code(tower.trace_to_base(x))
+
+    @pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (4, 3), (9, 2), (7, 2)])
+    def test_trace_pair_histogram(self, q, n):
+        tab = table_for(_tower(q, n))
+        codes = tab.trace_codes_exp().astype(np.int64)
+        want = np.zeros((q, q), dtype=np.int64)
+        np.add.at(want, (codes, tab.reversed_exp(codes)), 1)
+        got = tab.trace_pair_histogram()
+        assert got.dtype == np.int64 and got.sum() == tab.N
+        assert (got == want).all()
 
 
 class TestVerifyAll:
