@@ -24,7 +24,7 @@ import os
 import sys
 
 from . import gf
-from .counting import CountEngine, DEFAULT_MAX_ELEMENTS
+from .counting import CountEngine, DEFAULT_MAX_ELEMENTS, SELFCHECK_DEPTH
 from .curves import CurveSpec, count_points
 from .errors import (
     BudgetExceededError,
@@ -95,6 +95,19 @@ def _parse_element(field: gf.FieldSpec, text: str):
     return field.from_code(code)
 
 
+def _engine(args, field: gf.FieldSpec) -> CountEngine:
+    """Build the engine; say on stderr when the cap cut its self-check short."""
+    cap = _max_elements(args)
+    engine = CountEngine(field, max_elements=cap)
+    if engine.verified_depth < SELFCHECK_DEPTH:
+        print(
+            f"note: self-check reached depth {engine.verified_depth} of "
+            f"{SELFCHECK_DEPTH}; the element cap {cap} stopped it",
+            file=sys.stderr,
+        )
+    return engine
+
+
 def _emit(text: str):
     sys.stdout.write(text)
     if not text.endswith("\n"):
@@ -107,7 +120,7 @@ def _emit(text: str):
 
 def cmd_count(args) -> int:
     field = _field(args)
-    engine = CountEngine(field, max_elements=_max_elements(args))
+    engine = _engine(args, field)
     fc = engine.f_count(args.n)
     ic = engine.i_count(args.n)
     if args.format == "json":
@@ -134,7 +147,7 @@ def cmd_count(args) -> int:
 
 def cmd_table(args) -> int:
     field = _field(args)
-    engine = CountEngine(field, max_elements=_max_elements(args))
+    engine = _engine(args, field)
     cross = _max_elements(args) if args.cross_check else None
     report = engine.table(args.n_min, args.n_max, cross_check_budget=cross)
     if args.format == "json":
@@ -380,6 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact counts at large n have more decimal digits than Python's default
+    # int/str conversion limit (3.11+, some 3.10 patch releases) allows
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is not None:
+        limit = get_limit()
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except _INTERNAL_ERRORS as exc:
@@ -388,6 +407,9 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if get_limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -2,13 +2,16 @@
 
 f_count(n) is the number of elements of F_{q^n} whose trace and reciprocal
 trace to F_q both vanish, evaluated through the curve family's
-L-polynomials:
+L-polynomials.  A curve y**p - y = A x + B / x has the same point counts as
+every curve with the same c = A * B (substitute x -> x / A), so the family
+sum runs over c in F_q*, each with weight w = (q-1)/(p-1), and in both
+characteristics
 
-    p = 2:  (q**n + (q-1) * sum_alpha (S_alpha + 1)) / q**2
-    p odd:  (q**n + (q-1)**2 + sum_{alpha,beta} S_{alpha,beta}) / q**2
+    f_count(n) = (q**n + (q-1)**2 + w * sum_c S_c) / q**2
 
-with S = #C(F_{q^n}) - (q**n + 1) taken from the L-polynomial recurrence,
-so the cost of one more n is a handful of big-integer multiplications.
+with S_c = #C_c(F_{q^n}) - (q**n + 1) taken from the L-polynomial
+recurrence, so the cost of one more n is a handful of big-integer
+multiplications per distinct L-polynomial.
 
 i_count(n) is the number of monic irreducible polynomials of degree n over
 F_q whose x**(n-1) and x coefficients vanish:
@@ -22,6 +25,7 @@ upstream, never an unlucky input.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import gf
@@ -31,6 +35,7 @@ from .lpoly import LPolynomial
 from .numtheory import divisors, mobius, prime_power_parts
 
 DEFAULT_MAX_ELEMENTS = 1 << 24
+SELFCHECK_DEPTH = 2  # extra degrees beyond the genus that every build re-counts
 
 
 def gauss_count(q: int, n: int) -> int:
@@ -111,41 +116,59 @@ class CountReport:
 class CountEngine:
     """Curve counts and L-polynomials for one base field, queried per n.
 
-    Construction enumerates F_{q^m} for m = 1..genus to seed each curve's
-    L-polynomial, then (by default) re-counts at genus+1 and genus+2 and
-    checks the predictions.  That over-determination check is the
-    strongest self-test the engine has: a wrong genus, a wrong smooth
-    completion, or a wrong Newton step fails it immediately.
+    Construction keys every curve of the family by c = A * B and seeds one
+    L-polynomial per c from direct counts over F_{q^m}, m = 1..genus; equal
+    L-polynomials merge into classes, held as (LPolynomial, number of c)
+    pairs.  It then re-counts every curve of the family at genus+1 and
+    genus+2, as far as the element cap allows, against its class's
+    prediction.  That over-determination check is the strongest self-test
+    the engine has: a wrong genus, a wrong smooth completion, a wrong
+    Newton step or a wrong class reduction fails it immediately.
+    verified_depth records how many of the SELFCHECK_DEPTH extra degrees
+    were checked before the cap stopped the check.
     """
 
     def __init__(
         self,
         field: gf.FieldSpec,
         max_elements: int | None = DEFAULT_MAX_ELEMENTS,
-        selfcheck_depth: int = 2,
     ):
         self.field = field
-        self.q = field.order
+        self.q = q = field.order
         self.p = field.p
         self.genus = 1 if field.p == 2 else field.p - 1
         self.curves = curve_family(field)
-        self.lpolys: list[LPolynomial] = []
-        for curve in self.curves:
+        by_c: dict = {}  # c = A * B -> indices of the curves with that c
+        for i, curve in enumerate(self.curves):
+            by_c.setdefault(field.mul(*curve.h_coeffs()), []).append(i)
+        if len(by_c) != q - 1 or len({len(ix) for ix in by_c.values()}) != 1:
+            raise InvariantError("the curve family does not cover F_q* evenly in c = A*B")
+        shared: dict[LPolynomial, LPolynomial] = {}
+        self.lpolys: list[LPolynomial] = [None] * len(self.curves)
+        for ix in by_c.values():
+            seed = self.curves[ix[0]]
             counts = [
-                count_points(curve, m, max_elements) for m in range(1, self.genus + 1)
+                count_points(seed, m, max_elements) for m in range(1, self.genus + 1)
             ]
-            self.lpolys.append(LPolynomial.from_counts(self.q, self.genus, counts))
+            lp = LPolynomial.from_counts(q, self.genus, counts)
+            lp = shared.setdefault(lp, lp)
+            for i in ix:
+                self.lpolys[i] = lp
+        # (class L-polynomial, number of c with it), in first-seen order
+        self.classes: tuple[tuple[LPolynomial, int], ...] = tuple(
+            Counter(self.lpolys[ix[0]] for ix in by_c.values()).items()
+        )
         self.verified_depth = 0
-        for extra in range(1, selfcheck_depth + 1):
+        for extra in range(1, SELFCHECK_DEPTH + 1):
             m = self.genus + extra
-            if max_elements is not None and self.q**m > max_elements:
+            if max_elements is not None and q**m > max_elements:
                 break
             for curve, lp in zip(self.curves, self.lpolys):
                 direct = count_points(curve, m, max_elements)
                 if lp.predict_count(m) != direct:
                     raise InvariantError(
-                        f"L-polynomial prediction disagrees with direct count "
-                        f"at m={m} for curve {curve.describe()}"
+                        f"class L-polynomial prediction disagrees with direct "
+                        f"count at m={m} for curve {curve.describe()}"
                     )
             self.verified_depth = extra
 
@@ -160,11 +183,10 @@ class CountEngine:
         if n < 1:
             raise ValueError("n must be positive")
         q = self.q
-        defects = [self.curve_defect(i, n) for i in range(len(self.curves))]
-        if self.p == 2:
-            num = q**n + (q - 1) * sum(s + 1 for s in defects)
-        else:
-            num = q**n + (q - 1) ** 2 + sum(defects)
+        qn = q**n
+        w = (q - 1) // (self.p - 1)
+        defects = sum(k * (lp.predict_count(n) - qn - 1) for lp, k in self.classes)
+        num = qn + (q - 1) ** 2 + w * defects
         if num % (q * q):
             raise NonIntegralError(f"f_count numerator not divisible by q^2 at n={n}")
         out = num // (q * q)

@@ -1,10 +1,12 @@
 """The command line surface: values, formats, determinism, exit codes."""
 
 import json
+import sys
 
 import pytest
 
 from tracezero.cli import ENV_BUDGET, main
+from tracezero.counting import engine_for
 
 
 def run(capsys, *argv):
@@ -48,6 +50,47 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--p", "2", "--r", "1", "--n", "6")
         assert code == 0
         assert "q=2 n=6" in out
+
+    def test_counts_past_the_int_str_digit_limit(self, capsys):
+        # F(8000) over F_4 has about 4800 decimal digits, more than the
+        # interpreter's default int/str conversion limit of 4300
+        want = engine_for(4).f_count(8000)
+        get_limit = getattr(sys, "get_int_max_str_digits", None)
+        limit = get_limit() if get_limit else None
+        argv = ("count", "--p", "2", "--r", "2", "--n", "8000")
+        code_json, out_json, _ = run(capsys, *argv, "--format", "json")
+        code_text, out_text, _ = run(capsys, *argv)
+        assert code_json == code_text == 0
+        if get_limit:
+            assert get_limit() == limit  # main leaves the process limit as it was
+            sys.set_int_max_str_digits(0)
+        try:
+            digits = str(want)
+        finally:
+            if get_limit:
+                sys.set_int_max_str_digits(limit)
+        assert len(digits) > 4300
+        assert json.loads(out_json)["f_count"] == digits
+        assert f"elements with vanishing trace pair: {digits}\n" in out_text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--p", "7", "--n", "5"),
+            ("table", "--p", "7", "--n-min", "1", "--n-max", "5"),
+        ],
+    )
+    def test_cut_self_check_is_reported_on_stderr(self, capsys, argv):
+        # 7**6 <= 200000 < 7**7: the cap admits the seeding counts at
+        # m <= 6 (the genus) but neither self-check degree m = 7, 8
+        code, out, err = run(capsys, *argv, "--max-elements", "200000")
+        full_code, full_out, full_err = run(capsys, *argv)
+        assert code == full_code == 0
+        assert out == full_out
+        assert full_err == ""
+        assert err == (
+            "note: self-check reached depth 0 of 2; the element cap 200000 stopped it\n"
+        )
 
 
 class TestTable:
@@ -93,7 +136,7 @@ class TestTable:
 class TestVerify:
     def test_passing_run(self, capsys):
         code, out, _ = run(
-            capsys, "verify", "--p", "2", "--r", "2", "--max-n", "4"
+            capsys, "verify", "--p", "2", "--r", "1", "--max-n", "6"
         )
         assert code == 0
         assert "all checks passed" in out

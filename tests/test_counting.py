@@ -4,13 +4,14 @@ the classical sanity formulas."""
 import itertools
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
-from tracezero import gf
-from tracezero.counting import CountReport, carlitz_count, engine_for, gauss_count
+from tracezero import counting, gf
+from tracezero.counting import CountEngine, CountReport, carlitz_count, engine_for, gauss_count
 from tracezero.numtheory import divisors, mobius, prime_power_parts
-from tracezero.oracle import enum_irreducible_total
+from tracezero.oracle import enum_f_count, enum_irreducible_total
 
 # Reference values.  The n >= 4 entries reproduce the published tables for
 # these fields; the q=4 n=3 entry and q=9 n in {2, 4, 7} entries are the
@@ -110,6 +111,57 @@ class TestEngineValues:
     def test_engine_selfcheck_ran(self, engine):
         for q in (2, 3, 4, 9):
             assert engine(q).verified_depth == 2
+
+
+def _per_curve_f_count(e, n):
+    """The element count summed curve by curve, one formula per characteristic."""
+    q = e.q
+    defects = [lp.predict_count(n) - (q**n + 1) for lp in e.lpolys]
+    if e.p == 2:
+        num = q**n + (q - 1) * sum(s + 1 for s in defects)
+    else:
+        num = q**n + (q - 1) ** 2 + sum(defects)
+    assert num % (q * q) == 0
+    return num // (q * q)
+
+
+class TestCurveClasses:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+    def test_classes_partition_the_units(self, engine, q):
+        e = engine(q)
+        assert sum(k for _, k in e.classes) == q - 1
+        assert len(e.classes) == len(set(e.lpolys))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+    def test_class_sum_equals_the_per_curve_sum(self, engine, q):
+        e = engine(q)
+        for n in range(1, 201):
+            assert e.f_count(n) == _per_curve_f_count(e, n)
+
+    def test_q27_classes(self, engine, budget):
+        e = engine(27)
+        # each c = A*B in F_27* labels 13 curves, all sharing one L-polynomial
+        covered = Counter(id(lp) for lp in e.lpolys)
+        assert covered == {id(lp): 13 * k for lp, k in e.classes}
+        assert e.verified_depth == 2
+        for n in range(1, 5):
+            assert e.f_count(n) == enum_f_count(27, n, budget)
+
+    @pytest.mark.parametrize("q", [4, 9])
+    def test_seeds_one_curve_per_c_and_rechecks_every_curve(self, monkeypatch, q):
+        seen = Counter()
+        real = counting.count_points
+
+        def counted(curve, m, max_elements=None):
+            seen[m] += 1
+            return real(curve, m, max_elements)
+
+        monkeypatch.setattr(counting, "count_points", counted)
+        p, r = prime_power_parts(q)
+        e = CountEngine(gf.make_field(p, r))
+        g = e.genus
+        assert sum(seen[m] for m in range(1, g + 1)) == (q - 1) * g
+        assert seen[g + 1] == seen[g + 2] == len(e.curves)
 
 
 class TestIdentities:
