@@ -73,7 +73,9 @@ def _field(args) -> gf.FieldSpec:
     field = gf.make_field(args.p, args.r)
     if getattr(args, "modulus", None):
         coeffs = _parse_coeff_list(args.modulus)
-        field = gf.FieldSpec(args.p, args.r, coeffs)
+        if coeffs != field.modulus:
+            # the constructor checks degree, coefficients, monic and irreducible
+            field = gf.ExtensionField(gf.make_field(args.p, 1), args.r, coeffs)
     return field
 
 
@@ -90,7 +92,7 @@ def _parse_element(field: gf.FieldSpec, text: str):
         digs = _parse_coeff_list(text)
         if len(digs) != field.r or any(not 0 <= d < field.p for d in digs):
             raise ValueError(f"element digits {text!r} do not fit F_{field.order}")
-        return digs[0] if field.r == 1 else digs
+        return field.from_flat_digits(digs)
     code = int(text)
     return field.from_code(code)
 
@@ -240,7 +242,7 @@ def cmd_family(args) -> int:
         f = _parse_coeff_list(args.poly)
     else:
         members = omega_members(args.p, args.n, _max_elements(args))
-        if args.index >= len(members):
+        if not 0 <= args.index < len(members):
             raise ValueError(
                 f"family index {args.index} out of range ({len(members)} members)"
             )
@@ -354,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the numeric identity suite")
     _add_field_args(sp, with_modulus=False)
-    sp.add_argument("--max-n", type=int, required=True)
+    sp.add_argument("--max-n", type=_positive_int, required=True)
     _add_common(sp)
     sp.set_defaults(func=cmd_verify)
 
@@ -369,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(sp)
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--beta")
-    sp.add_argument("--m-max", type=int, default=3)
+    sp.add_argument("--m-max", type=_positive_int, default=3)
     _add_common(sp)
     sp.set_defaults(func=cmd_curve)
 

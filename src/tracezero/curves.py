@@ -232,14 +232,12 @@ def big_curve_count(
         raise BudgetExceededError(f"{q}**{m} elements exceed the cap {max_elements}")
     tower = gf.make_tower(field, m)
     tab = table_for(tower)
-    base = field
     alpha_emb = tower.embed_base(alpha)
-    rows = np.empty((base.r, tower.flat_degree), dtype=np.int64)
-    for j in range(tower.flat_degree):
-        t = tower.trace_to_base(tower.mul(alpha_emb, tower.basis_element(j)))
-        rows[:, j] = base.digits(t)
+    rows = gf.linear_map_matrix(
+        tower, field, lambda x: tower.trace_to_base(tower.mul(alpha_emb, x))
+    )
     vals = tab.functionals_exp(rows).astype(np.int64)
-    weights = base.p ** np.arange(base.r, dtype=np.int64)
+    weights = field.p ** np.arange(field.r, dtype=np.int64)
     u = vals @ weights
     v = tab.reversed_exp(tab.trace_codes_exp())
     return q * int((u == v).sum()) + 2

@@ -21,12 +21,12 @@ the bookkeeping.  No closed-form formula under test enters any table.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import InvariantError
-from .gf import TowerSpec
+from .gf import TowerSpec, linear_map_matrix
 from .numtheory import prime_factors
 
 _BLOCK = 1 << 12
@@ -75,18 +75,10 @@ class FieldTable:
 
     # -- construction --------------------------------------------------------
 
-    def _mul_matrix(self, g) -> np.ndarray:
-        """Matrix of x -> g*x acting on flat digit vectors, mod p."""
-        tower, d = self.tower, self.d
-        cols = [
-            tower.flat_digits(tower.mul(g, tower.basis_element(j))) for j in range(d)
-        ]
-        return np.array(cols, dtype=np.int64).T
-
     def _walk(self) -> np.ndarray:
         tower, p, d, N = self.tower, self.p, self.d, self.N
         g = multiplicative_generator(tower)
-        M = self._mul_matrix(g)
+        M = linear_map_matrix(tower, tower, partial(tower.mul, g))  # x -> g*x
         B = min(_BLOCK, N)
         block = np.zeros((B, d), dtype=np.int64)
         block[0] = tower.flat_digits(tower.one)
@@ -162,13 +154,7 @@ class FieldTable:
 
     def trace_rows(self) -> np.ndarray:
         """Digit-space functionals giving the base-field digits of the trace."""
-        tower = self.tower
-        base = tower.base
-        rows = np.empty((base.r, self.d), dtype=np.int64)
-        for j in range(self.d):
-            t = base.digits(tower.trace_to_base(tower.basis_element(j)))
-            rows[:, j] = t
-        return rows
+        return linear_map_matrix(self.tower, self.tower.base, self.tower.trace_to_base)
 
     def trace_codes_exp(self) -> np.ndarray:
         """Positional code of Tr(gamma**k) in the base field, per k.

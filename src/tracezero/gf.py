@@ -1,29 +1,38 @@
-"""Exact arithmetic in F_p, F_q = F_{p^r}, and the two-level tower F_{q^n}.
+"""Exact arithmetic in F_p and its extensions F_q = F_{p^r} and F_{q^n}.
 
 Fields are pinned down by explicit moduli so that every run, on every
 platform, reproduces the same element order and the same intermediate
-artifacts.  Representation:
+artifacts.  Two classes carry all of the arithmetic:
 
-  * elements of F_p are plain ints in [0, p);
-  * elements of F_{p^r} (r >= 2) are length-r tuples of ints, constant
-    coefficient first;
-  * elements of the tower F_{q^n} are length-n tuples of base elements,
-    again constant coefficient first.
+  * PrimeField is F_p; its elements are plain ints in [0, p);
+  * ExtensionField is base[x]/(modulus) for a monic irreducible modulus of
+    degree n over any base field; its elements are length-n tuples of base
+    elements, constant coefficient first.
+
+F_{p^r} (r >= 2) is an extension of F_p, so its elements are tuples of
+ints; the tower F_{q^n} is an extension of F_q, so its elements are tuples
+of F_q elements.  Keeping the tower two-level (rather than flattening it
+to one degree r*n extension of F_p) makes the trace to the middle field a
+plain sum of q-power Frobenius conjugates; the trace to F_p goes on
+through the base field's own trace.
 
 The canonical element order compares coefficient vectors low-to-high as
-integers, i.e. by the positional code sum(c_t * p**t); the canonical
-modulus of each extension is the first monic irreducible in that order
-(so x**3 + x + 1 for degree 3 over F_2).  All operations are pure
-functions of immutable values, so everything in this module is freely
-shareable across threads.
+integers, i.e. by the positional code sum(c_t * q**t) over the base-field
+codes; the canonical modulus of each extension is the first monic
+irreducible in that order (so x**3 + x + 1 for degree 3 over F_2).  All
+operations are pure functions of immutable values, so everything in this
+module is freely shareable across threads.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     BudgetExceededError,
@@ -34,109 +43,19 @@ from .errors import (
 from .numtheory import is_prime, prime_factors
 
 
-@dataclass(frozen=True)
 class FieldSpec:
-    """F_p when r == 1, else F_p[x]/(modulus) with modulus monic of degree r.
+    """A finite field: the part of PrimeField and ExtensionField they share.
 
-    For r == 1 the modulus is the placeholder x (coefficients (0, 1)) and
-    elements are residues; for r >= 2 elements are coefficient tuples.
+    Every field has p, r (the degree over F_p), order, zero, one and
+    modulus, and the element arithmetic add/sub/neg/mul/inv.  An extension
+    over a field reads the field's accumulator arithmetic _acc_add,
+    _acc_sub, _acc_neg, _acc_mul and _settle: sums and products may stay
+    unsettled while a coefficient accumulates, and _settle turns the
+    result back into an element.
     """
-
-    p: int
-    r: int
-    modulus: tuple[int, ...]
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise NonPrimeError(f"{self.p} is not prime")
-        if self.r < 1:
-            raise ValueError("extension degree must be positive")
-        if len(self.modulus) != self.r + 1:
-            raise ValueError("modulus degree does not match r")
-        if any(not isinstance(c, int) or not 0 <= c < self.p for c in self.modulus):
-            raise ValueError("modulus coefficients must be reduced residues")
-        if self.r == 1:
-            if self.modulus != (0, 1):
-                raise ValueError("degree-1 fields use the placeholder modulus x")
-        else:
-            if self.modulus[-1] != 1:
-                raise NonMonicError("field modulus must be monic")
-            if not is_irreducible(self.modulus, FieldSpec(self.p, 1, (0, 1))):
-                raise ValueError("field modulus must be irreducible")
-
-    # -- structure ---------------------------------------------------------
-
-    @cached_property
-    def order(self) -> int:
-        return self.p**self.r
-
-    @cached_property
-    def zero(self):
-        return 0 if self.r == 1 else (0,) * self.r
-
-    @cached_property
-    def one(self):
-        return 1 if self.r == 1 else (1,) + (0,) * (self.r - 1)
-
-    def embed(self, c: int):
-        """The image of the integer c under Z -> F_p -> this field."""
-        c %= self.p
-        return c if self.r == 1 else (c,) + (0,) * (self.r - 1)
 
     def is_zero(self, a) -> bool:
         return a == self.zero
-
-    # -- element arithmetic ------------------------------------------------
-
-    def add(self, a, b):
-        if self.r == 1:
-            return (a + b) % self.p
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        if self.r == 1:
-            return (a - b) % self.p
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        if self.r == 1:
-            return -a % self.p
-        return tuple(-x % self.p for x in a)
-
-    @cached_property
-    def _tails(self) -> tuple[tuple[int, ...], ...]:
-        # _tails[k] = x**(r+k) reduced mod the modulus, k = 0 .. r-2
-        p, r, m = self.p, self.r, self.modulus
-        first = tuple(-m[j] % p for j in range(r))
-        tails = [first]
-        for _ in range(r - 2):
-            prev = tails[-1]
-            lead = prev[-1]
-            nxt = [0] + list(prev[:-1])
-            if lead:
-                for j in range(r):
-                    nxt[j] = (nxt[j] + lead * first[j]) % p
-            tails.append(tuple(c % p for c in nxt))
-        return tuple(tails)
-
-    def mul(self, a, b):
-        p = self.p
-        if self.r == 1:
-            return a * b % p
-        r = self.r
-        prod = [0] * (2 * r - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        for k in range(2 * r - 2, r - 1, -1):
-            v = prod[k] % p
-            if v:
-                tail = self._tails[k - r]
-                for j in range(r):
-                    if tail[j]:
-                        prod[j] += v * tail[j]
-        return tuple(c % p for c in prod[:r])
 
     def pow_(self, a, e: int):
         if e < 0:
@@ -150,189 +69,204 @@ class FieldSpec:
             e >>= 1
         return result
 
-    def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of zero")
-        if self.r == 1:
-            return pow(a, self.p - 2, self.p)
-        return self.pow_(a, self.order - 2)
-
-    # -- enumeration and encoding -------------------------------------------
-
-    def elements(self) -> Iterator:
-        """All elements in canonical order (increasing positional code)."""
-        if self.r == 1:
-            yield from range(self.p)
-        else:
-            for tup in itertools.product(range(self.p), repeat=self.r):
-                yield tup[::-1]
-
     @cached_property
     def element_list(self) -> tuple:
         return tuple(self.elements())
 
-    def digits(self, a) -> tuple[int, ...]:
-        """Coefficient vector of a over F_p, length r."""
-        return (a,) if self.r == 1 else a
+    @property
+    def flat_degree(self) -> int:
+        """Dimension over F_p (the same as r)."""
+        return self.r
 
-    def code(self, a) -> int:
-        """Positional integer code sum(c_t * p**t); inverse of from_code."""
-        if self.r == 1:
-            return a
-        v = 0
-        for t in reversed(a):
-            v = v * self.p + t
-        return v
+    def basis_element(self, j: int):
+        """The element whose flat digit vector is the j-th unit vector."""
+        digs = [0] * self.r
+        digs[j] = 1
+        return self.from_flat_digits(digs)
 
-    def from_code(self, v: int):
+    def _check_code(self, v: int):
         if not 0 <= v < self.order:
             raise ValueError(f"element code {v} out of range for order {self.order}")
-        if self.r == 1:
-            return v
-        digs = []
-        for _ in range(self.r):
-            digs.append(v % self.p)
-            v //= self.p
-        return tuple(digs)
-
-    def trace_to_prime(self, a) -> int:
-        """Trace to F_p: the sum of the p-power Frobenius conjugates."""
-        if self.r == 1:
-            return a
-        acc = a
-        t = a
-        for _ in range(self.r - 1):
-            t = self.pow_(t, self.p)
-            acc = self.add(acc, t)
-        if any(acc[1:]):
-            raise InvariantError("trace left the prime field")
-        return acc[0]
 
 
 @dataclass(frozen=True)
-class TowerSpec:
-    """The extension F_{q^n} = F_q[x]/(ext_modulus) over base = F_q.
+class PrimeField(FieldSpec):
+    """F_p, with the placeholder modulus x (coefficients (0, 1))."""
 
-    Elements are length-n tuples of base-field elements, constant
-    coefficient first.  Keeping the tower two-level (rather than flattening
-    to one degree r*n extension of F_p) makes the trace to the middle field
-    a plain sum of q-power Frobenius orbits.
+    p: int
+
+    r = 1
+    zero = 0
+    one = 1
+    modulus = (0, 1)
+    # ints accumulate exactly and are reduced mod p once, when settled
+    _acc_add = staticmethod(operator.add)
+    _acc_sub = staticmethod(operator.sub)
+    _acc_neg = staticmethod(operator.neg)
+    _acc_mul = staticmethod(operator.mul)
+
+    def __post_init__(self):
+        if not is_prime(self.p):
+            raise NonPrimeError(f"{self.p} is not prime")
+        object.__setattr__(self, "_settle", self.p.__rmod__)  # x -> x % p
+
+    @property
+    def order(self) -> int:
+        return self.p
+
+    def __contains__(self, a) -> bool:
+        return isinstance(a, int) and 0 <= a < self.p
+
+    def embed(self, c: int):
+        """The image of the integer c under Z -> F_p."""
+        return c % self.p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, self.p - 2, self.p)
+
+    def elements(self) -> Iterator:
+        return iter(range(self.p))
+
+    def code(self, a) -> int:
+        return a
+
+    # elements built from outside data (numpy digits, say) are plain ints,
+    # which the accumulator arithmetic of an extension relies on
+    def from_code(self, v: int):
+        self._check_code(v)
+        return int(v)
+
+    def flat_digits(self, a) -> tuple[int, ...]:
+        return (a,)
+
+    def from_flat_digits(self, digs: Sequence[int]):
+        (a,) = digs
+        return int(a)
+
+    def trace_to_prime(self, a) -> int:
+        return a
+
+
+@dataclass(frozen=True)
+class ExtensionField(FieldSpec):
+    """base[x]/(modulus), modulus monic irreducible of degree n over base.
+
+    Used both for F_{p^r} over F_p and for the tower F_{q^n} over F_q.  For
+    n == 1 the modulus is the placeholder x (coefficients (zero, one)) and
+    elements are 1-tuples.
     """
 
     base: FieldSpec
     n: int
-    ext_modulus: tuple
+    modulus: tuple
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("tower degree must be positive")
-        if len(self.ext_modulus) != self.n + 1:
-            raise ValueError("ext_modulus degree does not match n")
-        if self.n == 1:
-            if self.ext_modulus != (self.base.zero, self.base.one):
-                raise ValueError("degree-1 towers use the placeholder modulus x")
+        base, n, m = self.base, self.n, self.modulus
+        if n < 1:
+            raise ValueError("extension degree must be positive")
+        if len(m) != n + 1:
+            raise ValueError("modulus degree does not match the extension degree")
+        if not all(c in base for c in m):
+            raise ValueError("modulus coefficients must be reduced base-field elements")
+        if n == 1:
+            if m != (base.zero, base.one):
+                raise ValueError("degree-1 extensions use the placeholder modulus x")
         else:
-            if self.ext_modulus[-1] != self.base.one:
-                raise NonMonicError("tower modulus must be monic")
-            if not is_irreducible(self.ext_modulus, self.base):
-                raise ValueError("tower modulus must be irreducible over the base")
+            if m[-1] != base.one:
+                raise NonMonicError("field modulus must be monic")
+            if not is_irreducible(m, base):
+                raise ValueError("field modulus must be irreducible over the base")
+        derived = {
+            "p": base.p,
+            "r": base.r * n,
+            "q": base.order,
+            "order": base.order**n,
+            "zero": (base.zero,) * n,
+            "one": (base.one,) + (base.zero,) * (n - 1),
+            "_tails": _reduction_tails(base, m),
+            "_mul_ops": (base._acc_add, base._acc_mul, base._settle, base.zero),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
-    # -- structure ---------------------------------------------------------
+    @property
+    def ext_modulus(self) -> tuple:
+        """The modulus, under the name the tower API has always used."""
+        return self.modulus
 
-    @cached_property
-    def order(self) -> int:
-        return self.base.order**self.n
-
-    @cached_property
-    def q(self) -> int:
-        return self.base.order
-
-    @cached_property
-    def zero(self):
-        return (self.base.zero,) * self.n
-
-    @cached_property
-    def one(self):
-        return (self.base.one,) + (self.base.zero,) * (self.n - 1)
+    def __contains__(self, a) -> bool:
+        return isinstance(a, tuple) and len(a) == self.n and all(c in self.base for c in a)
 
     def embed_base(self, b):
         return (b,) + (self.base.zero,) * (self.n - 1)
 
-    def embed_scalar(self, c: int):
+    def embed(self, c: int):
+        """The image of the integer c under Z -> F_p -> this field."""
         return self.embed_base(self.base.embed(c))
 
-    def is_zero(self, a) -> bool:
-        return a == self.zero
+    embed_scalar = embed  # the tower API's name
 
     # -- element arithmetic ------------------------------------------------
 
     def add(self, a, b):
         base = self.base
-        return tuple(base.add(x, y) for x, y in zip(a, b))
+        return tuple(map(base._settle, map(base._acc_add, a, b)))
 
     def sub(self, a, b):
         base = self.base
-        return tuple(base.sub(x, y) for x, y in zip(a, b))
+        return tuple(map(base._settle, map(base._acc_sub, a, b)))
 
     def neg(self, a):
         base = self.base
-        return tuple(base.neg(x) for x in a)
-
-    @cached_property
-    def _tails(self) -> tuple[tuple, ...]:
-        base, n, m = self.base, self.n, self.ext_modulus
-        first = tuple(base.neg(m[j]) for j in range(n))
-        tails = [first]
-        for _ in range(n - 2):
-            prev = tails[-1]
-            lead = prev[-1]
-            nxt = [base.zero] + list(prev[:-1])
-            if not base.is_zero(lead):
-                for j in range(n):
-                    nxt[j] = base.add(nxt[j], base.mul(lead, first[j]))
-            tails.append(tuple(nxt))
-        return tuple(tails)
+        return tuple(map(base._settle, map(base._acc_neg, a)))
 
     def mul(self, a, b):
-        base = self.base
+        add, mul, settle, zero = self._mul_ops
         n = self.n
-        if n == 1:
-            return (base.mul(a[0], b[0]),)
-        prod = [base.zero] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if not base.is_zero(ai):
-                for j, bj in enumerate(b):
-                    prod[i + j] = base.add(prod[i + j], base.mul(ai, bj))
+        prod = [zero] * (2 * n - 1)
+        for i, c in enumerate(a):
+            if c != zero:
+                for k, d in enumerate(b, i):  # k = i + j for the j-th coefficient of b
+                    if d != zero:
+                        prod[k] = add(prod[k], mul(c, d))
         for k in range(2 * n - 2, n - 1, -1):
-            v = prod[k]
-            if not base.is_zero(v):
-                tail = self._tails[k - n]
-                for j in range(n):
-                    if not base.is_zero(tail[j]):
-                        prod[j] = base.add(prod[j], base.mul(v, tail[j]))
-        return tuple(prod[:n])
-
-    def pow_(self, a, e: int):
-        if e < 0:
-            raise ValueError("negative exponents are not supported; invert first")
-        result = self.one
-        base_ = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base_)
-            base_ = self.mul(base_, base_)
-            e >>= 1
-        return result
+            v = settle(prod[k])
+            if v != zero:
+                for j, t in self._tails[k - n]:
+                    prod[j] = add(prod[j], mul(v, t))
+        return tuple(map(settle, prod[:n]))
 
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
         return self.pow_(a, self.order - 2)
 
+    # this field's accumulator arithmetic, for an extension over it: its
+    # elements are always settled, and tuple() of a tuple is the tuple itself
+    _acc_add = add
+    _acc_sub = sub
+    _acc_neg = neg
+    _acc_mul = mul
+    _settle = tuple
+
     # -- Frobenius, traces ---------------------------------------------------
 
     def frobenius(self, a):
-        """The q-power map a -> a**q."""
+        """The q-power map a -> a**q, q the order of the base field."""
         return self.pow_(a, self.q)
 
     def trace_to_base(self, a):
@@ -347,6 +281,12 @@ class TowerSpec:
             raise InvariantError("trace left the base field")
         return acc[0]
 
+    def trace_to_prime(self, a) -> int:
+        """Trace all the way down to F_p, through the base field's trace."""
+        return self.base.trace_to_prime(self.trace_to_base(a))
+
+    absolute_trace = trace_to_prime  # the tower API's name
+
     def rtrace(self, a):
         """Trace of the inverse, with the convention rtrace(0) = 0.
 
@@ -358,10 +298,6 @@ class TowerSpec:
             return self.base.zero
         return self.trace_to_base(self.inv(a))
 
-    def absolute_trace(self, a) -> int:
-        """Trace all the way down to F_p, by composing the two tower traces."""
-        return self.base.trace_to_prime(self.trace_to_base(a))
-
     # -- enumeration and encoding -------------------------------------------
 
     def elements(self) -> Iterator:
@@ -369,47 +305,59 @@ class TowerSpec:
         for tup in itertools.product(self.base.element_list, repeat=self.n):
             yield tup[::-1]
 
-    @cached_property
-    def flat_degree(self) -> int:
-        """Dimension over F_p."""
-        return self.n * self.base.r
-
     def flat_digits(self, a) -> tuple[int, ...]:
-        """Concatenated F_p coefficient vector, length flat_degree."""
-        out = []
-        for c in a:
-            out.extend(self.base.digits(c))
-        return tuple(out)
+        """Coefficient vector over F_p, length r: the base digits concatenated."""
+        base = self.base
+        return tuple(d for c in a for d in base.flat_digits(c))
 
     def from_flat_digits(self, digs: Sequence[int]):
-        r = self.base.r
-        if r == 1:
-            return tuple(digs)
-        return tuple(tuple(digs[i * r : (i + 1) * r]) for i in range(self.n))
-
-    def basis_element(self, j: int):
-        """The tower element whose flat digit vector is the j-th unit vector."""
-        digs = [0] * self.flat_degree
-        digs[j] = 1
-        return self.from_flat_digits(digs)
+        base, k = self.base, self.base.r
+        return tuple(base.from_flat_digits(digs[i * k : (i + 1) * k]) for i in range(self.n))
 
     def code(self, a) -> int:
-        """Positional integer code over the base-field codes."""
+        """Positional integer code over the base-field codes; inverse of from_code."""
+        base, q = self.base, self.q
         v = 0
-        q = self.q
         for c in reversed(a):
-            v = v * q + self.base.code(c)
+            v = v * q + base.code(c)
         return v
 
     def from_code(self, v: int):
-        if not 0 <= v < self.order:
-            raise ValueError(f"element code {v} out of range for order {self.order}")
-        q = self.q
+        self._check_code(v)
+        base, q = self.base, self.q
         out = []
         for _ in range(self.n):
-            out.append(self.base.from_code(v % q))
+            out.append(base.from_code(v % q))
             v //= q
         return tuple(out)
+
+
+TowerSpec = ExtensionField  # the tower F_{q^n} over F_q is an extension like any other
+
+
+def _reduction_tails(base: FieldSpec, modulus: tuple) -> tuple:
+    """x**(n+k) reduced mod the modulus, k = 0 .. n-2, as nonzero (j, coefficient) pairs."""
+    n = len(modulus) - 1
+    first = [base.neg(c) for c in modulus[:n]]
+    t = first
+    tails = []
+    for _ in range(n - 1):
+        tails.append(tuple((j, c) for j, c in enumerate(t) if c != base.zero))
+        lead = t[-1]
+        t = [base.zero] + t[:-1]
+        if lead != base.zero:
+            t = [base.add(c, base.mul(lead, f)) for c, f in zip(t, first)]
+    return tuple(tails)
+
+
+def linear_map_matrix(source: FieldSpec, target: FieldSpec, f) -> np.ndarray:
+    """The matrix over F_p of an F_p-linear map f from source to target.
+
+    Column j is the flat digit vector of f(source.basis_element(j)), so the
+    matrix has shape (target.r, source.r) and acts on digit columns.
+    """
+    cols = [target.flat_digits(f(source.basis_element(j))) for j in range(source.r)]
+    return np.array(cols, dtype=np.int64).reshape(source.r, target.r).T
 
 
 def enumerate_elements(tower: TowerSpec, max_elements: int | None = None) -> Iterator:
@@ -583,47 +531,39 @@ def make_field(p: int, r: int) -> FieldSpec:
     Coefficient tuples are compared constant term first.  The counts this
     package produces are isomorphism invariants, so the particular modulus
     never matters for results; pinning it keeps element enumeration order
-    and intermediate artifacts reproducible.
+    and intermediate artifacts reproducible.  For r >= 2 the field is an
+    extension of F_p, its modulus found by the same scan as a tower's.
     """
-    if not is_prime(p):
-        raise NonPrimeError(f"{p} is not prime")
     if r < 1:
         raise ValueError("extension degree must be positive")
-    if r == 1:
-        return FieldSpec(p, 1, (0, 1))
-    prime_field = make_field(p, 1)
-    for tup in itertools.product(range(p), repeat=r):
-        tail = tup[::-1]
-        if tail[0] == 0:
-            continue  # zero constant term means the root 0
-        f = tail + (1,)
-        if is_irreducible(f, prime_field):
-            return FieldSpec(p, r, f)
-    raise InvariantError(f"no irreducible of degree {r} over F_{p}")
+    field = PrimeField(p)
+    if r > 1:
+        field = ExtensionField(field, r, next(_tower_modulus_scan(field, r)))
+    return field
 
 
 def _tower_modulus_scan(base: FieldSpec, n: int) -> Iterator[tuple]:
     for tup in itertools.product(base.element_list, repeat=n):
         tail = tup[::-1]
         if base.is_zero(tail[0]):
-            continue
+            continue  # zero constant term means the root 0
         f = tail + (base.one,)
         if is_irreducible(f, base):
             yield f
 
 
 @lru_cache(maxsize=None)
-def make_tower(base: FieldSpec, n: int) -> TowerSpec:
+def make_tower(base: FieldSpec, n: int) -> ExtensionField:
     """F_{q^n} over the base, with the lex-smallest irreducible modulus."""
     if n < 1:
         raise ValueError("tower degree must be positive")
     if n == 1:
-        return TowerSpec(base, 1, (base.zero, base.one))
-    return TowerSpec(base, n, next(_tower_modulus_scan(base, n)))
+        return ExtensionField(base, 1, (base.zero, base.one))
+    return ExtensionField(base, n, next(_tower_modulus_scan(base, n)))
 
 
 @lru_cache(maxsize=None)
-def make_tower_alt(base: FieldSpec, n: int) -> TowerSpec:
+def make_tower_alt(base: FieldSpec, n: int) -> ExtensionField:
     """Same field, next modulus in the canonical scan.
 
     Used to confirm that enumerated counts do not depend on the modulus
@@ -634,7 +574,7 @@ def make_tower_alt(base: FieldSpec, n: int) -> TowerSpec:
     scan = _tower_modulus_scan(base, n)
     next(scan)
     try:
-        return TowerSpec(base, n, next(scan))
+        return ExtensionField(base, n, next(scan))
     except StopIteration:
         raise ValueError(
             f"degree {n} over F_{base.order} has a single irreducible"

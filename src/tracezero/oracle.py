@@ -296,13 +296,8 @@ def _image_of_artin_schreier_map(tower: gf.TowerSpec) -> np.ndarray:
     """Bitmap over element encodings of {y**q - y : y in F_{q^n}}."""
     d = tower.flat_degree
     p = tower.base.p
-    # The map y -> y**q - y is F_p-linear; evaluate it columnwise.
-    cols = []
-    for j in range(d):
-        b = tower.basis_element(j)
-        img = tower.sub(tower.frobenius(b), b)
-        cols.append(tower.flat_digits(img))
-    M = np.array(cols, dtype=np.int64).T
+    # The map y -> y**q - y is F_p-linear; evaluate it on every code.
+    M = gf.linear_map_matrix(tower, tower, lambda y: tower.sub(tower.frobenius(y), y))
     order = tower.order
     weights = p ** np.arange(d, dtype=np.int64)
     bitmap = np.zeros(order, dtype=bool)
@@ -342,7 +337,7 @@ def verify_all(q: int, n_max: int, budget: OracleBudget | None = None) -> Verify
     disagreeing values.  Checks beyond the element budget are skipped, not
     failed.
     """
-    from .counting import CountEngine  # local import to avoid a cycle
+    from .counting import SELFCHECK_DEPTH, CountEngine  # local import to avoid a cycle
 
     budget = budget or DEFAULT_BUDGET
     p, r = prime_power_parts(q)
@@ -351,6 +346,13 @@ def verify_all(q: int, n_max: int, budget: OracleBudget | None = None) -> Verify
     curves = curve_family(field)
     units = [a for a in field.elements() if not field.is_zero(a)]
     report = VerifyReport(q=q, n_max=n_max)
+    if engine.verified_depth < SELFCHECK_DEPTH:
+        # n is the first degree the engine's own re-count did not reach
+        report.skip(
+            "engine_selfcheck", q, engine.genus + engine.verified_depth + 1,
+            f"self-check reached depth {engine.verified_depth} of {SELFCHECK_DEPTH}; "
+            f"the element cap {budget.max_elements} stopped it",
+        )
 
     for n in range(1, n_max + 1):
         if q**n > budget.max_elements:

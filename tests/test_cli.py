@@ -164,6 +164,22 @@ class TestVerify:
         assert code == 1
         assert "FAILED" in out
 
+    def test_cut_engine_self_check_is_a_skip_line(self, capsys):
+        # 7**6 <= 200000 < 7**7: the engine that verify builds re-counts no
+        # curve beyond the genus, and the report must say so
+        code, out, _ = run(
+            capsys, "verify", "--p", "7", "--max-n", "2", "--max-elements", "200000"
+        )
+        assert code == 0
+        skips = [
+            ln for ln in out.splitlines() if ln.split()[:2] == ["SKIP", "engine_selfcheck"]
+        ]
+        assert skips == [
+            "SKIP  engine_selfcheck q=7 n=7  [self-check reached depth 0 of 2; "
+            "the element cap 200000 stopped it]"
+        ]
+        assert "all checks passed" in out
+
 
 class TestCurveAndLpoly:
     def test_genus_one_coefficients(self, capsys):
@@ -217,6 +233,11 @@ class TestFamilyAndBound:
         assert len(data["rows"]) == 4
         assert all(len(r) == 4 for r in data["rows"])
 
+    def test_family_index_must_not_be_negative(self, capsys):
+        code, _, err = run(capsys, "family", "--p", "5", "--n", "5", "--index", "-1")
+        assert code == 2
+        assert "out of range" in err
+
     def test_bound_strictness(self, capsys):
         code, out, _ = run(capsys, "bound", "--p", "5", "--n", "5", "--format", "json")
         assert code == 0
@@ -262,6 +283,19 @@ class TestContracts:
         assert exc.value.code == 2
         assert "must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--p", "2", "--max-n", "0"),
+            ("curve", "--p", "2", "--alpha", "1", "--m-max", "0"),
+        ],
+    )
+    def test_degree_flags_must_be_positive(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+
     def test_env_budget_must_be_integral(self, capsys, monkeypatch):
         monkeypatch.setenv(ENV_BUDGET, "many")
         code, _, err = run(capsys, "count", "--p", "2", "--r", "1", "--n", "2")
@@ -280,9 +314,19 @@ class TestContracts:
         assert code == 3
         assert "invariant" in err
 
-    def test_explicit_modulus_must_be_irreducible(self, capsys):
+    @pytest.mark.parametrize(
+        "r,modulus",
+        [
+            pytest.param("2", "1,1", id="wrong_degree"),
+            pytest.param("2", "1,1,0", id="not_monic"),
+            pytest.param("2", "2,1,1", id="unreduced_coefficient"),
+            pytest.param("2", "1,0,1", id="reducible"),
+            pytest.param("1", "1,1", id="not_the_prime_field_placeholder"),
+        ],
+    )
+    def test_explicit_modulus_must_be_irreducible(self, capsys, r, modulus):
         code, _, err = run(
             capsys,
-            "count", "--p", "2", "--r", "2", "--n", "2", "--modulus", "1,0,1",
+            "count", "--p", "2", "--r", r, "--n", "2", "--modulus", modulus,
         )
         assert code == 2

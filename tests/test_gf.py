@@ -1,5 +1,6 @@
 """Field and tower arithmetic, traces, and the canonical modulus choice."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -296,3 +297,39 @@ def test_random_trace_is_frobenius_fixed(a):
     for _ in range(_T.n):
         n_fold = _T.frobenius(n_fold)
     assert n_fold == a
+
+
+# SHA-256 over the modulus, the codes in elements() order and the codes of
+# the full mul and inv tables, recorded when F_q and the tower were still
+# two separate implementations: any drift in moduli, element order or
+# arithmetic changes the digest even where the field axioms still hold.
+_ARITHMETIC_DIGESTS = {
+    (2, 2, 1): "af2eb7557c7f8969b2592e501da270f1269a64a4ebc67205ae7d096ac624b662",
+    (2, 3, 1): "fcaf6e783144d58a150b3508cd9171d0454693bd63f8beb8862d0626444da785",
+    (3, 2, 1): "0f86ff9deac5db8a00086fabe4a81415d7b890829e7cc5a050f57259e655608a",
+    (2, 4, 1): "772f19bd4c4dd3d62beb988ed1d50106a9ce631c977e3695f12fbb073f42553d",
+    (5, 2, 1): "82dbdfdac847b13b882046cb59bdb22c4ce27bda710ab08c8edb085dff63d329",
+    (3, 3, 1): "111390f6d16c4c84da377bfd7d46b61f8efb38aac539f0752954cfc66ccdfe80",
+    (2, 5, 1): "40850ea3385d154b591fb68591e55a441677ba507a852636e1c59efa07309438",
+    (7, 2, 1): "7901116634a80a4744b681de6a5142eeba93fae9088b60e5a4d7a7d5db4d7de9",
+    (2, 6, 1): "bb8cb9c6b514c668cd6ca5dcdea83a247cea9540aa168a805d1e55c05c0035c6",
+    (3, 4, 1): "f9bb21bfe738c60265c111efbcead632aa174ff146464d37675886899ed2193a",
+    (2, 2, 3): "5f031fb56f37b3e7c9973406993e2f011e23a5f839a0d006dbfaa6734575020e",
+    (3, 2, 2): "ece7c5a5a82c232c56823933b96cf41a681417d2dab57cbbf822ee24fe7c9fbd",
+}
+
+
+@pytest.mark.parametrize("p,r,n", sorted(_ARITHMETIC_DIGESTS))
+def test_arithmetic_is_pinned(p, r, n):
+    """F_{p^r} itself for n = 1, else the tower make_tower(F_{p^r}, n)."""
+    field = gf.make_field(p, r)
+    modulus = field.modulus
+    if n > 1:
+        field = gf.make_tower(field, n)
+        modulus = field.ext_modulus
+    els = list(field.elements())
+    h = hashlib.sha256(repr(modulus).encode())
+    h.update(repr([field.code(a) for a in els]).encode())
+    h.update(repr([field.code(field.mul(a, b)) for a in els for b in els]).encode())
+    h.update(repr([field.code(field.inv(a)) for a in els if not field.is_zero(a)]).encode())
+    assert h.hexdigest() == _ARITHMETIC_DIGESTS[p, r, n]
