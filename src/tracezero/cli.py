@@ -167,7 +167,7 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     budget = OracleBudget(max_elements=_max_elements(args))
-    report = verify_all(args.p**args.r, args.max_n, budget)
+    report = verify_all(_field(args).order, args.max_n, budget)
     if args.format == "json":
         _emit(json.dumps(report.to_dict(), indent=2))
     else:

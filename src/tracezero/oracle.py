@@ -403,17 +403,16 @@ def verify_all(q: int, n_max: int, budget: OracleBudget | None = None) -> Verify
         )
 
         # q-exponent curve count vs the combination zero-locus.
+        bigs = [big_curve_count(field, a, n, budget.max_elements) for a in units]
         ok = True
         lhs_rhs = ("", "")
-        for a in units:
-            big = big_curve_count(field, a, n, budget.max_elements)
+        for a, big in zip(units, bigs):
             zc = z_count(q, n, "combination", c=a, budget=budget)
             if big != q * zc - q + 2:
                 ok = False
                 lhs_rhs = (big, q * zc - q + 2)
         report.add("big_curve_solvability", q, n, ok, *lhs_rhs)
 
-        bigs = [big_curve_count(field, a, n, budget.max_elements) for a in units]
         if p == 2:
             report.add(
                 "big_curve_alpha_invariance",
@@ -458,8 +457,8 @@ def verify_all(q: int, n_max: int, budget: OracleBudget | None = None) -> Verify
         )
         report.add("poly_count_decomposition", q, n, fc == decomposed, fc, decomposed)
 
-        # Naive double-loop curve counts where the pair budget allows.  The
-        # double loop is pure Python, so gate on pairs times family size.
+        # Naive pair-by-pair curve counts where the pair budget allows,
+        # gated on pairs times family size.
         naive_cost = q ** (2 * n) * len(curves)
         if q ** (2 * n) <= budget.max_pairs and naive_cost <= 1 << 19:
             ok = True

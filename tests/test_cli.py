@@ -180,6 +180,13 @@ class TestVerify:
         ]
         assert "all checks passed" in out
 
+    def test_composite_characteristic_exit_two(self, capsys):
+        # 4**2 = 16 is a prime power, but --p must itself be prime
+        code, out, err = run(capsys, "verify", "--p", "4", "--r", "2", "--max-n", "1")
+        assert code == 2
+        assert "--p 4 is not prime" in err
+        assert out == ""
+
 
 class TestCurveAndLpoly:
     def test_genus_one_coefficients(self, capsys):

@@ -1,10 +1,14 @@
-"""Curve point counts: solvability path against the naive double loop,
-family structure, and the relations tying the small curves to the big one."""
+"""Curve point counts: solvability path against the naive pair-by-pair
+count, family structure, and the relations tying the small curves to the
+big one."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracezero import gf
 from tracezero.curves import (
+    EVEN,
     CurveCounts,
     CurveSpec,
     beta_representatives,
@@ -106,6 +110,99 @@ class TestCountPoints:
             count_points(CurveSpec(F9, F9.one, F9.one), 5, max_elements=1000)
         with pytest.raises(BudgetExceededError):
             count_points_naive(CurveSpec(F9, F9.one, F9.one), 3, max_pairs=1000)
+
+
+def _naive_reference(curve: CurveSpec, m: int, max_pairs: int | None = None) -> int:
+    """The pure-Python double loop that count_points_naive used to be."""
+    field = curve.field
+    q = field.order
+    if max_pairs is not None and q ** (2 * m) > max_pairs:
+        raise BudgetExceededError(f"{q}**{2*m} pairs exceed the cap {max_pairs}")
+    tower = gf.make_tower(field, m)
+    p = field.p
+    alpha = tower.embed_base(curve.alpha)
+    one = tower.one
+    if curve.case == EVEN:
+        # x (y^2 + y) = alpha (x^2 + 1)
+        lhs_of_y = {y: tower.add(tower.mul(y, y), y) for y in tower.elements()}
+        def rhs(x):
+            return tower.mul(alpha, tower.add(tower.mul(x, x), one))
+    else:
+        # x (y^p - y) = beta (alpha x^2 - 1)
+        beta = tower.embed_base(curve.beta)
+        lhs_of_y = {y: tower.sub(tower.pow_(y, p), y) for y in tower.elements()}
+        def rhs(x):
+            return tower.mul(beta, tower.sub(tower.mul(alpha, tower.mul(x, x)), one))
+    affine = 0
+    for x in tower.elements():
+        if tower.is_zero(x):
+            continue
+        r = rhs(x)
+        for yv in lhs_of_y.values():
+            if tower.mul(x, yv) == r:
+                affine += 1
+    return affine + 2
+
+
+_ORDERS = (2, 3, 4, 5, 7, 8, 9)
+
+
+def _pair_grid(limit):
+    """Every (q, m) with q**(2m) <= limit."""
+    for q in _ORDERS:
+        m = 1
+        while q ** (2 * m) <= limit:
+            yield q, m
+            m += 1
+
+
+class TestCountPointsNaive:
+    @pytest.mark.parametrize("q,m", list(_pair_grid(1 << 12)))
+    def test_matches_the_double_loop(self, q, m):
+        field = gf.make_field(*prime_power_parts(q))
+        for curve in curve_family(field):
+            assert count_points_naive(curve, m) == _naive_reference(curve, m), (
+                curve.describe()
+            )
+
+    @pytest.mark.parametrize(
+        "curve,m,count",
+        [
+            (CurveSpec(F2, 1), 1, 4),
+            (CurveSpec(F4, F4.one), 2, 16),
+            (CurveSpec(F9, F9.one, F9.one), 2, 110),
+        ],
+    )
+    def test_reads_no_trace(self, monkeypatch, curve, m, count):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the naive count must not use a trace")
+
+        monkeypatch.setattr("tracezero.curves.table_for", refuse)
+        monkeypatch.setattr(gf.ExtensionField, "trace_to_base", refuse)
+        monkeypatch.setattr(gf.ExtensionField, "trace_to_prime", refuse)
+        assert count_points_naive(curve, m) == count
+
+    def test_budget_is_checked_before_the_tower(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("tower built before the budget check")
+
+        monkeypatch.setattr(gf, "make_tower", refuse)
+        with pytest.raises(BudgetExceededError):
+            count_points_naive(CurveSpec(F9, F9.one, F9.one), 9, max_pairs=1 << 20)
+
+
+@st.composite
+def _in_budget_curve(draw, limit=1 << 16):
+    q, m = draw(st.sampled_from(list(_pair_grid(limit))))
+    family = curve_family(gf.make_field(*prime_power_parts(q)))
+    return family[draw(st.integers(0, len(family) - 1))], m
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_in_budget_curve())
+def test_routes_agree(case):
+    curve, m = case
+    assert count_points(curve, m) == count_points_naive(curve, m)
 
 
 def _literal_grid(limit=4096):
