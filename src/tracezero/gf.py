@@ -190,6 +190,24 @@ class ExtensionField(FieldSpec):
                 raise NonMonicError("field modulus must be monic")
             if not is_irreducible(m, base):
                 raise ValueError("field modulus must be irreducible over the base")
+        self._derive()
+
+    @classmethod
+    def _scanned(cls, base: FieldSpec, n: int, modulus: tuple) -> "ExtensionField":
+        """The extension by a modulus _tower_modulus_scan has just accepted.
+
+        The scan only yields monic irreducibles of degree n with reduced
+        coefficients, so the constructor's checks, the irreducibility test
+        above all, would repeat work already done.
+        """
+        field = object.__new__(cls)
+        for name, value in (("base", base), ("n", n), ("modulus", modulus)):
+            object.__setattr__(field, name, value)
+        field._derive()
+        return field
+
+    def _derive(self):
+        base, n, m = self.base, self.n, self.modulus
         derived = {
             "p": base.p,
             "r": base.r * n,
@@ -203,11 +221,6 @@ class ExtensionField(FieldSpec):
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
-    @property
-    def ext_modulus(self) -> tuple:
-        """The modulus, under the name the tower API has always used."""
-        return self.modulus
-
     def __contains__(self, a) -> bool:
         return isinstance(a, tuple) and len(a) == self.n and all(c in self.base for c in a)
 
@@ -217,8 +230,6 @@ class ExtensionField(FieldSpec):
     def embed(self, c: int):
         """The image of the integer c under Z -> F_p -> this field."""
         return self.embed_base(self.base.embed(c))
-
-    embed_scalar = embed  # the tower API's name
 
     # -- element arithmetic ------------------------------------------------
 
@@ -285,8 +296,6 @@ class ExtensionField(FieldSpec):
         """Trace all the way down to F_p, through the base field's trace."""
         return self.base.trace_to_prime(self.trace_to_base(a))
 
-    absolute_trace = trace_to_prime  # the tower API's name
-
     def rtrace(self, a):
         """Trace of the inverse, with the convention rtrace(0) = 0.
 
@@ -332,7 +341,7 @@ class ExtensionField(FieldSpec):
         return tuple(out)
 
 
-TowerSpec = ExtensionField  # the tower F_{q^n} over F_q is an extension like any other
+TowerSpec = ExtensionField  # exported name of the tower F_{q^n} over F_q, an extension like any other
 
 
 def _reduction_tails(base: FieldSpec, modulus: tuple) -> tuple:
@@ -360,7 +369,7 @@ def linear_map_matrix(source: FieldSpec, target: FieldSpec, f) -> np.ndarray:
     return np.array(cols, dtype=np.int64).reshape(source.r, target.r).T
 
 
-def enumerate_elements(tower: TowerSpec, max_elements: int | None = None) -> Iterator:
+def enumerate_elements(tower: ExtensionField, max_elements: int | None = None) -> Iterator:
     """All q**n tower elements, canonical order, guarded by an element cap."""
     if max_elements is not None and tower.order > max_elements:
         raise BudgetExceededError(
@@ -538,7 +547,7 @@ def make_field(p: int, r: int) -> FieldSpec:
         raise ValueError("extension degree must be positive")
     field = PrimeField(p)
     if r > 1:
-        field = ExtensionField(field, r, next(_tower_modulus_scan(field, r)))
+        field = ExtensionField._scanned(field, r, next(_tower_modulus_scan(field, r)))
     return field
 
 
@@ -559,7 +568,7 @@ def make_tower(base: FieldSpec, n: int) -> ExtensionField:
         raise ValueError("tower degree must be positive")
     if n == 1:
         return ExtensionField(base, 1, (base.zero, base.one))
-    return ExtensionField(base, n, next(_tower_modulus_scan(base, n)))
+    return ExtensionField._scanned(base, n, next(_tower_modulus_scan(base, n)))
 
 
 @lru_cache(maxsize=None)
@@ -574,7 +583,7 @@ def make_tower_alt(base: FieldSpec, n: int) -> ExtensionField:
     scan = _tower_modulus_scan(base, n)
     next(scan)
     try:
-        return ExtensionField(base, n, next(scan))
+        return ExtensionField._scanned(base, n, next(scan))
     except StopIteration:
         raise ValueError(
             f"degree {n} over F_{base.order} has a single irreducible"

@@ -43,7 +43,7 @@ class OracleBudget:
 DEFAULT_BUDGET = OracleBudget()
 
 
-def _tower(q: int, n: int, tower: gf.TowerSpec | None = None) -> gf.TowerSpec:
+def _tower(q: int, n: int, tower: gf.ExtensionField | None = None) -> gf.ExtensionField:
     if tower is not None:
         if tower.q != q or tower.n != n:
             raise ValueError("explicit tower does not match (q, n)")
@@ -67,7 +67,7 @@ def enum_f_count(
     q: int,
     n: int,
     budget: OracleBudget | None = None,
-    tower: gf.TowerSpec | None = None,
+    tower: gf.ExtensionField | None = None,
 ) -> int:
     """#{a in F_{q^n} : Tr(a) = 0 and rTr(a) = 0} by full enumeration.
 
@@ -83,7 +83,7 @@ def enum_f_count(
     return 1 + int((tz & tab.reversed_exp(tz)).sum())
 
 
-def enum_f_count_small(tower: gf.TowerSpec, max_elements: int = 1 << 12) -> int:
+def enum_f_count_small(tower: gf.ExtensionField, max_elements: int = 1 << 12) -> int:
     """Same count by the literal per-element definition; tiny fields only.
 
     Exists to validate the table-based path against first principles.
@@ -218,7 +218,7 @@ def z_count(
     mode: str = "combination",
     c=None,
     budget: OracleBudget | None = None,
-    tower: gf.TowerSpec | None = None,
+    tower: gf.ExtensionField | None = None,
 ) -> int:
     """Zero counts of the trace pair over F_{q^n}.
 
@@ -292,7 +292,7 @@ class VerifyReport:
         }
 
 
-def _image_of_artin_schreier_map(tower: gf.TowerSpec) -> np.ndarray:
+def _image_of_artin_schreier_map(tower: gf.ExtensionField) -> np.ndarray:
     """Bitmap over element encodings of {y**q - y : y in F_{q^n}}."""
     d = tower.flat_degree
     p = tower.base.p
@@ -312,7 +312,7 @@ def _image_of_artin_schreier_map(tower: gf.TowerSpec) -> np.ndarray:
     return bitmap
 
 
-def _trace_zero_enc_bitmap(tower: gf.TowerSpec, tab) -> np.ndarray:
+def _trace_zero_enc_bitmap(tower: gf.ExtensionField, tab) -> np.ndarray:
     bitmap = np.zeros(tower.order, dtype=bool)
     bitmap[0] = True
     bitmap[tab.exp_enc[tab.trace_zero_exp()]] = True

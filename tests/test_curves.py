@@ -215,7 +215,7 @@ def _literal_grid(limit=4096):
 
 class TestCountPointsLiteral:
     """count_points against the definition, one field element at a time:
-    #C = p * #{x != 0 : absolute_trace(A x + B / x) = 0} + 2."""
+    #C = p * #{x != 0 : trace_to_prime(A x + B / x) = 0} + 2."""
 
     @pytest.mark.parametrize("q,m", list(_literal_grid()))
     def test_every_curve_of_the_family(self, q, m):
@@ -227,12 +227,12 @@ class TestCountPointsLiteral:
         for _ in range(tower.order - 2):
             walk.append(tower.mul(walk[-1], g))
         N = len(walk)
-        # absolute_trace of every element, called once per Frobenius orbit:
+        # trace_to_prime of every element, called once per Frobenius orbit:
         # Tr(y**p) = Tr(y) and (g**j)**p = g**(j*p)
-        traces = {tower.zero: tower.absolute_trace(tower.zero)}
+        traces = {tower.zero: tower.trace_to_prime(tower.zero)}
         for j, y in enumerate(walk):
             if y not in traces:
-                t = tower.absolute_trace(y)
+                t = tower.trace_to_prime(y)
                 for i in range(tower.flat_degree):
                     traces[walk[j * field.p**i % N]] = t
         for curve in curve_family(field):

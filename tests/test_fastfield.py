@@ -1,0 +1,128 @@
+"""The generator walk of FieldTable: pinned outputs, the block-loop walk it
+replaced as a differential reference, and the digit-packing width rule."""
+
+import hashlib
+from functools import partial
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from tracezero import gf
+from tracezero.errors import BudgetExceededError
+from tracezero.fastfield import FieldTable, digit_width, multiplicative_generator
+from tracezero.numtheory import prime_power_parts
+
+ENGINE_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16)
+
+
+def _tower(q, n):
+    p, r = prime_power_parts(q)
+    return gf.make_tower(gf.make_field(p, r), n)
+
+
+# ---------------------------------------------------------------------------
+# The block-loop walk, kept verbatim as the reference: the first block by
+# one matvec per element, then each block from the last by one float64
+# product with M**B.
+
+_BLOCK = 1 << 12
+
+
+def _mat_pow(m: np.ndarray, e: int, p: int) -> np.ndarray:
+    out = np.eye(m.shape[0], dtype=np.int64)
+    base = m % p
+    while e:
+        if e & 1:
+            out = (out @ base) % p
+        base = (base @ base) % p
+        e >>= 1
+    return out
+
+
+def _walk_reference(tower) -> np.ndarray:
+    p, d, N = tower.base.p, tower.flat_degree, tower.order - 1
+    pow_p = p ** np.arange(d, dtype=np.int64)
+    g = multiplicative_generator(tower)
+    M = gf.linear_map_matrix(tower, tower, partial(tower.mul, g))  # x -> g*x
+    B = min(_BLOCK, N)
+    block = np.zeros((B, d), dtype=np.int64)
+    block[0] = tower.flat_digits(tower.one)
+    for k in range(1, B):
+        block[k] = (M @ block[k - 1]) % p
+    enc = np.empty(N, dtype=np.int64)
+    step = _mat_pow(M, B, p).T.astype(np.float64)
+    done = 0
+    cur = block
+    while True:
+        take = min(B, N - done)
+        enc[done : done + take] = cur[:take] @ pow_p
+        done += take
+        if done == N:
+            return enc
+        # float64 BLAS keeps this exact: entries stay below d * p**2 << 2**53
+        cur = np.rint(cur.astype(np.float64) @ step).astype(np.int64) % p
+
+
+# SHA-256 of exp_enc as little-endian int64, recorded with the block-loop
+# walk.  The towers cover d = 1, large p, odd-p packing, extension bases, N
+# below one chunk and N across several doubling rounds.
+_WALK_DIGESTS = {
+    (2, 1): "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8",
+    (2, 12): "f93111f2d5d03cbd58220f842d679e036230e6d30c67a053250bb339045d0897",
+    (2, 20): "d9bbf13f33c1e260b790f9f421b476acf69614250c250c8fc849abd27eb5c2fb",
+    (3, 13): "9cfbfd76dce39f38cbf1f453c696abe357a7b34a15d69091b39a70a1afe358b2",
+    (4, 7): "5becdc33d497be1c7427c06d581f477383f4290391d0dcb614de28c317646ff3",
+    (5, 6): "46e0e83ab73fbe9641effea57dc067f79deafbc103ebd69634d917b5323cd802",
+    (7, 7): "e0fd0c54586075492b312ba232eb9c2673a0bd5cdace2df542687ea4fd21bc2a",
+    (9, 5): "20449548ed89140a46d9d443eb37ef4b174bf47d634decb5c809513358d3e46f",
+    (25, 3): "1ea1426d6b3809d4d7de74e9cccaf224d1fc2e77063edf6bfad72fec78e87b70",
+    (27, 3): "85d9cd5299c7a6b07f6e6e3a80596888384184b7014aa68073f84f3bd7f19de9",
+    (131, 1): "bbbbe657b1aca6c9bba46731dca1cc533df7b6b8009dbe759f0a5250bb91f349",
+    (65536, 1): "a9c0b9735a82fc72c5287527e2930d5f0603c0dae1bd9c70ade1fc1578a1d84d",
+}
+
+
+@pytest.mark.parametrize("q,n", sorted(_WALK_DIGESTS))
+def test_walk_is_pinned(q, n):
+    enc = FieldTable(_tower(q, n)).exp_enc
+    assert enc.dtype == np.int64
+    assert hashlib.sha256(enc.astype("<i8").tobytes()).hexdigest() == _WALK_DIGESTS[q, n]
+
+
+@pytest.mark.parametrize(
+    "q,n",
+    [(q, n) for q in ENGINE_FIELDS for n in range(1, 17) if q**n <= 1 << 16],
+)
+def test_walk_matches_block_loop(q, n):
+    tower = _tower(q, n)
+    assert np.array_equal(FieldTable(tower).exp_enc, _walk_reference(tower))
+
+
+class TestDigitWidth:
+    @pytest.mark.parametrize("p,w", [(2, 2), (3, 3), (5, 4), (7, 4), (131, 9)])
+    def test_least_width_with_room_for_a_digit_sum(self, p, w):
+        assert digit_width(p, 1) == w
+        assert 2 ** (w - 1) >= p > 2 ** (w - 2)
+
+    def test_widest_word_fits(self):
+        assert digit_width(2, 31) == 2
+        assert digit_width(3, 21) == 3
+
+    @pytest.mark.parametrize("p,d", [(2, 32), (3, 22), (131, 8)])
+    def test_refused_past_63_bits(self, p, d):
+        with pytest.raises(BudgetExceededError):
+            digit_width(p, d)
+
+    def test_table_refuses_before_touching_the_field(self):
+        # a stand-in with only p and the degree: the refusal must come
+        # before the order, the generator or any array is read or made
+        fake = SimpleNamespace(base=SimpleNamespace(p=3), flat_degree=22)
+        with pytest.raises(BudgetExceededError):
+            FieldTable(fake)
+
+    def test_functionals_refuse_rows_past_one_word(self):
+        tab = FieldTable(_tower(131, 1))  # w = 9: seven digits per word
+        assert tab.functionals_exp(np.ones((7, 1), dtype=np.int64)).shape == (130, 7)
+        with pytest.raises(BudgetExceededError):
+            tab.functionals_exp(np.ones((8, 1), dtype=np.int64))

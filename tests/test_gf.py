@@ -60,11 +60,11 @@ class TestMakeField:
 class TestMakeTower:
     def test_degenerate_tower(self):
         t = gf.make_tower(F4, 1)
-        assert t.ext_modulus == (F4.zero, F4.one)
+        assert t.modulus == (F4.zero, F4.one)
         assert t.order == 4
 
     def test_smallest_cubic_over_f2(self):
-        assert gf.make_tower(F2, 3).ext_modulus == (1, 1, 0, 1)  # x^3 + x + 1
+        assert gf.make_tower(F2, 3).modulus == (1, 1, 0, 1)  # x^3 + x + 1
 
     def test_first_quadratic_over_f4(self):
         found = None
@@ -76,16 +76,47 @@ class TestMakeTower:
             if brute_irreducible(F4, f):
                 found = f
                 break
-        assert gf.make_tower(F4, 2).ext_modulus == found
+        assert gf.make_tower(F4, 2).modulus == found
 
     def test_alt_modulus_differs(self):
         t = gf.make_tower(F2, 4)
         alt = gf.make_tower_alt(F2, 4)
-        assert t.ext_modulus != alt.ext_modulus
+        assert t.modulus != alt.modulus
 
     def test_alt_modulus_unavailable_when_unique(self):
         with pytest.raises(ValueError):
             gf.make_tower_alt(F2, 2)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gf.make_field.__wrapped__(3, 4),
+            lambda: gf.make_tower.__wrapped__(F4, 3),
+            lambda: gf.make_tower_alt.__wrapped__(F9, 2),
+        ],
+        ids=["make_field", "make_tower", "make_tower_alt"],
+    )
+    def test_scanned_modulus_is_tested_once(self, build, monkeypatch):
+        tested = []
+        real = gf.is_irreducible
+
+        def counting(f, field):
+            tested.append(tuple(f))
+            return real(f, field)
+
+        monkeypatch.setattr(gf, "is_irreducible", counting)
+        field = build()
+        assert tested.count(field.modulus) == 1
+        assert len(tested) == len(set(tested))
+
+    @pytest.mark.parametrize(
+        "base,n,modulus",
+        [(F2, 2, (1, 0, 1)), (F3, 2, (2, 0, 1)), (F4, 2, (F4.one, F4.zero, F4.one))],
+        ids=["x2+1-over-F2", "x2+2-over-F3", "x2+1-over-F4"],
+    )
+    def test_direct_construction_tests_irreducibility(self, base, n, modulus):
+        with pytest.raises(ValueError, match="irreducible"):
+            gf.ExtensionField(base, n, modulus)
 
 
 class TestIrreducible:
@@ -125,14 +156,11 @@ class TestFrobeniusAndTrace:
         if tower.order > 256:
             pytest.skip("exhaustive pairs kept small")
         els = list(tower.elements())
+        frob = {a: tower.frobenius(a) for a in els}  # once per element, not per pair
         for a in els:
             for b in els:
-                assert tower.frobenius(tower.add(a, b)) == tower.add(
-                    tower.frobenius(a), tower.frobenius(b)
-                )
-                assert tower.frobenius(tower.mul(a, b)) == tower.mul(
-                    tower.frobenius(a), tower.frobenius(b)
-                )
+                assert frob[tower.add(a, b)] == tower.add(frob[a], frob[b])
+                assert frob[tower.mul(a, b)] == tower.mul(frob[a], frob[b])
 
     @pytest.mark.parametrize("base,n", [(F4, 3), (F9, 2), (F2, 5)])
     def test_frobenius_fixes_base_and_has_order_n(self, base, n):
@@ -203,7 +231,7 @@ class TestFrobeniusAndTrace:
             for _ in range(n * base.r - 1):
                 t = tower.pow_(t, p)
                 acc = tower.add(acc, t)
-            assert acc == tower.embed_scalar(tower.absolute_trace(a))
+            assert acc == tower.embed(tower.trace_to_prime(a))
 
     def test_trace_power_scaling_for_polynomials(self):
         for field in (F4, F9, F5):
@@ -326,7 +354,7 @@ def test_arithmetic_is_pinned(p, r, n):
     modulus = field.modulus
     if n > 1:
         field = gf.make_tower(field, n)
-        modulus = field.ext_modulus
+        modulus = field.modulus
     els = list(field.elements())
     h = hashlib.sha256(repr(modulus).encode())
     h.update(repr([field.code(a) for a in els]).encode())
