@@ -21,7 +21,8 @@ itself has no solutions with x = 0.  Hence
 count_points implements exactly that; count_points_naive re-counts by
 testing the curve equation literally on every (x, y) pair and exists purely
 as an independent check.  It uses no trace: the pair products x * L(y) are
-vectorised over F_p from the structure constants of the tower.
+vectorised over F_p from the structure constants of the tower, and
+count_family_naive forms them once for a whole family of curves.
 
 Since A and B lie in F_q, transitivity of the trace gives
 
@@ -51,6 +52,17 @@ EVEN = "even"
 ODD = "odd"
 
 
+def family_genus(field: gf.FieldSpec) -> int:
+    """Genus of every curve of the family over field: p - 1 (1 when p = 2)."""
+    return field.p - 1
+
+
+def check_element_cap(q: int, m: int, max_elements: int | None):
+    """Refuse an enumeration of F_{q^m} over the element cap."""
+    if max_elements is not None and q**m > max_elements:
+        raise BudgetExceededError(f"{q}**{m} elements exceed the cap {max_elements}")
+
+
 @dataclass(frozen=True)
 class CurveSpec:
     """One curve of the family over field = F_q; beta only in odd characteristic."""
@@ -76,7 +88,7 @@ class CurveSpec:
 
     @property
     def genus(self) -> int:
-        return 1 if self.field.p == 2 else self.field.p - 1
+        return family_genus(self.field)
 
     def h_coeffs(self):
         """(A, B) with the affine chart reading y**p - y = A x + B / x."""
@@ -160,8 +172,7 @@ def count_points(curve: CurveSpec, m: int, max_elements: int | None = None) -> i
     """#C(F_{q^m}) by the additive-character solvability criterion."""
     field = curve.field
     q, p = field.order, field.p
-    if max_elements is not None and q**m > max_elements:
-        raise BudgetExceededError(f"{q}**{m} elements exceed the cap {max_elements}")
+    check_element_cap(q, m, max_elements)
     tower = gf.make_tower(field, m)
     tab = table_for(tower)
     A, B = curve.h_coeffs()
@@ -193,38 +204,49 @@ def count_points_naive(curve: CurveSpec, m: int, max_pairs: int | None = None) -
     cross-validation.  The pairs are taken in blocks of x, so memory grows
     with q**m, not with the number of pairs.
     """
-    field = curve.field
+    return count_family_naive([curve], m, max_pairs)[0]
+
+
+def count_family_naive(curves, m: int, max_pairs: int | None = None) -> list[int]:
+    """count_points_naive for each curve of curves, all over one field F_q.
+
+    L(y), the matrices T and the digits of x depend only on the tower, so
+    they are built once; each block of products x * L(y) is formed once and
+    compared with every curve's own R(x), made from its alpha and beta.
+    """
+    fields = {curve.field for curve in curves}
+    if len(fields) != 1:
+        raise ValueError("the curves must share one base field")
+    (field,) = fields
     q = field.order
     if max_pairs is not None and q ** (2 * m) > max_pairs:
         raise BudgetExceededError(f"{q}**{2*m} pairs exceed the cap {max_pairs}")
     tower = gf.make_tower(field, m)
     p, d = field.p, tower.flat_degree
-    alpha = tower.embed_base(curve.alpha)
     one = tower.one
-    if curve.case == EVEN:
-        # x (y^2 + y) = alpha (x^2 + 1)
-        def lhs(y):
-            return tower.add(tower.mul(y, y), y)
 
-        def rhs(x):
-            return tower.mul(alpha, tower.add(tower.mul(x, x), one))
-    else:
-        # x (y^p - y) = beta (alpha x^2 - 1)
-        beta = tower.embed_base(curve.beta)
-
-        def lhs(y):
-            return tower.sub(tower.pow_(y, p), y)
-
-        def rhs(x):
-            return tower.mul(beta, tower.sub(tower.mul(alpha, tower.mul(x, x)), one))
+    def lhs(y):  # x L(y) = R(x) with L(y) = y^p - y, which is y^2 + y when p = 2
+        return tower.sub(tower.pow_(y, p), y)
 
     xs = [x for x in tower.elements() if not tower.is_zero(x)]
+    squares = [tower.mul(x, x) for x in xs]
+
+    def rhs(curve):  # R(x) for every x of xs
+        alpha = tower.embed_base(curve.alpha)
+        if curve.case == EVEN:  # R(x) = alpha (x^2 + 1)
+            return [tower.mul(alpha, tower.add(x2, one)) for x2 in squares]
+        # R(x) = beta (alpha x^2 - 1)
+        beta = tower.embed_base(curve.beta)
+        return [tower.mul(beta, tower.sub(tower.mul(alpha, x2), one)) for x2 in squares]
+
     x_digits = np.array([tower.flat_digits(x) for x in xs], dtype=np.int64)
     l_digits = np.array(
         [tower.flat_digits(lhs(y)) for y in tower.elements()], dtype=np.int64
     )
     weights = p ** np.arange(d, dtype=np.int64)
-    r_codes = np.array([tower.flat_digits(rhs(x)) for x in xs], dtype=np.int64) @ weights
+    r_codes = np.array(  # (curve, x)
+        [[tower.flat_digits(r) for r in rhs(c)] for c in curves], dtype=np.int64
+    ) @ weights
     # T[i] is the matrix of b -> e_i * b, acting on digit columns
     T = np.stack([
         gf.linear_map_matrix(tower, tower, partial(tower.mul, tower.basis_element(i)))
@@ -233,14 +255,14 @@ def count_points_naive(curve: CurveSpec, m: int, max_pairs: int | None = None) -
     # at most 2**14 int64 products (128 KiB) per block of x: measured faster
     # than larger blocks, and small enough not to raise the peak memory
     block = max(1, (1 << 14) // (len(l_digits) * d))
-    affine = 0
+    affine = np.zeros(len(curves), dtype=np.int64)
     for s in range(0, len(xs), block):
         # sum_i x_i T[i], the matrix of b -> x * b, for each x of the block
         mul_by_x = (x_digits[s : s + block] @ T.reshape(d, d * d)).reshape(-1, d, d)
         products = mul_by_x @ l_digits.T % p  # (x, digit, y)
         codes = weights @ products  # (x, y)
-        affine += int((codes == r_codes[s : s + block, None]).sum())
-    return affine + 2
+        affine += (codes == r_codes[:, s : s + block, None]).sum(axis=(1, 2))
+    return [int(a) + 2 for a in affine]
 
 
 def big_curve_count(
@@ -258,8 +280,7 @@ def big_curve_count(
     q = field.order
     if field.is_zero(alpha):
         raise ValueError("alpha must be a unit")
-    if max_elements is not None and q**m > max_elements:
-        raise BudgetExceededError(f"{q}**{m} elements exceed the cap {max_elements}")
+    check_element_cap(q, m, max_elements)
     tower = gf.make_tower(field, m)
     tab = table_for(tower)
     alpha_emb = tower.embed_base(alpha)

@@ -393,19 +393,6 @@ def poly_trim(field, f) -> tuple:
     return f[:k]
 
 
-def poly_deg(f) -> int:
-    return len(f) - 1
-
-
-def poly_add(field, f, g) -> tuple:
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] = field.add(out[i], c)
-    return poly_trim(field, out)
-
-
 def poly_sub(field, f, g) -> tuple:
     out = list(f) + [field.zero] * max(0, len(g) - len(f))
     for i, c in enumerate(g):

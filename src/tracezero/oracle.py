@@ -15,14 +15,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import gf
-from .curves import (
-    CurveSpec,
-    beta_representatives,
-    big_curve_count,
-    count_points,
-    count_points_naive,
-    curve_family,
-)
+from .curves import big_curve_count, count_family_naive, count_points
 from .errors import BudgetExceededError, InvariantError
 from .fastfield import table_for
 from .numtheory import divisors, prime_factors, prime_power_parts
@@ -277,6 +270,11 @@ class VerifyReport:
         detail = "" if ok else f"{lhs} != {rhs}"
         self.checks.append(CheckResult(name, q, n, status, detail))
 
+    def add_all(self, name: str, q: int, n: int, pairs):
+        """One line for many (lhs, rhs) pairs; a failure shows the last mismatch."""
+        bad = [(lhs, rhs) for lhs, rhs in pairs if lhs != rhs]
+        self.add(name, q, n, not bad, *(bad or [("", "")])[-1])
+
     def skip(self, name: str, q: int, n: int, why: str):
         self.checks.append(CheckResult(name, q, n, "skip", why))
 
@@ -292,23 +290,17 @@ class VerifyReport:
         }
 
 
-def _image_of_artin_schreier_map(tower: gf.ExtensionField) -> np.ndarray:
+def _image_of_artin_schreier_map(tower: gf.ExtensionField, tab) -> np.ndarray:
     """Bitmap over element encodings of {y**q - y : y in F_{q^n}}."""
-    d = tower.flat_degree
-    p = tower.base.p
     # The map y -> y**q - y is F_p-linear; evaluate it on every code.
     M = gf.linear_map_matrix(tower, tower, lambda y: tower.sub(tower.frobenius(y), y))
     order = tower.order
-    weights = p ** np.arange(d, dtype=np.int64)
+    weights = tab.p ** np.arange(tab.d, dtype=np.int64)
     bitmap = np.zeros(order, dtype=bool)
     chunk = 1 << 18
     for s in range(0, order, chunk):
-        t = np.arange(s, min(s + chunk, order), dtype=np.int64)
-        digits = np.empty((t.size, d), dtype=np.int64)
-        for j in range(d):
-            digits[:, j] = t % p
-            t = t // p
-        bitmap[(digits @ M.T % p) @ weights] = True
+        digits = tab.decode_digits(np.arange(s, min(s + chunk, order), dtype=np.int64))
+        bitmap[(digits @ M.T % tab.p) @ weights] = True
     return bitmap
 
 
@@ -343,7 +335,7 @@ def verify_all(q: int, n_max: int, budget: OracleBudget | None = None) -> Verify
     p, r = prime_power_parts(q)
     field = gf.make_field(p, r)
     engine = CountEngine(field, max_elements=budget.max_elements)
-    curves = curve_family(field)
+    curves = engine.curves
     units = [a for a in field.elements() if not field.is_zero(a)]
     report = VerifyReport(q=q, n_max=n_max)
     if engine.verified_depth < SELFCHECK_DEPTH:
@@ -368,7 +360,7 @@ def verify_all(q: int, n_max: int, budget: OracleBudget | None = None) -> Verify
 
         # {Tr = 0} equals the image of y -> y**q - y.
         lhs = _trace_zero_enc_bitmap(tower, tab)
-        rhs = _image_of_artin_schreier_map(tower)
+        rhs = _image_of_artin_schreier_map(tower, tab)
         report.add(
             "trace_zero_image", q, n, bool((lhs == rhs).all()), int(lhs.sum()), int(rhs.sum())
         )
@@ -393,25 +385,22 @@ def verify_all(q: int, n_max: int, budget: OracleBudget | None = None) -> Verify
 
         # Pair count from the zero-locus identity.
         f_enum = enum_f_count(q, n, budget)
-        zsum = z_tr + sum(
-            z_count(q, n, "combination", c=a, budget=budget)
-            for a in field.elements()
-        )
-        ident = zsum - q**n
+        z_comb = [z_count(q, n, "combination", c=a, budget=budget) for a in field.elements()]
+        ident = z_tr + sum(z_comb) - q**n
         report.add(
             "pair_count_identity", q, n, q * f_enum == ident, q * f_enum, ident
         )
 
-        # q-exponent curve count vs the combination zero-locus.
+        # q-exponent curve count vs the combination zero-locus; z_comb[0] is c = 0.
         bigs = [big_curve_count(field, a, n, budget.max_elements) for a in units]
-        ok = True
-        lhs_rhs = ("", "")
-        for a, big in zip(units, bigs):
-            zc = z_count(q, n, "combination", c=a, budget=budget)
-            if big != q * zc - q + 2:
-                ok = False
-                lhs_rhs = (big, q * zc - q + 2)
-        report.add("big_curve_solvability", q, n, ok, *lhs_rhs)
+        report.add_all(
+            "big_curve_solvability", q, n,
+            [(big, q * zc - q + 2) for big, zc in zip(bigs, z_comb[1:])],
+        )
+
+        # Fiber products: the big curve's defect is the sum of the small ones'.
+        direct = [count_points(c, n, budget.max_elements) for c in curves]
+        line = q**n + 1  # points of the projective line over F_{q^n}
 
         if p == 2:
             report.add(
@@ -422,28 +411,18 @@ def verify_all(q: int, n_max: int, budget: OracleBudget | None = None) -> Verify
                 min(bigs),
                 max(bigs),
             )
-            small = sum(
-                count_points(c, n, budget.max_elements) - (q**n + 1)
-                for c in curves
-            )
+            small = sum(direct) - len(direct) * line
             report.add(
-                "fiber_product_even", q, n, bigs[0] - (q**n + 1) == small,
-                bigs[0] - (q**n + 1), small,
+                "fiber_product_even", q, n, bigs[0] - line == small,
+                bigs[0] - line, small,
             )
         else:
-            reps = beta_representatives(field)
-            ok = True
-            lhs_rhs = ("", "")
-            for a, big in zip(units, bigs):
-                small = sum(
-                    count_points(CurveSpec(field, a, b), n, budget.max_elements)
-                    - (q**n + 1)
-                    for b in reps
-                )
-                if big - (q**n + 1) != small:
-                    ok = False
-                    lhs_rhs = (big - (q**n + 1), small)
-            report.add("fiber_product_odd", q, n, ok, *lhs_rhs)
+            # curve_family lists the k beta representatives of each unit in turn
+            k = len(curves) // len(units)
+            report.add_all("fiber_product_odd", q, n, [
+                (big - line, sum(direct[i * k : (i + 1) * k]) - k * line)
+                for i, big in enumerate(bigs)
+            ])
 
         # The closed forms against enumeration.
         fc = engine.f_count(n)
@@ -461,15 +440,8 @@ def verify_all(q: int, n_max: int, budget: OracleBudget | None = None) -> Verify
         # gated on pairs times family size.
         naive_cost = q ** (2 * n) * len(curves)
         if q ** (2 * n) <= budget.max_pairs and naive_cost <= 1 << 19:
-            ok = True
-            lhs_rhs = ("", "")
-            for c in curves:
-                a = count_points(c, n, budget.max_elements)
-                b = count_points_naive(c, n, budget.max_pairs)
-                if a != b:
-                    ok = False
-                    lhs_rhs = (a, b)
-            report.add("naive_curve_agreement", q, n, ok, *lhs_rhs)
+            naive = count_family_naive(curves, n, budget.max_pairs)
+            report.add_all("naive_curve_agreement", q, n, zip(direct, naive))
         else:
             report.skip("naive_curve_agreement", q, n, "pair budget")
 

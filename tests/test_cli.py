@@ -272,6 +272,17 @@ class TestContracts:
         assert code == 2
         assert "exceed" in err
 
+    def test_cap_refused_before_the_curve_family(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("curve family built before the element cap check")
+
+        monkeypatch.setattr("tracezero.counting.curve_family", refuse)
+        code, out, err = run(
+            capsys, "count", "--p", "2", "--r", "18", "--n", "3", "--max-elements", "100"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: 262144**1 elements exceed the cap 100\n"
+
     def test_formula_path_outruns_the_enumeration_cap(self, capsys, monkeypatch):
         # the closed form needs no big enumeration, so a cap that admits the
         # genus-seeding counts still lets far larger n through

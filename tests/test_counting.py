@@ -10,6 +10,7 @@ import pytest
 
 from tracezero import counting, gf
 from tracezero.counting import CountEngine, CountReport, carlitz_count, engine_for, gauss_count
+from tracezero.errors import BudgetExceededError
 from tracezero.numtheory import divisors, mobius, prime_power_parts
 from tracezero.oracle import enum_f_count, enum_irreducible_total
 
@@ -162,6 +163,25 @@ class TestCurveClasses:
         g = e.genus
         assert sum(seen[m] for m in range(1, g + 1)) == (q - 1) * g
         assert seen[g + 1] == seen[g + 2] == len(e.curves)
+
+
+class TestElementCap:
+    @pytest.mark.parametrize(
+        "p,r,cap,message",
+        [
+            (2, 18, 100, "262144**1 elements exceed the cap 100"),
+            (5, 1, 10, "5**2 elements exceed the cap 10"),  # the smallest m over the cap
+            (3, 9, 1 << 24, "19683**2 elements exceed the cap 16777216"),
+        ],
+    )
+    def test_refused_before_the_family_is_built(self, monkeypatch, p, r, cap, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("curve family built before the element cap check")
+
+        monkeypatch.setattr(counting, "curve_family", refuse)
+        with pytest.raises(BudgetExceededError) as exc:
+            CountEngine(gf.make_field(p, r), max_elements=cap)
+        assert str(exc.value) == message
 
 
 class TestIdentities:

@@ -13,6 +13,7 @@ from tracezero.curves import (
     CurveSpec,
     beta_representatives,
     big_curve_count,
+    count_family_naive,
     count_points,
     count_points_naive,
     curve_family,
@@ -189,6 +190,40 @@ class TestCountPointsNaive:
         monkeypatch.setattr(gf, "make_tower", refuse)
         with pytest.raises(BudgetExceededError):
             count_points_naive(CurveSpec(F9, F9.one, F9.one), 9, max_pairs=1 << 20)
+
+
+class TestCountFamilyNaive:
+    @pytest.mark.parametrize("q,m", list(_pair_grid(1 << 12)))
+    def test_matches_the_double_loop(self, q, m):
+        family = curve_family(gf.make_field(*prime_power_parts(q)))
+        assert count_family_naive(family, m) == [_naive_reference(c, m) for c in family]
+
+    def test_budget_is_checked_before_the_tower(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("tower built before the budget check")
+
+        monkeypatch.setattr(gf, "make_tower", refuse)
+        with pytest.raises(BudgetExceededError):
+            count_family_naive(curve_family(F9), 9, max_pairs=1 << 20)
+
+    def test_curves_must_share_one_field(self):
+        with pytest.raises(ValueError):
+            count_family_naive([CurveSpec(F4, F4.one), CurveSpec(F2, 1)], 1)
+        with pytest.raises(ValueError):
+            count_family_naive([], 1)
+
+    def test_builds_one_tower_per_call(self, monkeypatch):
+        calls = []
+        real = gf.make_tower
+
+        def counted(base, n):
+            calls.append((base, n))
+            return real(base, n)
+
+        monkeypatch.setattr(gf, "make_tower", counted)
+        counts = count_family_naive(curve_family(F9), 2)
+        assert calls == [(F9, 2)]
+        assert len(counts) == 32
 
 
 @st.composite

@@ -4,7 +4,7 @@ routes, zero-locus counts, and the full verification sweep on small fields."""
 import numpy as np
 import pytest
 
-from tracezero import gf
+from tracezero import gf, oracle
 from tracezero.errors import BudgetExceededError
 from tracezero.fastfield import table_for
 from tracezero.numtheory import prime_power_parts
@@ -205,3 +205,75 @@ class TestVerifyAll:
         report = verify_all(2, 6, OracleBudget(max_elements=40))
         assert report.passed
         assert any(c.status == "skip" for c in report.checks)
+
+
+class TestVerifyAllFaults:
+    """verify_all's fail lines when one curve count or one zero-locus count is off."""
+
+    @staticmethod
+    def _fails(report):
+        return [(c.name, c.n, c.detail) for c in report.checks if c.status == "fail"]
+
+    @staticmethod
+    def _count_points_off_at_alpha_two(monkeypatch):
+        real = oracle.count_points
+        calls = []
+
+        def faulty(curve, m, max_elements=None):
+            calls.append(curve)
+            field = curve.field
+            return real(curve, m, max_elements) + (field.p if field.code(curve.alpha) == 2 else 0)
+
+        monkeypatch.setattr(oracle, "count_points", faulty)
+        return calls
+
+    @staticmethod
+    def _combination_off_at_two(monkeypatch):
+        real = oracle.z_count
+        calls = []
+
+        def faulty(q, n, mode="combination", c=None, budget=None, tower=None):
+            value = real(q, n, mode, c, budget, tower)
+            if mode != "combination":
+                return value
+            calls.append(n)
+            return value + (c == 2)
+
+        monkeypatch.setattr(oracle, "z_count", faulty)
+        return calls
+
+    def test_even_curve_fault(self, monkeypatch):
+        self._count_points_off_at_alpha_two(monkeypatch)
+        assert self._fails(verify_all(4, 3)) == [
+            ("fiber_product_even", 1, "1 != 3"),
+            ("naive_curve_agreement", 1, "6 != 4"),
+            ("fiber_product_even", 2, "13 != 15"),
+            ("naive_curve_agreement", 2, "26 != 24"),
+            ("fiber_product_even", 3, "13 != 15"),
+            ("naive_curve_agreement", 3, "78 != 76"),
+        ]
+
+    def test_odd_curve_fault(self, monkeypatch):
+        self._count_points_off_at_alpha_two(monkeypatch)
+        assert self._fails(verify_all(9, 2)) == [
+            ("fiber_product_odd", 1, "10 != 22"),
+            ("naive_curve_agreement", 1, "11 != 8"),
+            ("fiber_product_odd", 2, "82 != 94"),
+            ("naive_curve_agreement", 2, "119 != 116"),
+        ]
+
+    def test_zero_locus_fault(self, monkeypatch):
+        self._combination_off_at_two(monkeypatch)
+        assert self._fails(verify_all(3, 2)) == [
+            ("pair_count_identity", 1, "3 != 4"),
+            ("big_curve_solvability", 1, "2 != 5"),
+            ("pair_count_identity", 2, "9 != 10"),
+            ("big_curve_solvability", 2, "20 != 23"),
+        ]
+
+    def test_each_count_is_made_once_per_n(self, monkeypatch):
+        curve_calls = self._count_points_off_at_alpha_two(monkeypatch)
+        z_calls = self._combination_off_at_two(monkeypatch)
+        verify_all(9, 2)
+        assert len(curve_calls) == 2 * 32
+        assert z_calls == [1] * 9 + [2] * 9
