@@ -97,6 +97,23 @@ def _parse_element(field: gf.FieldSpec, text: str):
     return field.from_code(code)
 
 
+def _family_source(p: int, text: str) -> tuple[int, ...]:
+    """An explicit family polynomial: p an odd prime, f(x) != 0 for x in F_p*.
+
+    The rows evaluate f only at units, so a root at 0 does no harm; the
+    top coefficient must not vanish mod p, or the degree would be wrong.
+    """
+    if not is_prime(p) or p == 2:
+        raise ValueError("p must be an odd prime")
+    f = _parse_coeff_list(text)
+    if f[-1] % p == 0:
+        raise ValueError(f"the top coefficient of --poly {text} vanishes mod {p}")
+    for x in range(1, p):
+        if sum(c * x**k for k, c in enumerate(f)) % p == 0:
+            raise ValueError(f"--poly {text} has the root {x} in F_{p}")
+    return f
+
+
 def _engine(args, field: gf.FieldSpec) -> CountEngine:
     """Build the engine; say on stderr when the cap cut its self-check short."""
     cap = _max_elements(args)
@@ -199,6 +216,8 @@ def cmd_lpoly(args) -> int:
     curve = _curve_from(args, field)
     g = curve.genus
     cap = _max_elements(args)
+    for m in range(1, g + 1):  # refuse before the first count
+        gf.check_element_cap(field.order, m, cap)
     counts = [count_points(curve, m, cap) for m in range(1, g + 1)]
     from .lpoly import LPolynomial
 
@@ -222,6 +241,8 @@ def cmd_curve(args) -> int:
     field = _field(args)
     curve = _curve_from(args, field)
     cap = _max_elements(args)
+    for m in range(1, args.m_max + 1):  # refuse before the first count
+        gf.check_element_cap(field.order, m, cap)
     counts = [count_points(curve, m, cap) for m in range(1, args.m_max + 1)]
     if args.format == "json":
         _emit(
@@ -239,7 +260,7 @@ def cmd_curve(args) -> int:
 
 def cmd_family(args) -> int:
     if args.poly:
-        f = _parse_coeff_list(args.poly)
+        f = _family_source(args.p, args.poly)
     else:
         members = omega_members(args.p, args.n, _max_elements(args))
         if not 0 <= args.index < len(members):

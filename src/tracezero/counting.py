@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import gf
-from .curves import check_element_cap, count_points, curve_family, family_genus
+from .curves import count_points, curve_family, family_genus
 from .errors import InvariantError, NonIntegralError
 from .lpoly import LPolynomial
 from .numtheory import divisors, mobius, prime_power_parts
@@ -138,7 +138,7 @@ class CountEngine:
         self.p = field.p
         self.genus = family_genus(field)
         for m in range(1, self.genus + 1):  # the seeding counts, before the family
-            check_element_cap(q, m, max_elements)
+            gf.check_element_cap(q, m, max_elements)
         self.curves = curve_family(field)
         by_c: dict = {}  # c = A * B -> indices of the curves with that c
         for i, curve in enumerate(self.curves):

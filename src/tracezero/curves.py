@@ -57,12 +57,6 @@ def family_genus(field: gf.FieldSpec) -> int:
     return field.p - 1
 
 
-def check_element_cap(q: int, m: int, max_elements: int | None):
-    """Refuse an enumeration of F_{q^m} over the element cap."""
-    if max_elements is not None and q**m > max_elements:
-        raise BudgetExceededError(f"{q}**{m} elements exceed the cap {max_elements}")
-
-
 @dataclass(frozen=True)
 class CurveSpec:
     """One curve of the family over field = F_q; beta only in odd characteristic."""
@@ -172,7 +166,7 @@ def count_points(curve: CurveSpec, m: int, max_elements: int | None = None) -> i
     """#C(F_{q^m}) by the additive-character solvability criterion."""
     field = curve.field
     q, p = field.order, field.p
-    check_element_cap(q, m, max_elements)
+    gf.check_element_cap(q, m, max_elements)
     tower = gf.make_tower(field, m)
     tab = table_for(tower)
     A, B = curve.h_coeffs()
@@ -280,7 +274,7 @@ def big_curve_count(
     q = field.order
     if field.is_zero(alpha):
         raise ValueError("alpha must be a unit")
-    check_element_cap(q, m, max_elements)
+    gf.check_element_cap(q, m, max_elements)
     tower = gf.make_tower(field, m)
     tab = table_for(tower)
     alpha_emb = tower.embed_base(alpha)

@@ -40,7 +40,7 @@ from .errors import (
     NonMonicError,
     NonPrimeError,
 )
-from .numtheory import is_prime, prime_factors
+from .numtheory import is_prime
 
 
 class FieldSpec:
@@ -369,12 +369,15 @@ def linear_map_matrix(source: FieldSpec, target: FieldSpec, f) -> np.ndarray:
     return np.array(cols, dtype=np.int64).reshape(source.r, target.r).T
 
 
+def check_element_cap(q: int, m: int, max_elements: int | None):
+    """Refuse an enumeration of F_{q^m} over the element cap."""
+    if max_elements is not None and q**m > max_elements:
+        raise BudgetExceededError(f"{q}**{m} elements exceed the cap {max_elements}")
+
+
 def enumerate_elements(tower: ExtensionField, max_elements: int | None = None) -> Iterator:
     """All q**n tower elements, canonical order, guarded by an element cap."""
-    if max_elements is not None and tower.order > max_elements:
-        raise BudgetExceededError(
-            f"enumerating {tower.order} elements exceeds the cap of {max_elements}"
-        )
+    check_element_cap(tower.q, tower.n, max_elements)
     return tower.elements()
 
 
@@ -461,8 +464,10 @@ def poly_pow_mod(field, f, e: int, modulus) -> tuple:
 def is_irreducible(f, field: FieldSpec) -> bool:
     """Irreducibility over the field, for monic f of degree d >= 1.
 
-    Contract: f is irreducible iff x**(q**d) == x (mod f) and, for every
-    prime l dividing d, gcd(x**(q**(d/l)) - x mod f, f) = 1.
+    A reducible f has an irreducible factor of degree at most d // 2, and
+    gcd(x**(q**k) - x, f) catches every factor whose degree divides k.
+    Checking k = 1..d//2 in order exits at the first factor found, which
+    for almost every reducible f is a small one.
     """
     f = tuple(f)
     d = len(f) - 1
@@ -470,19 +475,28 @@ def is_irreducible(f, field: FieldSpec) -> bool:
         raise ValueError("irreducibility is only defined for degree >= 1")
     if f[-1] != field.one:
         raise NonMonicError("irreducibility test requires a monic polynomial")
-    if d == 1:
-        return True
-    q = field.order
     x = (field.zero, field.one)
-    targets = {d // ell for ell in prime_factors(d)}
     h = x
-    for k in range(1, d + 1):
-        h = poly_pow_mod(field, h, q, f)
-        if k in targets:
-            g = poly_gcd(field, poly_sub(field, h, x), f)
-            if len(g) != 1:
-                return False
-    return not poly_sub(field, h, x)
+    for _ in range(d // 2):
+        h = poly_pow_mod(field, h, field.order, f)
+        if len(poly_gcd(field, poly_sub(field, h, x), f)) != 1:
+            return False
+    return True
+
+
+def monic_polys(field: FieldSpec, n: int, zero=()) -> Iterator[tuple]:
+    """The monic polynomials of degree n over the field, in canonical order.
+
+    Canonical order is increasing positional code of the coefficients
+    below x**n, so the constant term varies fastest.  The coefficients at
+    the degrees in zero are pinned to 0; the rest run over the field.
+    """
+    free = [k for k in range(n) if k not in zero][::-1]  # product varies the last fastest
+    coeffs = [field.zero] * n + [field.one]
+    for tup in itertools.product(field.element_list, repeat=len(free)):
+        for k, c in zip(free, tup):
+            coeffs[k] = c
+        yield tuple(coeffs)
 
 
 def poly_trace(field, f):
@@ -539,13 +553,8 @@ def make_field(p: int, r: int) -> FieldSpec:
 
 
 def _tower_modulus_scan(base: FieldSpec, n: int) -> Iterator[tuple]:
-    for tup in itertools.product(base.element_list, repeat=n):
-        tail = tup[::-1]
-        if base.is_zero(tail[0]):
-            continue  # zero constant term means the root 0
-        f = tail + (base.one,)
-        if is_irreducible(f, base):
-            yield f
+    # a zero constant term means the root 0
+    return (f for f in monic_polys(base, n) if f[0] != base.zero and is_irreducible(f, base))
 
 
 @lru_cache(maxsize=None)

@@ -2,9 +2,12 @@
 
 Everything in this module works from the definitions: traces are sums of
 Frobenius conjugates, inverses are group inverses, irreducibility is
-tested on explicit polynomials or read off Frobenius orbit sizes.  None of
-it touches the curve L-polynomials or the Moebius closed forms, so
-agreement with the counting module is a genuine two-route check.
+either tested on explicit polynomials (the candidates of gf.monic_polys,
+each through gf.is_irreducible) or read off Frobenius orbit sizes.  None
+of it touches the curve L-polynomials or the Moebius closed forms, so
+agreement with the counting module is a genuine two-route check.  An
+enumeration of F_{q^n} over the element cap is refused before it starts,
+through gf.check_element_cap.
 """
 
 from __future__ import annotations
@@ -26,11 +29,10 @@ class OracleBudget:
     """Caps enforced before any enumeration starts."""
 
     max_elements: int = 1 << 24
-    max_pairs: int = 1 << 26
 
     def __post_init__(self):
-        if self.max_elements < 1 or self.max_pairs < 1:
-            raise ValueError("budget caps must be positive")
+        if self.max_elements < 1:
+            raise ValueError("the element cap must be positive")
 
 
 DEFAULT_BUDGET = OracleBudget()
@@ -43,13 +45,6 @@ def _tower(q: int, n: int, tower: gf.ExtensionField | None = None) -> gf.Extensi
         return tower
     p, r = prime_power_parts(q)
     return gf.make_tower(gf.make_field(p, r), n)
-
-
-def _check_elements(q: int, n: int, budget: OracleBudget):
-    if q**n > budget.max_elements:
-        raise BudgetExceededError(
-            f"{q}**{n} = {q**n} elements exceed the cap {budget.max_elements}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +65,7 @@ def enum_f_count(
     convention.
     """
     budget = budget or DEFAULT_BUDGET
-    _check_elements(q, n, budget)
+    gf.check_element_cap(q, n, budget.max_elements)
     tab = table_for(_tower(q, n, tower))
     tz = tab.trace_zero_exp()
     return 1 + int((tz & tab.reversed_exp(tz)).sum())
@@ -81,8 +76,7 @@ def enum_f_count_small(tower: gf.ExtensionField, max_elements: int = 1 << 12) ->
 
     Exists to validate the table-based path against first principles.
     """
-    if tower.order > max_elements:
-        raise BudgetExceededError("small-oracle cap exceeded")
+    gf.check_element_cap(tower.q, tower.n, max_elements)
     base = tower.base
     hits = 0
     for a in tower.elements():
@@ -93,27 +87,6 @@ def enum_f_count_small(tower: gf.ExtensionField, max_elements: int = 1 << 12) ->
 
 # ---------------------------------------------------------------------------
 # irreducible counts
-
-
-def _irreducible_no_small_factor(field: gf.FieldSpec, f: tuple) -> bool:
-    """Irreducibility via the distinct-degree scan with early exit.
-
-    f of degree d is reducible iff it has an irreducible factor of degree
-    at most d // 2, and gcd(x**(q**k) - x, f) catches every factor whose
-    degree divides k.  Checking k = 1..d//2 in order exits early on the
-    small factors that almost all reducible candidates have.
-    """
-    d = len(f) - 1
-    if d == 1:
-        return True
-    q = field.order
-    x = (field.zero, field.one)
-    h = x
-    for _ in range(d // 2):
-        h = gf.poly_pow_mod(field, h, q, f)
-        if len(gf.poly_gcd(field, gf.poly_sub(field, h, x), f)) != 1:
-            return False
-    return True
 
 
 def enum_i_count(
@@ -151,17 +124,24 @@ def enum_i_count(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _enum_i_orbit(q: int, n: int, budget: OracleBudget) -> int:
-    _check_elements(q, n, budget)
-    tab = table_for(_tower(q, n))
-    tz = tab.trace_zero_exp()
-    keep = tz & tab.reversed_exp(tz)
+def _degree_n_orbits(tab, n: int, keep: np.ndarray) -> int:
+    """Number of Frobenius orbits of degree-n elements in keep, a mask over exponents.
+
+    keep is narrowed in place to the elements outside every maximal subfield.
+    """
     for ell in prime_factors(n):
         keep &= ~tab.subfield_mask(n // ell)
     hits = int(keep.sum())
     if hits % n:
         raise InvariantError("degree-n element count not divisible by n")
     return hits // n
+
+
+def _enum_i_orbit(q: int, n: int, budget: OracleBudget) -> int:
+    gf.check_element_cap(q, n, budget.max_elements)
+    tab = table_for(_tower(q, n))
+    tz = tab.trace_zero_exp()
+    return _degree_n_orbits(tab, n, tz & tab.reversed_exp(tz))
 
 
 def _enum_i_scan(q: int, n: int, budget: OracleBudget) -> int:
@@ -171,18 +151,9 @@ def _enum_i_scan(q: int, n: int, budget: OracleBudget) -> int:
         )
     p, r = prime_power_parts(q)
     field = gf.make_field(p, r)
-    free = [0] + list(range(2, n - 1))  # constant term plus degrees 2..n-2
-    count = 0
-    for combo in itertools.product(field.element_list, repeat=len(free)):
-        if field.is_zero(combo[0]):
-            continue  # zero constant term means the root 0
-        coeffs = [field.zero] * (n + 1)
-        for pos, c in zip(free, combo):
-            coeffs[pos] = c
-        coeffs[n] = field.one
-        if _irreducible_no_small_factor(field, tuple(coeffs)):
-            count += 1
-    return count
+    # a zero constant term means the root 0
+    candidates = gf.monic_polys(field, n, zero={1, n - 1})
+    return sum(1 for f in candidates if f[0] != field.zero and gf.is_irreducible(f, field))
 
 
 def enum_irreducible_total(q: int, n: int, budget: OracleBudget | None = None) -> int:
@@ -190,15 +161,9 @@ def enum_irreducible_total(q: int, n: int, budget: OracleBudget | None = None) -
     budget = budget or DEFAULT_BUDGET
     if n == 1:
         return q
-    _check_elements(q, n, budget)
+    gf.check_element_cap(q, n, budget.max_elements)
     tab = table_for(_tower(q, n))
-    keep = np.ones(tab.N, dtype=bool)
-    for ell in prime_factors(n):
-        keep &= ~tab.subfield_mask(n // ell)
-    hits = int(keep.sum())
-    if hits % n:
-        raise InvariantError("degree-n element count not divisible by n")
-    return hits // n
+    return _degree_n_orbits(tab, n, np.ones(tab.N, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +176,6 @@ def z_count(
     mode: str = "combination",
     c=None,
     budget: OracleBudget | None = None,
-    tower: gf.ExtensionField | None = None,
 ) -> int:
     """Zero counts of the trace pair over F_{q^n}.
 
@@ -222,8 +186,8 @@ def z_count(
     Conventions as in gf: rTr(0) = 0, so a = 0 always qualifies.
     """
     budget = budget or DEFAULT_BUDGET
-    _check_elements(q, n, budget)
-    tw = _tower(q, n, tower)
+    gf.check_element_cap(q, n, budget.max_elements)
+    tw = _tower(q, n)
     tab = table_for(tw)
     codes = tab.trace_codes_exp()
     if mode == "trace":
@@ -311,17 +275,6 @@ def _trace_zero_enc_bitmap(tower: gf.ExtensionField, tab) -> np.ndarray:
     return bitmap
 
 
-def _power_scaling_samples(field: gf.FieldSpec, deg: int, limit: int = 64):
-    """A few monic polynomials of the given degree, canonical order."""
-    got = 0
-    for tup in itertools.product(field.element_list, repeat=deg):
-        tail = tup[::-1]
-        yield tail + (field.one,)
-        got += 1
-        if got >= limit:
-            return
-
-
 def verify_all(q: int, n_max: int, budget: OracleBudget | None = None) -> VerifyReport:
     """Run every numeric identity check for 1 <= n <= n_max.
 
@@ -370,7 +323,7 @@ def verify_all(q: int, n_max: int, budget: OracleBudget | None = None) -> Verify
         for d in divisors(n):
             if d == 1:
                 continue
-            for poly in _power_scaling_samples(field, n // d):
+            for poly in itertools.islice(gf.monic_polys(field, n // d), 64):
                 power = (field.one,)
                 for _ in range(d):
                     power = gf.poly_mul(field, power, poly)
@@ -436,11 +389,10 @@ def verify_all(q: int, n_max: int, budget: OracleBudget | None = None) -> Verify
         )
         report.add("poly_count_decomposition", q, n, fc == decomposed, fc, decomposed)
 
-        # Naive pair-by-pair curve counts where the pair budget allows,
-        # gated on pairs times family size.
-        naive_cost = q ** (2 * n) * len(curves)
-        if q ** (2 * n) <= budget.max_pairs and naive_cost <= 1 << 19:
-            naive = count_family_naive(curves, n, budget.max_pairs)
+        # Naive pair-by-pair curve counts where pairs times family size
+        # stay within 2**19.
+        if q ** (2 * n) * len(curves) <= 1 << 19:
+            naive = count_family_naive(curves, n)
             report.add_all("naive_curve_agreement", q, n, zip(direct, naive))
         else:
             report.skip("naive_curve_agreement", q, n, "pair budget")

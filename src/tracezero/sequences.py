@@ -77,24 +77,12 @@ def omega_members(
     if max_elements is not None and (p - 1) ** 2 * p ** (n - 4) > max_elements:
         raise BudgetExceededError("candidate space exceeds the element cap")
     field = gf.make_field(p, 1)
-    members = []
-    units = range(1, p)
-    middle = [range(p)] * (n - 5)  # degrees n-4 down to 2
-    for a2 in units:
-        for a3 in units:
-            for mid in itertools.product(*middle):
-                for a_n in range(p):
-                    coeffs = [0] * (n + 1)
-                    coeffs[n] = 1
-                    coeffs[n - 2] = a2
-                    coeffs[n - 3] = a3
-                    for off, c in enumerate(mid):
-                        coeffs[n - 4 - off] = c
-                    coeffs[0] = a_n
-                    f = tuple(coeffs)
-                    if f[0] != 0 and gf.is_irreducible(f, field):
-                        members.append(f)
-    return members
+    # a_2 and a_3 are units; a zero constant term means the root 0
+    return [
+        f
+        for f in gf.monic_polys(field, n, zero={1, n - 1})
+        if f[n - 2] and f[n - 3] and f[0] and gf.is_irreducible(f, field)
+    ]
 
 
 def _poly_eval(f: tuple[int, ...], x: int, p: int) -> int:

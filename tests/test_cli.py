@@ -229,6 +229,28 @@ class TestCurveAndLpoly:
         assert code == 2
         assert "beta" in err
 
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (
+                ("curve", "--p", "2", "--alpha", "1", "--m-max", "25"),
+                "error: 2**25 elements exceed the cap 16777216\n",
+            ),
+            (
+                ("lpoly", "--p", "3", "--r", "2", "--alpha", "2", "--beta", "1",
+                 "--max-elements", "50"),
+                "error: 9**2 elements exceed the cap 50\n",
+            ),
+        ],
+        ids=["curve", "lpoly"],
+    )
+    def test_cap_refused_before_the_first_count(self, capsys, monkeypatch, argv, err):
+        def refuse(*args, **kwargs):
+            raise AssertionError("counted before the element cap check")
+
+        monkeypatch.setattr("tracezero.cli.count_points", refuse)
+        assert run(capsys, *argv) == (2, "", err)
+
 
 class TestFamilyAndBound:
     def test_family_rows(self, capsys):
@@ -244,6 +266,27 @@ class TestFamilyAndBound:
         code, _, err = run(capsys, "family", "--p", "5", "--n", "5", "--index", "-1")
         assert code == 2
         assert "out of range" in err
+
+    @pytest.mark.parametrize(
+        "p,poly,err",
+        [
+            ("5", "1,1,0,0,0,1", "error: --poly 1,1,0,0,0,1 has the root 2 in F_5\n"),
+            ("4", "1,1,1", "error: p must be an odd prime\n"),
+            ("9", "2,0,1", "error: p must be an odd prime\n"),
+            ("2", "1,1,1", "error: p must be an odd prime\n"),
+            ("5", "2,0,1,0", "error: the top coefficient of --poly 2,0,1,0 vanishes mod 5\n"),
+            ("5", "2,0,1,5", "error: the top coefficient of --poly 2,0,1,5 vanishes mod 5\n"),
+        ],
+        ids=["root", "p4", "p9", "p2", "top_zero", "top_multiple_of_p"],
+    )
+    def test_family_poly_is_refused(self, capsys, p, poly, err):
+        assert run(capsys, "family", "--p", p, "--n", "5", "--poly", poly) == (2, "", err)
+
+    def test_family_poly_root_at_zero_is_allowed(self, capsys):
+        # the rows evaluate f at units only, so x**3 + x over F_7 builds a family
+        code, out, _ = run(capsys, "family", "--p", "7", "--n", "3", "--poly", "0,1,0,1")
+        assert code == 0
+        assert out.splitlines()[1] == "+1 -1 +1 -1 +1 -1"
 
     def test_bound_strictness(self, capsys):
         code, out, _ = run(capsys, "bound", "--p", "5", "--n", "5", "--format", "json")

@@ -146,6 +146,59 @@ class TestIrreducible:
         with pytest.raises(NonMonicError):
             gf.is_irreducible((1, 1, 0), F3)  # leading 0 after trim would lie
 
+    def test_rejects_constants(self):
+        with pytest.raises(ValueError):
+            gf.is_irreducible((1,), F3)
+
+    @pytest.mark.parametrize(
+        "field,d_max", [(F2, 8), (F3, 5), (F4, 4), (F5, 4), (F9, 3)],
+        ids=["F2", "F3", "F4", "F5", "F9"],
+    )
+    def test_matches_product_sieve(self, field, d_max):
+        # independent of any gcd: a monic is reducible iff it is the product
+        # of two monics of lower degree, and poly_mul builds every such product
+        monics = {
+            d: [tup + (field.one,) for tup in itertools.product(field.element_list, repeat=d)]
+            for d in range(1, d_max + 1)
+        }
+        reducible = {
+            gf.poly_mul(field, f, g)
+            for d in range(2, d_max + 1)
+            for k in range(1, d // 2 + 1)
+            for f in monics[k]
+            for g in monics[d - k]
+        }
+        for d in range(1, d_max + 1):
+            for f in monics[d]:
+                assert gf.is_irreducible(f, field) == (f not in reducible), f
+
+
+class TestMonicPolys:
+    @pytest.mark.parametrize(
+        "field,n,zero",
+        [
+            (F2, 5, ()),
+            (F3, 1, ()),
+            (F3, 2, {0, 1}),
+            (F3, 4, {1, 3}),
+            (F4, 3, {1, 2}),
+            (F5, 5, {1, 4}),
+            (F9, 2, {1}),
+            (F9, 3, ()),
+        ],
+    )
+    def test_order_pins_and_size(self, field, n, zero):
+        polys = list(gf.monic_polys(field, n, zero))
+        assert len(polys) == field.order ** (n - len(zero))
+        for f in polys:
+            assert len(f) == n + 1 and f[n] == field.one
+            assert all(field.is_zero(f[k]) for k in zero)
+        codes = [sum(field.code(c) * field.order**k for k, c in enumerate(f[:n])) for f in polys]
+        assert codes == sorted(set(codes))  # strictly increasing positional code
+
+    def test_constant_term_varies_fastest(self):
+        assert list(gf.monic_polys(F3, 2))[:4] == [(0, 0, 1), (1, 0, 1), (2, 0, 1), (0, 1, 1)]
+
 
 class TestFrobeniusAndTrace:
     @pytest.mark.parametrize(

@@ -67,8 +67,17 @@ class TestEnumI:
     def test_scan_and_orbit_agree(self, q, n):
         assert enum_i_count(q, n, method="scan") == enum_i_count(q, n, method="orbit")
 
+    @pytest.mark.parametrize(
+        "q,n,want",
+        [(2, 10, 21), (4, 6, 34), (3, 8, 92), (9, 4, 20),
+         (5, 6, 104), (8, 4, 0), (16, 3, 10), (7, 5, 60)],
+    )
+    def test_scan_counts_are_pinned(self, q, n, want):
+        # recorded from the scan's earlier hand-written candidate loop
+        assert enum_i_count(q, n, method="scan") == want
+
     def test_scan_matches_plain_irreducibility_test(self):
-        # third route: filter the candidates with the contract-level test
+        # third route: candidates built by hand, filtered with gf.is_irreducible
         import itertools
 
         field = gf.make_field(2, 2)
@@ -232,8 +241,8 @@ class TestVerifyAllFaults:
         real = oracle.z_count
         calls = []
 
-        def faulty(q, n, mode="combination", c=None, budget=None, tower=None):
-            value = real(q, n, mode, c, budget, tower)
+        def faulty(q, n, mode="combination", c=None, budget=None):
+            value = real(q, n, mode, c, budget)
             if mode != "combination":
                 return value
             calls.append(n)

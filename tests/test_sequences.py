@@ -1,5 +1,6 @@
 """Legendre-symbol sequence families and their measures."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -56,7 +57,25 @@ class TestLegendre:
             assert legendre_symbol(a, 13) == (1 if a in squares else -1)
 
 
+# (member count, leading 16 hex digits of SHA-256 over repr(members)),
+# recorded from the earlier hand-written four-loop scan
+_OMEGA_DIGESTS = {
+    (5, 5): (24, "b1a12bc36afd2aef"),
+    (7, 5): (48, "674564ed05895c14"),
+    (5, 6): (56, "c496fcb0317ea114"),
+    (7, 6): (288, "9f2cff5d51641291"),
+    (11, 5): (240, "0a0f36094ce30b06"),
+    (3, 7): (18, "6a3597574106013e"),
+}
+
+
 class TestOmega:
+    @pytest.mark.parametrize("p,n", sorted(_OMEGA_DIGESTS))
+    def test_members_are_pinned(self, p, n):
+        members = omega_members(p, n)
+        digest = hashlib.sha256(repr(members).encode()).hexdigest()[:16]
+        assert (len(members), digest) == _OMEGA_DIGESTS[p, n]
+
     def test_candidate_shape(self):
         members = omega_members(5, 5)
         field = gf.make_field(5, 1)
