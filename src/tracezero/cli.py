@@ -261,6 +261,8 @@ def cmd_curve(args) -> int:
 def cmd_family(args) -> int:
     if args.poly:
         f = _family_source(args.p, args.poly)
+        if len(f) - 1 != args.n:
+            raise ValueError(f"--poly {args.poly} has degree {len(f) - 1}, not --n {args.n}")
     else:
         members = omega_members(args.p, args.n, _max_elements(args))
         if not 0 <= args.index < len(members):

@@ -13,9 +13,23 @@ The reciprocal zeros themselves are never materialised: all arithmetic is
 integer and arbitrary precision, which is what makes counts at n in the
 hundreds exact and cheap.
 
+power_sum(n) takes one of two routes.  The sequential route extends the
+cached sums S_1, S_2, ... one step at a time up to S_n and checks every
+sum it appends against the Weil bound S_k**2 <= 4 g**2 q**k; a table sweep
+takes it, one new sum per row.  When n lies more than JUMP_MARGIN beyond
+the cache, the jump computes x**n mod P(x), with
+P(x) = x**(2g) + c_1 x**(2g-1) + ... + c_{2g}, by square-and-multiply and
+reads S_n = sum(r_j * S_j, j < 2g) off its coefficients r_j, with
+S_0 = 2g (Fiduccia, SIAM J. Comput. 14, 1985): O(log n) polynomial steps
+instead of n recurrence steps.  The jump computes no intermediate sum, so
+it checks none; it checks S_n itself against the same bound, and its base
+sums S_1..S_{2g-1} come from the checked sequential route.
+
 The power sums are cached per instance and extended under a per-instance
 lock, so one LPolynomial (and an engine holding it) can be queried from
-several threads at once; reads of sums already computed take no lock.
+several threads at once; reads of sums already computed take no lock.  A
+jump neither appends to the cache nor takes the lock, so the cache stays
+the contiguous run S_1..S_k.
 """
 
 from __future__ import annotations
@@ -24,6 +38,21 @@ import threading
 from operator import mul
 
 from .errors import HasseWeilError, NegativeCountError, NonIntegralError
+
+# A request more than this many sums beyond the cache jumps; a closer one
+# extends the cache.  Measured as the best of 7 runs on a 2-core x86 host
+# (CPython 3.11), extending a cache of L sums by m against one jump to
+# L + m, for L in {8, 100, 1000}: at genus 1 and 2 (q = 4, 9, 27) the jump
+# wins from m = 32 and is 2-4x faster at m = 64; at genus 4 and 6
+# (q = 25, 7) the two are about even at m = 64 and the jump wins from
+# m = 128.  A table sweep asks one sum beyond the cache per row, so it
+# always extends.
+JUMP_MARGIN = 64
+
+
+def _breaks_weil(t: int, bound: int) -> bool:
+    """t**2 > bound; t is squared only when its bit length allows it."""
+    return 2 * t.bit_length() >= bound.bit_length() and t * t > bound
 
 
 class LPolynomial:
@@ -88,25 +117,71 @@ class LPolynomial:
         return lp
 
     def power_sum(self, n: int) -> int:
-        """S_n, exact; Newton below 2g, the linear recurrence above."""
+        """S_n, exact; a jump far beyond the cached sums, else sequential."""
         if n < 1:
             raise ValueError("power sums are indexed from 1")
-        sums, cs, g, q = self._sums, self.coeffs, self.g, self.q
+        sums = self._sums
         if n <= len(sums):
             return sums[n - 1]
-        rcs = cs[:0:-1]  # c_2g, ..., c_1 against S_{k-2g}, ..., S_{k-1}
+        if n > len(sums) + JUMP_MARGIN:
+            return self._jump(n)
         with self._lock:
-            while len(sums) < n:
-                k = len(sums) + 1
-                if k <= 2 * g:
-                    t = -k * cs[k]
-                    t -= sum(sums[m - 1] * cs[k - m] for m in range(1, k))
-                else:
-                    t = -sum(map(mul, rcs, sums[-2 * g :]))
-                if t * t > 4 * g * g * q**k:
-                    raise HasseWeilError(f"power sum S_{k} = {t} violates the Weil bound")
-                sums.append(t)
+            self._extend(sums, n)
         return sums[n - 1]
+
+    def _extend(self, sums: list, n: int):
+        """Append S_{len+1}..S_n to sums, checking each against the Weil bound.
+
+        Newton's identity below 2g, the linear recurrence above; the bound
+        4 g**2 q**k is kept running, one multiplication by q per step.
+        """
+        cs, g, q = self.coeffs, self.g, self.q
+        rcs = cs[:0:-1]  # c_2g, ..., c_1 against S_{k-2g}, ..., S_{k-1}
+        bound = 4 * g * g * q ** len(sums)
+        while len(sums) < n:
+            k = len(sums) + 1
+            bound *= q
+            if k <= 2 * g:
+                t = -k * cs[k]
+                t -= sum(sums[m - 1] * cs[k - m] for m in range(1, k))
+            else:
+                t = -sum(map(mul, rcs, sums[-2 * g :]))
+            if _breaks_weil(t, bound):
+                raise HasseWeilError(f"power sum S_{k} = {t} violates the Weil bound")
+            sums.append(t)
+
+    def _jump(self, n: int) -> int:
+        """S_n from x**n mod P(x); appends nothing to the cache."""
+        g, q, cs = self.g, self.q, self.coeffs
+        d = 2 * g
+        base = self._sums[:d]  # a copy: S_1..S_{2g-1} (and S_2g) as cached
+        if len(base) < d - 1:
+            self._extend(base, d - 1)
+
+        def reduced(a: list) -> list:
+            """a mod P, low degree first, by x**d = -(c_1 x**(d-1) + ... + c_d)."""
+            for k in range(len(a) - 1, d - 1, -1):
+                if top := a[k]:
+                    for i in range(1, d + 1):
+                        a[k - i] -= top * cs[i]
+            return a[:d]
+
+        r = [1] + [0] * (d - 1)  # x**e mod P for e = the leading bits of n
+        for bit in bin(n)[2:]:
+            sq = [0] * (2 * d - 1)
+            for i, a in enumerate(r):
+                if a:
+                    sq[2 * i] += a * a
+                    a2 = 2 * a
+                    for j in range(i + 1, d):
+                        sq[i + j] += a2 * r[j]
+            r = reduced(sq)
+            if bit == "1":  # multiply by x: a shift and one reduction
+                r = reduced([0] + r)
+        t = d * r[0] + sum(map(mul, r[1:], base))
+        if _breaks_weil(t, 4 * g * g * q**n):
+            raise HasseWeilError(f"power sum S_{n} = {t} violates the Weil bound")
+        return t
 
     def predict_count(self, n: int) -> int:
         """#C(F_{q^n}) = q**n + 1 - S_n."""

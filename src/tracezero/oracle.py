@@ -147,7 +147,8 @@ def _enum_i_orbit(q: int, n: int, budget: OracleBudget) -> int:
 def _enum_i_scan(q: int, n: int, budget: OracleBudget) -> int:
     if q ** (n - 1) > budget.max_elements:
         raise BudgetExceededError(
-            f"candidate scan for q={q}, n={n} exceeds the element cap"
+            f"candidate scan for q={q}, n={n}: {q}**{n - 1} candidates exceed "
+            f"the cap {budget.max_elements}"
         )
     p, r = prime_power_parts(q)
     field = gf.make_field(p, r)

@@ -75,7 +75,9 @@ def omega_members(
     if n < 5:
         raise ValueError("the family shape needs degree n >= 5")
     if max_elements is not None and (p - 1) ** 2 * p ** (n - 4) > max_elements:
-        raise BudgetExceededError("candidate space exceeds the element cap")
+        raise BudgetExceededError(
+            f"{p - 1}**2 * {p}**{n - 4} candidates exceed the cap {max_elements}"
+        )
     field = gf.make_field(p, 1)
     # a_2 and a_3 are units; a zero constant term means the root 0
     return [

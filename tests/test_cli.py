@@ -276,8 +276,9 @@ class TestFamilyAndBound:
             ("2", "1,1,1", "error: p must be an odd prime\n"),
             ("5", "2,0,1,0", "error: the top coefficient of --poly 2,0,1,0 vanishes mod 5\n"),
             ("5", "2,0,1,5", "error: the top coefficient of --poly 2,0,1,5 vanishes mod 5\n"),
+            ("5", "2,0,1", "error: --poly 2,0,1 has degree 2, not --n 5\n"),
         ],
-        ids=["root", "p4", "p9", "p2", "top_zero", "top_multiple_of_p"],
+        ids=["root", "p4", "p9", "p2", "top_zero", "top_multiple_of_p", "degree_not_n"],
     )
     def test_family_poly_is_refused(self, capsys, p, poly, err):
         assert run(capsys, "family", "--p", p, "--n", "5", "--poly", poly) == (2, "", err)

@@ -1,5 +1,7 @@
 """L-polynomial construction, the functional equation, and count extension."""
 
+from operator import mul
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from tracezero import gf
 from tracezero.curves import CurveSpec, count_points, count_points_naive, curve_family
 from tracezero.errors import HasseWeilError, NonIntegralError
-from tracezero.lpoly import LPolynomial
+from tracezero.lpoly import JUMP_MARGIN, LPolynomial
 
 F2 = gf.make_field(2, 1)
 F9 = gf.make_field(3, 2)
@@ -106,3 +108,109 @@ def test_random_genus_one_round_trip(q, defect):
     assert lp.coeffs[2] == q
     # the functional equation pins c_1 both ways
     assert lp.coeffs[1] == n1 - (q + 1)
+
+
+def _old_first_violation(lp, n_max):
+    """The first k <= n_max whose S_k breaks the Weil bound, or None.
+
+    The sequential loop and its check as power_sum had them before the
+    running bound, kept verbatim as the reference for the cheaper check.
+    """
+    sums, cs, g, q = [], lp.coeffs, lp.g, lp.q
+    rcs = cs[:0:-1]
+    while len(sums) < n_max:
+        k = len(sums) + 1
+        if k <= 2 * g:
+            t = -k * cs[k]
+            t -= sum(sums[m - 1] * cs[k - m] for m in range(1, k))
+        else:
+            t = -sum(map(mul, rcs, sums[-2 * g :]))
+        if t * t > 4 * g * g * q**k:
+            return k
+        sums.append(t)
+    return None
+
+
+class TestWeilCheck:
+    def test_boundary_polynomial_passes(self):
+        # (1 + 2T)**2: both reciprocal zeros are -2, so S_k**2 = 4 g**2 q**k
+        lp = LPolynomial(4, 1, (1, 4, 4))
+        assert [lp.power_sum(k) for k in range(1, 301)] == [
+            2 * (-2) ** k for k in range(1, 301)
+        ]
+
+    def test_forged_polynomial_breaks_at_the_old_step(self):
+        # satisfies the functional equation at q = 27, but a reciprocal
+        # zero lies outside the Weil circle; the bound first breaks at k = 16
+        coeffs = (1, -6, 8, -162, 729)
+        k_old = _old_first_violation(LPolynomial(27, 2, coeffs), 200)
+        assert k_old == 16
+        lp = LPolynomial(27, 2, coeffs)
+        for k in range(1, k_old):
+            lp.power_sum(k)
+        with pytest.raises(HasseWeilError, match=f"S_{k_old} "):
+            lp.power_sum(k_old)
+        assert len(lp._sums) == k_old - 1
+
+    def test_forged_polynomial_fails_the_jump(self):
+        lp = LPolynomial(27, 2, (1, -6, 8, -162, 729))
+        n = JUMP_MARGIN + 100
+        with pytest.raises(HasseWeilError, match=f"S_{n} "):
+            lp.power_sum(n)
+
+
+JUMP_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 27)
+_sequential: dict = {}
+
+
+def _sequential_sums(lp, n_max):
+    """S_1..S_n_max of a fresh copy of lp, one step beyond its cache at a time."""
+    key = (lp.q, lp.coeffs)
+    if len(_sequential.get(key, ())) < n_max:
+        fresh = LPolynomial(lp.q, lp.g, lp.coeffs)
+        _sequential[key] = [fresh.power_sum(k) for k in range(1, n_max + 1)]
+    return _sequential[key]
+
+
+def _cold(lp):
+    """lp as from_counts builds it: only S_1..S_g cached."""
+    return LPolynomial.from_counts(
+        lp.q, lp.g, [lp.predict_count(m) for m in range(1, lp.g + 1)]
+    )
+
+
+class TestJump:
+    @pytest.mark.parametrize("q", JUMP_FIELDS)
+    def test_jump_equals_the_recurrence(self, q, engine):
+        for lp, _ in engine(q).classes:
+            seq = _sequential_sums(lp, 2000)
+            for n in (2 * lp.g, 2 * lp.g + 1, 17, 100, 999, 2000):
+                assert lp._jump(n) == seq[n - 1], (q, lp.coeffs, n)
+
+    @pytest.mark.parametrize("q", (5, 7, 9))
+    def test_jump_leaves_the_cache_alone(self, q, engine):
+        for cls, _ in engine(q).classes:
+            # rebuilt from its g seed counts, the cache holds S_1..S_g,
+            # fewer than the 2g - 1 base sums the jump needs once g >= 2
+            lp = _cold(cls)
+            n = lp.g + JUMP_MARGIN + 1
+            assert lp.power_sum(n) == _sequential_sums(lp, n)[n - 1]
+            assert len(lp._sums) == lp.g
+
+    def test_within_the_margin_extends(self, engine):
+        lp = _cold(engine(9).classes[0][0])
+        n = lp.g + JUMP_MARGIN
+        lp.power_sum(n)
+        assert len(lp._sums) == n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from(JUMP_FIELDS),
+    index=st.integers(min_value=0, max_value=6),
+    n=st.integers(min_value=1, max_value=3000),
+)
+def test_jump_property(engine, q, index, n):
+    classes = engine(q).classes
+    lp = classes[index % len(classes)][0]
+    assert lp._jump(n) == _sequential_sums(lp, 3000)[n - 1]

@@ -104,6 +104,12 @@ class TestEnumI:
         with pytest.raises(BudgetExceededError):
             enum_i_count(9, 9, OracleBudget(max_elements=100))
 
+    def test_scan_budget_names_its_numbers(self):
+        # the gate compares q**(n-1), although the scan lists q**(n-2) candidates
+        with pytest.raises(BudgetExceededError) as exc:
+            enum_i_count(9, 5, OracleBudget(max_elements=100), method="scan")
+        assert str(exc.value) == "candidate scan for q=9, n=5: 9**4 candidates exceed the cap 100"
+
 
 class TestTotals:
     @pytest.mark.parametrize("q,n,want", [(2, 3, 2), (2, 4, 3), (3, 2, 3)])

@@ -103,6 +103,11 @@ class TestOmega:
         with pytest.raises(BudgetExceededError):
             omega_members(31, 9, max_elements=10_000)
 
+    def test_budget_names_its_numbers(self):
+        with pytest.raises(BudgetExceededError) as exc:
+            omega_members(31, 9, max_elements=10_000)
+        assert str(exc.value) == "30**2 * 31**5 candidates exceed the cap 10000"
+
 
 class TestBuildFamily:
     def test_shape(self):
