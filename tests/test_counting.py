@@ -250,83 +250,73 @@ class TestExactDivisionGuards:
             prime_power_parts(12)
 
 
+def _in_four_threads(ask) -> list:
+    """ask(i) for i = 0..3 in four threads released at once, with a short
+    switch interval to interleave them finely; returns the four results."""
+    start = threading.Barrier(4)
+    results, errors = {}, []
+
+    def work(i):
+        start.wait()
+        try:
+            results[i] = ask(i)
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    return [results[i] for i in range(4)]
+
+
 class TestThreadSafety:
     def test_shared_engine_across_threads(self):
-        # more threads than cores extend the same lazily grown power sums
-        # at once, with a short switch interval to interleave them finely
+        # more threads than cores extend the same lazily grown power sums at once
         shared, fresh = engine_for(4), engine_for(4)
         want = [fresh.f_count(n) for n in range(1, 3001)]
-        start = threading.Barrier(4)
-        results, errors = {}, []
-
-        def work(i):
-            start.wait()
-            try:
-                results[i] = [shared.f_count(n) for n in range(1, 3001)]
-            except Exception as exc:  # surfaced by the assertion below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        assert all(results[i] == want for i in range(4))
+        results = _in_four_threads(lambda i: [shared.f_count(n) for n in range(1, 3001)])
+        assert all(r == want for r in results)
 
     def test_cold_jumps_across_threads(self):
-        # four threads ask cold degrees of one engine at once: f_count(n)
-        # jumps, while i_count's small divisor terms extend the shared cache
+        # cold degrees of one engine at once: f_count(n) jumps, while
+        # i_count's small divisor terms extend the shared cache
         shared, fresh = engine_for(9), engine_for(9)
         for lp, _ in fresh.classes:
             for k in range(1, 3001):
                 lp.power_sum(k)  # one step beyond the cache: sequential
         rng = random.Random(9)
         asks = [rng.sample(range(500, 3001), 12) for _ in range(4)]
-        start = threading.Barrier(4)
-        results, errors = {}, []
-
-        def work(i):
-            start.wait()
-            try:
-                results[i] = [(shared.f_count(n), shared.i_count(n)) for n in asks[i]]
-            except Exception as exc:  # surfaced by the assertion below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        for i in range(4):
-            assert results[i] == [(fresh.f_count(n), fresh.i_count(n)) for n in asks[i]]
+        results = _in_four_threads(
+            lambda i: [(shared.f_count(n), shared.i_count(n)) for n in asks[i]]
+        )
+        for r, ask in zip(results, asks):
+            assert r == [(fresh.f_count(n), fresh.i_count(n)) for n in ask]
         for (lp, _), (ref, _) in zip(shared.classes, fresh.classes):
             assert lp._sums == ref._sums[: len(lp._sums)]
 
 
-# SHA-256 of f"{F:x},{I:x}" at large n.  Recorded once by the sequential
-# route: every class's power sums walked from S_1 one step beyond the cache
-# at a time (each sum checked against the Weil bound), after which f_count
-# and i_count read only cached sums.  The n = 10**4 digests were also
-# reproduced by the recurrence-only power_sum that preceded the jump.
+# SHA-256 of f"{F:x},{I:x}" at large n, recorded once by the sequential
+# route.  For n = 10**4, every class's power sums were walked from S_1 one
+# step beyond the cache at a time (each sum checked against the Weil
+# bound), after which f_count and i_count read only cached sums; the
+# recurrence-only power_sum that preceded the jump gives the same digests.
+# For n = 10**5 the same recurrence and check ran over a sliding window of
+# the last 2g sums, keeping S_n at the four degrees n/d that i_count reads,
+# because a cache of 10**5 sums per class would take gigabytes.
 LARGE_N_DIGESTS = [
     (4, 10**4, "621dfcaac3c56c2a396e8f799af248f2a3ab8e232412821a69848462b8a6e2c2"),
     (9, 10**4, "d432f3dfa703660bfd2b0ce852cef042f87a08167b4f327b6cc80ebda38329c0"),
     (16, 10**4, "5a4271a06a5d0d9e1fa5e73e94c9cddb27da832e913bc59267529380433dcd06"),
-    (9, 10**5, "PENDING"),
+    (9, 10**5, "b745542f97c0fb244014f60d73496059202a38179e4783464e8295d965d3565e"),
 ]
 
 
