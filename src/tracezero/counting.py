@@ -236,6 +236,8 @@ class CountEngine:
         """
         if n_min > n_max or n_min < 1:
             raise ValueError("need 1 <= n_min <= n_max")
+        for lp, _ in self.classes:  # every row then reads the cache, none jumps
+            lp.extend_to(n_max)
         rows = []
         for n in range(n_min, n_max + 1):
             fc = self.f_count(n)

@@ -15,21 +15,27 @@ hundreds exact and cheap.
 
 power_sum(n) takes one of two routes.  The sequential route extends the
 cached sums S_1, S_2, ... one step at a time up to S_n and checks every
-sum it appends against the Weil bound S_k**2 <= 4 g**2 q**k; a table sweep
-takes it, one new sum per row.  When n lies more than JUMP_MARGIN beyond
-the cache, the jump computes x**n mod P(x), with
+sum it appends against the Weil bound S_k**2 <= 4 g**2 q**k; extend_to(n)
+takes it however far n lies, and CountEngine.table walks each class that
+way to its last row before the first, so no row of a sweep jumps.  When n
+lies more than JUMP_MARGIN beyond the cache, power_sum(n) jumps: it
+computes x**n mod P(x), with
 P(x) = x**(2g) + c_1 x**(2g-1) + ... + c_{2g}, by square-and-multiply and
 reads S_n = sum(r_j * S_j, j < 2g) off its coefficients r_j, with
 S_0 = 2g (Fiduccia, SIAM J. Comput. 14, 1985): O(log n) polynomial steps
 instead of n recurrence steps.  The jump computes no intermediate sum, so
 it checks none; it checks S_n itself against the same bound, and its base
-sums S_1..S_{2g-1} come from the checked sequential route.
+sums S_1..S_{2g-1} come from the checked sequential route.  Each S_n a
+jump returns is kept in a dict by n, so asking the same far n again reads
+it; a caller stepping through far n one at a time by power_sum (or by
+f_count and i_count) pays one jump per n, where extend_to walks once.
 
 The power sums are cached per instance and extended under a per-instance
 lock, so one LPolynomial (and an engine holding it) can be queried from
 several threads at once; reads of sums already computed take no lock.  A
 jump neither appends to the cache nor takes the lock, so the cache stays
-the contiguous run S_1..S_k.
+the contiguous run S_1..S_k; threads that jump to the same n at once
+each compute it and store the same value.
 """
 
 from __future__ import annotations
@@ -45,8 +51,7 @@ from .errors import HasseWeilError, NegativeCountError, NonIntegralError
 # L + m, for L in {8, 100, 1000}: at genus 1 and 2 (q = 4, 9, 27) the jump
 # wins from m = 32 and is 2-4x faster at m = 64; at genus 4 and 6
 # (q = 25, 7) the two are about even at m = 64 and the jump wins from
-# m = 128.  A table sweep asks one sum beyond the cache per row, so it
-# always extends.
+# m = 128.
 JUMP_MARGIN = 64
 
 
@@ -58,7 +63,7 @@ def _breaks_weil(t: int, bound: int) -> bool:
 class LPolynomial:
     """Integer coefficient vector c_0..c_{2g} with base field size q."""
 
-    __slots__ = ("q", "g", "coeffs", "_sums", "_lock")
+    __slots__ = ("q", "g", "coeffs", "_sums", "_jumps", "_lock")
 
     def __init__(self, q: int, g: int, coeffs):
         coeffs = tuple(int(c) for c in coeffs)
@@ -75,6 +80,7 @@ class LPolynomial:
         self.g = g
         self.coeffs = coeffs
         self._sums: list[int] = []  # S_1, S_2, ... extended on demand
+        self._jumps: dict[int, int] = {}  # S_n reached by a jump, by n
         self._lock = threading.Lock()
 
     def __repr__(self):
@@ -124,16 +130,27 @@ class LPolynomial:
         if n <= len(sums):
             return sums[n - 1]
         if n > len(sums) + JUMP_MARGIN:
-            return self._jump(n)
-        with self._lock:
-            self._extend(sums, n)
+            t = self._jumps.get(n)
+            if t is None:
+                t = self._jumps[n] = self._jump(n)
+            return t
+        self.extend_to(n)
         return sums[n - 1]
+
+    def extend_to(self, n: int):
+        """Cache S_1..S_n by the sequential route, however far n lies."""
+        if n > len(self._sums):
+            with self._lock:
+                self._extend(self._sums, n)
 
     def _extend(self, sums: list, n: int):
         """Append S_{len+1}..S_n to sums, checking each against the Weil bound.
 
         Newton's identity below 2g, the linear recurrence above; the bound
-        4 g**2 q**k is kept running, one multiplication by q per step.
+        4 g**2 q**k is kept running, one multiplication by q per step.  On
+        a 2-core x86 host (CPython 3.11) that walks S_1..S_3000 of every
+        class at q = 9 in about 50-75 ms, against 130-200 ms with q**k
+        recomputed at each step.
         """
         cs, g, q = self.coeffs, self.g, self.q
         rcs = cs[:0:-1]  # c_2g, ..., c_1 against S_{k-2g}, ..., S_{k-1}

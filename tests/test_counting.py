@@ -13,6 +13,7 @@ import pytest
 from tracezero import counting, gf
 from tracezero.counting import CountEngine, CountReport, carlitz_count, engine_for, gauss_count
 from tracezero.errors import BudgetExceededError
+from tracezero.lpoly import LPolynomial
 from tracezero.numtheory import divisors, mobius, prime_power_parts
 from tracezero.oracle import enum_f_count, enum_irreducible_total
 
@@ -291,8 +292,7 @@ class TestThreadSafety:
         # i_count's small divisor terms extend the shared cache
         shared, fresh = engine_for(9), engine_for(9)
         for lp, _ in fresh.classes:
-            for k in range(1, 3001):
-                lp.power_sum(k)  # one step beyond the cache: sequential
+            lp.extend_to(3000)  # sequential
         rng = random.Random(9)
         asks = [rng.sample(range(500, 3001), 12) for _ in range(4)]
         results = _in_four_threads(
@@ -302,6 +302,26 @@ class TestThreadSafety:
             assert r == [(fresh.f_count(n), fresh.i_count(n)) for n in ask]
         for (lp, _), (ref, _) in zip(shared.classes, fresh.classes):
             assert lp._sums == ref._sums[: len(lp._sums)]
+
+
+def _no_jump(self, n):
+    raise AssertionError(f"jumped to S_{n}")
+
+
+class TestFarRequests:
+    def test_a_far_table_never_jumps(self, monkeypatch):
+        fresh, swept = engine_for(9), engine_for(9)
+        want = [(n, fresh.f_count(n), fresh.i_count(n)) for n in range(400, 411)]
+        monkeypatch.setattr(LPolynomial, "_jump", _no_jump)
+        rows = swept.table(400, 410).rows
+        assert [(r.n, r.f_count, r.i_count) for r in rows] == want
+        assert all(len(lp._sums) == 410 for lp, _ in swept.classes)
+
+    def test_a_repeated_far_count_does_not_jump_again(self, monkeypatch):
+        e = engine_for(9)
+        first = (e.f_count(2000), e.i_count(2000))
+        monkeypatch.setattr(LPolynomial, "_jump", _no_jump)
+        assert (e.f_count(2000), e.i_count(2000)) == first
 
 
 # SHA-256 of f"{F:x},{I:x}" at large n, recorded once by the sequential

@@ -155,8 +155,10 @@ class TestWeilCheck:
     def test_forged_polynomial_fails_the_jump(self):
         lp = LPolynomial(27, 2, (1, -6, 8, -162, 729))
         n = JUMP_MARGIN + 100
-        with pytest.raises(HasseWeilError, match=f"S_{n} "):
-            lp.power_sum(n)
+        for _ in range(2):  # a refused sum is not kept, so asking again refuses again
+            with pytest.raises(HasseWeilError, match=f"S_{n} "):
+                lp.power_sum(n)
+        assert lp._jumps == {}
 
 
 JUMP_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 27)
@@ -202,6 +204,24 @@ class TestJump:
         n = lp.g + JUMP_MARGIN
         lp.power_sum(n)
         assert len(lp._sums) == n
+
+    def test_a_repeated_jump_is_read_back(self, engine, monkeypatch):
+        lp = _cold(engine(9).classes[0][0])
+        n = lp.g + JUMP_MARGIN + 1
+        calls, jump = [], LPolynomial._jump
+        monkeypatch.setattr(
+            LPolynomial, "_jump", lambda self, m: calls.append(m) or jump(self, m)
+        )
+        first = lp.power_sum(n)
+        assert lp.power_sum(n) == first == _sequential_sums(lp, n)[n - 1]
+        assert calls == [n]
+        assert len(lp._sums) == lp.g
+
+    def test_extend_to_walks_past_the_margin(self, engine):
+        lp = _cold(engine(9).classes[0][0])
+        n = lp.g + JUMP_MARGIN + 500
+        lp.extend_to(n)
+        assert lp._sums == _sequential_sums(lp, n)[:n]
 
 
 @settings(max_examples=60, deadline=None)
