@@ -19,7 +19,7 @@ from .errors import (
 from .gf import FieldSpec, TowerSpec, enumerate_elements, is_irreducible, make_field, make_tower
 from .lpoly import LPolynomial
 from .numtheory import mobius
-from .oracle import OracleBudget, enum_f_count, enum_i_count, verify_all, z_count
+from .oracle import enum_f_count, enum_i_count, verify_all, z_count
 from .sequences import (
     FamilyBoundReport,
     SeqFamily,

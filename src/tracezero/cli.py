@@ -24,7 +24,7 @@ import os
 import sys
 
 from . import gf
-from .counting import CountEngine, DEFAULT_MAX_ELEMENTS, SELFCHECK_DEPTH
+from .counting import CountEngine
 from .curves import CurveSpec, count_points
 from .errors import (
     BudgetExceededError,
@@ -37,7 +37,7 @@ from .errors import (
     ZeroEvaluationError,
 )
 from .numtheory import is_prime
-from .oracle import OracleBudget, verify_all
+from .oracle import verify_all
 from .sequences import build_family, distinct_family_count, omega_members
 
 ENV_BUDGET = "TRACEZERO_MAX_ELEMENTS"
@@ -64,7 +64,7 @@ def _max_elements(args) -> int:
         if cap < 1:
             raise ValueError(f"{ENV_BUDGET} must be positive")
         return cap
-    return DEFAULT_MAX_ELEMENTS
+    return gf.DEFAULT_MAX_ELEMENTS
 
 
 def _field(args) -> gf.FieldSpec:
@@ -116,14 +116,9 @@ def _family_source(p: int, text: str) -> tuple[int, ...]:
 
 def _engine(args, field: gf.FieldSpec) -> CountEngine:
     """Build the engine; say on stderr when the cap cut its self-check short."""
-    cap = _max_elements(args)
-    engine = CountEngine(field, max_elements=cap)
-    if engine.verified_depth < SELFCHECK_DEPTH:
-        print(
-            f"note: self-check reached depth {engine.verified_depth} of "
-            f"{SELFCHECK_DEPTH}; the element cap {cap} stopped it",
-            file=sys.stderr,
-        )
+    engine = CountEngine(field, max_elements=_max_elements(args))
+    if engine.selfcheck_note:
+        print(f"note: {engine.selfcheck_note}", file=sys.stderr)
     return engine
 
 
@@ -183,8 +178,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    budget = OracleBudget(max_elements=_max_elements(args))
-    report = verify_all(_field(args).order, args.max_n, budget)
+    report = verify_all(_field(args).order, args.max_n, _max_elements(args))
     if args.format == "json":
         _emit(json.dumps(report.to_dict(), indent=2))
     else:
@@ -345,7 +339,7 @@ def _add_common(sp, formats=("text", "json")):
         "--max-elements",
         type=_positive_int,
         default=None,
-        help=f"enumeration cap (default {DEFAULT_MAX_ELEMENTS}, env {ENV_BUDGET})",
+        help=f"enumeration cap (default {gf.DEFAULT_MAX_ELEMENTS}, env {ENV_BUDGET})",
     )
 
 

@@ -30,11 +30,10 @@ from dataclasses import dataclass
 
 from . import gf
 from .curves import count_points, curve_family, family_genus
-from .errors import InvariantError, NonIntegralError
+from .errors import InvariantError, NegativeCountError, NonIntegralError
 from .lpoly import LPolynomial
 from .numtheory import divisors, mobius, prime_power_parts
 
-DEFAULT_MAX_ELEMENTS = 1 << 24
 SELFCHECK_DEPTH = 2  # extra degrees beyond the genus that every build re-counts
 
 
@@ -113,6 +112,13 @@ class CountReport:
         return cls(d["p"], d["r"], d["q"], rows)
 
 
+def _defect(lp: LPolynomial, n: int, line: int) -> int:
+    """#C(F_{q^n}) - line = -S_n for line = q**n + 1, refusing a negative count."""
+    if (s := lp.power_sum(n)) > line:
+        raise NegativeCountError(f"predicted count {line - s} at n={n}")
+    return -s
+
+
 class CountEngine:
     """Curve counts and L-polynomials for one base field, queried per n.
 
@@ -125,13 +131,14 @@ class CountEngine:
     the engine has: a wrong genus, a wrong smooth completion, a wrong
     Newton step or a wrong class reduction fails it immediately.
     verified_depth records how many of the SELFCHECK_DEPTH extra degrees
-    were checked before the cap stopped the check.
+    were checked before the cap stopped the check; selfcheck_note says so in
+    one line when the cap cut the check short, and is None otherwise.
     """
 
     def __init__(
         self,
         field: gf.FieldSpec,
-        max_elements: int | None = DEFAULT_MAX_ELEMENTS,
+        max_elements: int | None = gf.DEFAULT_MAX_ELEMENTS,
     ):
         self.field = field
         self.q = q = field.order
@@ -161,9 +168,14 @@ class CountEngine:
             Counter(self.lpolys[ix[0]] for ix in by_c.values()).items()
         )
         self.verified_depth = 0
+        self.selfcheck_note = None
         for extra in range(1, SELFCHECK_DEPTH + 1):
             m = self.genus + extra
-            if max_elements is not None and q**m > max_elements:
+            if gf.over_cap(q**m, max_elements):
+                self.selfcheck_note = (
+                    f"self-check reached depth {self.verified_depth} of "
+                    f"{SELFCHECK_DEPTH}; the element cap {max_elements} stopped it"
+                )
                 break
             for curve, lp in zip(self.curves, self.lpolys):
                 direct = count_points(curve, m, max_elements)
@@ -178,7 +190,7 @@ class CountEngine:
 
     def curve_defect(self, index: int, n: int) -> int:
         """S(F_{q^n}) = #C(F_{q^n}) - (q**n + 1) for curve number index."""
-        return self.lpolys[index].predict_count(n) - (self.q**n + 1)
+        return _defect(self.lpolys[index], n, self.q**n + 1)
 
     def f_count(self, n: int) -> int:
         """Elements of F_{q^n} with vanishing trace and reciprocal trace."""
@@ -187,7 +199,7 @@ class CountEngine:
         q = self.q
         qn = q**n
         w = (q - 1) // (self.p - 1)
-        defects = sum(k * (lp.predict_count(n) - qn - 1) for lp, k in self.classes)
+        defects = sum(k * _defect(lp, n, qn + 1) for lp, k in self.classes)
         num = qn + (q - 1) ** 2 + w * defects
         if num % (q * q):
             raise NonIntegralError(f"f_count numerator not divisible by q^2 at n={n}")
@@ -243,12 +255,11 @@ class CountEngine:
             fc = self.f_count(n)
             ic = self.i_count(n)
             sources = ("formula",)
-            if cross_check_budget is not None and self.q**n <= cross_check_budget:
-                from .oracle import OracleBudget, enum_f_count, enum_i_count
+            if cross_check_budget is not None and not gf.over_cap(self.q**n, cross_check_budget):
+                from .oracle import enum_f_count, enum_i_count
 
-                budget = OracleBudget(max_elements=cross_check_budget)
-                fo = enum_f_count(self.q, n, budget)
-                io = enum_i_count(self.q, n, budget)
+                fo = enum_f_count(self.q, n, cross_check_budget)
+                io = enum_i_count(self.q, n, cross_check_budget)
                 if (fo, io) != (fc, ic):
                     raise InvariantError(
                         f"formula/enumeration mismatch at n={n}: "

@@ -369,9 +369,19 @@ def linear_map_matrix(source: FieldSpec, target: FieldSpec, f) -> np.ndarray:
     return np.array(cols, dtype=np.int64).reshape(source.r, target.r).T
 
 
+DEFAULT_MAX_ELEMENTS = 1 << 24  # the one default element cap of every enumeration
+
+
+def over_cap(count: int, max_elements: int | None) -> bool:
+    """count > max_elements; None means no cap, and a cap below 1 is a ValueError."""
+    if max_elements is not None and max_elements < 1:
+        raise ValueError("the element cap must be positive")
+    return max_elements is not None and count > max_elements
+
+
 def check_element_cap(q: int, m: int, max_elements: int | None):
     """Refuse an enumeration of F_{q^m} over the element cap."""
-    if max_elements is not None and q**m > max_elements:
+    if over_cap(q**m, max_elements):
         raise BudgetExceededError(f"{q}**{m} elements exceed the cap {max_elements}")
 
 

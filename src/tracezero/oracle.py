@@ -24,20 +24,6 @@ from .fastfield import table_for
 from .numtheory import divisors, prime_factors, prime_power_parts
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    """Caps enforced before any enumeration starts."""
-
-    max_elements: int = 1 << 24
-
-    def __post_init__(self):
-        if self.max_elements < 1:
-            raise ValueError("the element cap must be positive")
-
-
-DEFAULT_BUDGET = OracleBudget()
-
-
 def _tower(q: int, n: int, tower: gf.ExtensionField | None = None) -> gf.ExtensionField:
     if tower is not None:
         if tower.q != q or tower.n != n:
@@ -54,7 +40,7 @@ def _tower(q: int, n: int, tower: gf.ExtensionField | None = None) -> gf.Extensi
 def enum_f_count(
     q: int,
     n: int,
-    budget: OracleBudget | None = None,
+    max_elements: int = gf.DEFAULT_MAX_ELEMENTS,
     tower: gf.ExtensionField | None = None,
 ) -> int:
     """#{a in F_{q^n} : Tr(a) = 0 and rTr(a) = 0} by full enumeration.
@@ -64,8 +50,7 @@ def enum_f_count(
     read backwards.  The zero element counts via the rtrace(0) = 0
     convention.
     """
-    budget = budget or DEFAULT_BUDGET
-    gf.check_element_cap(q, n, budget.max_elements)
+    gf.check_element_cap(q, n, max_elements)
     tab = table_for(_tower(q, n, tower))
     tz = tab.trace_zero_exp()
     return 1 + int((tz & tab.reversed_exp(tz)).sum())
@@ -92,7 +77,7 @@ def enum_f_count_small(tower: gf.ExtensionField, max_elements: int = 1 << 12) ->
 def enum_i_count(
     q: int,
     n: int,
-    budget: OracleBudget | None = None,
+    max_elements: int = gf.DEFAULT_MAX_ELEMENTS,
     method: str = "auto",
 ) -> int:
     """Monic irreducibles of degree n over F_q with zero x**(n-1) and x terms.
@@ -100,7 +85,7 @@ def enum_i_count(
     Two independent brute-force routes:
 
     * "scan": enumerate every monic candidate with the prescribed zero
-      coefficients and test each for irreducibility (q**(n-2) candidates).
+      coefficients and test each for irreducibility (q**max(1, n-2) candidates).
     * "orbit": enumerate the field F_{q^n}; each irreducible of degree n
       is the minimal polynomial of exactly n elements of degree n, and the
       two coefficient conditions are exactly trace zero and reciprocal
@@ -110,17 +95,19 @@ def enum_i_count(
     the candidate space fits the element cap.  n = 1 returns 1 by
     convention (the polynomial x).
     """
-    budget = budget or DEFAULT_BUDGET
     if n < 1:
         raise ValueError("degree must be positive")
+    if method == "auto":
+        method = "scan" if gf.over_cap(q**n, max_elements) else "orbit"
     if n == 1:
         return 1
-    if method == "auto":
-        method = "orbit" if q**n <= budget.max_elements else "scan"
     if method == "orbit":
-        return _enum_i_orbit(q, n, budget)
+        gf.check_element_cap(q, n, max_elements)
+        tab = table_for(_tower(q, n))
+        tz = tab.trace_zero_exp()
+        return _degree_n_orbits(tab, n, tz & tab.reversed_exp(tz))
     if method == "scan":
-        return _enum_i_scan(q, n, budget)
+        return _enum_i_scan(q, n, max_elements)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -137,32 +124,26 @@ def _degree_n_orbits(tab, n: int, keep: np.ndarray) -> int:
     return hits // n
 
 
-def _enum_i_orbit(q: int, n: int, budget: OracleBudget) -> int:
-    gf.check_element_cap(q, n, budget.max_elements)
-    tab = table_for(_tower(q, n))
-    tz = tab.trace_zero_exp()
-    return _degree_n_orbits(tab, n, tz & tab.reversed_exp(tz))
-
-
-def _enum_i_scan(q: int, n: int, budget: OracleBudget) -> int:
-    if q ** (n - 1) > budget.max_elements:
+def _enum_i_scan(q: int, n: int, max_elements: int) -> int:
+    zero = {1, n - 1}
+    free = n - len(zero)  # coefficients the scan runs over the field
+    if gf.over_cap(q**free, max_elements):
         raise BudgetExceededError(
-            f"candidate scan for q={q}, n={n}: {q}**{n - 1} candidates exceed "
-            f"the cap {budget.max_elements}"
+            f"candidate scan for q={q}, n={n}: {q}**{free} candidates exceed "
+            f"the cap {max_elements}"
         )
     p, r = prime_power_parts(q)
     field = gf.make_field(p, r)
     # a zero constant term means the root 0
-    candidates = gf.monic_polys(field, n, zero={1, n - 1})
+    candidates = gf.monic_polys(field, n, zero=zero)
     return sum(1 for f in candidates if f[0] != field.zero and gf.is_irreducible(f, field))
 
 
-def enum_irreducible_total(q: int, n: int, budget: OracleBudget | None = None) -> int:
+def enum_irreducible_total(q: int, n: int, max_elements: int = gf.DEFAULT_MAX_ELEMENTS) -> int:
     """All monic irreducibles of degree n over F_q, via Frobenius orbits."""
-    budget = budget or DEFAULT_BUDGET
     if n == 1:
         return q
-    gf.check_element_cap(q, n, budget.max_elements)
+    gf.check_element_cap(q, n, max_elements)
     tab = table_for(_tower(q, n))
     return _degree_n_orbits(tab, n, np.ones(tab.N, dtype=bool))
 
@@ -176,7 +157,7 @@ def z_count(
     n: int,
     mode: str = "combination",
     c=None,
-    budget: OracleBudget | None = None,
+    max_elements: int = gf.DEFAULT_MAX_ELEMENTS,
 ) -> int:
     """Zero counts of the trace pair over F_{q^n}.
 
@@ -186,8 +167,7 @@ def z_count(
 
     Conventions as in gf: rTr(0) = 0, so a = 0 always qualifies.
     """
-    budget = budget or DEFAULT_BUDGET
-    gf.check_element_cap(q, n, budget.max_elements)
+    gf.check_element_cap(q, n, max_elements)
     tw = _tower(q, n)
     tab = table_for(tw)
     codes = tab.trace_codes_exp()
@@ -235,10 +215,16 @@ class VerifyReport:
         detail = "" if ok else f"{lhs} != {rhs}"
         self.checks.append(CheckResult(name, q, n, status, detail))
 
-    def add_all(self, name: str, q: int, n: int, pairs):
-        """One line for many (lhs, rhs) pairs; a failure shows the last mismatch."""
-        bad = [(lhs, rhs) for lhs, rhs in pairs if lhs != rhs]
-        self.add(name, q, n, not bad, *(bad or [("", "")])[-1])
+    def add_all(self, name: str, q: int, n: int, cases):
+        """One line for many (curve label, lhs, rhs) cases; a failure names
+        the first mismatching curve and how many of the cases disagree."""
+        cases = list(cases)
+        bad = [case for case in cases if case[1] != case[2]]
+        detail = ""
+        if bad:
+            label, lhs, rhs = bad[0]
+            detail = f"{label}: {lhs} != {rhs} ({len(bad)} of {len(cases)} disagree)"
+        self.checks.append(CheckResult(name, q, n, "fail" if bad else "pass", detail))
 
     def skip(self, name: str, q: int, n: int, why: str):
         self.checks.append(CheckResult(name, q, n, "skip", why))
@@ -276,40 +262,40 @@ def _trace_zero_enc_bitmap(tower: gf.ExtensionField, tab) -> np.ndarray:
     return bitmap
 
 
-def verify_all(q: int, n_max: int, budget: OracleBudget | None = None) -> VerifyReport:
+def verify_all(q: int, n_max: int, max_elements: int = gf.DEFAULT_MAX_ELEMENTS) -> VerifyReport:
     """Run every numeric identity check for 1 <= n <= n_max.
 
     Produces one pass/fail/skip line per (check, n); failures carry both
     disagreeing values.  Checks beyond the element budget are skipped, not
     failed.
     """
-    from .counting import SELFCHECK_DEPTH, CountEngine  # local import to avoid a cycle
+    from .counting import CountEngine  # local import to avoid a cycle
 
-    budget = budget or DEFAULT_BUDGET
     p, r = prime_power_parts(q)
     field = gf.make_field(p, r)
-    engine = CountEngine(field, max_elements=budget.max_elements)
+    engine = CountEngine(field, max_elements=max_elements)
     curves = engine.curves
     units = [a for a in field.elements() if not field.is_zero(a)]
+    unit_labels = [f"alpha={field.code(a)}" for a in units]
+    curve_labels = [
+        f"alpha={field.code(c.alpha)}" + (f" beta={field.code(c.beta)}" if p != 2 else "")
+        for c in curves
+    ]
     report = VerifyReport(q=q, n_max=n_max)
-    if engine.verified_depth < SELFCHECK_DEPTH:
-        # n is the first degree the engine's own re-count did not reach
-        report.skip(
-            "engine_selfcheck", q, engine.genus + engine.verified_depth + 1,
-            f"self-check reached depth {engine.verified_depth} of {SELFCHECK_DEPTH}; "
-            f"the element cap {budget.max_elements} stopped it",
-        )
+    if engine.selfcheck_note:
+        cut = engine.genus + engine.verified_depth + 1  # the first degree not re-counted
+        report.skip("engine_selfcheck", q, cut, engine.selfcheck_note)
 
     for n in range(1, n_max + 1):
-        if q**n > budget.max_elements:
+        if gf.over_cap(q**n, max_elements):
             report.skip("element_budget", q, n, f"{q}**{n} over the element cap")
             continue
         tower = gf.make_tower(field, n)
         tab = table_for(tower)
 
-        z_tr = z_count(q, n, "trace", budget=budget)
+        z_tr = z_count(q, n, "trace", max_elements=max_elements)
         report.add("trace_fiber_size", q, n, z_tr == q ** (n - 1), z_tr, q ** (n - 1))
-        z_rt = z_count(q, n, "rtrace", budget=budget)
+        z_rt = z_count(q, n, "rtrace", max_elements=max_elements)
         report.add("rtrace_fiber_size", q, n, z_rt == q ** (n - 1), z_rt, q ** (n - 1))
 
         # {Tr = 0} equals the image of y -> y**q - y.
@@ -338,22 +324,20 @@ def verify_all(q: int, n_max: int, budget: OracleBudget | None = None) -> Verify
         report.add("power_scaling", q, n, ok, "scaling", "held")
 
         # Pair count from the zero-locus identity.
-        f_enum = enum_f_count(q, n, budget)
-        z_comb = [z_count(q, n, "combination", c=a, budget=budget) for a in field.elements()]
+        f_enum = enum_f_count(q, n, max_elements)
+        z_comb = [z_count(q, n, "combination", a, max_elements) for a in field.elements()]
         ident = z_tr + sum(z_comb) - q**n
         report.add(
             "pair_count_identity", q, n, q * f_enum == ident, q * f_enum, ident
         )
 
         # q-exponent curve count vs the combination zero-locus; z_comb[0] is c = 0.
-        bigs = [big_curve_count(field, a, n, budget.max_elements) for a in units]
-        report.add_all(
-            "big_curve_solvability", q, n,
-            [(big, q * zc - q + 2) for big, zc in zip(bigs, z_comb[1:])],
-        )
+        bigs = [big_curve_count(field, a, n, max_elements) for a in units]
+        expect = [q * zc - q + 2 for zc in z_comb[1:]]
+        report.add_all("big_curve_solvability", q, n, zip(unit_labels, bigs, expect))
 
         # Fiber products: the big curve's defect is the sum of the small ones'.
-        direct = [count_points(c, n, budget.max_elements) for c in curves]
+        direct = [count_points(c, n, max_elements) for c in curves]
         line = q**n + 1  # points of the projective line over F_{q^n}
 
         if p == 2:
@@ -374,14 +358,14 @@ def verify_all(q: int, n_max: int, budget: OracleBudget | None = None) -> Verify
             # curve_family lists the k beta representatives of each unit in turn
             k = len(curves) // len(units)
             report.add_all("fiber_product_odd", q, n, [
-                (big - line, sum(direct[i * k : (i + 1) * k]) - k * line)
+                (unit_labels[i], big - line, sum(direct[i * k : (i + 1) * k]) - k * line)
                 for i, big in enumerate(bigs)
             ])
 
         # The closed forms against enumeration.
         fc = engine.f_count(n)
         report.add("element_count_formula", q, n, fc == f_enum, fc, f_enum)
-        i_enum = enum_i_count(q, n, budget)
+        i_enum = enum_i_count(q, n, max_elements)
         ic = engine.i_count(n)
         report.add("poly_count_formula", q, n, ic == i_enum, ic, i_enum)
 
@@ -394,7 +378,7 @@ def verify_all(q: int, n_max: int, budget: OracleBudget | None = None) -> Verify
         # stay within 2**19.
         if q ** (2 * n) * len(curves) <= 1 << 19:
             naive = count_family_naive(curves, n)
-            report.add_all("naive_curve_agreement", q, n, zip(direct, naive))
+            report.add_all("naive_curve_agreement", q, n, zip(curve_labels, direct, naive))
         else:
             report.skip("naive_curve_agreement", q, n, "pair budget")
 
@@ -405,7 +389,7 @@ def verify_all(q: int, n_max: int, budget: OracleBudget | None = None) -> Verify
             except ValueError:
                 report.skip("modulus_invariance", q, n, "single irreducible modulus")
             else:
-                f_alt = enum_f_count(q, n, budget, tower=alt)
+                f_alt = enum_f_count(q, n, max_elements, tower=alt)
                 report.add("modulus_invariance", q, n, f_alt == f_enum, f_alt, f_enum)
         elif n >= 2:
             report.skip("modulus_invariance", q, n, "kept to small fields")

@@ -62,7 +62,7 @@ class SeqFamily:
 
 
 def omega_members(
-    p: int, n: int, max_elements: int | None = 1 << 24
+    p: int, n: int, max_elements: int | None = gf.DEFAULT_MAX_ELEMENTS
 ) -> list[tuple[int, ...]]:
     """All polynomials of the constrained shape that are irreducible.
 
@@ -74,7 +74,7 @@ def omega_members(
         raise ValueError("p must be an odd prime")
     if n < 5:
         raise ValueError("the family shape needs degree n >= 5")
-    if max_elements is not None and (p - 1) ** 2 * p ** (n - 4) > max_elements:
+    if gf.over_cap((p - 1) ** 2 * p ** (n - 4), max_elements):
         raise BudgetExceededError(
             f"{p - 1}**2 * {p}**{n - 4} candidates exceed the cap {max_elements}"
         )
@@ -210,7 +210,7 @@ class FamilyBoundReport:
 def distinct_family_count(
     p: int,
     n: int,
-    max_elements: int | None = 1 << 24,
+    max_elements: int | None = gf.DEFAULT_MAX_ELEMENTS,
     engine=None,
 ) -> FamilyBoundReport:
     """Count distinct families over Omega_{p,n} and compare with the bound.

@@ -1,14 +1,13 @@
 import pytest
 
 from tracezero.counting import CountEngine
-from tracezero.gf import make_field
+from tracezero.gf import DEFAULT_MAX_ELEMENTS, make_field
 from tracezero.numtheory import prime_power_parts
-from tracezero.oracle import OracleBudget
 
 
 @pytest.fixture(scope="session")
 def budget():
-    return OracleBudget()
+    return DEFAULT_MAX_ELEMENTS
 
 
 @pytest.fixture(scope="session")

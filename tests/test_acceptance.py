@@ -140,7 +140,7 @@ def test_criterion_07_over_determination(engine, budget):
             g = curve.genus
             for m in (g + 1, g + 2):
                 assert lp.predict_count(m) == count_points(
-                    curve, m, budget.max_elements
+                    curve, m, budget
                 ), f"prediction mismatch for {curve.describe()} at m={m}"
                 checked += 1
     report(

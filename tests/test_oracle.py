@@ -9,7 +9,6 @@ from tracezero.errors import BudgetExceededError
 from tracezero.fastfield import table_for
 from tracezero.numtheory import prime_power_parts
 from tracezero.oracle import (
-    OracleBudget,
     enum_f_count,
     enum_f_count_small,
     enum_i_count,
@@ -47,7 +46,7 @@ class TestEnumF:
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            enum_f_count(9, 5, OracleBudget(max_elements=1000))
+            enum_f_count(9, 5, 1000)
 
 
 class TestEnumI:
@@ -102,13 +101,23 @@ class TestEnumI:
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            enum_i_count(9, 9, OracleBudget(max_elements=100))
+            enum_i_count(9, 9, 100)
 
     def test_scan_budget_names_its_numbers(self):
-        # the gate compares q**(n-1), although the scan lists q**(n-2) candidates
-        with pytest.raises(BudgetExceededError) as exc:
-            enum_i_count(9, 5, OracleBudget(max_elements=100), method="scan")
-        assert str(exc.value) == "candidate scan for q=9, n=5: 9**4 candidates exceed the cap 100"
+        # the scan lists q**(n-2) candidates for n >= 3, and q at n = 2
+        for n, cap, count in [(5, 100, "9**3"), (2, 8, "9**1")]:
+            with pytest.raises(BudgetExceededError) as exc:
+                enum_i_count(9, n, cap, method="scan")
+            assert str(exc.value) == (
+                f"candidate scan for q=9, n={n}: {count} candidates exceed the cap {cap}"
+            )
+
+    def test_scan_runs_when_its_candidates_fit(self):
+        # 3**3 = 27 candidates <= 30 < 3**4: the scan runs, and so does auto's fallback
+        orbit = enum_i_count(3, 5, method="orbit")
+        assert orbit == 4
+        assert enum_i_count(3, 5, 30, method="scan") == orbit
+        assert enum_i_count(3, 5, 30) == orbit
 
 
 class TestTotals:
@@ -217,7 +226,7 @@ class TestVerifyAll:
         assert "big_curve_solvability" in names
 
     def test_budget_skips_rather_than_fails(self):
-        report = verify_all(2, 6, OracleBudget(max_elements=40))
+        report = verify_all(2, 6, 40)
         assert report.passed
         assert any(c.status == "skip" for c in report.checks)
 
@@ -247,8 +256,8 @@ class TestVerifyAllFaults:
         real = oracle.z_count
         calls = []
 
-        def faulty(q, n, mode="combination", c=None, budget=None):
-            value = real(q, n, mode, c, budget)
+        def faulty(q, n, mode="combination", c=None, max_elements=gf.DEFAULT_MAX_ELEMENTS):
+            value = real(q, n, mode, c, max_elements)
             if mode != "combination":
                 return value
             calls.append(n)
@@ -261,29 +270,29 @@ class TestVerifyAllFaults:
         self._count_points_off_at_alpha_two(monkeypatch)
         assert self._fails(verify_all(4, 3)) == [
             ("fiber_product_even", 1, "1 != 3"),
-            ("naive_curve_agreement", 1, "6 != 4"),
+            ("naive_curve_agreement", 1, "alpha=2: 6 != 4 (1 of 3 disagree)"),
             ("fiber_product_even", 2, "13 != 15"),
-            ("naive_curve_agreement", 2, "26 != 24"),
+            ("naive_curve_agreement", 2, "alpha=2: 26 != 24 (1 of 3 disagree)"),
             ("fiber_product_even", 3, "13 != 15"),
-            ("naive_curve_agreement", 3, "78 != 76"),
+            ("naive_curve_agreement", 3, "alpha=2: 78 != 76 (1 of 3 disagree)"),
         ]
 
     def test_odd_curve_fault(self, monkeypatch):
         self._count_points_off_at_alpha_two(monkeypatch)
         assert self._fails(verify_all(9, 2)) == [
-            ("fiber_product_odd", 1, "10 != 22"),
-            ("naive_curve_agreement", 1, "11 != 8"),
-            ("fiber_product_odd", 2, "82 != 94"),
-            ("naive_curve_agreement", 2, "119 != 116"),
+            ("fiber_product_odd", 1, "alpha=2: 10 != 22 (1 of 8 disagree)"),
+            ("naive_curve_agreement", 1, "alpha=2 beta=1: 23 != 20 (4 of 32 disagree)"),
+            ("fiber_product_odd", 2, "alpha=2: 82 != 94 (1 of 8 disagree)"),
+            ("naive_curve_agreement", 2, "alpha=2 beta=1: 71 != 68 (4 of 32 disagree)"),
         ]
 
     def test_zero_locus_fault(self, monkeypatch):
         self._combination_off_at_two(monkeypatch)
         assert self._fails(verify_all(3, 2)) == [
             ("pair_count_identity", 1, "3 != 4"),
-            ("big_curve_solvability", 1, "2 != 5"),
+            ("big_curve_solvability", 1, "alpha=2: 2 != 5 (1 of 2 disagree)"),
             ("pair_count_identity", 2, "9 != 10"),
-            ("big_curve_solvability", 2, "20 != 23"),
+            ("big_curve_solvability", 2, "alpha=2: 20 != 23 (1 of 2 disagree)"),
         ]
 
     def test_each_count_is_made_once_per_n(self, monkeypatch):
