@@ -31,10 +31,12 @@ Since A and B lie in F_q, transitivity of the trace gives
 
 so the zero count is a sum over the q x q histogram of trace pairs (a, b)
 of F_{q^m}*, weighted by [Tr_{F_q/F_p}(A a + B b) = 0].  The histogram is
-built once per field and shared by every curve of the family, so after
-the first curve each further one costs O(q**2) base-field work.  For
-m <= 2 the histogram would have at least as many cells as the field has
-elements, so there the trace pairs are read off element by element.
+read off the class walk of fastfield, (q**m - 1) / (q - 1) units, one per
+F_q*-coset, and expanded over F_q*; it is built once per field and shared
+by every curve of the family, so after the first curve each further one
+costs O(q**2) base-field work.  Every m takes this one route.  The
+histogram has q**2 cells, more than F_q has elements, so at m = 1 the
+element cap is held against q**2.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 
 from . import gf
 from .errors import BudgetExceededError, HasseWeilError, InvariantError
-from .fastfield import table_for
+from .fastfield import base_tables, table_for
 
 EVEN = "even"
 ODD = "odd"
@@ -152,32 +154,21 @@ def curve_family(field: gf.FieldSpec) -> list[CurveSpec]:
 
 def _trace_after_mul(field: gf.FieldSpec, c) -> np.ndarray:
     """Tr_{F_q/F_p}(c * a) for every base-field element a, indexed by code."""
-    p = field.p
-    codes = np.arange(field.order)
-    out = np.zeros(field.order, dtype=np.int64)
-    for j in range(field.r):
-        t = field.trace_to_prime(field.mul(c, field.from_code(p**j)))
-        out += codes // p**j % p * t
+    mul, _, trace = base_tables(field)
     # narrow, so that sums of two values and gathers over a whole field stay small
-    return (out % p).astype(np.min_scalar_type(2 * (p - 1)))
+    return trace[mul[field.code(c)]].astype(np.min_scalar_type(2 * (field.p - 1)))
 
 
 def count_points(curve: CurveSpec, m: int, max_elements: int | None = None) -> int:
     """#C(F_{q^m}) by the additive-character solvability criterion."""
     field = curve.field
     q, p = field.order, field.p
-    gf.check_element_cap(q, m, max_elements)
-    tower = gf.make_tower(field, m)
-    tab = table_for(tower)
+    # the histogram has q**2 cells, more than F_{q^m} has elements at m = 1
+    gf.check_element_cap(q, max(m, 2), max_elements)
+    hist = table_for(gf.make_tower(field, m)).trace_pair_histogram()
     A, B = curve.h_coeffs()
     ta, tb = _trace_after_mul(field, A), _trace_after_mul(field, B)
-    if m <= 2:
-        # the histogram would have at least as many cells as F_{q^m} has elements
-        codes = tab.trace_codes_exp()
-        zeros = int(((ta[codes] + tab.reversed_exp(tb[codes])) % p == 0).sum())
-    else:
-        hist = tab.trace_pair_histogram()
-        zeros = int(hist[(ta[:, None] + tb) % p == 0].sum())
+    zeros = int(hist[(ta[:, None] + tb) % p == 0].sum())
     count = p * zeros + 2
     g = curve.genus
     if (count - q**m - 1) ** 2 > 4 * g * g * q**m:

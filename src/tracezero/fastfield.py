@@ -1,9 +1,9 @@
 """Vectorised whole-field enumeration tables.
 
-A FieldTable walks the multiplicative group of one tower field in generator
-order and exposes the walk as numpy arrays: entry k is the positional
-base-p code of gamma**k.  Linear data (traces, multiplication by a fixed
-constant) is then evaluated as F_p-linear maps on those codes, and
+A FieldTable walks the multiplicative group of one tower field F_{q^n} in
+generator order and exposes the walk as numpy arrays: entry k is the
+positional base-p code of gamma**k.  Linear data (traces, multiplication by
+a fixed constant) is then evaluated as F_p-linear maps on those codes, and
 inverses come for free because (gamma**k)**-1 = gamma**(N-k).
 
 Every F_p-linear map acts on integer codes by split-digit lookup, and no
@@ -17,10 +17,22 @@ handful of whole-word operations reduce every digit mod p at once.
 
 The walk itself is such a map, applied by doubling: enc[L:2L] is the image
 of enc[0:L] under x -> gamma**L * x, and the table of gamma**(2L) is the
-table of gamma**L with every entry mapped once more by itself.  The trace
-codes and the trace-pair histogram (how often the trace of gamma**k and the
-trace of its inverse take each pair of base-field values) are built from
-the same lookup, chunk by chunk.
+table of gamma**L with every entry mapped once more by itself.  One walk
+routine serves two lengths:
+
+* the full walk exp_enc, all N units, built on first read and checked to
+  be a bijection onto the units; the oracles' enumerations read it;
+* the class walk, gamma**k for k < M = N / (q - 1).  gamma**M lies in
+  F_q*, so the class walk holds one point of every F_q*-coset of the
+  units.  It has its own exact check, equivalent to the full walk's.
+
+The trace-pair histogram (how often the trace of a unit and the trace of
+its inverse take each pair of base-field values) needs only the class
+walk: the trace is F_q-linear, so scaling x by lam in F_q* moves its pair
+(a, b) to (lam * a, lam**-1 * b).  The curve counts read nothing else, so
+no engine build walks more than (q**n - 1) / (q - 1) units of a tower.
+base_tables holds the arithmetic of F_q itself, by element code, for that
+expansion and for the curve counts.
 
 Every matrix and functional is built from gf's definitional arithmetic
 (traces are literal sums of Frobenius conjugates); numpy only accelerates
@@ -29,12 +41,12 @@ the bookkeeping.  No closed-form formula under test enters any table.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from .errors import BudgetExceededError, InvariantError
-from .gf import ExtensionField, linear_map_matrix
+from .gf import ExtensionField, FieldSpec, linear_map_matrix, make_field
 from .numtheory import prime_factors
 
 _CHUNK = 1 << 18
@@ -76,8 +88,43 @@ def multiplicative_generator(tower: ExtensionField):
     raise InvariantError("unit group has no generator; field data corrupt")
 
 
+@lru_cache(maxsize=8)
+def base_tables(field: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only code tables (mul, inv, trace) of the field F_q.
+
+    mul[a, b] is the code of a * b, inv[a] that of 1 / a (inv[0] = 0), and
+    trace[a] is Tr_{F_q/F_p}(a), all indexed by element code.  Multiplying
+    by a is the F_p-linear map sum_j a_j T_j, with T_j the matrix of
+    b -> e_j * b, and the trace is the F_p-linear functional of gf's
+    trace_to_prime.
+    """
+    p, r, q = field.p, field.r, field.order
+    digits = np.arange(q, dtype=np.int64)[:, None] // p ** np.arange(r) % p
+    weights = p ** np.arange(r, dtype=np.int64)
+    T = np.stack([
+        linear_map_matrix(field, field, partial(field.mul, field.basis_element(j)))
+        for j in range(r)
+    ])
+    by = (digits @ T.reshape(r, r * r) % p).reshape(q, r, r)  # the matrix of b -> a * b
+    mul = np.empty((q, q), dtype=np.min_scalar_type(q - 1))
+    rows = max(1, (1 << 16) // (q * r))  # bounds the (rows, r, q) products
+    for s in range(0, q, rows):
+        mul[s : s + rows] = weights @ (by[s : s + rows] @ digits.T % p)
+    inv = np.zeros(q, dtype=mul.dtype)
+    a, b = np.nonzero(mul == 1)  # 1 is the code of one
+    inv[a] = b
+    trace = digits @ linear_map_matrix(field, make_field(p, 1), field.trace_to_prime)[0] % p
+    for table in (mul, inv, trace):
+        table.flags.writeable = False
+    return mul, inv, trace
+
+
 class FieldTable:
-    """Enumeration tables for F_{q^n}, indexed by exponent of a generator."""
+    """Enumeration tables for F_{q^n}, indexed by exponent of a generator.
+
+    Nothing is walked at construction.  exp_enc, the full walk, is built on
+    first read; the trace-pair histogram walks only its first M entries.
+    """
 
     def __init__(self, tower: ExtensionField):
         self.tower = tower
@@ -85,41 +132,104 @@ class FieldTable:
         self.d = tower.flat_degree
         self.w = digit_width(self.p, self.d)  # refuse before allocating anything
         self.N = tower.order - 1
-        self.exp_enc = self._walk()
-        self._check_bijection()
+        self.M = self.N // (tower.q - 1)  # one walk entry per F_q*-coset of the units
         self._trace_codes = None
         self._trace_pairs = None
 
     # -- construction --------------------------------------------------------
 
-    def _walk(self) -> np.ndarray:
-        """exp_enc by doubling: enc[L:2L] is the image of enc[0:L] under x -> g**L * x.
+    @cached_property
+    def _generator(self):
+        return multiplicative_generator(self.tower)
 
-        The table of x -> g**(2L) * x is that of x -> g**L * x with every
-        entry mapped once more by the same table.
+    @cached_property
+    def _step(self) -> np.ndarray:
+        """Packed table of the walk's step x -> gamma * x."""
+        tower = self.tower
+        return self._packed_table(
+            linear_map_matrix(tower, tower, partial(tower.mul, self._generator))
+        )
+
+    @cached_property
+    def exp_enc(self) -> np.ndarray:
+        """Codes of gamma**k for k < N, walked and checked on first read.
+
+        The assignment of the finished array is the only write, so two
+        threads reading it first build equal arrays and either may stay.
         """
-        tower, N, d = self.tower, self.N, self.d
-        g = multiplicative_generator(tower)
-        table = self._packed_table(linear_map_matrix(tower, tower, partial(tower.mul, g)))
-        enc = np.empty(N, dtype=np.int64)
-        enc[0] = tower.code(tower.one)
+        enc = self._walk(self.N)
+        # N walk entries covering all N nonzero codes are a bijection
+        seen = np.zeros(self.tower.order, dtype=bool)
+        seen[enc] = True
+        if seen[0] or not seen[1:].all():
+            raise InvariantError("generator walk did not cover the unit group")
+        return enc
+
+    def _walk(self, length: int) -> np.ndarray:
+        """gamma**k for k < length, by doubling.
+
+        enc[L:2L] is the image of enc[0:L] under x -> g**L * x, and the
+        table of x -> g**(2L) * x is that of x -> g**L * x with every entry
+        mapped once more by the same table.
+        """
+        d, table = self.d, self._step
+        enc = np.empty(length, dtype=np.int64)
+        enc[0] = self.tower.code(self.tower.one)
         L = 1
-        while L < N:
-            todo = min(L, N - L)
+        while L < length:
+            todo = min(L, length - L)
             for s in range(0, todo, _CHUNK):
                 e = min(s + _CHUNK, todo)
                 enc[L + s : L + e] = self._unpack_codes(self._packed_image(table, enc[s:e]), d)
             L *= 2
-            if L < N:
+            if L < length:
                 table = self._packed_image(table, self._unpack_codes(table.copy(), d))
         return enc
 
-    def _check_bijection(self):
-        # N walk entries covering all N nonzero codes are a bijection
-        seen = np.zeros(self.tower.order, dtype=bool)
-        seen[self.exp_enc] = True
-        if seen[0] or not seen[1:].all():
-            raise InvariantError("generator walk did not cover the unit group")
+    def _class_walk(self):
+        """(gamma**k for k < M, lam0 = gamma**M), checked by _check_class_walk.
+
+        The prefix of the full walk when that was ever read, else walked.
+        """
+        full = self.__dict__.get("exp_enc")
+        enc = self._walk(self.M) if full is None else full[: self.M]
+        lam0 = self.tower.pow_(self._generator, self.M)
+        self._check_class_walk(enc, lam0)
+        return enc, lam0
+
+    def _check_class_walk(self, enc: np.ndarray, lam0):
+        """Raise unless the F_q*-multiples of enc cover every unit exactly once.
+
+        enc holds the codes of gamma**k for k < M.  The multiples cover
+        every unit once exactly when two things hold.  First, enc meets M
+        distinct F_q*-cosets, which are all of them: scaled by the inverse
+        of its leading F_q-coordinate, every code becomes a distinct nonzero
+        code.  Second, the walk's step maps the last entry to lam0 =
+        gamma**M, which lies in F_q* and has order q - 1, so
+        gamma**(jM + k) = lam0**j * gamma**k runs through each coset.
+        """
+        tower, q, M = self.tower, self.tower.q, self.M
+        mul, inv, _ = base_tables(tower.base)
+        h = -(-tower.n // 2)
+        split = q**h  # a code is lo + split * hi, both halves below split
+        half = np.arange(split, dtype=np.int64)[:, None] // q ** np.arange(h) % q
+        lead = np.zeros(split, dtype=np.int64)  # highest nonzero F_q-coordinate
+        for j in range(h):
+            lead = np.where(half[:, j] != 0, half[:, j], lead)
+        scaled = mul[:, half] @ q ** np.arange(h)  # scaled[c, v]: code of c * v
+        seen = np.zeros(tower.order, dtype=bool)
+        for s in range(0, M, _CHUNK):
+            hi, lo = np.divmod(enc[s : s + _CHUNK], split)
+            c = inv[np.where(hi != 0, lead[hi], lead[lo])]
+            seen[scaled[c, lo] + split * scaled[c, hi]] = True
+        if seen[0] or np.count_nonzero(seen) != M:
+            raise InvariantError("class walk does not meet every F_q*-coset once")
+        last = self._unpack_codes(self._packed_image(self._step, enc[-1:]), self.d)
+        base, code = tower.base, tower.code(lam0)
+        if not (0 < code < q and code == last[0]):
+            raise InvariantError("gamma**M is not the walk's next step in F_q*")
+        if any(base.pow_(lam0[0], (q - 1) // ell) == base.one for ell in prime_factors(q - 1)):
+            raise InvariantError("gamma**M does not generate F_q*")
 
     # -- generic access -------------------------------------------------------
 
@@ -218,38 +328,55 @@ class FieldTable:
         """Digit-space functionals giving the base-field digits of the trace."""
         return linear_map_matrix(self.tower, self.tower.base, self.tower.trace_to_base)
 
-    def trace_codes_exp(self) -> np.ndarray:
-        """Positional code of Tr(gamma**k) in the base field, per k.
+    @cached_property
+    def _trace_table(self) -> np.ndarray:
+        return self._packed_table(self.trace_rows())
 
-        Stored in the smallest unsigned dtype that holds q - 1.
-        """
+    def _trace_codes_of(self, enc: np.ndarray) -> np.ndarray:
+        """Positional code of the trace of each element code of enc, in the
+        smallest unsigned dtype that holds q - 1."""
+        codes = np.empty(enc.size, dtype=np.min_scalar_type(self.tower.q - 1))
+        for s in range(0, enc.size, _CHUNK):
+            words = self._packed_image(self._trace_table, enc[s : s + _CHUNK])
+            codes[s : s + words.size] = self._unpack_codes(words, self.tower.base.r)
+        return codes
+
+    def trace_codes_exp(self) -> np.ndarray:
+        """Positional code of Tr(gamma**k) in the base field, per k < N."""
         if self._trace_codes is None:
-            table = self._packed_table(self.trace_rows())
-            codes = np.empty(self.N, dtype=np.min_scalar_type(self.tower.q - 1))
-            for s in range(0, self.N, _CHUNK):
-                words = self._packed_image(table, self.exp_enc[s : s + _CHUNK])
-                codes[s : s + words.size] = self._unpack_codes(words, self.tower.base.r)
-            self._trace_codes = codes
+            self._trace_codes = self._trace_codes_of(self.exp_enc)
         return self._trace_codes
 
     def trace_pair_histogram(self) -> np.ndarray:
         """H[a, b] = #{k : Tr(gamma**k) has code a, Tr(gamma**-k) has code b}.
 
-        A q x q int64 array over base-field codes, summing to N.  Built from
-        the trace codes in chunks: the codes on inverses of a chunk are a
-        reversed slice, so no full-length reversed or wide copy is made.
+        A q x q int64 array over base-field codes, summing to N, read off the
+        class walk t_k = Tr(gamma**k), k < M.  For 0 < k < M,
+        gamma**-k = lam0**-1 * gamma**(M-k), so the pairs of the walk are
+        h(t_k, lam0**-1 * t_(M-k)), taken in chunks with the partners a
+        reversed slice.  The trace is F_q-linear, so the unit lam * gamma**k
+        has the pair (lam * a, lam**-1 * b): H adds h(a, b) at
+        (lam * a, lam**-1 * b) for every lam in F_q*.
         """
         if self._trace_pairs is None:
-            q, N = self.tower.q, self.N
-            codes = self.trace_codes_exp()
-            hist = np.zeros(q * q, dtype=np.int64)
-            hist[int(codes[0]) * (q + 1)] += 1  # k = 0: gamma**0 = 1 is its own inverse
-            for s in range(1, N, _CHUNK):
-                e = min(s + _CHUNK, N)
-                keys = codes[s:e].astype(np.int64) * q
-                keys += codes[N - e + 1 : N - s + 1][::-1]
-                hist += np.bincount(keys, minlength=q * q)
-            self._trace_pairs = hist.reshape(q, q)
+            q, M = self.tower.q, self.M
+            enc, lam0 = self._class_walk()
+            mul, inv, _ = base_tables(self.tower.base)
+            t = self._trace_codes_of(enc)
+            back = mul[inv[self.tower.code(lam0)]]  # b -> lam0**-1 * b, by code
+            h = np.zeros(q * q, dtype=np.int64)
+            h[int(t[0]) * (q + 1)] += 1  # k = 0: gamma**0 = 1 is its own inverse
+            for s in range(1, M, _CHUNK):
+                e = min(s + _CHUNK, M)
+                keys = t[s:e].astype(np.int64) * q
+                keys += back[t[M - e + 1 : M - s + 1][::-1]]
+                h += np.bincount(keys, minlength=q * q)
+            cells = np.flatnonzero(h)
+            a, b = np.divmod(cells, q)
+            lam = np.arange(1, q)[:, None]
+            hist = np.zeros((q, q), dtype=np.int64)
+            np.add.at(hist, (mul[lam, a], mul[inv[lam], b]), h[cells])
+            self._trace_pairs = hist
         return self._trace_pairs
 
     def trace_zero_exp(self) -> np.ndarray:

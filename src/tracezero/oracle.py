@@ -97,8 +97,9 @@ def enum_i_count(
     """
     if n < 1:
         raise ValueError("degree must be positive")
+    over = gf.over_cap(q**n, max_elements)  # refuses a cap below 1 at every n
     if method == "auto":
-        method = "scan" if gf.over_cap(q**n, max_elements) else "orbit"
+        method = "scan" if over else "orbit"
     if n == 1:
         return 1
     if method == "orbit":
@@ -141,9 +142,9 @@ def _enum_i_scan(q: int, n: int, max_elements: int) -> int:
 
 def enum_irreducible_total(q: int, n: int, max_elements: int = gf.DEFAULT_MAX_ELEMENTS) -> int:
     """All monic irreducibles of degree n over F_q, via Frobenius orbits."""
+    gf.check_element_cap(q, n, max_elements)
     if n == 1:
         return q
-    gf.check_element_cap(q, n, max_elements)
     tab = table_for(_tower(q, n))
     return _degree_n_orbits(tab, n, np.ones(tab.N, dtype=bool))
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tracezero import gf
 from tracezero.curves import (
     EVEN,
+    _trace_after_mul,
     CurveCounts,
     CurveSpec,
     beta_representatives,
@@ -19,7 +20,7 @@ from tracezero.curves import (
     curve_family,
 )
 from tracezero.errors import BudgetExceededError, HasseWeilError
-from tracezero.fastfield import multiplicative_generator
+from tracezero.fastfield import FieldTable, multiplicative_generator, table_for
 from tracezero.numtheory import prime_power_parts
 from tracezero.oracle import z_count
 
@@ -111,6 +112,33 @@ class TestCountPoints:
             count_points(CurveSpec(F9, F9.one, F9.one), 5, max_elements=1000)
         with pytest.raises(BudgetExceededError):
             count_points_naive(CurveSpec(F9, F9.one, F9.one), 3, max_pairs=1000)
+
+    def test_histogram_cells_are_capped_before_the_tower(self, monkeypatch):
+        # at m = 1 the q x q histogram outgrows F_q itself
+        def refuse(*args, **kwargs):
+            raise AssertionError("tower built before the budget check")
+
+        monkeypatch.setattr(gf, "make_tower", refuse)
+        with pytest.raises(BudgetExceededError, match=r"25\*\*2 elements"):
+            count_points(CurveSpec(F25, F25.one, F25.one), 1, max_elements=600)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_reads_the_histogram_not_the_full_walk(self, monkeypatch, m):
+        def refuse(self):
+            raise AssertionError("count_points read the full walk")
+
+        table_for.cache_clear()
+        monkeypatch.setattr(FieldTable, "exp_enc", property(refuse))
+        for curve in curve_family(F9)[:3]:
+            assert count_points(curve, m) == count_points_naive(curve, m)
+
+    @pytest.mark.parametrize("field", [F2, F4, F5, F9, F25, gf.make_field(3, 3)])
+    def test_trace_after_mul_is_the_literal_trace(self, field):
+        for c in field.element_list:
+            got = _trace_after_mul(field, c)
+            assert [int(got[field.code(a)]) for a in field.element_list] == [
+                field.trace_to_prime(field.mul(c, a)) for a in field.element_list
+            ]
 
 
 def _naive_reference(curve: CurveSpec, m: int, max_pairs: int | None = None) -> int:

@@ -1,5 +1,6 @@
 """The generator walk of FieldTable: pinned outputs, the block-loop walk it
-replaced as a differential reference, and the digit-packing width rule."""
+replaced as a differential reference, the digit-packing width rule, the
+class walk behind the trace-pair histogram, and the base-field tables."""
 
 import hashlib
 from functools import partial
@@ -9,8 +10,15 @@ import numpy as np
 import pytest
 
 from tracezero import gf
-from tracezero.errors import BudgetExceededError
-from tracezero.fastfield import FieldTable, digit_width, multiplicative_generator
+from tracezero.counting import engine_for
+from tracezero.errors import BudgetExceededError, InvariantError
+from tracezero.fastfield import (
+    FieldTable,
+    base_tables,
+    digit_width,
+    multiplicative_generator,
+    table_for,
+)
 from tracezero.numtheory import prime_power_parts
 
 ENGINE_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16)
@@ -126,3 +134,107 @@ class TestDigitWidth:
         assert tab.functionals_exp(np.ones((7, 1), dtype=np.int64)).shape == (130, 7)
         with pytest.raises(BudgetExceededError):
             tab.functionals_exp(np.ones((8, 1), dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# The class walk: gamma**k for k < M = N / (q - 1), one point per F_q*-coset.
+
+_CLASS_TOWERS = sorted(
+    {(q, n) for q in ENGINE_FIELDS for n in range(1, 17) if q**n <= 1 << 16}
+    | {(7, 7), (16, 4), (25, 3), (27, 3)}
+)
+
+
+@pytest.mark.parametrize("q,n", _CLASS_TOWERS)
+def test_class_walk_histogram_matches_the_full_walk(q, n):
+    tab = FieldTable(_tower(q, n))
+    got = tab.trace_pair_histogram()  # first, so the class walk is what runs
+    assert "exp_enc" not in vars(tab)
+    codes = tab.trace_codes_exp().astype(np.int64)
+    want = np.zeros((q, q), dtype=np.int64)
+    np.add.at(want, (codes, tab.reversed_exp(codes)), 1)
+    assert got.dtype == np.int64 and got.sum() == tab.N
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (16, 2), (25, 2)])
+def test_class_walk_is_the_prefix_of_the_full_walk(q, n):
+    tab = FieldTable(_tower(q, n))
+    enc, lam0 = tab._class_walk()
+    assert np.array_equal(enc, tab.exp_enc[: tab.M])
+    tower = tab.tower
+    assert tower.code(lam0) == tab.exp_enc[tab.M]  # gamma**M, an element of F_q*
+
+
+class TestClassWalkFaults:
+    """Each corruption of the class walk or of lam0 = gamma**M is refused."""
+
+    @staticmethod
+    def _walk(q, n):
+        tab = FieldTable(_tower(q, n))
+        enc, lam0 = tab._class_walk()
+        return tab, enc.copy(), lam0
+
+    @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (4, 5), (3, 6)])
+    def test_scalar_multiple_of_another_entry(self, q, n):
+        tab, enc, lam0 = self._walk(q, n)
+        tower = tab.tower
+        x = tower.from_code(int(enc[5]))
+        # 2 is the code of a scalar other than 1 (a generator of F_4 when q = 4)
+        enc[9] = tower.code(tower.mul(tower.embed_base(tower.base.from_code(2)), x))
+        with pytest.raises(InvariantError, match="coset"):
+            tab._check_class_walk(enc, lam0)
+
+    @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (2, 8)])
+    def test_duplicated_entry(self, q, n):
+        tab, enc, lam0 = self._walk(q, n)
+        enc[7] = enc[3]
+        with pytest.raises(InvariantError, match="coset"):
+            tab._check_class_walk(enc, lam0)
+
+    @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (5, 3)])
+    def test_lam0_that_does_not_close_the_walk(self, q, n):
+        tab, enc, lam0 = self._walk(q, n)
+        base = tab.tower.base
+        other = tab.tower.embed_base(base.mul(lam0[0], base.from_code(2)))
+        with pytest.raises(InvariantError, match="next step"):
+            tab._check_class_walk(enc, other)
+        # an element outside F_q fails the same way
+        with pytest.raises(InvariantError, match="next step"):
+            tab._check_class_walk(enc, tab.tower.from_code(int(enc[1])))
+
+    def test_lam0_of_lower_order(self):
+        # beta = g**9 in F_{7^2}: N = 48, M = 8, and 9 = 1 mod 8, so the walk
+        # of beta meets every coset and beta**8 = g**72 = -1 lies in F_7*,
+        # but -1 has order 2, not 6
+        tab = FieldTable(_tower(7, 2))
+        tab._generator = tab.tower.pow_(multiplicative_generator(tab.tower), 9)
+        with pytest.raises(InvariantError, match="generate"):
+            tab._class_walk()
+
+
+@pytest.mark.parametrize("q", ENGINE_FIELDS)
+def test_engine_build_never_reads_the_full_walk(monkeypatch, q):
+    def refuse(self):
+        raise AssertionError("the engine read the full walk")
+
+    table_for.cache_clear()  # no table the engine reads may come in walked
+    monkeypatch.setattr(FieldTable, "exp_enc", property(refuse))
+    engine = engine_for(q)
+    assert engine.verified_depth == 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_base_tables_match_gf(q):
+    field = gf.make_field(*prime_power_parts(q))
+    mul, inv, trace = base_tables(field)
+    elems = field.element_list
+    for a in elems:
+        ca = field.code(a)
+        assert trace[ca] == field.trace_to_prime(a)
+        assert [mul[ca, field.code(b)] for b in elems] == [
+            field.code(field.mul(a, b)) for b in elems
+        ]
+        if not field.is_zero(a):
+            assert inv[ca] == field.code(field.inv(a))
+    assert not (mul.flags.writeable or inv.flags.writeable or trace.flags.writeable)

@@ -9,7 +9,7 @@ import pytest
 
 from tracezero import gf
 from tracezero.counting import CountEngine
-from tracezero.oracle import enum_f_count, verify_all
+from tracezero.oracle import enum_f_count, enum_i_count, enum_irreducible_total, verify_all
 from tracezero.sequences import omega_members
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -46,8 +46,17 @@ def test_every_traced_target_resolves():
         lambda cap: verify_all(2, 1, cap),
         lambda cap: CountEngine(gf.make_field(2, 1), max_elements=cap),
         lambda cap: omega_members(3, 5, cap),
+        lambda cap: enum_i_count(3, 1, cap, method="orbit"),
+        lambda cap: enum_irreducible_total(3, 1, cap),
     ],
-    ids=["enum_f_count", "verify_all", "CountEngine", "omega_members"],
+    ids=[
+        "enum_f_count",
+        "verify_all",
+        "CountEngine",
+        "omega_members",
+        "enum_i_count_orbit_n1",
+        "enum_irreducible_total_n1",
+    ],
 )
 def test_non_positive_cap_is_refused(call, cap):
     with pytest.raises(ValueError, match="the element cap must be positive"):
