@@ -8,11 +8,13 @@ import sys
 import threading
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from tracezero import counting, gf
 from tracezero.counting import CountEngine, CountReport, carlitz_count, engine_for, gauss_count
 from tracezero.errors import BudgetExceededError
+from tracezero.fastfield import FieldTable
 from tracezero.lpoly import LPolynomial
 from tracezero.numtheory import divisors, mobius, prime_power_parts
 from tracezero.oracle import enum_f_count, enum_irreducible_total
@@ -302,6 +304,23 @@ class TestThreadSafety:
             assert r == [(fresh.f_count(n), fresh.i_count(n)) for n in ask]
         for (lp, _), (ref, _) in zip(shared.classes, fresh.classes):
             assert lp._sums == ref._sums[: len(lp._sums)]
+
+    def test_fresh_field_table_across_threads(self):
+        # a table's lazy parts (the class walk behind the histogram, the full
+        # walk, the trace codes) are built by whichever thread reads first;
+        # two threads start from the histogram, two from the full walk
+        tower = gf.make_tower(gf.make_field(3, 2), 4)
+        fresh, shared = FieldTable(tower), FieldTable(tower)
+
+        def read(table, histogram_first):
+            if histogram_first:
+                return table.trace_pair_histogram(), table.exp_enc, table.trace_codes_exp()
+            walk = table.exp_enc
+            return table.trace_pair_histogram(), walk, table.trace_codes_exp()
+
+        want = read(fresh, True)
+        for got in _in_four_threads(lambda i: read(shared, i % 2 == 0)):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def _no_jump(self, n):
