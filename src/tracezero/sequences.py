@@ -20,9 +20,14 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 from . import gf
 from .errors import BudgetExceededError, InvariantError, ZeroEvaluationError
 from .numtheory import is_prime
+
+_CHUNK = 1 << 17  # products held by one block of the cross-correlation search
 
 
 def legendre_symbol(a: int, p: int) -> int:
@@ -44,6 +49,8 @@ class SeqFamily:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if len({len(row) for row in self.rows}) > 1:
+            raise ValueError("family rows must all have the same length")
         for row in self.rows:
             if any(e not in (-1, 1) for e in row):
                 raise ValueError("family entries must be +-1")
@@ -134,7 +141,18 @@ def cross_correlation(fam: SeqFamily, ell: int, max_tuples: int = 1 << 26) -> in
     Maximises |sum_{k=1..M} e_{i_1,k+d_1} * ... * e_{i_ell,k+d_ell}| over
     window lengths M, nondecreasing shift tuples D with M + d_ell <= N,
     and row index tuples I; equal rows must take distinct shifts.  Cost
-    grows fast in ell, so a tuple budget is enforced up front.
+    grows fast in ell, so a tuple budget is enforced up front, before
+    anything is allocated.
+
+    Every (D, I) is still evaluated, in numpy blocks: the rows are read
+    through zero-padded windows W[k, i, d] = e_{i,k+d} (zero for
+    k + d >= N, which leaves every prefix sum past the cap M <= N - d_ell
+    unchanged), the windows picked by a block of shift tuples and a range
+    of row tuples are multiplied over s, and the largest |prefix sum|
+    along k is kept unless some s < t has d_s = d_t on equal rows.  A
+    block holds at most _CHUNK products (for N <= _CHUNK, which the
+    default budget implies), so apart from int8 copies of the rows the
+    working set is a fixed multiple of _CHUNK whatever the family's shape.
     """
     if ell < 1:
         raise ValueError("order must be positive")
@@ -144,29 +162,35 @@ def cross_correlation(fam: SeqFamily, ell: int, max_tuples: int = 1 << 26) -> in
     n_shift_tuples = comb(N + ell - 1, ell)
     if n_shift_tuples * F**ell * N > max_tuples:
         raise BudgetExceededError("cross-correlation search space over budget")
+    if N == 0:  # no rows, or empty ones
+        return 0
+    padded = np.zeros((F, 2 * N - 1), dtype=np.int8)
+    padded[:, :N] = rows
+    windows = sliding_window_view(padded, N, axis=1).transpose(2, 0, 1)
+    first_seen = {}
+    row_class = np.array([first_seen.setdefault(r, len(first_seen)) for r in rows])
+    pairs = list(itertools.combinations(range(ell), 2))
+    n_row_tuples = F**ell
+    per_block = min(n_row_tuples, max(1, _CHUNK // N))
+    shifts_per_block = max(1, _CHUNK // (per_block * N))
     best = 0
-    same = [[rows[a] == rows[b] for b in range(F)] for a in range(F)]
-    for D in itertools.combinations_with_replacement(range(N), ell):
-        m_max = N - D[-1]
-        for I in itertools.product(range(F), repeat=ell):
-            ok = True
-            for s in range(ell):
-                for t in range(s + 1, ell):
-                    if D[s] == D[t] and same[I[s]][I[t]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            acc = 0
-            for k in range(m_max):
-                term = 1
-                for s in range(ell):
-                    term *= rows[I[s]][k + D[s]]
-                acc += term
-                if abs(acc) > best:
-                    best = abs(acc)
+    for lo in range(0, n_row_tuples, per_block):
+        flat = np.arange(lo, min(lo + per_block, n_row_tuples))
+        I = np.unravel_index(flat, (F,) * ell)
+        same_row = {(s, t): row_class[I[s]] == row_class[I[t]] for s, t in pairs}
+        shifts = itertools.combinations_with_replacement(range(N), ell)
+        while block := list(itertools.islice(shifts, shifts_per_block)):
+            D = np.array(block).T
+            # walk[k, j, b]: term k of row tuple j under shift tuple b
+            walk = windows[:, :, D[0]].take(I[0], axis=1).astype(np.int32)
+            for s in range(1, ell):
+                walk *= windows[:, :, D[s]].take(I[s], axis=1)
+            for k in range(1, N):  # prefix sums; faster than cumsum on axis 0
+                walk[k] += walk[k - 1]
+            peak = np.maximum(walk.max(axis=0), -walk.min(axis=0))
+            for s, t in pairs:
+                peak[same_row[s, t][:, None] & (D[s] == D[t])] = 0
+            best = max(best, int(peak.max()))
     return best
 
 

@@ -2,10 +2,13 @@
 
 import hashlib
 import itertools
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tracezero import gf
+from tracezero import gf, sequences
 from tracezero.errors import BudgetExceededError, ZeroEvaluationError
 from tracezero.sequences import (
     SeqFamily,
@@ -134,6 +137,11 @@ class TestBuildFamily:
         with pytest.raises(ValueError):
             SeqFamily(5, 5, (0, 1), ((1, 0, 1, 1),))
 
+    @pytest.mark.parametrize("rows", [((1, 1), (1,)), ((1,), (1, 1, -1))])
+    def test_ragged_rows_refused(self, rows):
+        with pytest.raises(ValueError):
+            SeqFamily(5, 5, (0, 1), rows)
+
 
 class TestDual:
     def test_involution_and_transposition(self):
@@ -206,6 +214,101 @@ class TestCrossCorrelation:
         fam = SeqFamily(31, 5, (0, 1), rows)
         with pytest.raises(BudgetExceededError):
             cross_correlation(fam, 3, max_tuples=1000)
+
+
+@st.composite
+def _small_families(draw):
+    """Up to 5 rows of length <= 6, drawn from a pool of at most 3 rows."""
+    n = draw(st.integers(1, 6))
+    row = st.tuples(*[st.sampled_from((-1, 1))] * n)
+    pool = draw(st.lists(row, min_size=1, max_size=3))
+    return tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_small_families(), ell=st.integers(1, 3))
+@example(rows=((1,), (1,), (-1,)), ell=2)  # single-column rows
+@example(rows=((1,), (-1,), (1,)), ell=3)
+def test_cross_correlation_matches_reference(rows, ell):
+    fam = SeqFamily(5, 5, (0, 1), rows)
+    assert cross_correlation(fam, ell) == reference_cross_correlation(rows, ell)
+
+
+class TestCrossCorrelationEdges:
+    def test_empty_family(self):
+        fam = SeqFamily(5, 5, (0, 1), ())
+        for ell in (1, 2, 3):
+            assert cross_correlation(fam, ell) == 0
+
+    @pytest.mark.parametrize("chunk", [8, 40])
+    def test_small_blocks(self, monkeypatch, chunk):
+        # 8 products per block split the row tuples; 40 put 3 of the 4
+        # shift tuples of l = 1 in one block and the last in another
+        monkeypatch.setattr(sequences, "_CHUNK", chunk)
+        rows = ((1, -1, 1, -1), (1, -1, 1, -1), (1, 1, -1, -1))
+        for ell in (1, 2, 3):
+            fam = SeqFamily(5, 5, (0, 1), rows)
+            assert cross_correlation(fam, ell) == reference_cross_correlation(rows, ell)
+
+    def test_order_must_be_positive(self):
+        fam = SeqFamily(5, 5, (0, 1), ((1, -1),))
+        with pytest.raises(ValueError):
+            cross_correlation(fam, 0)
+
+
+# SHA-256 over repr([(family_complexity, cc_1, cc_2, cc_3) per member]) of
+# build_family over Omega_{p,5}, recorded from the pure-Python loop search
+_SCAN_DIGESTS = {
+    5: "0029eeeb8eb7c19b9574ff3ba0a8a2396e95a74e861fce2c2139dab3e9a6694b",
+    7: "80a44b3efe2dbcfb0e3ae08c1de9a22fd8cff8693aa1f216b7f667c0071d1f83",
+}
+
+
+@pytest.mark.parametrize("p", sorted(_SCAN_DIGESTS))
+def test_family_measures_are_pinned(p):
+    scan = []
+    for f in omega_members(p, 5):
+        fam = build_family(f, p)
+        scan.append(
+            (family_complexity(fam),)
+            + tuple(cross_correlation(fam, ell) for ell in (1, 2, 3))
+        )
+    assert hashlib.sha256(repr(scan).encode()).hexdigest() == _SCAN_DIGESTS[p]
+
+
+class TestCrossCorrelationMemory:
+    """2048 one-column rows at l = 2: 2048**2 tuples, under the 2**26 budget."""
+
+    @staticmethod
+    def _traced(fam, ell):
+        tracemalloc.start()
+        try:
+            value = cross_correlation(fam, ell)
+            return value, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_both_signs(self):
+        rows = ((1,),) * 1024 + ((-1,),) * 1024
+        value, peak = self._traced(SeqFamily(5, 5, (0, 1), rows), 2)
+        assert value == 1
+        assert peak < 16 << 20
+
+    def test_equal_rows(self):
+        value, peak = self._traced(SeqFamily(5, 5, (0, 1), ((1,),) * 2048), 2)
+        assert value == 0  # one shift, so every pair of rows is a pair of equal rows
+        assert peak < 16 << 20
+
+    def test_refusal_allocates_nothing(self):
+        fam = SeqFamily(5, 5, (0, 1), ((1,),) * 2048)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                cross_correlation(fam, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
 
 
 class TestDistinctFamilies:
