@@ -19,6 +19,10 @@ F_q whose x**(n-1) and x coefficients vanish:
     i_count(n) = (1/n) * sum_{d | n, p !| d} mobius(d)
                  * (f_count(n/d) - [p | n] * q**(n/(p*d)))
 
+The sum, like the Gauss and Carlitz counts, runs over squarefree d only,
+the only d with mobius(d) != 0, so no zero term is built.  A table reads
+each f_count(n) it needs, as a row or as a divisor term, once.
+
 All divisions are asserted exact; NonIntegralError here always means a bug
 upstream, never an unlucky input.
 """
@@ -26,13 +30,14 @@ upstream, never an unlucky input.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import gf
 from .curves import count_points, curve_family, family_genus
 from .errors import InvariantError, NegativeCountError, NonIntegralError
 from .lpoly import LPolynomial
-from .numtheory import divisors, mobius, prime_power_parts
+from .numtheory import prime_power_parts, squarefree_divisors
 
 SELFCHECK_DEPTH = 2  # extra degrees beyond the genus that every build re-counts
 
@@ -41,7 +46,7 @@ def gauss_count(q: int, n: int) -> int:
     """Monic irreducibles of degree n over F_q, all coefficients free."""
     if n < 1:
         raise ValueError("degree must be positive")
-    total = sum(mobius(d) * q ** (n // d) for d in divisors(n))
+    total = sum(mu * q ** (n // d) for d, mu in squarefree_divisors(n))
     if total % n:
         raise NonIntegralError(f"irreducible count for q={q}, n={n} not integral")
     return total // n
@@ -56,7 +61,7 @@ def carlitz_count(q: int, n: int) -> int:
     if n < 1:
         raise ValueError("degree must be positive")
     p, _ = prime_power_parts(q)
-    total = sum(mobius(d) * q ** (n // d) for d in divisors(n) if d % p)
+    total = sum(mu * q ** (n // d) for d, mu in squarefree_divisors(n, p))
     if total % (q * n):
         raise NonIntegralError(f"trace-count for q={q}, n={n} not integral")
     return total // (q * n)
@@ -213,6 +218,10 @@ class CountEngine:
 
         n = 1 returns 1 by convention (the polynomial x).
         """
+        return self._i_from(n, self.f_count)
+
+    def _i_from(self, n: int, f: Callable[[int], int]) -> int:
+        """i_count(n), reading f_count(n/d) from f."""
         if n < 1:
             raise ValueError("n must be positive")
         if n == 1:
@@ -220,13 +229,8 @@ class CountEngine:
         p, q = self.p, self.q
         p_divides_n = n % p == 0
         total = 0
-        for d in divisors(n):
-            if d % p == 0:
-                continue
-            mu = mobius(d)
-            if mu == 0:
-                continue
-            term = self.f_count(n // d)
+        for d, mu in squarefree_divisors(n, p):
+            term = f(n // d)
             if p_divides_n:
                 term -= q ** (n // (p * d))
             total += mu * term
@@ -250,10 +254,17 @@ class CountEngine:
             raise ValueError("need 1 <= n_min <= n_max")
         for lp, _ in self.classes:  # every row then reads the cache, none jumps
             lp.extend_to(n_max)
+        seen: dict[int, int] = {}  # n -> f_count(n), for this call only
+
+        def f(n: int) -> int:
+            if (v := seen.get(n)) is None:
+                v = seen[n] = self.f_count(n)
+            return v
+
         rows = []
         for n in range(n_min, n_max + 1):
-            fc = self.f_count(n)
-            ic = self.i_count(n)
+            fc = f(n)
+            ic = self._i_from(n, f)
             sources = ("formula",)
             if cross_check_budget is not None and not gf.over_cap(self.q**n, cross_check_budget):
                 from .oracle import enum_f_count, enum_i_count

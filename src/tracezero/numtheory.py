@@ -1,5 +1,9 @@
 """Integer helpers: deterministic primality, factorisation, Moebius function.
 
+squarefree_divisors is the one Moebius kernel the closed forms sum over:
+every d | m with mobius(d) != 0, paired with its sign, so no zero term is
+ever built.
+
 Everything here is trial-division based; the supported workloads keep the
 arguments below ~2**24, where this is plenty fast and has no probabilistic
 failure mode.
@@ -55,6 +59,20 @@ def divisors(m: int) -> list[int]:
     for p, e in factorization(m):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
+
+
+def squarefree_divisors(m: int, skip: int = 0) -> list[tuple[int, int]]:
+    """(d, mobius(d)) for every squarefree d | m that the prime skip does
+    not divide (skip = 0 keeps them all), built by subset doubling.
+
+    The squarefree divisors are the only d | m with mobius(d) != 0.  Each
+    prime factor taken doubles the list, and the copies flip sign.
+    """
+    out = [(1, 1)]
+    for p in prime_factors(m):
+        if p != skip:
+            out += [(d * p, -mu) for d, mu in out]
+    return out
 
 
 def mobius(m: int) -> int:

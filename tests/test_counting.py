@@ -16,7 +16,7 @@ from tracezero.counting import CountEngine, CountReport, carlitz_count, engine_f
 from tracezero.errors import BudgetExceededError
 from tracezero.fastfield import FieldTable
 from tracezero.lpoly import LPolynomial
-from tracezero.numtheory import divisors, mobius, prime_power_parts
+from tracezero.numtheory import divisors, mobius, prime_power_parts, squarefree_divisors
 from tracezero.oracle import enum_f_count, enum_irreducible_total
 
 # Reference values.  The n >= 4 entries reproduce the published tables for
@@ -40,6 +40,28 @@ class TestMobius:
     @pytest.mark.parametrize("m", [4, 12, 18, 50])
     def test_square_divisor(self, m):
         assert mobius(m) == 0
+
+
+class TestSquarefreeDivisors:
+    @pytest.mark.parametrize("skip", [0, 2, 3, 5, 7])
+    def test_equals_the_nonzero_mobius_divisors(self, skip):
+        for m in range(1, 3001):
+            got = squarefree_divisors(m, skip)
+            want = {(d, mobius(d)) for d in divisors(m) if mobius(d) and (skip == 0 or d % skip)}
+            assert len(got) == len(want) and set(got) == want, m
+
+
+def _all_divisor_sum(q, n, keep):
+    """sum mobius(d) q**(n/d) over every d | n with keep(d), zero terms included."""
+    return sum(mobius(d) * q ** (n // d) for d in divisors(n) if keep(d))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16])
+def test_gauss_and_carlitz_equal_the_all_divisor_sums(q):
+    p, _ = prime_power_parts(q)
+    for n in range(1, 121):
+        assert gauss_count(q, n) == _all_divisor_sum(q, n, lambda d: True) // n
+        assert carlitz_count(q, n) == _all_divisor_sum(q, n, lambda d: d % p) // (q * n)
 
 
 class TestGaussCount:
@@ -228,6 +250,33 @@ class TestReport:
         with pytest.raises(ValueError):
             engine(4).table(5, 3)
 
+    def test_a_far_table_equals_single_requests(self):
+        # each single request on a cold engine is a Fiduccia jump
+        rows = engine_for(9).table(2000, 2012).rows
+        single = engine_for(9)
+        want = [(n, single.f_count(n), single.i_count(n)) for n in range(2000, 2013)]
+        assert [(r.n, r.f_count, r.i_count) for r in rows] == want
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+    def test_a_near_table_equals_single_requests(self, q):
+        # rows with p | n, and n with three prime factors (30, 42, 60)
+        rows = engine_for(q).table(1, 64).rows
+        single = engine_for(q)
+        want = [(n, single.f_count(n), single.i_count(n)) for n in range(1, 65)]
+        assert [(r.n, r.f_count, r.i_count) for r in rows] == want
+
+    def test_a_sweep_evaluates_each_f_count_once(self, monkeypatch):
+        calls = Counter()
+        f_count = CountEngine.f_count
+
+        def counted(self, n):
+            calls[n] += 1
+            return f_count(self, n)
+
+        monkeypatch.setattr(CountEngine, "f_count", counted)
+        engine_for(9).table(1, 1000)
+        assert calls == Counter(range(1, 1001))
+
 
 class TestExactDivisionGuards:
     def test_gauss_guard_is_unreachable_but_wired(self):
@@ -304,6 +353,13 @@ class TestThreadSafety:
             assert r == [(fresh.f_count(n), fresh.i_count(n)) for n in ask]
         for (lp, _), (ref, _) in zip(shared.classes, fresh.classes):
             assert lp._sums == ref._sums[: len(lp._sums)]
+
+    def test_one_sweep_in_four_threads(self):
+        # each sweep keeps its own memo of f_count, over power sums that the
+        # four threads extend at once
+        want = engine_for(4).table(1, 500)
+        shared = engine_for(4)
+        assert all(r == want for r in _in_four_threads(lambda i: shared.table(1, 500)))
 
     def test_fresh_field_table_across_threads(self):
         # a table's lazy parts (the class walk behind the histogram, the full
