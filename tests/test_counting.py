@@ -250,19 +250,16 @@ class TestReport:
         with pytest.raises(ValueError):
             engine(4).table(5, 3)
 
-    def test_a_far_table_equals_single_requests(self):
-        # each single request on a cold engine is a Fiduccia jump
-        rows = engine_for(9).table(2000, 2012).rows
-        single = engine_for(9)
-        want = [(n, single.f_count(n), single.i_count(n)) for n in range(2000, 2013)]
-        assert [(r.n, r.f_count, r.i_count) for r in rows] == want
-
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
-    def test_a_near_table_equals_single_requests(self, q):
-        # rows with p | n, and n with three prime factors (30, 42, 60)
-        rows = engine_for(q).table(1, 64).rows
+    # far rows: each single request on a cold engine is a Fiduccia jump;
+    # near rows: p | n, and n with three prime factors (30, 42, 60)
+    @pytest.mark.parametrize(
+        "q,n_min,n_max",
+        [(9, 2000, 2012)] + [(q, 1, 64) for q in (2, 3, 4, 5, 9)],
+    )
+    def test_a_table_equals_single_requests(self, q, n_min, n_max):
+        rows = engine_for(q).table(n_min, n_max).rows
         single = engine_for(q)
-        want = [(n, single.f_count(n), single.i_count(n)) for n in range(1, 65)]
+        want = [(n, single.f_count(n), single.i_count(n)) for n in range(n_min, n_max + 1)]
         assert [(r.n, r.f_count, r.i_count) for r in rows] == want
 
     def test_a_sweep_evaluates_each_f_count_once(self, monkeypatch):
