@@ -4,7 +4,7 @@ counts and integer L-polynomial recurrences, cross-validated by brute
 force."""
 
 from .counting import CountEngine, CountReport, CountRow, carlitz_count, engine_for, gauss_count
-from .curves import CurveCounts, CurveSpec, beta_representatives, big_curve_count, count_points, count_points_naive, curve_family
+from .curves import CurveSpec, beta_representatives, big_curve_count, count_points, count_points_naive, curve_family
 from .errors import (
     BudgetExceededError,
     HasseWeilError,
@@ -16,7 +16,7 @@ from .errors import (
     TraceZeroError,
     ZeroEvaluationError,
 )
-from .gf import FieldSpec, TowerSpec, enumerate_elements, is_irreducible, make_field, make_tower
+from .gf import FieldSpec, is_irreducible, make_field, make_tower
 from .lpoly import LPolynomial
 from .numtheory import mobius
 from .oracle import enum_f_count, enum_i_count, verify_all, z_count

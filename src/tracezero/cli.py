@@ -24,8 +24,8 @@ import os
 import sys
 
 from . import gf
-from .counting import CountEngine
-from .curves import CurveSpec, count_points
+from .counting import CountEngine, seed_lpolynomial
+from .curves import CurveSpec, check_count_cap, count_points
 from .errors import (
     BudgetExceededError,
     HasseWeilError,
@@ -208,14 +208,7 @@ def _curve_from(args, field: gf.FieldSpec) -> CurveSpec:
 def cmd_lpoly(args) -> int:
     field = _field(args)
     curve = _curve_from(args, field)
-    g = curve.genus
-    cap = _max_elements(args)
-    for m in range(1, g + 1):  # refuse before the first count
-        gf.check_element_cap(field.order, m, cap)
-    counts = [count_points(curve, m, cap) for m in range(1, g + 1)]
-    from .lpoly import LPolynomial
-
-    lp = LPolynomial.from_counts(field.order, g, counts)
+    lp = seed_lpolynomial(curve, _max_elements(args))
     if args.format == "json":
         _emit(
             json.dumps(
@@ -235,8 +228,7 @@ def cmd_curve(args) -> int:
     field = _field(args)
     curve = _curve_from(args, field)
     cap = _max_elements(args)
-    for m in range(1, args.m_max + 1):  # refuse before the first count
-        gf.check_element_cap(field.order, m, cap)
+    check_count_cap(field.order, args.m_max, cap)  # refuse before the first count
     counts = [count_points(curve, m, cap) for m in range(1, args.m_max + 1)]
     if args.format == "json":
         _emit(

@@ -34,7 +34,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import gf
-from .curves import count_points, curve_family, family_genus
+from .curves import CurveSpec, check_count_cap, count_points, curve_family, family_genus
 from .errors import InvariantError, NegativeCountError, NonIntegralError
 from .lpoly import LPolynomial
 from .numtheory import prime_power_parts, squarefree_divisors
@@ -117,6 +117,17 @@ class CountReport:
         return cls(d["p"], d["r"], d["q"], rows)
 
 
+def seed_lpolynomial(curve: CurveSpec, max_elements: int | None) -> LPolynomial:
+    """The L-polynomial of curve, from its point counts over F_{q^m}, m = 1..genus.
+
+    Every count is held against the element cap before the first is made.
+    """
+    q, g = curve.field.order, curve.genus
+    check_count_cap(q, g, max_elements)
+    counts = [count_points(curve, m, max_elements) for m in range(1, g + 1)]
+    return LPolynomial.from_counts(q, g, counts)
+
+
 def _defect(lp: LPolynomial, n: int, line: int) -> int:
     """#C(F_{q^n}) - line = -S_n for line = q**n + 1, refusing a negative count."""
     if (s := lp.power_sum(n)) > line:
@@ -149,28 +160,22 @@ class CountEngine:
         self.q = q = field.order
         self.p = field.p
         self.genus = family_genus(field)
-        for m in range(1, self.genus + 1):  # the seeding counts, before the family
-            gf.check_element_cap(q, m, max_elements)
+        check_count_cap(q, self.genus, max_elements)  # before the family is built
         self.curves = curve_family(field)
-        by_c: dict = {}  # c = A * B -> indices of the curves with that c
-        for i, curve in enumerate(self.curves):
-            by_c.setdefault(field.mul(*curve.h_coeffs()), []).append(i)
-        if len(by_c) != q - 1 or len({len(ix) for ix in by_c.values()}) != 1:
+        keys = [field.mul(*curve.h_coeffs()) for curve in self.curves]  # c = A * B
+        per_c = Counter(keys)
+        if len(per_c) != q - 1 or len(set(per_c.values())) != 1:
             raise InvariantError("the curve family does not cover F_q* evenly in c = A*B")
         shared: dict[LPolynomial, LPolynomial] = {}
-        self.lpolys: list[LPolynomial] = [None] * len(self.curves)
-        for ix in by_c.values():
-            seed = self.curves[ix[0]]
-            counts = [
-                count_points(seed, m, max_elements) for m in range(1, self.genus + 1)
-            ]
-            lp = LPolynomial.from_counts(q, self.genus, counts)
-            lp = shared.setdefault(lp, lp)
-            for i in ix:
-                self.lpolys[i] = lp
+        class_of: dict = {}  # c -> its class L-polynomial, seeded from its first curve
+        for curve, c in zip(self.curves, keys):
+            if c not in class_of:
+                lp = seed_lpolynomial(curve, max_elements)
+                class_of[c] = shared.setdefault(lp, lp)
+        self.lpolys = [class_of[c] for c in keys]
         # (class L-polynomial, number of c with it), in first-seen order
         self.classes: tuple[tuple[LPolynomial, int], ...] = tuple(
-            Counter(self.lpolys[ix[0]] for ix in by_c.values()).items()
+            Counter(class_of.values()).items()
         )
         self.verified_depth = 0
         self.selfcheck_note = None

@@ -106,24 +106,6 @@ class CurveSpec:
         return out
 
 
-@dataclass(frozen=True)
-class CurveCounts:
-    """Point counts N_m = #C(F_{q^m}) for m = 1..len(counts)."""
-
-    curve: CurveSpec
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        q = self.curve.field.order
-        p = self.curve.field.p
-        g = self.curve.genus
-        for m, N in enumerate(self.counts, start=1):
-            if N % p != 2 % p:
-                raise HasseWeilError(f"count {N} at m={m} is not 2 mod {p}")
-            if (N - q**m - 1) ** 2 > 4 * g * g * q**m:
-                raise HasseWeilError(f"count {N} at m={m} violates the Weil bound")
-
-
 def beta_representatives(field: gf.FieldSpec) -> list:
     """One unit per coset of F_p* in F_q*, chosen greedily in canonical order."""
     if field.p == 2:
@@ -157,6 +139,17 @@ def _trace_after_mul(field: gf.FieldSpec, c) -> np.ndarray:
     mul, _, trace = base_tables(field)
     # narrow, so that sums of two values and gathers over a whole field stay small
     return trace[mul[field.code(c)]].astype(np.min_scalar_type(2 * (field.p - 1)))
+
+
+def check_count_cap(q: int, m_max: int, max_elements: int | None):
+    """Refuse count_points over F_{q^m}, m = 1..m_max, before the first count.
+
+    count_points holds q**max(m, 2) against the cap, so m runs to
+    max(m_max, 2); the check stops at the first m over the cap, and builds
+    no larger power.
+    """
+    for m in range(1, max(m_max, 2) + 1):
+        gf.check_element_cap(q, m, max_elements)
 
 
 def count_points(curve: CurveSpec, m: int, max_elements: int | None = None) -> int:

@@ -133,8 +133,6 @@ class FieldTable:
         self.w = digit_width(self.p, self.d)  # refuse before allocating anything
         self.N = tower.order - 1
         self.M = self.N // (tower.q - 1)  # one walk entry per F_q*-coset of the units
-        self._trace_codes = None
-        self._trace_pairs = None
 
     # -- construction --------------------------------------------------------
 
@@ -343,9 +341,11 @@ class FieldTable:
 
     def trace_codes_exp(self) -> np.ndarray:
         """Positional code of Tr(gamma**k) in the base field, per k < N."""
-        if self._trace_codes is None:
-            self._trace_codes = self._trace_codes_of(self.exp_enc)
         return self._trace_codes
+
+    @cached_property
+    def _trace_codes(self) -> np.ndarray:
+        return self._trace_codes_of(self.exp_enc)
 
     def trace_pair_histogram(self) -> np.ndarray:
         """H[a, b] = #{k : Tr(gamma**k) has code a, Tr(gamma**-k) has code b}.
@@ -358,26 +358,28 @@ class FieldTable:
         has the pair (lam * a, lam**-1 * b): H adds h(a, b) at
         (lam * a, lam**-1 * b) for every lam in F_q*.
         """
-        if self._trace_pairs is None:
-            q, M = self.tower.q, self.M
-            enc, lam0 = self._class_walk()
-            mul, inv, _ = base_tables(self.tower.base)
-            t = self._trace_codes_of(enc)
-            back = mul[inv[self.tower.code(lam0)]]  # b -> lam0**-1 * b, by code
-            h = np.zeros(q * q, dtype=np.int64)
-            h[int(t[0]) * (q + 1)] += 1  # k = 0: gamma**0 = 1 is its own inverse
-            for s in range(1, M, _CHUNK):
-                e = min(s + _CHUNK, M)
-                keys = t[s:e].astype(np.int64) * q
-                keys += back[t[M - e + 1 : M - s + 1][::-1]]
-                h += np.bincount(keys, minlength=q * q)
-            cells = np.flatnonzero(h)
-            a, b = np.divmod(cells, q)
-            lam = np.arange(1, q)[:, None]
-            hist = np.zeros((q, q), dtype=np.int64)
-            np.add.at(hist, (mul[lam, a], mul[inv[lam], b]), h[cells])
-            self._trace_pairs = hist
         return self._trace_pairs
+
+    @cached_property
+    def _trace_pairs(self) -> np.ndarray:
+        q, M = self.tower.q, self.M
+        enc, lam0 = self._class_walk()
+        mul, inv, _ = base_tables(self.tower.base)
+        t = self._trace_codes_of(enc)
+        back = mul[inv[self.tower.code(lam0)]]  # b -> lam0**-1 * b, by code
+        h = np.zeros(q * q, dtype=np.int64)
+        h[int(t[0]) * (q + 1)] += 1  # k = 0: gamma**0 = 1 is its own inverse
+        for s in range(1, M, _CHUNK):
+            e = min(s + _CHUNK, M)
+            keys = t[s:e].astype(np.int64) * q
+            keys += back[t[M - e + 1 : M - s + 1][::-1]]
+            h += np.bincount(keys, minlength=q * q)
+        cells = np.flatnonzero(h)
+        a, b = np.divmod(cells, q)
+        lam = np.arange(1, q)[:, None]
+        hist = np.zeros((q, q), dtype=np.int64)
+        np.add.at(hist, (mul[lam, a], mul[inv[lam], b]), h[cells])
+        return hist
 
     def trace_zero_exp(self) -> np.ndarray:
         return self.trace_codes_exp() == 0

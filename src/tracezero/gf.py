@@ -341,9 +341,6 @@ class ExtensionField(FieldSpec):
         return tuple(out)
 
 
-TowerSpec = ExtensionField  # exported name of the tower F_{q^n} over F_q, an extension like any other
-
-
 def _reduction_tails(base: FieldSpec, modulus: tuple) -> tuple:
     """x**(n+k) reduced mod the modulus, k = 0 .. n-2, as nonzero (j, coefficient) pairs."""
     n = len(modulus) - 1
@@ -383,12 +380,6 @@ def check_element_cap(q: int, m: int, max_elements: int | None):
     """Refuse an enumeration of F_{q^m} over the element cap."""
     if over_cap(q**m, max_elements):
         raise BudgetExceededError(f"{q}**{m} elements exceed the cap {max_elements}")
-
-
-def enumerate_elements(tower: ExtensionField, max_elements: int | None = None) -> Iterator:
-    """All q**n tower elements, canonical order, guarded by an element cap."""
-    check_element_cap(tower.q, tower.n, max_elements)
-    return tower.elements()
 
 
 # ---------------------------------------------------------------------------

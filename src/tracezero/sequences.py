@@ -161,7 +161,9 @@ def cross_correlation(fam: SeqFamily, ell: int, max_tuples: int = 1 << 26) -> in
     F = fam.row_count
     n_shift_tuples = comb(N + ell - 1, ell)
     if n_shift_tuples * F**ell * N > max_tuples:
-        raise BudgetExceededError("cross-correlation search space over budget")
+        raise BudgetExceededError(
+            f"{n_shift_tuples} * {F}**{ell} * {N} tuples exceed the cap {max_tuples}"
+        )
     if N == 0:  # no rows, or empty ones
         return 0
     padded = np.zeros((F, 2 * N - 1), dtype=np.int8)
@@ -207,7 +209,9 @@ def family_complexity(fam: SeqFamily, max_patterns: int = 1 << 22) -> int:
     for j in range(1, N + 1):
         total += comb(N, j) * 2**j
         if total > max_patterns:
-            raise BudgetExceededError("f-complexity pattern space over budget")
+            raise BudgetExceededError(
+                f"{total} patterns on up to {j} of {N} positions exceed the cap {max_patterns}"
+            )
     for j in range(1, N + 1):
         if 2**j > len(rows):
             return j - 1  # pigeonhole: not enough rows for all patterns

@@ -249,7 +249,19 @@ class TestCurveAndLpoly:
             raise AssertionError("counted before the element cap check")
 
         monkeypatch.setattr("tracezero.cli.count_points", refuse)
+        monkeypatch.setattr("tracezero.counting.count_points", refuse)
         assert run(capsys, *argv) == (2, "", err)
+
+    @pytest.mark.parametrize("p,r", [(2, 2), (3, 2)])
+    def test_lpoly_matches_the_engine_on_every_curve(self, capsys, p, r):
+        engine = engine_for(p**r)
+        for curve, lp in zip(engine.curves, engine.lpolys):
+            field = curve.field
+            argv = ["lpoly", "--p", str(p), "--r", str(r), "--alpha", str(field.code(curve.alpha))]
+            if curve.beta is not None:
+                argv += ["--beta", str(field.code(curve.beta))]
+            want = " ".join(str(c) for c in lp.coeffs) + "\n"
+            assert run(capsys, *argv) == (0, want, ""), curve.describe()
 
 
 class TestFamilyAndBound:

@@ -199,6 +199,8 @@ class TestElementCap:
             (2, 18, 100, "262144**1 elements exceed the cap 100"),
             (5, 1, 10, "5**2 elements exceed the cap 10"),  # the smallest m over the cap
             (3, 9, 1 << 24, "19683**2 elements exceed the cap 16777216"),
+            # genus 1, but count_points holds q**2 against the cap
+            (2, 13, 1 << 24, "8192**2 elements exceed the cap 16777216"),
         ],
     )
     def test_refused_before_the_family_is_built(self, monkeypatch, p, r, cap, message):

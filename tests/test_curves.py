@@ -10,16 +10,16 @@ from tracezero import gf
 from tracezero.curves import (
     EVEN,
     _trace_after_mul,
-    CurveCounts,
     CurveSpec,
     beta_representatives,
     big_curve_count,
+    check_count_cap,
     count_family_naive,
     count_points,
     count_points_naive,
     curve_family,
 )
-from tracezero.errors import BudgetExceededError, HasseWeilError
+from tracezero.errors import BudgetExceededError
 from tracezero.fastfield import FieldTable, multiplicative_generator, table_for
 from tracezero.numtheory import prime_power_parts
 from tracezero.oracle import z_count
@@ -112,6 +112,21 @@ class TestCountPoints:
             count_points(CurveSpec(F9, F9.one, F9.one), 5, max_elements=1000)
         with pytest.raises(BudgetExceededError):
             count_points_naive(CurveSpec(F9, F9.one, F9.one), 3, max_pairs=1000)
+
+    @pytest.mark.parametrize(
+        "q,m_max,cap,message",
+        [
+            (2, 10**9, 1 << 24, "2**25 elements exceed the cap 16777216"),  # stops at m = 25
+            (5, 1, 10, "5**2 elements exceed the cap 10"),  # m runs to 2, as count_points checks
+        ],
+    )
+    def test_count_cap_names_the_first_m_over_the_cap(self, q, m_max, cap, message):
+        with pytest.raises(BudgetExceededError) as exc:
+            check_count_cap(q, m_max, cap)
+        assert str(exc.value) == message
+
+    def test_count_cap_admits_the_cap_itself(self):
+        check_count_cap(2, 24, 1 << 24)  # 2**24 is at the cap, not over it
 
     def test_histogram_cells_are_capped_before_the_tower(self, monkeypatch):
         # at m = 1 the q x q histogram outgrows F_q itself
@@ -305,20 +320,6 @@ class TestCountPointsLiteral:
                 for k, x in enumerate(walk)
             )
             assert count_points(curve, m) == field.p * zeros + 2, curve.describe()
-
-
-class TestCurveCounts:
-    def test_validates_residue(self):
-        curve = CurveSpec(F9, F9.one, F9.one)
-        good = tuple(count_points(curve, m) for m in (1, 2))
-        CurveCounts(curve, good)
-        with pytest.raises(HasseWeilError):
-            CurveCounts(curve, (good[0] + 1, good[1]))
-
-    def test_validates_weil_window(self):
-        curve = CurveSpec(F9, F9.one, F9.one)
-        with pytest.raises(HasseWeilError):
-            CurveCounts(curve, (92, 92))  # 2 mod 3 but far outside the window
 
 
 class TestBigCurve:

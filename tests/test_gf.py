@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracezero import gf
-from tracezero.errors import BudgetExceededError, NonMonicError, NonPrimeError
+from tracezero.errors import NonMonicError, NonPrimeError
 
 F2 = gf.make_field(2, 1)
 F3 = gf.make_field(3, 1)
@@ -334,14 +334,9 @@ class TestEnumeration:
     )
     def test_counts_and_uniqueness(self, base, n, size):
         tower = gf.make_tower(base, n)
-        els = list(gf.enumerate_elements(tower))
+        els = list(tower.elements())
         assert len(els) == size
         assert len(set(els)) == size
-
-    def test_budget(self):
-        tower = gf.make_tower(F9, 2)
-        with pytest.raises(BudgetExceededError):
-            gf.enumerate_elements(tower, max_elements=80)
 
     def test_code_round_trip(self):
         tower = gf.make_tower(F9, 2)

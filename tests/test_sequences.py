@@ -171,8 +171,12 @@ class TestComplexity:
     def test_budget(self):
         rows = tuple(tuple((-1) ** (i + j) for j in range(40)) for i in range(4))
         fam = SeqFamily(41, 5, (0, 1), rows)
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as exc:
             family_complexity(fam)
+        # sum of C(40, i) * 2**i over i <= 5, the first j past 2**22
+        assert str(exc.value) == (
+            "22600736 patterns on up to 5 of 40 positions exceed the cap 4194304"
+        )
 
 
 class TestCrossCorrelation:
@@ -212,8 +216,10 @@ class TestCrossCorrelation:
     def test_budget(self):
         rows = tuple(tuple((-1) ** (i * j) for j in range(30)) for i in range(20))
         fam = SeqFamily(31, 5, (0, 1), rows)
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as exc:
             cross_correlation(fam, 3, max_tuples=1000)
+        # C(32, 3) shift tuples, 20**3 row tuples, 30 window lengths
+        assert str(exc.value) == "4960 * 20**3 * 30 tuples exceed the cap 1000"
 
 
 @st.composite
