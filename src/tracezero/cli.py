@@ -37,7 +37,7 @@ from .errors import (
     ZeroEvaluationError,
 )
 from .numtheory import is_prime
-from .oracle import verify_all
+from .oracle import cross_check, verify_all
 from .sequences import build_family, distinct_family_count, omega_members
 
 ENV_BUDGET = "TRACEZERO_MAX_ELEMENTS"
@@ -162,10 +162,13 @@ def cmd_count(args) -> int:
 def cmd_table(args) -> int:
     field = _field(args)
     engine = _engine(args, field)
-    cross = _max_elements(args) if args.cross_check else None
-    report = engine.table(args.n_min, args.n_max, cross_check_budget=cross)
+    report = engine.table(args.n_min, args.n_max)
+    checked = cross_check(report, _max_elements(args)) if args.cross_check else set()
     if args.format == "json":
-        _emit(json.dumps(report.to_dict(), indent=2))
+        data = report.to_dict()
+        for row in data["rows"]:
+            row["sources"] = ["formula", "oracle"] if row["n"] in checked else ["formula"]
+        _emit(json.dumps(data, indent=2))
     elif args.format == "csv":
         lines = ["n,f_count,i_count"]
         lines += [f"{r.n},{r.f_count},{r.i_count}" for r in report.rows]

@@ -72,7 +72,6 @@ class CountRow:
     n: int
     f_count: int
     i_count: int
-    sources: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -102,19 +101,10 @@ class CountReport:
                     "n": row.n,
                     "f_count": str(row.f_count),
                     "i_count": str(row.i_count),
-                    "sources": list(row.sources),
                 }
                 for row in self.rows
             ],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CountReport":
-        rows = tuple(
-            CountRow(r["n"], int(r["f_count"]), int(r["i_count"]), tuple(r["sources"]))
-            for r in d["rows"]
-        )
-        return cls(d["p"], d["r"], d["q"], rows)
 
 
 def seed_lpolynomial(curve: CurveSpec, max_elements: int | None) -> LPolynomial:
@@ -246,15 +236,8 @@ class CountEngine:
             raise InvariantError(f"negative irreducible count at n={n}")
         return out
 
-    def table(
-        self, n_min: int, n_max: int, cross_check_budget: int | None = None
-    ) -> CountReport:
-        """Rows (n, f_count, i_count) for n_min..n_max.
-
-        With cross_check_budget set, each row within budget is re-derived
-        by brute-force enumeration and must agree exactly; such rows carry
-        both source tags.
-        """
+    def table(self, n_min: int, n_max: int) -> CountReport:
+        """Rows (n, f_count, i_count) for n_min..n_max."""
         if n_min > n_max or n_min < 1:
             raise ValueError("need 1 <= n_min <= n_max")
         for lp, _ in self.classes:  # every row then reads the cache, none jumps
@@ -266,24 +249,8 @@ class CountEngine:
                 v = seen[n] = self.f_count(n)
             return v
 
-        rows = []
-        for n in range(n_min, n_max + 1):
-            fc = f(n)
-            ic = self._i_from(n, f)
-            sources = ("formula",)
-            if cross_check_budget is not None and not gf.over_cap(self.q**n, cross_check_budget):
-                from .oracle import enum_f_count, enum_i_count
-
-                fo = enum_f_count(self.q, n, cross_check_budget)
-                io = enum_i_count(self.q, n, cross_check_budget)
-                if (fo, io) != (fc, ic):
-                    raise InvariantError(
-                        f"formula/enumeration mismatch at n={n}: "
-                        f"({fc}, {ic}) vs ({fo}, {io})"
-                    )
-                sources = ("formula", "oracle")
-            rows.append(CountRow(n, fc, ic, sources))
-        return CountReport(self.field.p, self.field.r, self.q, tuple(rows))
+        rows = tuple(CountRow(n, f(n), self._i_from(n, f)) for n in range(n_min, n_max + 1))
+        return CountReport(self.field.p, self.field.r, self.q, rows)
 
 
 def engine_for(q: int, **kwargs) -> CountEngine:

@@ -197,7 +197,7 @@ def count_family_naive(curves, m: int, max_pairs: int | None = None) -> list[int
         raise ValueError("the curves must share one base field")
     (field,) = fields
     q = field.order
-    if max_pairs is not None and q ** (2 * m) > max_pairs:
+    if gf.over_cap(q ** (2 * m), max_pairs):
         raise BudgetExceededError(f"{q}**{2*m} pairs exceed the cap {max_pairs}")
     tower = gf.make_tower(field, m)
     p, d = field.p, tower.flat_degree
@@ -265,8 +265,6 @@ def big_curve_count(
     rows = gf.linear_map_matrix(
         tower, field, lambda x: tower.trace_to_base(tower.mul(alpha_emb, x))
     )
-    vals = tab.functionals_exp(rows).astype(np.int64)
-    weights = field.p ** np.arange(field.r, dtype=np.int64)
-    u = vals @ weights
+    u = tab.functionals_exp(rows)
     v = tab.reversed_exp(tab.trace_codes_exp())
     return q * int((u == v).sum()) + 2

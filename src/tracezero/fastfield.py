@@ -280,6 +280,16 @@ class FieldTable:
         words -= over
         return words
 
+    def _codes_of(self, table: np.ndarray, k: int, enc: np.ndarray) -> np.ndarray:
+        """Base-p codes of the images of the element codes enc under the
+        k-digit map whose packed table is given, in the smallest unsigned
+        dtype that holds p**k - 1."""
+        codes = np.empty(enc.size, dtype=np.min_scalar_type(self.p**k - 1))
+        for s in range(0, enc.size, _CHUNK):
+            words = self._packed_image(table, enc[s : s + _CHUNK])
+            codes[s : s + words.size] = self._unpack_codes(words, k)
+        return codes
+
     def _unpack_codes(self, words: np.ndarray, k: int) -> np.ndarray:
         """Base-p codes of packed words of k digits; overwrites words.
 
@@ -304,16 +314,10 @@ class FieldTable:
         """Evaluate F_p-linear functionals on gamma**k for every k.
 
         rows is a (k, d) array-like of digit-space functionals; the result
-        is an (N, k) int16 array of values mod p, indexed by exponent.
+        holds, per exponent, the base-p code of the k values (row j gives
+        digit j), in the smallest unsigned dtype that holds p**k - 1.
         """
-        table = self._packed_table(rows)
-        w, mask = self.w, (1 << self.w) - 1
-        out = np.empty((self.N, len(rows)), dtype=np.int16)
-        for s in range(0, self.N, _CHUNK):
-            words = self._packed_image(table, self.exp_enc[s : s + _CHUNK])
-            for j in range(len(rows)):
-                out[s : s + words.size, j] = (words >> (w * j)) & mask
-        return out
+        return self._codes_of(self._packed_table(rows), len(rows), self.exp_enc)
 
     @staticmethod
     def reversed_exp(arr: np.ndarray) -> np.ndarray:
@@ -330,22 +334,13 @@ class FieldTable:
     def _trace_table(self) -> np.ndarray:
         return self._packed_table(self.trace_rows())
 
-    def _trace_codes_of(self, enc: np.ndarray) -> np.ndarray:
-        """Positional code of the trace of each element code of enc, in the
-        smallest unsigned dtype that holds q - 1."""
-        codes = np.empty(enc.size, dtype=np.min_scalar_type(self.tower.q - 1))
-        for s in range(0, enc.size, _CHUNK):
-            words = self._packed_image(self._trace_table, enc[s : s + _CHUNK])
-            codes[s : s + words.size] = self._unpack_codes(words, self.tower.base.r)
-        return codes
-
     def trace_codes_exp(self) -> np.ndarray:
         """Positional code of Tr(gamma**k) in the base field, per k < N."""
         return self._trace_codes
 
     @cached_property
     def _trace_codes(self) -> np.ndarray:
-        return self._trace_codes_of(self.exp_enc)
+        return self._codes_of(self._trace_table, self.tower.base.r, self.exp_enc)
 
     def trace_pair_histogram(self) -> np.ndarray:
         """H[a, b] = #{k : Tr(gamma**k) has code a, Tr(gamma**-k) has code b}.
@@ -365,7 +360,7 @@ class FieldTable:
         q, M = self.tower.q, self.M
         enc, lam0 = self._class_walk()
         mul, inv, _ = base_tables(self.tower.base)
-        t = self._trace_codes_of(enc)
+        t = self._codes_of(self._trace_table, self.tower.base.r, enc)
         back = mul[inv[self.tower.code(lam0)]]  # b -> lam0**-1 * b, by code
         h = np.zeros(q * q, dtype=np.int64)
         h[int(t[0]) * (q + 1)] += 1  # k = 0: gamma**0 = 1 is its own inverse

@@ -4,8 +4,9 @@ Everything in this module works from the definitions: traces are sums of
 Frobenius conjugates, inverses are group inverses, irreducibility is
 either tested on explicit polynomials (the candidates of gf.monic_polys,
 each through gf.is_irreducible) or read off Frobenius orbit sizes.  None
-of it touches the curve L-polynomials or the Moebius closed forms, so
-agreement with the counting module is a genuine two-route check.  An
+of the enumerations touches the curve L-polynomials or the Moebius closed
+forms, so when cross_check and verify_all hold the counting module's
+results against them, agreement is a genuine two-route check.  An
 enumeration of F_{q^n} over the element cap is refused before it starts,
 through gf.check_element_cap.
 """
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import gf
+from .counting import CountEngine, CountReport
 from .curves import big_curve_count, count_family_naive, count_points
 from .errors import BudgetExceededError, InvariantError
 from .fastfield import table_for
@@ -149,6 +151,25 @@ def enum_irreducible_total(q: int, n: int, max_elements: int = gf.DEFAULT_MAX_EL
     return _degree_n_orbits(tab, n, np.ones(tab.N, dtype=bool))
 
 
+def cross_check(report: CountReport, max_elements: int = gf.DEFAULT_MAX_ELEMENTS) -> set[int]:
+    """Re-derive every row of report with q**n within the cap by enumeration.
+
+    Returns the degrees checked; the first row that disagrees raises.
+    """
+    q, checked = report.q, set()
+    for row in report.rows:
+        if gf.over_cap(q**row.n, max_elements):
+            continue
+        fo, io = enum_f_count(q, row.n, max_elements), enum_i_count(q, row.n, max_elements)
+        if (fo, io) != (row.f_count, row.i_count):
+            raise InvariantError(
+                f"formula/enumeration mismatch at n={row.n}: "
+                f"({row.f_count}, {row.i_count}) vs ({fo}, {io})"
+            )
+        checked.add(row.n)
+    return checked
+
+
 # ---------------------------------------------------------------------------
 # zero-locus counts
 
@@ -270,8 +291,6 @@ def verify_all(q: int, n_max: int, max_elements: int = gf.DEFAULT_MAX_ELEMENTS) 
     disagreeing values.  Checks beyond the element budget are skipped, not
     failed.
     """
-    from .counting import CountEngine  # local import to avoid a cycle
-
     p, r = prime_power_parts(q)
     field = gf.make_field(p, r)
     engine = CountEngine(field, max_elements=max_elements)

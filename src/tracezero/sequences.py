@@ -24,6 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import gf
+from .counting import CountEngine
 from .errors import BudgetExceededError, InvariantError, ZeroEvaluationError
 from .numtheory import is_prime
 
@@ -251,8 +252,6 @@ def distinct_family_count(
     members = omega_members(p, n, max_elements)
     canon = {build_family(f, p).canonical() for f in members}
     if engine is None:
-        from .counting import CountEngine
-
         engine = CountEngine(gf.make_field(p, 1), max_elements=max_elements)
     bound = engine.i_count(n)
     report = FamilyBoundReport(p, n, len(members), len(canon), bound)

@@ -110,17 +110,20 @@ class TestTable:
         ]
 
     def test_json_round_trip(self, capsys):
-        from tracezero.counting import CountReport
-
         code, out, _ = run(
             capsys,
             "table", "--p", "3", "--r", "2",
             "--n-min", "2", "--n-max", "6", "--format", "json",
         )
         assert code == 0
-        report = CountReport.from_dict(json.loads(out))
-        assert [r.f_count for r in report.rows] == [9, 9, 89, 801, 6561]
-        assert json.loads(out) == report.to_dict()
+        data = json.loads(out)
+        assert (data["p"], data["r"], data["q"]) == (3, 2, 9)
+        engine = engine_for(9)
+        assert [(row["n"], int(row["f_count"]), int(row["i_count"])) for row in data["rows"]] == [
+            (n, engine.f_count(n), engine.i_count(n)) for n in range(2, 7)
+        ]
+        assert [int(row["f_count"]) for row in data["rows"]] == [9, 9, 89, 801, 6561]
+        assert all(row["sources"] == ["formula"] for row in data["rows"])
 
     def test_cross_check_flag(self, capsys):
         code, out, _ = run(
@@ -131,6 +134,17 @@ class TestTable:
         assert code == 0
         data = json.loads(out)
         assert all(row["sources"] == ["formula", "oracle"] for row in data["rows"])
+
+    def test_cross_check_mismatch_exits_three(self, capsys, monkeypatch):
+        import tracezero.oracle as oracle_mod
+
+        real = oracle_mod.enum_i_count
+        monkeypatch.setattr(oracle_mod, "enum_i_count", lambda *a, **k: real(*a, **k) + 1)
+        code, out, err = run(
+            capsys, "table", "--p", "2", "--r", "1", "--n-min", "3", "--n-max", "5", "--cross-check"
+        )
+        assert code == 3 and out == ""
+        assert "formula/enumeration mismatch at n=3: (1, 0) vs (1, 1)" in err
 
 
 class TestVerify:

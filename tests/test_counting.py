@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from tracezero import counting, gf
-from tracezero.counting import CountEngine, CountReport, carlitz_count, engine_for, gauss_count
+from tracezero.counting import CountEngine, CountRow, carlitz_count, engine_for, gauss_count
 from tracezero.errors import BudgetExceededError
 from tracezero.fastfield import FieldTable
 from tracezero.lpoly import LPolynomial
 from tracezero.numtheory import divisors, mobius, prime_power_parts, squarefree_divisors
-from tracezero.oracle import enum_f_count, enum_irreducible_total
+from tracezero.oracle import cross_check, enum_f_count, enum_irreducible_total
 
 # Reference values.  The n >= 4 entries reproduce the published tables for
 # these fields; the q=4 n=3 entry and q=9 n in {2, 4, 7} entries are the
@@ -241,12 +241,14 @@ class TestReport:
         rep = engine(4).table(3, 10)
         assert [r.f_count for r in rep.rows] == [F4_VALUES[n] for n in range(3, 11)]
         assert [r.i_count for r in rep.rows] == [I4_VALUES[n] for n in range(3, 11)]
-        assert all(r.sources == ("formula",) for r in rep.rows)
-        assert CountReport.from_dict(rep.to_dict()) == rep
+        # the JSON form holds the three values, big integers as decimal strings
+        back = [CountRow(r["n"], int(r["f_count"]), int(r["i_count"])) for r in rep.to_dict()["rows"]]
+        assert tuple(back) == rep.rows
 
     def test_cross_checked_table(self, engine):
-        rep = engine(9).table(2, 4, cross_check_budget=1 << 16)
-        assert all(r.sources == ("formula", "oracle") for r in rep.rows)
+        rep = engine(9).table(2, 4)
+        assert cross_check(rep, 1 << 16) == {2, 3, 4}
+        assert cross_check(rep, 100) == {2}  # 9**3 is over the cap
 
     def test_range_validation(self, engine):
         with pytest.raises(ValueError):

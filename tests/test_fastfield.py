@@ -131,7 +131,10 @@ class TestDigitWidth:
 
     def test_functionals_refuse_rows_past_one_word(self):
         tab = FieldTable(_tower(131, 1))  # w = 9: seven digits per word
-        assert tab.functionals_exp(np.ones((7, 1), dtype=np.int64)).shape == (130, 7)
+        codes = tab.functionals_exp(np.ones((7, 1), dtype=np.int64))
+        # every functional reads the one digit, the code of x is x * (1 + 131 + ... + 131**6)
+        assert codes.dtype == np.uint64
+        assert (codes == tab.exp_enc.astype(np.uint64) * np.uint64(sum(131**j for j in range(7)))).all()
         with pytest.raises(BudgetExceededError):
             tab.functionals_exp(np.ones((8, 1), dtype=np.int64))
 

@@ -1,5 +1,5 @@
 """The library surface other code relies on: the benchmark's traced targets,
-and the one element cap every public enumeration takes."""
+the module layering, and the one element cap every public enumeration takes."""
 
 import ast
 import importlib
@@ -9,10 +9,16 @@ import pytest
 
 from tracezero import gf
 from tracezero.counting import CountEngine
+from tracezero.curves import CurveSpec, count_points_naive
 from tracezero.oracle import enum_f_count, enum_i_count, enum_irreducible_total, verify_all
 from tracezero.sequences import omega_members
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+PACKAGE = ROOT / "src" / "tracezero"
+# the closed forms and their substrate; the checks and the front end sit above
+LOWER = {"counting", "curves", "fastfield", "gf", "lpoly", "numtheory", "errors"}
+UPPER = {"oracle", "sequences", "cli"}
 
 
 def _traced_targets() -> list[tuple[str, str]]:
@@ -38,6 +44,38 @@ def test_every_traced_target_resolves():
     assert missing == []
 
 
+def _imported_modules(node: ast.AST) -> set[str]:
+    """Last dotted name of every module an import statement under node reads."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Import):
+            names |= {alias.name.rsplit(".", 1)[-1] for alias in sub.names}
+        elif isinstance(sub, ast.ImportFrom):
+            if sub.module:
+                names.add(sub.module.rsplit(".", 1)[-1])
+            if sub.level and not sub.module:  # from . import gf
+                names |= {alias.name for alias in sub.names}
+    return names
+
+
+def test_module_layering():
+    # a function-level import hides a cycle; the lower modules, the closed
+    # forms among them, must not depend on the checks held against them
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert {path.stem for path in paths} >= LOWER | UPPER
+    nested, upward = [], []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for sub in ast.walk(fn):
+                    if isinstance(sub, (ast.Import, ast.ImportFrom)):
+                        nested.append(f"{path.name}:{sub.lineno}")
+        if path.stem in LOWER:
+            upward += [f"{path.stem} -> {m}" for m in sorted(_imported_modules(tree) & UPPER)]
+    assert nested == [] and upward == []
+
+
 @pytest.mark.parametrize("cap", [0, -1])
 @pytest.mark.parametrize(
     "call",
@@ -48,6 +86,7 @@ def test_every_traced_target_resolves():
         lambda cap: omega_members(3, 5, cap),
         lambda cap: enum_i_count(3, 1, cap, method="orbit"),
         lambda cap: enum_irreducible_total(3, 1, cap),
+        lambda cap: count_points_naive(CurveSpec(gf.make_field(3, 1), 1, 1), 1, max_pairs=cap),
     ],
     ids=[
         "enum_f_count",
@@ -56,6 +95,7 @@ def test_every_traced_target_resolves():
         "omega_members",
         "enum_i_count_orbit_n1",
         "enum_irreducible_total_n1",
+        "count_points_naive",
     ],
 )
 def test_non_positive_cap_is_refused(call, cap):
