@@ -11,9 +11,12 @@ code is ever decoded digit by digit.  Splitting a code as
 lo + p**h * hi with h = d // 2, a map A satisfies A(code) = A(lo) + A(hi),
 so one table of p**h + p**(d-h) entries (the images of every low part,
 then of every high part) holds every image.  Entries are digit-packed
-int64 words (digit j in bits [w*j, w*j + w), 2**(w-1) >= p), so one
-gather-add sums two images digitwise with no carry between digits, and a
-handful of whole-word operations reduce every digit mod p at once.
+int64 words, digit j in bits [w*j, w*j + w).  For odd p, 2**(w-1) >= p,
+so one gather-add sums two images digitwise with no carry between
+digits, and a handful of whole-word operations reduce every digit mod p
+at once.  For p = 2 a digit is one bit and digits add by XOR, so the
+packed word of an image is its code: the split is a mask and a shift,
+the sum is one XOR, and nothing is reduced or unpacked.
 
 The walk itself is such a map, applied by doubling: enc[L:2L] is the image
 of enc[0:L] under x -> gamma**L * x, and the table of gamma**(2L) is the
@@ -34,9 +37,11 @@ no engine build walks more than (q**n - 1) / (q - 1) units of a tower.
 base_tables holds the arithmetic of F_q itself, by element code, for that
 expansion and for the curve counts.
 
-Every matrix and functional is built from gf's definitional arithmetic
-(traces are literal sums of Frobenius conjugates); numpy only accelerates
-the bookkeeping.  No closed-form formula under test enters any table.
+Every matrix and functional is built from gf's definitional arithmetic.
+The trace is the literal sum of the Frobenius conjugates, composed as
+linear maps: with Phi the matrix of gf's Frobenius x -> x**q, the trace
+rows are those of sum_{j<n} Phi**j.  numpy only accelerates the
+bookkeeping.  No closed-form formula under test enters any table.
 """
 
 from __future__ import annotations
@@ -56,11 +61,13 @@ _WORD_BITS = 63  # packed words are non-negative int64
 def digit_width(p: int, d: int) -> int:
     """Bits per digit in a word that packs d digits mod p.
 
-    The least w with 2**(w-1) >= p: the sum of two digits then stays below
-    2**w, so packed words add digitwise with no carry between digits.
-    Raises BudgetExceededError when the d digits need more than 63 bits.
+    For odd p, the least w with 2**(w-1) >= p: the sum of two digits then
+    stays below 2**w, so packed words add digitwise with no carry between
+    digits.  For p = 2, one bit: digits add by XOR, so no carry can arise,
+    and the packed word of a code is the code itself.  Raises
+    BudgetExceededError when the d digits need more than 63 bits.
     """
-    w = (p - 1).bit_length() + 1
+    w = 1 if p == 2 else (p - 1).bit_length() + 1
     if d * w > _WORD_BITS:
         raise BudgetExceededError(
             f"{d} digits mod {p} need {d * w} bits; packed words hold {_WORD_BITS}"
@@ -262,13 +269,18 @@ class FieldTable:
     def _packed_image(self, table: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """Packed images of codes under the map whose table is given.
 
-        The digitwise sum of the two table entries has digits below 2p.
-        Adding 2**(w-1) - p to every digit sets bit w-1 exactly in the
-        digits that reached p, so one subtraction reduces them all mod p.
+        For p = 2 the two table entries add by XOR.  For odd p their
+        digitwise sum has digits below 2p.  Adding 2**(w-1) - p to every
+        digit sets bit w-1 exactly in the digits that reached p, so one
+        subtraction reduces them all mod p.
         """
-        p, w = self.p, self.w
+        p, w, h = self.p, self.w, self.d // 2
+        if p == 2:
+            words = table[codes & ((1 << h) - 1)]
+            words ^= table[(codes >> h) + (1 << h)]
+            return words
         ones = _repeat(1, w, _WORD_BITS // w)
-        split = p ** (self.d // 2)
+        split = p**h
         hi, lo = np.divmod(codes, split)
         hi += split
         words = table[lo]
@@ -293,12 +305,15 @@ class FieldTable:
     def _unpack_codes(self, words: np.ndarray, k: int) -> np.ndarray:
         """Base-p codes of packed words of k digits; overwrites words.
 
-        Horner's rule in log2(k) rounds: each round joins neighbouring
-        fields, lo + p**m * hi for fields of m digits, into fields of twice
-        the width.  A field of 2m digits holds a value below p**(2m), which
-        fits its 2m*w bits because p <= 2**(w-1).
+        For p = 2 a packed word is its code and is returned as it is.
+        Otherwise Horner's rule in log2(k) rounds: each round joins
+        neighbouring fields, lo + p**m * hi for fields of m digits, into
+        fields of twice the width.  A field of 2m digits holds a value
+        below p**(2m), which fits its 2m*w bits because p <= 2**(w-1).
         """
         p, width, m = self.p, self.w, 1
+        if p == 2:
+            return words
         high = np.empty_like(words)
         while m < k:
             fields = _repeat((1 << width) - 1, 2 * width, -(-k // (2 * m)))
@@ -327,8 +342,27 @@ class FieldTable:
     # -- traces ---------------------------------------------------------------
 
     def trace_rows(self) -> np.ndarray:
-        """Digit-space functionals giving the base-field digits of the trace."""
-        return linear_map_matrix(self.tower, self.tower.base, self.tower.trace_to_base)
+        """Digit-space functionals giving the base-field digits of the trace.
+
+        The trace x + x**q + ... + x**(q**(n-1)) is the map sum_{j<n} Phi**j,
+        Phi the matrix of gf's Frobenius, summed by n - 1 products of d x d
+        int64 matrices; every entry stays below d * p**2 < 2**63.  Its
+        first r rows are the base-field digits; the rest must vanish, as
+        in gf's trace_to_base.
+        """
+        tower, p, d = self.tower, self.p, self.d
+        total = np.eye(d, dtype=np.int64)
+        if tower.n > 1:
+            phi = linear_map_matrix(tower, tower, tower.frobenius)
+            power = total
+            for _ in range(tower.n - 1):
+                power = power @ phi % p
+                total += power
+            total %= p
+        r = tower.base.r
+        if total[r:].any():
+            raise InvariantError("trace left the base field")
+        return total[:r]
 
     @cached_property
     def _trace_table(self) -> np.ndarray:

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from tracezero import counting, gf
-from tracezero.counting import CountEngine, CountRow, carlitz_count, engine_for, gauss_count
-from tracezero.errors import BudgetExceededError
+from tracezero.counting import CountEngine, CountReport, CountRow, carlitz_count, engine_for, gauss_count
+from tracezero.errors import BudgetExceededError, InvariantError
 from tracezero.fastfield import FieldTable
 from tracezero.lpoly import LPolynomial
 from tracezero.numtheory import divisors, mobius, prime_power_parts, squarefree_divisors
@@ -249,6 +249,14 @@ class TestReport:
         rep = engine(9).table(2, 4)
         assert cross_check(rep, 1 << 16) == {2, 3, 4}
         assert cross_check(rep, 100) == {2}  # 9**3 is over the cap
+
+    @pytest.mark.parametrize("q,n", [(q, n) for q in (2, 9) for n in (2, 3, 1000)])
+    def test_a_row_past_the_gauss_count_is_refused(self, q, n):
+        p, r = prime_power_parts(q)
+        cap = gauss_count(q, n)
+        CountReport(p, r, q, (CountRow(n, 0, cap),))
+        with pytest.raises(InvariantError, match="exceeds the unconstrained"):
+            CountReport(p, r, q, (CountRow(n, 0, cap + 1),))
 
     def test_range_validation(self, engine):
         with pytest.raises(ValueError):

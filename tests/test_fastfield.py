@@ -1,6 +1,7 @@
 """The generator walk of FieldTable: pinned outputs, the block-loop walk it
 replaced as a differential reference, the digit-packing width rule, the
-class walk behind the trace-pair histogram, and the base-field tables."""
+trace rows, the class walk behind the trace-pair histogram, and the
+base-field tables."""
 
 import hashlib
 from functools import partial
@@ -108,16 +109,17 @@ def test_walk_matches_block_loop(q, n):
 
 
 class TestDigitWidth:
-    @pytest.mark.parametrize("p,w", [(2, 2), (3, 3), (5, 4), (7, 4), (131, 9)])
+    @pytest.mark.parametrize("p,w", [(2, 1), (3, 3), (5, 4), (7, 4), (131, 9)])
     def test_least_width_with_room_for_a_digit_sum(self, p, w):
         assert digit_width(p, 1) == w
-        assert 2 ** (w - 1) >= p > 2 ** (w - 2)
+        # p = 2 adds digits by XOR, so one bit holds a digit; odd p needs room below 2p
+        assert w == 1 if p == 2 else 2 ** (w - 1) >= p > 2 ** (w - 2)
 
     def test_widest_word_fits(self):
-        assert digit_width(2, 31) == 2
+        assert digit_width(2, 63) == 1
         assert digit_width(3, 21) == 3
 
-    @pytest.mark.parametrize("p,d", [(2, 32), (3, 22), (131, 8)])
+    @pytest.mark.parametrize("p,d", [(2, 64), (3, 22), (131, 8)])
     def test_refused_past_63_bits(self, p, d):
         with pytest.raises(BudgetExceededError):
             digit_width(p, d)
@@ -129,6 +131,20 @@ class TestDigitWidth:
         with pytest.raises(BudgetExceededError):
             FieldTable(fake)
 
+    def test_characteristic_two_kernel_past_31_digits(self):
+        # d = 34 needed 68 bits at two bits per digit; at one bit the packed
+        # image of a code under a random F_2 matrix is the code of A @ digits
+        fake = SimpleNamespace(base=SimpleNamespace(p=2), flat_degree=34, order=1 << 34, q=2)
+        tab = FieldTable(fake)
+        rng = np.random.default_rng(34)
+        A = rng.integers(0, 2, size=(34, 34))
+        codes = rng.integers(0, 1 << 34, size=4096, dtype=np.int64)
+        places = np.left_shift(1, np.arange(34, dtype=np.int64))
+        want = (codes[:, None] >> np.arange(34) & 1) @ A.T % 2 @ places
+        got = tab._packed_image(tab._packed_table(A), codes)
+        assert np.array_equal(got, want)
+        assert tab._unpack_codes(got, 34) is got
+
     def test_functionals_refuse_rows_past_one_word(self):
         tab = FieldTable(_tower(131, 1))  # w = 9: seven digits per word
         codes = tab.functionals_exp(np.ones((7, 1), dtype=np.int64))
@@ -137,6 +153,29 @@ class TestDigitWidth:
         assert (codes == tab.exp_enc.astype(np.uint64) * np.uint64(sum(131**j for j in range(7)))).all()
         with pytest.raises(BudgetExceededError):
             tab.functionals_exp(np.ones((8, 1), dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# The trace rows: sum_{j<n} Phi**j against gf's literal trace_to_base.
+
+
+@pytest.mark.parametrize(
+    "q,n",
+    [(q, n) for q in ENGINE_FIELDS for n in range(1, 17) if q**n <= 1 << 16]
+    + [(25, 3), (27, 3), (81, 2)],
+)
+def test_trace_rows_match_the_literal_trace(q, n):
+    tower = _tower(q, n)
+    want = gf.linear_map_matrix(tower, tower.base, tower.trace_to_base)
+    got = FieldTable(tower).trace_rows()
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_trace_rows_refuse_a_trace_outside_the_base_field(monkeypatch):
+    # with Frobenius the identity, the "trace" of F_{3^4} is 4x = x
+    monkeypatch.setattr(gf.ExtensionField, "frobenius", lambda self, a: a)
+    with pytest.raises(InvariantError, match="base field"):
+        FieldTable(_tower(3, 4)).trace_rows()
 
 
 # ---------------------------------------------------------------------------
