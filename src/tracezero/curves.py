@@ -20,9 +20,13 @@ itself has no solutions with x = 0.  Hence
 
 count_points implements exactly that; count_points_naive re-counts by
 testing the curve equation literally on every (x, y) pair and exists purely
-as an independent check.  It uses no trace: the pair products x * L(y) are
-vectorised over F_p from the structure constants of the tower, and
-count_family_naive forms them once for a whole family of curves.
+as an independent check.  It uses no trace.  L(y) = y**p - y is an
+F_p-linear map, and each curve's R(x) is one applied to x**2, plus a
+constant; both are built once per tower from gf's definitional arithmetic
+and applied to the digit table of the tower.  x**2 and the pair products
+x * L(y) are vectorised over F_p from the structure constants of the
+tower, and count_family_naive forms them once for a whole family of
+curves.
 
 Since A and B lie in F_q, transitivity of the trace gives
 
@@ -172,25 +176,81 @@ def count_points(curve: CurveSpec, m: int, max_elements: int | None = None) -> i
 def count_points_naive(curve: CurveSpec, m: int, max_pairs: int | None = None) -> int:
     """#C(F_{q^m}) by checking the curve equation on every (x, y) pair.
 
-    L(y) (the y-side) and R(x) (the right-hand side) are computed once per
-    element with the tower arithmetic.  The q**(2m) products x * L(y) are
-    formed exactly over F_p from the structure constants of the tower:
-    with T[i] the F_p matrix of b -> e_i * b, the digits of x * b are
-    sum_i x_i T[i] b mod p.  Every product is compared with R(x), so this
-    stays the literal equation, pair by pair, and is kept deliberately
-    separate from the solvability reasoning; used only for
-    cross-validation.  The pairs are taken in blocks of x, so memory grows
-    with q**m, not with the number of pairs.
+    L(y) = y**p - y is an F_p-linear map, and R(x) = M x**2 + t is one
+    applied to x**2, plus a constant: M multiplies by an element of F_q,
+    and M and t are read off the curve's alpha and beta.  Both are built
+    once per tower from gf's definitional arithmetic and applied to the
+    digit table of the tower, the base-p digits of every element code.
+    x**2 and the q**(2m) products x * L(y) are formed exactly over F_p
+    from the structure constants of the tower: with T[i] the F_p matrix
+    of b -> e_i * b, the digits of x * b are sum_i x_i T[i] b mod p.
+    Every product is compared with R(x), so this stays the literal
+    equation, pair by pair, and is kept deliberately separate from the
+    solvability reasoning; used only for cross-validation.  The pairs are
+    taken in blocks of x, so memory grows with q**m, not with the number
+    of pairs.
     """
     return count_family_naive([curve], m, max_pairs)[0]
+
+
+def _digit_table(tower: gf.ExtensionField) -> np.ndarray:
+    """The base-p digits of the codes 0 .. q**m - 1, one row per code.
+
+    In canonical order these are tower.flat_digits of every element: the
+    code is positional over base-field codes, and a base-field code over
+    its F_p digits.
+    """
+    p, d = tower.p, tower.flat_degree
+    return np.arange(tower.order, dtype=np.int64)[:, None] // p ** np.arange(d) % p
+
+
+def _mul_matrices(tower: gf.ExtensionField) -> np.ndarray:
+    """T, with T[i] the F_p matrix of b -> e_i * b, acting on digit columns."""
+    return np.stack([
+        gf.linear_map_matrix(tower, tower, partial(tower.mul, tower.basis_element(i)))
+        for i in range(tower.flat_degree)
+    ])
+
+
+def _mul_by(digits: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """sum_i x_i T[i], the matrix of b -> x * b, per row x of digits, not reduced mod p."""
+    d = T.shape[0]
+    return (digits @ T.reshape(d, d * d)).reshape(-1, d, d)
+
+
+def _lhs_matrix(tower: gf.ExtensionField) -> np.ndarray:
+    """The F_p matrix of L(y) = y**p - y (y**2 + y when p = 2)."""
+    return gf.linear_map_matrix(tower, tower, lambda y: tower.sub(tower.pow_(y, tower.p), y))
+
+
+def _rhs_maps(tower: gf.ExtensionField, T: np.ndarray, curves) -> tuple[np.ndarray, np.ndarray]:
+    """(M, t) per curve, with R(x) = M x**2 + t in digits mod p.
+
+    R(x) = alpha (x**2 + 1) when p = 2, so M multiplies by alpha and
+    t = M 1 = alpha; R(x) = beta (alpha x**2 - 1) for odd p, so M
+    multiplies by alpha beta and t = -beta.
+    """
+    p, field = tower.p, tower.base
+    consts = []
+    for curve in curves:
+        if curve.case == EVEN:
+            consts.append((curve.alpha, curve.alpha))
+        else:
+            consts.append((field.mul(curve.alpha, curve.beta), field.neg(curve.beta)))
+    digits = np.array(  # (curve, constant, digit)
+        [[tower.flat_digits(tower.embed_base(c)) for c in pair] for pair in consts],
+        dtype=np.int64,
+    )
+    return _mul_by(digits[:, 0], T) % p, digits[:, 1]
 
 
 def count_family_naive(curves, m: int, max_pairs: int | None = None) -> list[int]:
     """count_points_naive for each curve of curves, all over one field F_q.
 
-    L(y), the matrices T and the digits of x depend only on the tower, so
-    they are built once; each block of products x * L(y) is formed once and
-    compared with every curve's own R(x), made from its alpha and beta.
+    The digit table, the matrices T and the map L depend only on the
+    tower, so they are built once; L is applied to the whole digit table,
+    and each block of products x * L(y) is formed once and compared with
+    every curve's own R(x), its map applied to the block's x**2.
     """
     fields = {curve.field for curve in curves}
     if len(fields) != 1:
@@ -201,45 +261,23 @@ def count_family_naive(curves, m: int, max_pairs: int | None = None) -> list[int
         raise BudgetExceededError(f"{q}**{2*m} pairs exceed the cap {max_pairs}")
     tower = gf.make_tower(field, m)
     p, d = field.p, tower.flat_degree
-    one = tower.one
-
-    def lhs(y):  # x L(y) = R(x) with L(y) = y^p - y, which is y^2 + y when p = 2
-        return tower.sub(tower.pow_(y, p), y)
-
-    xs = [x for x in tower.elements() if not tower.is_zero(x)]
-    squares = [tower.mul(x, x) for x in xs]
-
-    def rhs(curve):  # R(x) for every x of xs
-        alpha = tower.embed_base(curve.alpha)
-        if curve.case == EVEN:  # R(x) = alpha (x^2 + 1)
-            return [tower.mul(alpha, tower.add(x2, one)) for x2 in squares]
-        # R(x) = beta (alpha x^2 - 1)
-        beta = tower.embed_base(curve.beta)
-        return [tower.mul(beta, tower.sub(tower.mul(alpha, x2), one)) for x2 in squares]
-
-    x_digits = np.array([tower.flat_digits(x) for x in xs], dtype=np.int64)
-    l_digits = np.array(
-        [tower.flat_digits(lhs(y)) for y in tower.elements()], dtype=np.int64
-    )
+    digits = _digit_table(tower)
+    T = _mul_matrices(tower)
+    l_digits = digits @ _lhs_matrix(tower).T % p  # L(y), y in canonical order
+    r_maps, r_shifts = _rhs_maps(tower, T, curves)
     weights = p ** np.arange(d, dtype=np.int64)
-    r_codes = np.array(  # (curve, x)
-        [[tower.flat_digits(r) for r in rhs(c)] for c in curves], dtype=np.int64
-    ) @ weights
-    # T[i] is the matrix of b -> e_i * b, acting on digit columns
-    T = np.stack([
-        gf.linear_map_matrix(tower, tower, partial(tower.mul, tower.basis_element(i)))
-        for i in range(d)
-    ])
     # at most 2**14 int64 products (128 KiB) per block of x: measured faster
     # than larger blocks, and small enough not to raise the peak memory
     block = max(1, (1 << 14) // (len(l_digits) * d))
     affine = np.zeros(len(curves), dtype=np.int64)
-    for s in range(0, len(xs), block):
-        # sum_i x_i T[i], the matrix of b -> x * b, for each x of the block
-        mul_by_x = (x_digits[s : s + block] @ T.reshape(d, d * d)).reshape(-1, d, d)
-        products = mul_by_x @ l_digits.T % p  # (x, digit, y)
-        codes = weights @ products  # (x, y)
-        affine += (codes == r_codes[:, s : s + block, None]).sum(axis=(1, 2))
+    for s in range(1, len(digits), block):  # code 0 is x = 0
+        x = digits[s : s + block]
+        mul_by_x = _mul_by(x, T)
+        codes = weights @ (mul_by_x @ l_digits.T % p)  # (x, y)
+        squares = (mul_by_x @ x[:, :, None]) % p  # (x, digit, 1)
+        r_codes = (r_maps[:, None] @ squares)[..., 0]  # (curve, x, digit)
+        r_codes = (r_codes + r_shifts[:, None]) % p @ weights
+        affine += (codes == r_codes[:, :, None]).sum(axis=(1, 2))
     return [int(a) + 2 for a in affine]
 
 

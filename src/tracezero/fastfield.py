@@ -213,20 +213,33 @@ class FieldTable:
         gamma**M, which lies in F_q* and has order q - 1, so
         gamma**(jM + k) = lam0**j * gamma**k runs through each coset.
         """
-        tower, q, M = self.tower, self.tower.q, self.M
+        tower, q, n, M = self.tower, self.tower.q, self.tower.n, self.M
         mul, inv, _ = base_tables(tower.base)
-        h = -(-tower.n // 2)
-        split = q**h  # a code is lo + split * hi, both halves below split
-        half = np.arange(split, dtype=np.int64)[:, None] // q ** np.arange(h) % q
+        # a code is k parts of h F_q-coordinates, the widest h whose table
+        # scaled has no more cells than the walk has entries (or than F_q has
+        # products), so the table never outgrows the walk it checks
+        h = next(h for h in range(-(-n // 2), 0, -1) if q ** (h + 1) <= max(M, q * q))
+        k, split = -(-n // h), q**h  # every part lies below split
+        part = np.arange(split, dtype=np.int64)[:, None] // q ** np.arange(h) % q
         lead = np.zeros(split, dtype=np.int64)  # highest nonzero F_q-coordinate
         for j in range(h):
-            lead = np.where(half[:, j] != 0, half[:, j], lead)
-        scaled = mul[:, half] @ q ** np.arange(h)  # scaled[c, v]: code of c * v
+            lead = np.where(part[:, j] != 0, part[:, j], lead)
+        scaled = mul[:, part] @ q ** np.arange(h)  # scaled[c, v]: code of c * v
         seen = np.zeros(tower.order, dtype=bool)
-        for s in range(0, M, _CHUNK):
-            hi, lo = np.divmod(enc[s : s + _CHUNK], split)
-            c = inv[np.where(hi != 0, lead[hi], lead[lo])]
-            seen[scaled[c, lo] + split * scaled[c, hi]] = True
+        for s in range(0, M, _CHUNK // 4):
+            parts, rest = [], enc[s : s + _CHUNK // 4]
+            for _ in range(k):  # lowest part first
+                rest, v = np.divmod(rest, split)
+                parts.append(v)
+            c = lead[parts[0]]
+            for v in parts[1:]:
+                c = np.where(v != 0, lead[v], c)
+            c = inv[c]
+            codes = scaled[c, parts[-1]]
+            for v in parts[-2::-1]:
+                codes *= split
+                codes += scaled[c, v]
+            seen[codes] = True
         if seen[0] or np.count_nonzero(seen) != M:
             raise InvariantError("class walk does not meet every F_q*-coset once")
         last = self._unpack_codes(self._packed_image(self._step, enc[-1:]), self.d)

@@ -9,6 +9,11 @@ from hypothesis import strategies as st
 from tracezero import gf
 from tracezero.curves import (
     EVEN,
+    _digit_table,
+    _lhs_matrix,
+    _mul_by,
+    _mul_matrices,
+    _rhs_maps,
     _trace_after_mul,
     CurveSpec,
     beta_representatives,
@@ -320,6 +325,46 @@ class TestCountPointsLiteral:
                 for k, x in enumerate(walk)
             )
             assert count_points(curve, m) == field.p * zeros + 2, curve.describe()
+
+
+class TestLinearMaps:
+    """The F_p-linear maps of count_family_naive against per-element gf
+    arithmetic, at sizes past the double loop's grid."""
+
+    @pytest.mark.parametrize("q,m", [*_literal_grid(), (25, 2), (27, 2)])
+    def test_digit_table_is_the_flat_digits(self, q, m):
+        tower = gf.make_tower(gf.make_field(*prime_power_parts(q)), m)
+        expected = [tower.flat_digits(x) for x in tower.elements()]
+        assert _digit_table(tower).tolist() == [list(digs) for digs in expected]
+
+    @pytest.mark.parametrize("q,m", [(3, 4), (5, 3), (9, 2), (4, 4), (8, 3)])
+    def test_maps_match_the_tower_arithmetic(self, q, m):
+        field = gf.make_field(*prime_power_parts(q))
+        tower = gf.make_tower(field, m)
+        p, xs = field.p, tower.element_list
+        digits, T = _digit_table(tower), _mul_matrices(tower)
+        # L(y) = y**p - y
+        assert (digits @ _lhs_matrix(tower).T % p).tolist() == [
+            list(tower.flat_digits(tower.sub(tower.pow_(y, p), y))) for y in xs
+        ]
+        squares = (_mul_by(digits, T) @ digits[:, :, None])[..., 0] % p
+        assert squares.tolist() == [list(tower.flat_digits(tower.mul(x, x))) for x in xs]
+        family = curve_family(field)
+        maps, shifts = _rhs_maps(tower, T, family)
+        for curve, M, t in zip(family, maps, shifts):
+            alpha, one = tower.embed_base(curve.alpha), tower.one
+            if curve.case == EVEN:  # R(x) = alpha (x^2 + 1)
+                rhs = [tower.mul(alpha, tower.add(tower.mul(x, x), one)) for x in xs]
+            else:  # R(x) = beta (alpha x^2 - 1)
+                beta = tower.embed_base(curve.beta)
+                rhs = [
+                    tower.mul(beta, tower.sub(tower.mul(alpha, tower.mul(x, x)), one))
+                    for x in xs
+                ]
+            got = (squares @ M.T + t) % p
+            assert got.tolist() == [list(tower.flat_digits(r)) for r in rhs], (
+                curve.describe()
+            )
 
 
 class TestBigCurve:

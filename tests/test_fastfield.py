@@ -254,6 +254,15 @@ class TestClassWalkFaults:
         with pytest.raises(InvariantError, match="generate"):
             tab._class_walk()
 
+    def test_lam0_of_lower_order_in_three_parts(self):
+        # beta = g**2 in F_{9^3}, whose codes split into three parts: N = 728,
+        # M = 91 and gcd(2, 91) = 1, so the walk of beta meets every coset,
+        # but beta**91 = g**182 has order 4 in F_9*, not 8
+        tab = FieldTable(_tower(9, 3))
+        tab._generator = tab.tower.pow_(multiplicative_generator(tab.tower), 2)
+        with pytest.raises(InvariantError, match="generate"):
+            tab._class_walk()
+
 
 @pytest.mark.parametrize("q", ENGINE_FIELDS)
 def test_engine_build_never_reads_the_full_walk(monkeypatch, q):
