@@ -46,8 +46,6 @@ element cap is held against q**2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-
 import numpy as np
 
 from . import gf
@@ -193,31 +191,6 @@ def count_points_naive(curve: CurveSpec, m: int, max_pairs: int | None = None) -
     return count_family_naive([curve], m, max_pairs)[0]
 
 
-def _digit_table(tower: gf.ExtensionField) -> np.ndarray:
-    """The base-p digits of the codes 0 .. q**m - 1, one row per code.
-
-    In canonical order these are tower.flat_digits of every element: the
-    code is positional over base-field codes, and a base-field code over
-    its F_p digits.
-    """
-    p, d = tower.p, tower.flat_degree
-    return np.arange(tower.order, dtype=np.int64)[:, None] // p ** np.arange(d) % p
-
-
-def _mul_matrices(tower: gf.ExtensionField) -> np.ndarray:
-    """T, with T[i] the F_p matrix of b -> e_i * b, acting on digit columns."""
-    return np.stack([
-        gf.linear_map_matrix(tower, tower, partial(tower.mul, tower.basis_element(i)))
-        for i in range(tower.flat_degree)
-    ])
-
-
-def _mul_by(digits: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """sum_i x_i T[i], the matrix of b -> x * b, per row x of digits, not reduced mod p."""
-    d = T.shape[0]
-    return (digits @ T.reshape(d, d * d)).reshape(-1, d, d)
-
-
 def _lhs_matrix(tower: gf.ExtensionField) -> np.ndarray:
     """The F_p matrix of L(y) = y**p - y (y**2 + y when p = 2)."""
     return gf.linear_map_matrix(tower, tower, lambda y: tower.sub(tower.pow_(y, tower.p), y))
@@ -241,7 +214,7 @@ def _rhs_maps(tower: gf.ExtensionField, T: np.ndarray, curves) -> tuple[np.ndarr
         [[tower.flat_digits(tower.embed_base(c)) for c in pair] for pair in consts],
         dtype=np.int64,
     )
-    return _mul_by(digits[:, 0], T) % p, digits[:, 1]
+    return gf.mul_by_matrices(digits[:, 0], T) % p, digits[:, 1]
 
 
 def count_family_naive(curves, m: int, max_pairs: int | None = None) -> list[int]:
@@ -261,8 +234,8 @@ def count_family_naive(curves, m: int, max_pairs: int | None = None) -> list[int
         raise BudgetExceededError(f"{q}**{2*m} pairs exceed the cap {max_pairs}")
     tower = gf.make_tower(field, m)
     p, d = field.p, tower.flat_degree
-    digits = _digit_table(tower)
-    T = _mul_matrices(tower)
+    digits = gf.digit_table(tower)
+    T = gf.structure_constants(tower)
     l_digits = digits @ _lhs_matrix(tower).T % p  # L(y), y in canonical order
     r_maps, r_shifts = _rhs_maps(tower, T, curves)
     weights = p ** np.arange(d, dtype=np.int64)
@@ -272,11 +245,11 @@ def count_family_naive(curves, m: int, max_pairs: int | None = None) -> list[int
     affine = np.zeros(len(curves), dtype=np.int64)
     for s in range(1, len(digits), block):  # code 0 is x = 0
         x = digits[s : s + block]
-        mul_by_x = _mul_by(x, T)
+        mul_by_x = gf.mul_by_matrices(x, T)
         codes = weights @ (mul_by_x @ l_digits.T % p)  # (x, y)
-        squares = (mul_by_x @ x[:, :, None]) % p  # (x, digit, 1)
-        r_codes = (r_maps[:, None] @ squares)[..., 0]  # (curve, x, digit)
-        r_codes = (r_codes + r_shifts[:, None]) % p @ weights
+        squares = mul_by_x @ x[:, :, None] % p  # (x, digit, 1)
+        rhs = (r_maps[:, None] @ squares)[..., 0] + r_shifts[:, None]  # (curve, x, digit)
+        r_codes = rhs % p @ weights
         affine += (codes == r_codes[:, :, None]).sum(axis=(1, 2))
     return [int(a) + 2 for a in affine]
 

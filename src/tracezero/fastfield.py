@@ -51,7 +51,15 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .errors import BudgetExceededError, InvariantError
-from .gf import ExtensionField, FieldSpec, linear_map_matrix, make_field
+from .gf import (
+    ExtensionField,
+    FieldSpec,
+    digit_table,
+    linear_map_matrix,
+    make_field,
+    mul_by_matrices,
+    structure_constants,
+)
 from .numtheory import prime_factors
 
 _CHUNK = 1 << 18
@@ -106,13 +114,9 @@ def base_tables(field: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     trace_to_prime.
     """
     p, r, q = field.p, field.r, field.order
-    digits = np.arange(q, dtype=np.int64)[:, None] // p ** np.arange(r) % p
+    digits = digit_table(field)
     weights = p ** np.arange(r, dtype=np.int64)
-    T = np.stack([
-        linear_map_matrix(field, field, partial(field.mul, field.basis_element(j)))
-        for j in range(r)
-    ])
-    by = (digits @ T.reshape(r, r * r) % p).reshape(q, r, r)  # the matrix of b -> a * b
+    by = mul_by_matrices(digits, structure_constants(field)) % p  # the matrix of b -> a * b
     mul = np.empty((q, q), dtype=np.min_scalar_type(q - 1))
     rows = max(1, (1 << 16) // (q * r))  # bounds the (rows, r, q) products
     for s in range(0, q, rows):

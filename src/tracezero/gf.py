@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -364,6 +364,34 @@ def linear_map_matrix(source: FieldSpec, target: FieldSpec, f) -> np.ndarray:
     """
     cols = [target.flat_digits(f(source.basis_element(j))) for j in range(source.r)]
     return np.array(cols, dtype=np.int64).reshape(source.r, target.r).T
+
+
+def digit_table(field: FieldSpec) -> np.ndarray:
+    """The base-p digits of the codes 0 .. order - 1, one row per code.
+
+    In canonical order these are the flat digits of every element: a code
+    is positional over the base-field codes, and a base-field code over
+    its own flat digits.
+    """
+    p = field.p
+    return np.arange(field.order, dtype=np.int64)[:, None] // p ** np.arange(field.r) % p
+
+
+def structure_constants(field: FieldSpec) -> np.ndarray:
+    """T, with T[j] the F_p matrix of b -> e_j * b acting on digit columns."""
+    return np.stack([
+        linear_map_matrix(field, field, partial(field.mul, field.basis_element(j)))
+        for j in range(field.r)
+    ])
+
+
+def mul_by_matrices(digits: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """sum_j a_j T[j], the matrix of b -> a * b, for each row a of digits.
+
+    Not reduced mod p: every entry stays below r * p**2.
+    """
+    r = len(T)
+    return (digits @ T.reshape(r, r * r)).reshape(-1, r, r)
 
 
 DEFAULT_MAX_ELEMENTS = 1 << 24  # the one default element cap of every enumeration

@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 from tracezero import gf
 from tracezero.curves import (
     EVEN,
-    _digit_table,
     _lhs_matrix,
-    _mul_by,
-    _mul_matrices,
     _rhs_maps,
     _trace_after_mul,
     CurveSpec,
@@ -335,19 +332,19 @@ class TestLinearMaps:
     def test_digit_table_is_the_flat_digits(self, q, m):
         tower = gf.make_tower(gf.make_field(*prime_power_parts(q)), m)
         expected = [tower.flat_digits(x) for x in tower.elements()]
-        assert _digit_table(tower).tolist() == [list(digs) for digs in expected]
+        assert gf.digit_table(tower).tolist() == [list(digs) for digs in expected]
 
     @pytest.mark.parametrize("q,m", [(3, 4), (5, 3), (9, 2), (4, 4), (8, 3)])
     def test_maps_match_the_tower_arithmetic(self, q, m):
         field = gf.make_field(*prime_power_parts(q))
         tower = gf.make_tower(field, m)
         p, xs = field.p, tower.element_list
-        digits, T = _digit_table(tower), _mul_matrices(tower)
+        digits, T = gf.digit_table(tower), gf.structure_constants(tower)
         # L(y) = y**p - y
         assert (digits @ _lhs_matrix(tower).T % p).tolist() == [
             list(tower.flat_digits(tower.sub(tower.pow_(y, p), y))) for y in xs
         ]
-        squares = (_mul_by(digits, T) @ digits[:, :, None])[..., 0] % p
+        squares = (gf.mul_by_matrices(digits, T) @ digits[:, :, None])[..., 0] % p
         assert squares.tolist() == [list(tower.flat_digits(tower.mul(x, x))) for x in xs]
         family = curve_family(field)
         maps, shifts = _rhs_maps(tower, T, family)
