@@ -46,6 +46,7 @@ element cap is held against q**2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from . import gf
