@@ -40,7 +40,7 @@ from .errors import (
     NonMonicError,
     NonPrimeError,
 )
-from .numtheory import is_prime
+from .numtheory import is_prime, prime_factors
 
 
 class FieldSpec:
@@ -373,8 +373,13 @@ def digit_table(field: FieldSpec) -> np.ndarray:
     is positional over the base-field codes, and a base-field code over
     its own flat digits.
     """
+    return code_digits(field, np.arange(field.order, dtype=np.int64))
+
+
+def code_digits(field: FieldSpec, codes: np.ndarray) -> np.ndarray:
+    """The base-p digits of each code in codes, along a new last axis."""
     p = field.p
-    return np.arange(field.order, dtype=np.int64)[:, None] // p ** np.arange(field.r) % p
+    return codes[..., None] // p ** np.arange(field.r, dtype=np.int64) % p
 
 
 def structure_constants(field: FieldSpec) -> np.ndarray:
@@ -417,22 +422,8 @@ def check_element_cap(q: int, m: int, max_elements: int | None):
 # with no trailing zeros above the degree; () is the zero polynomial.
 
 
-def poly_trim(field, f) -> tuple:
-    f = tuple(f)
-    k = len(f)
-    while k and field.is_zero(f[k - 1]):
-        k -= 1
-    return f[:k]
-
-
-def poly_sub(field, f, g) -> tuple:
-    out = list(f) + [field.zero] * max(0, len(g) - len(f))
-    for i, c in enumerate(g):
-        out[i] = field.sub(out[i], c)
-    return poly_trim(field, out)
-
-
 def poly_mul(field, f, g) -> tuple:
+    """The product; over a field, nonzero leading coefficients multiply to a nonzero one."""
     if not f or not g:
         return ()
     out = [field.zero] * (len(f) + len(g) - 1)
@@ -440,77 +431,18 @@ def poly_mul(field, f, g) -> tuple:
         if not field.is_zero(a):
             for j, b in enumerate(g):
                 out[i + j] = field.add(out[i + j], field.mul(a, b))
-    return poly_trim(field, out)
-
-
-def poly_divmod(field, f, g) -> tuple[tuple, tuple]:
-    g = poly_trim(field, g)
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    f = list(poly_trim(field, f))
-    dg = len(g) - 1
-    if len(f) - 1 < dg:
-        return (), tuple(f)
-    lead_inv = field.inv(g[-1])
-    quot = [field.zero] * (len(f) - dg)
-    for k in range(len(f) - 1, dg - 1, -1):
-        c = f[k]
-        if field.is_zero(c):
-            continue
-        c = field.mul(c, lead_inv)
-        quot[k - dg] = c
-        for j in range(dg + 1):
-            f[k - dg + j] = field.sub(f[k - dg + j], field.mul(c, g[j]))
-    return poly_trim(field, quot), poly_trim(field, f)
-
-
-def poly_mod(field, f, g) -> tuple:
-    return poly_divmod(field, f, g)[1]
-
-
-def poly_gcd(field, f, g) -> tuple:
-    """Monic gcd."""
-    a, b = poly_trim(field, f), poly_trim(field, g)
-    while b:
-        a, b = b, poly_mod(field, a, b)
-    if a:
-        lead_inv = field.inv(a[-1])
-        a = tuple(field.mul(c, lead_inv) for c in a)
-    return a
-
-
-def poly_pow_mod(field, f, e: int, modulus) -> tuple:
-    result = (field.one,)
-    base = poly_mod(field, f, modulus)
-    while e:
-        if e & 1:
-            result = poly_mod(field, poly_mul(field, result, base), modulus)
-        base = poly_mod(field, poly_mul(field, base, base), modulus)
-        e >>= 1
-    return result
+    return tuple(out)
 
 
 def is_irreducible(f, field: FieldSpec) -> bool:
-    """Irreducibility over the field, for monic f of degree d >= 1.
-
-    A reducible f has an irreducible factor of degree at most d // 2, and
-    gcd(x**(q**k) - x, f) catches every factor whose degree divides k.
-    Checking k = 1..d//2 in order exits at the first factor found, which
-    for almost every reducible f is a small one.
-    """
+    """Irreducibility over the field of a monic f of degree >= 1: one row of irreducible_mask."""
     f = tuple(f)
     d = len(f) - 1
     if d < 1:
         raise ValueError("irreducibility is only defined for degree >= 1")
     if f[-1] != field.one:
         raise NonMonicError("irreducibility test requires a monic polynomial")
-    x = (field.zero, field.one)
-    h = x
-    for _ in range(d // 2):
-        h = poly_pow_mod(field, h, field.order, f)
-        if len(poly_gcd(field, poly_sub(field, h, x), f)) != 1:
-            return False
-    return True
+    return bool(irreducible_mask([[field.code(c) for c in f[:d]]], field)[0])
 
 
 def monic_polys(field: FieldSpec, n: int, zero=()) -> Iterator[tuple]:
@@ -526,6 +458,111 @@ def monic_polys(field: FieldSpec, n: int, zero=()) -> Iterator[tuple]:
         for k, c in zip(free, tup):
             coeffs[k] = c
         yield tuple(coeffs)
+
+
+def irreducibles(field: FieldSpec, n: int, zero=(), unit=()) -> Iterator[tuple]:
+    """The irreducibles of monic_polys(field, n, zero) with no zero coefficient in unit.
+
+    They are tested in blocks: the first has n rows, about one
+    irreducible's worth, and each next one doubles, up to the row budget.
+    """
+    polys = (f for f in monic_polys(field, n, zero) if all(f[k] != field.zero for k in unit))
+    rows = n
+    while block := list(itertools.islice(polys, rows)):
+        codes = [[field.code(c) for c in f[:n]] for f in block]
+        yield from itertools.compress(block, irreducible_mask(codes, field))
+        rows = min(2 * rows, _block_rows(field, n))
+
+
+_CELLS = 1 << 18  # cells of one (K, D, D) matrix stack of the batched test
+
+
+def _block_rows(field: FieldSpec, d: int) -> int:
+    return max(1, _CELLS // max(1, field.r * d) ** 2)
+
+
+def irreducible_mask(codes, field: FieldSpec) -> np.ndarray:
+    """Irreducibility over the field of each monic in a block, by F_p linear algebra.
+
+    Row k of codes holds the codes of the coefficients of x**0 .. x**(d-1)
+    of a monic f of degree d >= 1.  X, the F_p matrix of multiplication by
+    x on F_q[x]/(f), gives X**(q**k) - X, nonsingular iff
+    gcd(x**(q**k) - x, f) = 1.  By Rabin's criterion f is irreducible iff
+    X**(q**d) = X and that matrix is nonsingular at k = d / l for each
+    prime l | d; only the rows that pass the equality are eliminated.
+    Blocks of rows hold at most _CELLS cells per D x D stack (D = r * d).
+    Entries are float64, exact while D * p**2 < 2**50.  Codes out of range
+    and a wider p are refused before anything is allocated.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.ndim != 2 or codes.shape[1] < 1:
+        raise ValueError("the batched test takes a (K, d) block of codes with d >= 1")
+    if codes.size and not 0 <= codes.min() <= codes.max() < field.order:
+        raise ValueError(f"coefficient codes out of range for order {field.order}")
+    K, d = codes.shape
+    if field.r * d * field.p**2 >= 1 << 50:
+        raise BudgetExceededError(f"degree {d} over F_{field.order}: entries would pass 2**50")
+    rows = _block_rows(field, d)
+    blocks = [_irreducible_block(codes[lo : lo + rows], field) for lo in range(0, K, rows)]
+    return np.concatenate(blocks) if blocks else np.zeros(0, dtype=bool)
+
+
+def _irreducible_block(codes: np.ndarray, field: FieldSpec) -> np.ndarray:
+    p, r, q = field.p, field.r, field.order
+    K, d = codes.shape
+    D = r * d
+    T = structure_constants(field).astype(np.float64)
+    M = mul_by_matrices(code_digits(field, codes).reshape(-1, r).astype(np.float64), T)
+    X = np.zeros((K, D, D))
+    X[:, np.arange(r, D), np.arange(D - r)] = 1  # x * x**i = x**(i+1) for i < d - 1
+    X[:, :, D - r :] = _mod(-M, p).reshape(K, D, r)  # x**d = -(f_0 + .. + f_{d-1} x**(d-1))
+    checks = {d // ell for ell in prime_factors(d)}
+    Y, saved = X, []
+    for k in range(1, d + 1):
+        Y = _power(Y, q, p)
+        if k in checks:
+            saved.append(Y)
+    keep = (Y == X).all(axis=(1, 2))
+    if saved and keep.any():
+        stack = np.concatenate([_mod(S[keep] - X[keep], p) for S in saved])
+        keep[keep] = _nonsingular(stack, p).reshape(len(saved), -1).all(axis=0)
+    return keep
+
+
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p for float64 integers with |x| < 2**50, where (x + 1/2) / p
+    lies 1 / (2p) or more from every integer; x % p on floats is slower."""
+    y = x + 0.5
+    y *= 1 / p
+    np.floor(y, out=y)
+    y *= -p
+    y += x
+    return y
+
+
+def _power(A: np.ndarray, e: int, p: int) -> np.ndarray:
+    """A**e mod p for each matrix of the stack A, e >= 1, by square and multiply."""
+    out = A
+    for bit in bin(e)[3:]:  # the bits after the leading 1
+        out = _mod(out @ out, p)
+        if bit == "1":
+            out = _mod(out @ A, p)
+    return out
+
+
+def _nonsingular(A: np.ndarray, p: int) -> np.ndarray:
+    """Whether each matrix of the stack A, entries in [0, p), is invertible mod p.
+
+    Fraction-free elimination: every row becomes pivot entry * row - row
+    entry * pivot row, zeroing the column and the pivot row.  A column
+    with no pivot zeroes the matrix, so it is singular iff the last has none.
+    """
+    at = np.arange(len(A))
+    while A.shape[2] > 1:
+        col = A[:, :, :1]
+        pivot = A[at, (col[:, :, 0] != 0).argmax(axis=1), None]
+        A = _mod(A[:, :, 1:] * pivot[:, :, :1] - col * pivot[:, :, 1:], p)
+    return (A[:, :, 0] != 0).any(axis=1)
 
 
 def poly_trace(field, f):
@@ -582,8 +619,7 @@ def make_field(p: int, r: int) -> FieldSpec:
 
 
 def _tower_modulus_scan(base: FieldSpec, n: int) -> Iterator[tuple]:
-    # a zero constant term means the root 0
-    return (f for f in monic_polys(base, n) if f[0] != base.zero and is_irreducible(f, base))
+    return irreducibles(base, n, unit={0})  # a zero constant term means the root 0
 
 
 @lru_cache(maxsize=None)

@@ -3,7 +3,9 @@
 Everything in this module works from the definitions: traces are sums of
 Frobenius conjugates, inverses are group inverses, irreducibility is
 either tested on explicit polynomials (the candidates of gf.monic_polys,
-each through gf.is_irreducible) or read off Frobenius orbit sizes.  None
+a block at a time through gf.irreducibles, whose test is F_p linear
+algebra on the matrix of multiplication by x) or read off Frobenius
+orbit sizes.  None
 of the enumerations touches the curve L-polynomials or the Moebius closed
 forms, so when cross_check and verify_all hold the counting module's
 results against them, agreement is a genuine two-route check.  An
@@ -136,10 +138,8 @@ def _enum_i_scan(q: int, n: int, max_elements: int) -> int:
             f"the cap {max_elements}"
         )
     p, r = prime_power_parts(q)
-    field = gf.make_field(p, r)
     # a zero constant term means the root 0
-    candidates = gf.monic_polys(field, n, zero=zero)
-    return sum(1 for f in candidates if f[0] != field.zero and gf.is_irreducible(f, field))
+    return sum(1 for _ in gf.irreducibles(gf.make_field(p, r), n, zero=zero, unit={0}))
 
 
 def enum_irreducible_total(q: int, n: int, max_elements: int = gf.DEFAULT_MAX_ELEMENTS) -> int:

@@ -7,7 +7,9 @@ For an odd prime p and an irreducible f over F_p from the family
 
 (note the missing x**(n-1) and x terms) the row for i = 1..p-1 is the
 Legendre-symbol trace of f_i(X) = i**n f(X/i) over j = 1..p-1.  Because f
-has no roots in F_p, no entry is ever zero.  This module builds those
+has no roots in F_p, no entry is ever zero.  Omega_{p,n} is scanned once
+per call, in blocks of candidates through gf.irreducibles, and
+distinct_family_count hands its members on.  This module builds those
 families, measures them (f-complexity, cross-correlation of a given
 order), and counts how many distinct families the construction yields,
 which must stay strictly below the number of degree-n irreducibles with
@@ -86,13 +88,8 @@ def omega_members(
         raise BudgetExceededError(
             f"{p - 1}**2 * {p}**{n - 4} candidates exceed the cap {max_elements}"
         )
-    field = gf.make_field(p, 1)
     # a_2 and a_3 are units; a zero constant term means the root 0
-    return [
-        f
-        for f in gf.monic_polys(field, n, zero={1, n - 1})
-        if f[n - 2] and f[n - 3] and f[0] and gf.is_irreducible(f, field)
-    ]
+    return list(gf.irreducibles(gf.make_field(p, 1), n, zero={1, n - 1}, unit={0, n - 2, n - 3}))
 
 
 def _poly_eval(f: tuple[int, ...], x: int, p: int) -> int:
@@ -227,9 +224,13 @@ def family_complexity(fam: SeqFamily, max_patterns: int = 1 << 22) -> int:
 class FamilyBoundReport:
     p: int
     n: int
-    omega_size: int
+    members: tuple[tuple[int, ...], ...]  # Omega_{p,n}, in canonical order
     distinct_families: int
     bound: int
+
+    @property
+    def omega_size(self) -> int:
+        return len(self.members)
 
     @property
     def margin(self) -> int:
@@ -254,7 +255,7 @@ def distinct_family_count(
     if engine is None:
         engine = CountEngine(gf.make_field(p, 1), max_elements=max_elements)
     bound = engine.i_count(n)
-    report = FamilyBoundReport(p, n, len(members), len(canon), bound)
+    report = FamilyBoundReport(p, n, tuple(members), len(canon), bound)
     if not report.distinct_families < report.bound:
         raise InvariantError(
             f"distinct family count {report.distinct_families} is not "

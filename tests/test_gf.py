@@ -3,18 +3,22 @@
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracezero import gf
-from tracezero.errors import NonMonicError, NonPrimeError
+from tracezero.errors import BudgetExceededError, NonMonicError, NonPrimeError
+from tracezero.numtheory import prime_power_parts
 
 F2 = gf.make_field(2, 1)
 F3 = gf.make_field(3, 1)
 F4 = gf.make_field(2, 2)
 F5 = gf.make_field(5, 1)
+F8 = gf.make_field(2, 3)
 F9 = gf.make_field(3, 2)
+F16 = gf.make_field(2, 4)
 
 
 def brute_irreducible(field, f):
@@ -97,17 +101,39 @@ class TestMakeTower:
         ids=["make_field", "make_tower", "make_tower_alt"],
     )
     def test_scanned_modulus_is_tested_once(self, build, monkeypatch):
+        # every test goes through the batched entry point, is_irreducible too
         tested = []
-        real = gf.is_irreducible
+        real = gf.irreducible_mask
 
-        def counting(f, field):
-            tested.append(tuple(f))
-            return real(f, field)
+        def counting(codes, field):
+            tested.extend(map(tuple, np.asarray(codes).tolist()))
+            return real(codes, field)
 
-        monkeypatch.setattr(gf, "is_irreducible", counting)
+        monkeypatch.setattr(gf, "irreducible_mask", counting)
         field = build()
-        assert tested.count(field.modulus) == 1
+        modulus = tuple(map(field.base.code, field.modulus[:-1]))
+        assert tested.count(modulus) == 1
         assert len(tested) == len(set(tested))
+
+    def test_scanned_moduli_are_pinned(self):
+        # SHA-256 over the make_tower and make_tower_alt moduli (as base
+        # codes; "-" where there is no alternative) of every (q, n) with
+        # q**n <= 2**22, recorded from the scan that tested one candidate
+        # at a time by gcds: a slip at a block boundary moves a modulus
+        lines = []
+        for q in (2, 3, 4, 5, 7, 8, 9, 16):
+            base = gf.make_field(*prime_power_parts(q))
+            codes = lambda field: ",".join(str(base.code(c)) for c in field.modulus)
+            for n in itertools.takewhile(lambda n: q**n <= 1 << 22, itertools.count(1)):
+                try:
+                    alt = codes(gf.make_tower_alt(base, n)) if n >= 2 else "-"
+                except ValueError:
+                    alt = "-"
+                lines.append(f"{q} {n} {codes(gf.make_tower(base, n))} {alt}")
+        assert len(lines) == 80
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "4e3b9be89418801685888d4b47c4cb6bf490ed29c6077f08376b074be1d2132e"
+        )
 
     @pytest.mark.parametrize(
         "base,n,modulus",
@@ -151,12 +177,14 @@ class TestIrreducible:
             gf.is_irreducible((1,), F3)
 
     @pytest.mark.parametrize(
-        "field,d_max", [(F2, 8), (F3, 5), (F4, 4), (F5, 4), (F9, 3)],
-        ids=["F2", "F3", "F4", "F5", "F9"],
+        "field,d_max",
+        [(F2, 8), (F3, 5), (F4, 4), (F5, 4), (F9, 3), (F8, 2), (F16, 2)],
+        ids=["F2", "F3", "F4", "F5", "F9", "F8", "F16"],
     )
     def test_matches_product_sieve(self, field, d_max):
-        # independent of any gcd: a monic is reducible iff it is the product
-        # of two monics of lower degree, and poly_mul builds every such product
+        # independent of any linear algebra: a monic is reducible iff it is
+        # the product of two monics of lower degree, and poly_mul builds
+        # every such product; each degree's monics go in as one block
         monics = {
             d: [tup + (field.one,) for tup in itertools.product(field.element_list, repeat=d)]
             for d in range(1, d_max + 1)
@@ -169,8 +197,61 @@ class TestIrreducible:
             for g in monics[d - k]
         }
         for d in range(1, d_max + 1):
-            for f in monics[d]:
-                assert gf.is_irreducible(f, field) == (f not in reducible), f
+            codes = [[field.code(c) for c in f[:d]] for f in monics[d]]
+            want = [f not in reducible for f in monics[d]]
+            assert gf.irreducible_mask(codes, field).tolist() == want
+
+
+class TestBatchedTestGuards:
+    def test_stacks_stay_within_the_cell_budget(self, monkeypatch):
+        shapes = []
+        real = gf._irreducible_block
+
+        def recording(codes, field):
+            shapes.append(codes.shape)
+            return real(codes, field)
+
+        monkeypatch.setattr(gf, "_irreducible_block", recording)
+        codes = list(itertools.product(range(2), repeat=12))  # every monic of degree 12 over F_2
+        assert int(gf.irreducible_mask(codes, F2).sum()) == 335
+        assert len(shapes) > 1
+        assert all(k * d * d <= gf._CELLS for k, d in shapes)
+
+    def test_the_candidate_scan_streams_in_blocks(self, monkeypatch):
+        from tracezero.oracle import enum_i_count
+
+        rows = []
+        real = gf.irreducible_mask
+
+        def recording(codes, field):
+            rows.append(len(codes))
+            return real(codes, field)
+
+        monkeypatch.setattr(gf, "irreducible_mask", recording)
+        candidates = 2**12  # x**13 and x**1 pinned, the rest free over F_2
+        assert enum_i_count(2, 14, method="scan") == enum_i_count(2, 14, method="orbit")
+        assert len(rows) > 1
+        assert max(rows) <= gf._block_rows(F2, 14) < candidates
+
+    def test_codes_out_of_range_are_refused_before_allocation(self):
+        import tracemalloc
+
+        too_big = np.zeros((1 << 14, 20), dtype=np.int64)
+        too_big[-1, -1] = 3  # not a code of F_3
+        negative = -too_big
+        tracemalloc.start()
+        try:
+            for bad in (too_big, negative):
+                with pytest.raises(ValueError, match="out of range"):
+                    gf.irreducible_mask(bad, F3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
+    def test_characteristic_past_exact_float_arithmetic_is_refused(self):
+        with pytest.raises(BudgetExceededError, match="2\\*\\*50"):
+            gf.irreducible_mask([[1, 0]], gf.PrimeField(2**31 - 1))
 
 
 class TestMonicPolys:

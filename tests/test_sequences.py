@@ -322,7 +322,8 @@ class TestDistinctFamilies:
         report = distinct_family_count(5, 5, engine=engine(5))
         assert report.distinct_families < report.bound
         assert report.margin == report.bound - report.distinct_families
-        assert report.omega_size == len(omega_members(5, 5))
+        assert report.members == tuple(omega_members(5, 5))
+        assert report.omega_size == len(report.members)
         # canonical form ignores row order
         f = omega_members(5, 5)[0]
         fam = build_family(f, 5)
