@@ -485,11 +485,11 @@ def irreducible_mask(codes, field: FieldSpec) -> np.ndarray:
     """Irreducibility over the field of each monic in a block, by F_p linear algebra.
 
     Row k of codes holds the codes of the coefficients of x**0 .. x**(d-1)
-    of a monic f of degree d >= 1.  X, the F_p matrix of multiplication by
-    x on F_q[x]/(f), gives X**(q**k) - X, nonsingular iff
-    gcd(x**(q**k) - x, f) = 1.  By Rabin's criterion f is irreducible iff
-    X**(q**d) = X and that matrix is nonsingular at k = d / l for each
-    prime l | d; only the rows that pass the equality are eliminated.
+    of a monic f of degree d >= 1.  X is the F_p matrix of multiplication
+    by x on F_q[x]/(f), so X**(q**k) - X multiplies by g = x**(q**k) - x
+    and is nonsingular iff gcd(g, f) = 1.  By Rabin's criterion f is
+    irreducible iff X**(q**d) = X and that holds at k = d / l for each
+    prime l | d.  Only the rows that pass the equality are tested for it.
     Blocks of rows hold at most _CELLS cells per D x D stack (D = r * d).
     Entries are float64, exact while D * p**2 < 2**50.  Codes out of range
     and a wider p are refused before anything is allocated.
@@ -524,8 +524,11 @@ def _irreducible_block(codes: np.ndarray, field: FieldSpec) -> np.ndarray:
             saved.append(Y)
     keep = (Y == X).all(axis=(1, 2))
     if saved and keep.any():
-        stack = np.concatenate([_mod(S[keep] - X[keep], p) for S in saved])
-        keep[keep] = _nonsingular(stack, p).reshape(len(saved), -1).all(axis=0)
+        # F_q[x]/(f) is then a product of fields F_{q**e} with e | d, so g is
+        # a unit iff g**(q**d - 1) = 1, read off the image of 1 under its power
+        G = np.concatenate([_mod(S[keep] - X[keep], p) for S in saved])
+        units = (_power(G, q**d - 1, p)[:, :, 0] == np.eye(D)[0]).all(axis=1)
+        keep[keep] = units.reshape(len(saved), -1).all(axis=0)
     return keep
 
 
@@ -541,28 +544,22 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _power(A: np.ndarray, e: int, p: int) -> np.ndarray:
-    """A**e mod p for each matrix of the stack A, e >= 1, by square and multiply."""
-    out = A
-    for bit in bin(e)[3:]:  # the bits after the leading 1
-        out = _mod(out @ out, p)
-        if bit == "1":
-            out = _mod(out @ A, p)
-    return out
+    """A**e mod p for each D x D matrix of the stack A, entries in [0, p), e >= 1.
 
-
-def _nonsingular(A: np.ndarray, p: int) -> np.ndarray:
-    """Whether each matrix of the stack A, entries in [0, p), is invertible mod p.
-
-    Fraction-free elimination: every row becomes pivot entry * row - row
-    entry * pivot row, zeroing the column and the pivot row.  A column
-    with no pivot zeroes the matrix, so it is singular iff the last has none.
+    Square and multiply; a product is reduced only when the next one could
+    reach 2**50, its entries being at most D times the two factors' bounds.
     """
-    at = np.arange(len(A))
-    while A.shape[2] > 1:
-        col = A[:, :, :1]
-        pivot = A[at, (col[:, :, 0] != 0).argmax(axis=1), None]
-        A = _mod(A[:, :, 1:] * pivot[:, :, :1] - col * pivot[:, :, 1:], p)
-    return (A[:, :, 0] != 0).any(axis=1)
+    D, top = A.shape[-1], p - 1
+    out, bound = A, top
+    for bit in bin(e)[3:]:  # the bits after the leading 1
+        if D * bound * bound >= 1 << 50:
+            out, bound = _mod(out, p), top
+        out, bound = out @ out, D * bound * bound
+        if bit == "1":
+            if D * bound * top >= 1 << 50:
+                out, bound = _mod(out, p), top
+            out, bound = out @ A, D * bound * top
+    return _mod(out, p)
 
 
 def poly_trace(field, f):
