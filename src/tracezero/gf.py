@@ -463,11 +463,13 @@ def monic_polys(field: FieldSpec, n: int, zero=()) -> Iterator[tuple]:
 def irreducibles(field: FieldSpec, n: int, zero=(), unit=()) -> Iterator[tuple]:
     """The irreducibles of monic_polys(field, n, zero) with no zero coefficient in unit.
 
-    They are tested in blocks: the first has n rows, about one
-    irreducible's worth, and each next one doubles, up to the row budget.
+    They are tested in blocks, each twice the last, up to the row budget.
+    The first holds one irreducible's worth (their density is about
+    1 / n), and up to two where 1/64 of the budget allows: with matrices
+    that small, a second block costs more than the extra rows.
     """
     polys = (f for f in monic_polys(field, n, zero) if all(f[k] != field.zero for k in unit))
-    rows = n
+    rows = min(2 * n, max(n, _block_rows(field, n) >> 6))
     while block := list(itertools.islice(polys, rows)):
         codes = [[field.code(c) for c in f[:n]] for f in block]
         yield from itertools.compress(block, irreducible_mask(codes, field))
