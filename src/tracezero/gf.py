@@ -490,8 +490,9 @@ def irreducible_mask(codes, field: FieldSpec) -> np.ndarray:
     of a monic f of degree d >= 1.  X is the F_p matrix of multiplication
     by x on F_q[x]/(f), so X**(q**k) - X multiplies by g = x**(q**k) - x
     and is nonsingular iff gcd(g, f) = 1.  By Rabin's criterion f is
-    irreducible iff X**(q**d) = X and that holds at k = d / l for each
-    prime l | d.  Only the rows that pass the equality are tested for it.
+    irreducible iff X**(q**d) = X and X**(q**k) - X is nonsingular at
+    k = d / l for each prime l | d.  Only the rows that pass the equality
+    are tested for nonsingularity, by a power (see _irreducible_block).
     Blocks of rows hold at most _CELLS cells per D x D stack (D = r * d).
     Entries are float64, exact while D * p**2 < 2**50.  Codes out of range
     and a wider p are refused before anything is allocated.
@@ -527,7 +528,7 @@ def _irreducible_block(codes: np.ndarray, field: FieldSpec) -> np.ndarray:
     keep = (Y == X).all(axis=(1, 2))
     if saved and keep.any():
         # F_q[x]/(f) is then a product of fields F_{q**e} with e | d, so g is
-        # a unit iff g**(q**d - 1) = 1, read off the image of 1 under its power
+        # a unit iff g**(q**d - 1) = 1: its matrix power maps 1 to 1
         G = np.concatenate([_mod(S[keep] - X[keep], p) for S in saved])
         units = (_power(G, q**d - 1, p)[:, :, 0] == np.eye(D)[0]).all(axis=1)
         keep[keep] = units.reshape(len(saved), -1).all(axis=0)
