@@ -22,11 +22,11 @@ count_points implements exactly that; count_points_naive re-counts by
 testing the curve equation literally on every (x, y) pair and exists purely
 as an independent check.  It uses no trace.  L(y) = y**p - y is an
 F_p-linear map, and each curve's R(x) is one applied to x**2, plus a
-constant; both are built once per tower from gf's definitional arithmetic
-and applied to the digit table of the tower.  x**2 and the pair products
-x * L(y) are vectorised over F_p from the structure constants of the
-tower, and count_family_naive forms them once for a whole family of
-curves.
+constant; both are built once per tower and applied to the digit table
+of the tower.  They, x**2 and the pair products x * L(y) all come from
+the structure constants of the tower, the F_p matrices of multiplication
+that gf builds from the modulus, so no tower product runs in pure
+Python; count_family_naive forms them once for a whole family of curves.
 
 Since A and B lie in F_q, transitivity of the trace gives
 
@@ -178,11 +178,13 @@ def count_points_naive(curve: CurveSpec, m: int, max_pairs: int | None = None) -
     L(y) = y**p - y is an F_p-linear map, and R(x) = M x**2 + t is one
     applied to x**2, plus a constant: M multiplies by an element of F_q,
     and M and t are read off the curve's alpha and beta.  Both are built
-    once per tower from gf's definitional arithmetic and applied to the
-    digit table of the tower, the base-p digits of every element code.
-    x**2 and the q**(2m) products x * L(y) are formed exactly over F_p
-    from the structure constants of the tower: with T[i] the F_p matrix
-    of b -> e_i * b, the digits of x * b are sum_i x_i T[i] b mod p.
+    once per tower and applied to the digit table of the tower, the
+    base-p digits of every element code.  L, x**2 and the q**(2m)
+    products x * L(y) are formed exactly over F_p from the structure
+    constants of the tower, which gf builds from the modulus: with T[i]
+    the F_p matrix of b -> e_i * b, the digits of x * b are
+    sum_i x_i T[i] b mod p, and column i of y -> y**p is T[i]**p
+    applied to 1.
     Every product is compared with R(x), so this stays the literal
     equation, pair by pair, and is kept deliberately separate from the
     solvability reasoning; used only for cross-validation.  The pairs are
@@ -193,8 +195,16 @@ def count_points_naive(curve: CurveSpec, m: int, max_pairs: int | None = None) -
 
 
 def _lhs_matrix(tower: gf.ExtensionField) -> np.ndarray:
-    """The F_p matrix of L(y) = y**p - y (y**2 + y when p = 2)."""
-    return gf.linear_map_matrix(tower, tower, lambda y: tower.sub(tower.pow_(y, tower.p), y))
+    """The F_p matrix of L(y) = y**p - y (y**2 + y when p = 2).
+
+    Column j is L(e_j): T[j] multiplies by e_j, so its p-th power maps 1
+    to e_j**p.
+    """
+    p, d = tower.p, tower.flat_degree
+    gf.check_power_bound(d, p)
+    T = gf.structure_constants(tower).astype(np.float64)
+    frob = gf._power(T, p, p)[:, :, 0].T.astype(np.int64)
+    return (frob - np.eye(d, dtype=np.int64)) % p
 
 
 def _rhs_maps(tower: gf.ExtensionField, T: np.ndarray, curves) -> tuple[np.ndarray, np.ndarray]:
@@ -273,10 +283,8 @@ def big_curve_count(
     gf.check_element_cap(q, m, max_elements)
     tower = gf.make_tower(field, m)
     tab = table_for(tower)
-    alpha_emb = tower.embed_base(alpha)
-    rows = gf.linear_map_matrix(
-        tower, field, lambda x: tower.trace_to_base(tower.mul(alpha_emb, x))
-    )
+    # Tr(alpha x): the trace rows after the matrix of x -> alpha x
+    rows = tab.trace_rows() @ gf.mul_matrix(tower, tower.embed_base(alpha)) % field.p
     u = tab.functionals_exp(rows)
     v = tab.reversed_exp(tab.trace_codes_exp())
     return q * int((u == v).sum()) + 2

@@ -37,23 +37,31 @@ no engine build walks more than (q**n - 1) / (q - 1) units of a tower.
 base_tables holds the arithmetic of F_q itself, by element code, for that
 expansion and for the curve counts.
 
-Every matrix and functional is built from gf's definitional arithmetic.
-The trace is the literal sum of the Frobenius conjugates, composed as
-linear maps: with Phi the matrix of gf's Frobenius x -> x**q, the trace
-rows are those of sum_{j<n} Phi**j.  numpy only accelerates the
-bookkeeping.  No closed-form formula under test enters any table.
+Multiplication comes from the modulus: gf.structure_constants builds the
+F_p matrices of multiplication by each basis element from the matrix of
+multiplication by x, and the walk's step (the matrix of gamma) and the
+generator search (the matrices of the candidates, raised to N / l) read
+them.  Two checks stay on gf's definitional arithmetic, so every build
+still holds the matrices against gf.mul: the trace is the literal sum of
+the Frobenius conjugates, composed as linear maps (with Phi the matrix of
+gf's Frobenius x -> x**q, the trace rows are those of sum_{j<n} Phi**j),
+and lam0 = gamma**M of the class walk is gf's power, which the class-walk
+check holds against the walk's next step.  No closed-form formula under
+test enters any table.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import gf
 from .errors import BudgetExceededError, InvariantError
 from .gf import (
     ExtensionField,
     FieldSpec,
+    code_digits,
     digit_table,
     linear_map_matrix,
     make_field,
@@ -63,6 +71,7 @@ from .gf import (
 from .numtheory import prime_factors
 
 _CHUNK = 1 << 18
+_FIRST_CANDIDATES = 4  # the generator search's first block; generators are common
 _WORD_BITS = 63  # packed words are non-negative int64
 
 
@@ -89,17 +98,33 @@ def _repeat(word: int, step: int, count: int) -> int:
 
 
 def multiplicative_generator(tower: ExtensionField):
-    """First element in canonical order that generates the unit group."""
+    """First element in canonical order that generates the unit group.
+
+    a generates iff a**(N / l) != 1 for every prime l | N.  Candidates are
+    tested by code in blocks, each twice the last: M_a, the matrix of
+    b -> a * b from the structure constants, is raised to N / l by gf's
+    square-and-multiply, and a is rejected when the power maps 1 to 1.
+    Each prime is tried only on the candidates that passed the ones before.
+    """
     N = tower.order - 1
-    one = tower.one
     if N == 1:
-        return one
-    prims = prime_factors(N)
-    for a in tower.elements():
-        if tower.is_zero(a):
-            continue
-        if all(tower.pow_(a, N // ell) != one for ell in prims):
-            return a
+        return tower.one
+    p, D = tower.p, tower.flat_degree
+    gf.check_power_bound(D, p)
+    T = structure_constants(tower).astype(np.float64)
+    exponents = [N // ell for ell in prime_factors(N)]
+    one = np.eye(D)[0]  # the digits of 1
+    start, rows = 1, _FIRST_CANDIDATES
+    while start <= N:
+        codes = np.arange(start, min(start + rows, N + 1), dtype=np.int64)
+        M = gf._mod(mul_by_matrices(code_digits(tower, codes).astype(np.float64), T), p)
+        for e in exponents:
+            fixed = (gf._power(M, e, p)[:, :, 0] == one).all(axis=1)
+            codes, M = codes[~fixed], M[~fixed]
+        if codes.size:
+            return tower.from_code(int(codes[0]))
+        start += rows
+        rows = min(2 * rows, max(1, gf._CELLS // (D * D)))
     raise InvariantError("unit group has no generator; field data corrupt")
 
 
@@ -154,10 +179,7 @@ class FieldTable:
     @cached_property
     def _step(self) -> np.ndarray:
         """Packed table of the walk's step x -> gamma * x."""
-        tower = self.tower
-        return self._packed_table(
-            linear_map_matrix(tower, tower, partial(tower.mul, self._generator))
-        )
+        return self._packed_table(gf.mul_matrix(self.tower, self._generator))
 
     @cached_property
     def exp_enc(self) -> np.ndarray:
@@ -365,8 +387,12 @@ class FieldTable:
         Phi the matrix of gf's Frobenius, summed by n - 1 products of d x d
         int64 matrices; every entry stays below d * p**2 < 2**63.  Its
         first r rows are the base-field digits; the rest must vanish, as
-        in gf's trace_to_base.
+        in gf's trace_to_base.  Built once per table; read-only.
         """
+        return self._trace_rows
+
+    @cached_property
+    def _trace_rows(self) -> np.ndarray:
         tower, p, d = self.tower, self.p, self.d
         total = np.eye(d, dtype=np.int64)
         if tower.n > 1:
@@ -379,7 +405,9 @@ class FieldTable:
         r = tower.base.r
         if total[r:].any():
             raise InvariantError("trace left the base field")
-        return total[:r]
+        rows = total[:r]
+        rows.flags.writeable = False
+        return rows
 
     @cached_property
     def _trace_table(self) -> np.ndarray:
@@ -443,7 +471,12 @@ class FieldTable:
         return mask
 
 
-@lru_cache(maxsize=6)
+@lru_cache(maxsize=8)
 def table_for(tower: ExtensionField) -> FieldTable:
-    """Shared per-tower table cache; entries are immutable once built."""
+    """Shared per-tower table cache; entries are immutable once built.
+
+    Eight entries hold, through oracle.verify_all up to n_max = 4, the
+    engine's towers (up to genus + 2 = 6 at p = 5) and the alternative
+    towers the loop adds, so no tower is walked twice.
+    """
     return FieldTable(tower)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -382,12 +382,44 @@ def code_digits(field: FieldSpec, codes: np.ndarray) -> np.ndarray:
     return codes[..., None] // p ** np.arange(field.r, dtype=np.int64) % p
 
 
+@lru_cache(maxsize=32)
 def structure_constants(field: FieldSpec) -> np.ndarray:
-    """T, with T[j] the F_p matrix of b -> e_j * b acting on digit columns."""
-    return np.stack([
-        linear_map_matrix(field, field, partial(field.mul, field.basis_element(j)))
-        for j in range(field.r)
-    ])
+    """T, with T[j] the F_p matrix of b -> e_j * b acting on digit columns.
+
+    Taken from the modulus, not from mul.  In base[x]/(f) of degree n over
+    a base of degree r, e_(t*r + k) = e_k * x**t, so
+
+        T[t*r + k] = (I_n (x) T_base[k]) X**t  mod p,
+
+    the block-diagonal product by the base element e_k after X**t, X the
+    matrix of multiplication by x (see _companion).  The recursion ends at
+    F_p, whose T is [[[1]]]; a degree-1 extension has its base's T.  The
+    int64 array is read-only and cached per field.
+    """
+    if isinstance(field, PrimeField):
+        T = np.ones((1, 1, 1), dtype=np.int64)
+    elif field.n == 1:
+        return structure_constants(field.base)
+    else:
+        base, n, p = field.base, field.n, field.p
+        r, D = base.r, field.r
+        codes = np.array([[base.code(c) for c in field.modulus[:n]]], dtype=np.int64)
+        X = _companion(codes, base)[0]
+        powers = [np.eye(D)]  # X**t for t < n
+        for _ in range(n - 1):
+            powers.append(_mod(powers[-1] @ X, p))
+        # (I_n (x) B) Y multiplies each r-row block of Y by B
+        blocks = np.stack(powers).reshape(n, 1, n, r, D)
+        Tb = structure_constants(base).astype(np.float64).reshape(1, r, 1, r, r)
+        T = _mod(Tb @ blocks, p).reshape(D, D, D).astype(np.int64)
+    T.flags.writeable = False
+    return T
+
+
+def mul_matrix(field: FieldSpec, a) -> np.ndarray:
+    """The F_p matrix of b -> a * b, read off the structure constants."""
+    digits = np.array([field.flat_digits(a)], dtype=np.int64)
+    return mul_by_matrices(digits, structure_constants(field))[0] % field.p
 
 
 def mul_by_matrices(digits: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -503,22 +535,15 @@ def irreducible_mask(codes, field: FieldSpec) -> np.ndarray:
     if codes.size and not 0 <= codes.min() <= codes.max() < field.order:
         raise ValueError(f"coefficient codes out of range for order {field.order}")
     K, d = codes.shape
-    if field.r * d * field.p**2 >= 1 << 50:
-        raise BudgetExceededError(f"degree {d} over F_{field.order}: entries would pass 2**50")
+    check_power_bound(field.r * d, field.p)
     rows = _block_rows(field, d)
     blocks = [_irreducible_block(codes[lo : lo + rows], field) for lo in range(0, K, rows)]
     return np.concatenate(blocks) if blocks else np.zeros(0, dtype=bool)
 
 
 def _irreducible_block(codes: np.ndarray, field: FieldSpec) -> np.ndarray:
-    p, r, q = field.p, field.r, field.order
-    K, d = codes.shape
-    D = r * d
-    T = structure_constants(field).astype(np.float64)
-    M = mul_by_matrices(code_digits(field, codes).reshape(-1, r).astype(np.float64), T)
-    X = np.zeros((K, D, D))
-    X[:, np.arange(r, D), np.arange(D - r)] = 1  # x * x**i = x**(i+1) for i < d - 1
-    X[:, :, D - r :] = _mod(-M, p).reshape(K, D, r)  # x**d = -(f_0 + .. + f_{d-1} x**(d-1))
+    p, q, d = field.p, field.order, codes.shape[1]
+    X = _companion(codes, field)
     checks = {d // ell for ell in prime_factors(d)}
     Y, saved = X, []
     for k in range(1, d + 1):
@@ -530,9 +555,36 @@ def _irreducible_block(codes: np.ndarray, field: FieldSpec) -> np.ndarray:
         # F_q[x]/(f) is then a product of fields F_{q**e} with e | d, so g is
         # a unit iff g**(q**d - 1) = 1: its matrix power maps 1 to 1
         G = np.concatenate([_mod(S[keep] - X[keep], p) for S in saved])
-        units = (_power(G, q**d - 1, p)[:, :, 0] == np.eye(D)[0]).all(axis=1)
+        units = (_power(G, q**d - 1, p)[:, :, 0] == np.eye(X.shape[-1])[0]).all(axis=1)
         keep[keep] = units.reshape(len(saved), -1).all(axis=0)
     return keep
+
+
+def _companion(codes: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """X, the F_p matrix of multiplication by x on field[x]/(f), per row of codes.
+
+    Row k of codes holds the codes of f_0 .. f_(d-1) of a monic f.  X has
+    shape (K, D, D), D = r * d, and float64 entries in [0, p), exact
+    while r * p**2 < 2**50.
+    """
+    p, r = field.p, field.r
+    K, d = codes.shape
+    D = r * d
+    T = structure_constants(field).astype(np.float64)
+    M = mul_by_matrices(code_digits(field, codes).reshape(-1, r).astype(np.float64), T)
+    X = np.zeros((K, D, D))
+    X[:, np.arange(r, D), np.arange(D - r)] = 1  # x * x**i = x**(i+1) for i < d - 1
+    X[:, :, D - r :] = _mod(-M, p).reshape(K, D, r)  # x**d = -(f_0 + .. + f_{d-1} x**(d-1))
+    return X
+
+
+def check_power_bound(D: int, p: int):
+    """Refuse D x D matrix powers mod p whose float64 products could pass 2**50.
+
+    Every caller of _power checks this before it allocates anything.
+    """
+    if D * p * p >= 1 << 50:
+        raise BudgetExceededError(f"{D} x {D} matrix powers mod {p}: entries would pass 2**50")
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import gf
-from .counting import CountEngine, CountReport
-from .curves import big_curve_count, count_family_naive, count_points
+from .counting import SELFCHECK_DEPTH, CountEngine, CountReport
+from .curves import big_curve_count, count_family_naive, count_points, family_genus
 from .errors import BudgetExceededError, InvariantError
 from .fastfield import table_for
 from .numtheory import divisors, prime_factors, prime_power_parts
@@ -293,6 +293,14 @@ def verify_all(q: int, n_max: int, max_elements: int = gf.DEFAULT_MAX_ELEMENTS) 
     """
     p, r = prime_power_parts(q)
     field = gf.make_field(p, r)
+    # The checks below read the full walk of every tower up to n_max, and
+    # the engine reads the class walk, its prefix, up to genus + 2.  Walk
+    # the shared towers first, so that the engine takes the prefixes and no
+    # tower is walked twice (while its table stays in table_for's cache).
+    for m in range(1, min(family_genus(field) + SELFCHECK_DEPTH, n_max) + 1):
+        if gf.over_cap(q**m, max_elements):
+            break
+        table_for(gf.make_tower(field, m)).exp_enc
     engine = CountEngine(field, max_elements=max_elements)
     curves = engine.curves
     units = [a for a in field.elements() if not field.is_zero(a)]

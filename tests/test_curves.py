@@ -364,6 +364,12 @@ class TestLinearMaps:
             )
 
 
+    def test_lhs_matrix_refuses_inexact_powers(self):
+        tower = gf.make_tower(gf.PrimeField(2**31 - 1), 1)  # y**p by 1 x 1 powers mod p
+        with pytest.raises(BudgetExceededError, match="2\\*\\*50"):
+            _lhs_matrix(tower)
+
+
 class TestBigCurve:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_alpha_invariance_even(self, m):

@@ -1,9 +1,11 @@
 """The generator walk of FieldTable: pinned outputs, the block-loop walk it
-replaced as a differential reference, the digit-packing width rule, the
-trace rows, the class walk behind the trace-pair histogram, and the
-base-field tables."""
+replaced as a differential reference, the generator search against the
+element loop it replaced, the digit-packing width rule, the trace rows,
+the class walk behind the trace-pair histogram, and the base-field
+tables."""
 
 import hashlib
+import tracemalloc
 from functools import partial
 from types import SimpleNamespace
 
@@ -20,7 +22,7 @@ from tracezero.fastfield import (
     multiplicative_generator,
     table_for,
 )
-from tracezero.numtheory import prime_power_parts
+from tracezero.numtheory import prime_factors, prime_power_parts
 
 ENGINE_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16)
 
@@ -106,6 +108,47 @@ def test_walk_is_pinned(q, n):
 def test_walk_matches_block_loop(q, n):
     tower = _tower(q, n)
     assert np.array_equal(FieldTable(tower).exp_enc, _walk_reference(tower))
+
+
+# ---------------------------------------------------------------------------
+# The generator search: the element loop it replaced, kept verbatim as the
+# reference.
+
+
+def _generator_reference(tower: gf.ExtensionField):
+    """First element in canonical order that generates the unit group."""
+    N = tower.order - 1
+    one = tower.one
+    if N == 1:
+        return one
+    prims = prime_factors(N)
+    for a in tower.elements():
+        if tower.is_zero(a):
+            continue
+        if all(tower.pow_(a, N // ell) != one for ell in prims):
+            return a
+    raise InvariantError("unit group has no generator; field data corrupt")
+
+
+@pytest.mark.parametrize(
+    "q,n",
+    [(q, n) for q in ENGINE_FIELDS for n in range(1, 23) if q**n <= 1 << 22],
+)
+def test_generator_matches_the_element_loop(q, n):
+    tower = _tower(q, n)
+    assert multiplicative_generator(tower) == _generator_reference(tower)
+
+
+def test_generator_search_refuses_inexact_powers_before_allocation():
+    tower = gf.make_tower(gf.PrimeField(2**31 - 1), 1)  # 1 x 1 powers mod 2**31 - 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="2\\*\\*50"):
+            multiplicative_generator(tower)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 10
 
 
 class TestDigitWidth:

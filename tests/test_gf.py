@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -252,6 +253,45 @@ class TestBatchedTestGuards:
     def test_characteristic_past_exact_float_arithmetic_is_refused(self):
         with pytest.raises(BudgetExceededError, match="2\\*\\*50"):
             gf.irreducible_mask([[1, 0]], gf.PrimeField(2**31 - 1))
+
+    def test_power_bound_is_checked_before_allocation(self):
+        import tracemalloc
+
+        codes = np.zeros((1 << 14, 20), dtype=np.int64)  # 20 x 20 stacks mod 2**31 - 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="2\\*\\*50"):
+                gf.irreducible_mask(codes, gf.PrimeField(2**31 - 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
+
+class TestStructureConstants:
+    """T, built from the modulus, against the linear maps of gf's mul."""
+
+    @staticmethod
+    def _check(field):
+        want = [
+            gf.linear_map_matrix(field, field, partial(field.mul, field.basis_element(j)))
+            for j in range(field.r)
+        ]
+        T = gf.structure_constants(field)
+        assert T.dtype == np.int64 and not T.flags.writeable
+        assert np.array_equal(T, np.stack(want))
+
+    @pytest.mark.parametrize(
+        "q,n",
+        [(q, n) for q in (2, 3, 4, 5, 7, 8, 9, 16) for n in range(1, 13) if q**n <= 1 << 12]
+        + [(25, 3), (27, 3), (81, 2), (2, 16)],
+    )
+    def test_towers(self, q, n):
+        self._check(gf.make_tower(gf.make_field(*prime_power_parts(q)), n))
+
+    @pytest.mark.parametrize("q", [2, 4, 8, 9, 16, 25, 27, 81, 128])
+    def test_fields(self, q):
+        self._check(gf.make_field(*prime_power_parts(q)))
 
 
 class TestMonicPolys:

@@ -1,12 +1,15 @@
 """Brute-force oracles: definitional cross-checks, both irreducible-count
 routes, zero-locus counts, and the full verification sweep on small fields."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from tracezero import gf, oracle
+from tracezero import fastfield, gf, oracle
+from tracezero.counting import engine_for
 from tracezero.errors import BudgetExceededError
-from tracezero.fastfield import table_for
+from tracezero.fastfield import FieldTable, table_for
 from tracezero.numtheory import prime_power_parts
 from tracezero.oracle import (
     enum_f_count,
@@ -229,6 +232,40 @@ class TestVerifyAll:
         report = verify_all(2, 6, 40)
         assert report.passed
         assert any(c.status == "skip" for c in report.checks)
+
+    @pytest.mark.parametrize("q", [3, 5, 9, 4])
+    def test_each_tower_is_walked_once(self, q, monkeypatch):
+        # the engine's class walks take the prefixes of the full walks, and
+        # table_for keeps every tower through the loop over n
+        walks = Counter()
+        real = FieldTable._walk
+
+        def counting(self, length):
+            walks[self.tower] += 1
+            return real(self, length)
+
+        monkeypatch.setattr(FieldTable, "_walk", counting)
+        table_for.cache_clear()
+        assert verify_all(q, 4).passed
+        assert {_tower(q, n) for n in range(1, 5)} <= set(walks)
+        assert set(walks.values()) == {1}
+
+    def test_tower_products_stay_off_the_python_arithmetic(self, monkeypatch):
+        # tables and curve checks multiply by F_p matrices from the modulus;
+        # the walk's lam0 and the trace's Frobenius stay on gf.mul
+        calls = []
+        real = gf.ExtensionField.mul
+
+        def counting(self, a, b):
+            calls.append(self.n)
+            return real(self, a, b)
+
+        for cache in (table_for, gf.structure_constants, fastfield.base_tables):
+            cache.cache_clear()
+        monkeypatch.setattr(gf.ExtensionField, "mul", counting)
+        engine_for(7)
+        assert verify_all(3, 4).passed
+        assert len(calls) < 1000
 
 
 class TestVerifyAllFaults:
