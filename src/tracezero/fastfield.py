@@ -3,39 +3,48 @@
 A FieldTable walks the multiplicative group of one tower field F_{q^n} in
 generator order and exposes the walk as numpy arrays: entry k is the
 positional base-p code of gamma**k.  Linear data (traces, multiplication by
-a fixed constant) is then evaluated as F_p-linear maps on those codes, and
-inverses come for free because (gamma**k)**-1 = gamma**(N-k).
+a fixed constant) is then evaluated as F_p-linear maps, and inverses come
+for free because (gamma**k)**-1 = gamma**(N-k).
 
-Every F_p-linear map acts on integer codes by split-digit lookup, and no
-code is ever decoded digit by digit.  Splitting a code as
-lo + p**h * hi with h = d // 2, a map A satisfies A(code) = A(lo) + A(hi),
-so one table of p**h + p**(d-h) entries (the images of every low part,
-then of every high part) holds every image.  Entries are digit-packed
-int64 words, digit j in bits [w*j, w*j + w).  For odd p, 2**(w-1) >= p,
-so one gather-add sums two images digitwise with no carry between
-digits, and a handful of whole-word operations reduce every digit mod p
-at once.  For p = 2 a digit is one bit and digits add by XOR, so the
-packed word of an image is its code: the split is a mask and a shift,
-the sum is one XOR, and nothing is reduced or unpacked.
+The walk's state is the packed word: digit j of an element sits in bits
+[w*j, w*j + w).  A word splits into parts of whole F_q-coordinates, each
+taken with a shift and a mask and at most _PART_BITS = 16 bits wide, and an
+F_p-linear map is one table per part, indexed by the packed part: A(x) is
+the sum of the parts' images.  Only a table's valid slots, whose digits
+are all below p, are filled or ever read.  For odd p, 2**(w-1) >= p, so
+two images add digitwise with no carry between digits, and a handful of
+whole-word operations reduce every digit mod p at once.  For p = 2 a digit
+is one bit and digits add by XOR, so a packed word is its element code and
+nothing is reduced or converted.  Element codes are made only for the full
+walk, whose readers index by code; the class walk and its checks read
+packed parts.
 
-The walk itself is such a map, applied by doubling: enc[L:2L] is the image
-of enc[0:L] under x -> gamma**L * x, and the table of gamma**(2L) is the
-table of gamma**L with every entry mapped once more by itself.  One walk
-routine serves two lengths:
+The walk itself is such a map, applied by doubling: words[L:2L] is the
+image of words[0:L] under x -> gamma**L * x, and the table of gamma**(2L)
+is the table of gamma**L with every valid entry mapped once more by
+itself.  One walk routine serves two lengths:
 
-* the full walk exp_enc, all N units, built on first read and checked to
-  be a bijection onto the units; the oracles' enumerations read it;
-* the class walk, gamma**k for k < M = N / (q - 1).  gamma**M lies in
-  F_q*, so the class walk holds one point of every F_q*-coset of the
-  units.  It has its own exact check, equivalent to the full walk's.
+* the full walk exp_enc, all N units in one block, converted to codes and
+  checked to be a bijection onto the units.  The oracles' enumerations
+  read it, and evaluate functionals on its codes by split-code tables (a
+  code is lo + p**h * hi, hi taken by floor division);
+* the class walk, gamma**k for k < M = N / (q - 1), streamed in blocks of
+  _BLOCK = 2**14 units, so that a block's temporaries stay in a 2 MB L2.
+  Its first block is the doubling walk, and each later block is the image
+  of the one before under the table of gamma**_BLOCK.  gamma**M lies in
+  F_q*, so the class walk holds one point of every F_q*-coset of the units.
 
 The trace-pair histogram (how often the trace of a unit and the trace of
 its inverse take each pair of base-field values) needs only the class
 walk: the trace is F_q-linear, so scaling x by lam in F_q* moves its pair
-(a, b) to (lam * a, lam**-1 * b).  The curve counts read nothing else, so
-no engine build walks more than (q**n - 1) / (q - 1) units of a tower.
-base_tables holds the arithmetic of F_q itself, by element code, for that
-expansion and for the curve counts.
+(a, b) to (lam * a, lam**-1 * b).  Per block, one read per part of a table
+that maps x to (gamma**_BLOCK * x, Tr(x)) gives both the next block and
+each unit's trace; each unit, scaled by its leading F_q-coordinate, marks
+its coset in M flags; and the trace is kept at one byte per unit.  The
+class walk itself is never held whole.  The curve counts read nothing
+else, so no engine build walks more than (q**n - 1) / (q - 1) units of a
+tower.  base_tables holds the arithmetic of F_q itself, by element code,
+for that expansion, the coset marks and the curve counts.
 
 Multiplication comes from the modulus: gf.structure_constants builds the
 F_p matrices of multiplication by each basis element from the matrix of
@@ -44,7 +53,8 @@ generator search (the matrices of the candidates, raised to N / l) read
 them.  Two checks stay on gf's definitional arithmetic, so every build
 still holds the matrices against gf.mul: the trace is the literal sum of
 the Frobenius conjugates, composed as linear maps (with Phi the matrix of
-gf's Frobenius x -> x**q, the trace rows are those of sum_{j<n} Phi**j),
+gf's Frobenius x -> x**q, kept on the table as frobenius_matrix, the trace
+rows are those of sum_{j<n} Phi**j),
 and lam0 = gamma**M of the class walk is gf's power, which the class-walk
 check holds against the walk's next step.  No closed-form formula under
 test enters any table.
@@ -70,7 +80,9 @@ from .gf import (
 )
 from .numtheory import prime_factors
 
-_CHUNK = 1 << 18
+_BLOCK = 1 << 14  # units per block: a block's temporaries stay in a 2 MB L2
+_PART_BITS = 16  # a packed part indexes a table of at most 2**16 slots
+_SMALL_TABLE = 1 << 12  # coset-table slots always allowed a part: cheaper than another part
 _FIRST_CANDIDATES = 4  # the generator search's first block; generators are common
 _WORD_BITS = 63  # packed words are non-negative int64
 
@@ -159,7 +171,8 @@ class FieldTable:
     """Enumeration tables for F_{q^n}, indexed by exponent of a generator.
 
     Nothing is walked at construction.  exp_enc, the full walk, is built on
-    first read; the trace-pair histogram walks only its first M entries.
+    first read; the trace-pair histogram streams the class walk, its first
+    M units, and keeps one trace code per unit.
     """
 
     def __init__(self, tower: ExtensionField):
@@ -177,9 +190,9 @@ class FieldTable:
         return multiplicative_generator(self.tower)
 
     @cached_property
-    def _step(self) -> np.ndarray:
-        """Packed table of the walk's step x -> gamma * x."""
-        return self._packed_table(gf.mul_matrix(self.tower, self._generator))
+    def _step(self) -> list[np.ndarray]:
+        """Part tables of the walk's step x -> gamma * x."""
+        return self._map_table(gf.mul_matrix(self.tower, self._generator))
 
     @cached_property
     def exp_enc(self) -> np.ndarray:
@@ -197,83 +210,244 @@ class FieldTable:
         return enc
 
     def _walk(self, length: int) -> np.ndarray:
-        """gamma**k for k < length, by doubling.
+        """Codes of gamma**k for k < length: the doubling walk as one block
+        of packed words, then the code of each word, in place."""
+        words, _ = self._double(length)
+        if self.p != 2:  # for p = 2 a packed word is its code
+            for s in range(0, length, _BLOCK):
+                block = words[s : s + _BLOCK]
+                block[:] = self._codes(self._split(block))
+        return words
 
-        enc[L:2L] is the image of enc[0:L] under x -> g**L * x, and the
-        table of x -> g**(2L) * x is that of x -> g**L * x with every entry
-        mapped once more by the same table.
+    def _double(self, length: int) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(packed gamma**k for k < length, the part tables of gamma**h),
+        h the largest power of two below length (1 when length <= 2).
+
+        words[L:2L] is the image of words[0:L] under x -> gamma**L * x, and
+        the table of x -> gamma**(2L) * x is that of x -> gamma**L * x with
+        every valid entry mapped once more by the same table.
         """
-        d, table = self.d, self._step
-        enc = np.empty(length, dtype=np.int64)
-        enc[0] = self.tower.code(self.tower.one)
-        L = 1
+        words = np.empty(length, dtype=np.int64)
+        words[0] = 1  # the packed word of one
+        table, L = [part.copy() for part in self._step], 1
         while L < length:
+            if L > 1:
+                self._square(table)
             todo = min(L, length - L)
-            for s in range(0, todo, _CHUNK):
-                e = min(s + _CHUNK, todo)
-                enc[L + s : L + e] = self._unpack_codes(self._packed_image(table, enc[s:e]), d)
+            for s in range(0, todo, _BLOCK):
+                e = min(s + _BLOCK, todo)
+                words[L + s : L + e] = self._image(table, self._split(words[s:e]))
             L *= 2
-            if L < length:
-                table = self._packed_image(table, self._unpack_codes(table.copy(), d))
-        return enc
+        return words, table
 
-    def _class_walk(self):
-        """(gamma**k for k < M, lam0 = gamma**M), checked by _check_class_walk.
+    def _class_blocks(self):
+        """The class walk gamma**k, k < M, in blocks: per block, the packed
+        parts of its units and the codes of their traces.
 
-        The prefix of the full walk when that was ever read, else walked.
+        The first block, min(_BLOCK, M) units, is the doubling walk, whose
+        last table, squared once more, is that of gamma**_BLOCK (a power of
+        two).  Tr's part tables, shifted past the d digits, are added to
+        that table, so one image of a block's parts holds, in its low d
+        digits, the next block and, in the r digits above, the trace of
+        each unit.  Each unit is thus split once and read by one table per
+        part.  The image of a block under the table of gamma**_BLOCK is the
+        next block, so no table is composed after the first block.
         """
-        full = self.__dict__.get("exp_enc")
-        enc = self._walk(self.M) if full is None else full[: self.M]
-        lam0 = self.tower.pow_(self._generator, self.M)
-        self._check_class_walk(enc, lam0)
-        return enc, lam0
+        M, shift, r = self.M, self.d * self.w, self.tower.base.r
+        words, table = self._double(min(_BLOCK, M))
+        if M > _BLOCK:
+            self._square(table)  # gamma**(_BLOCK / 2) -> gamma**_BLOCK
+        trace = self._map_table(self.trace_rows())
+        table = [part + (tr << shift) for part, tr in zip(table, trace)]
+        parts, done = self._split(words), 0
+        while True:
+            image = self._image(table, parts)
+            yield parts, self._unpack_codes(image >> shift, r)
+            done += image.size
+            if done == M:
+                return
+            parts = self._split(image[: M - done])
 
-    def _check_class_walk(self, enc: np.ndarray, lam0):
-        """Raise unless the F_q*-multiples of enc cover every unit exactly once.
+    def _stream_class_walk(self, blocks, lam0) -> np.ndarray:
+        """Trace codes of gamma**k, k < M, read off blocks of the class walk.
 
-        enc holds the codes of gamma**k for k < M.  The multiples cover
-        every unit once exactly when two things hold.  First, enc meets M
-        distinct F_q*-cosets, which are all of them: scaled by the inverse
-        of its leading F_q-coordinate, every code becomes a distinct nonzero
-        code.  Second, the walk's step maps the last entry to lam0 =
-        gamma**M, which lies in F_q* and has order q - 1, so
-        gamma**(jM + k) = lam0**j * gamma**k runs through each coset.
+        blocks yields, per block of consecutive units gamma**k, k < M, their
+        packed parts and trace codes, and lam0 is gamma**M.  Per block the
+        trace codes are kept, one per unit, and each unit's F_q*-coset is
+        marked in M flags.  Raises unless the F_q*-multiples of the walk
+        cover every unit exactly once, which holds when two things do.
+        First, the M units meet M distinct cosets, which are all of them.
+        Second, the walk's step maps the last unit to lam0, which lies in
+        F_q* and has order q - 1, so gamma**(jM + k) = lam0**j * gamma**k
+        runs through each coset.
         """
-        tower, q, n, M = self.tower, self.tower.q, self.tower.n, self.M
-        mul, inv, _ = base_tables(tower.base)
-        # a code is k parts of h F_q-coordinates, the widest h whose table
-        # scaled has no more cells than the walk has entries (or than F_q has
-        # products), so the table never outgrows the walk it checks
-        h = next(h for h in range(-(-n // 2), 0, -1) if q ** (h + 1) <= max(M, q * q))
-        k, split = -(-n // h), q**h  # every part lies below split
-        part = np.arange(split, dtype=np.int64)[:, None] // q ** np.arange(h) % q
-        lead = np.zeros(split, dtype=np.int64)  # highest nonzero F_q-coordinate
-        for j in range(h):
-            lead = np.where(part[:, j] != 0, part[:, j], lead)
-        scaled = mul[:, part] @ q ** np.arange(h)  # scaled[c, v]: code of c * v
-        seen = np.zeros(tower.order, dtype=bool)
-        for s in range(0, M, _CHUNK // 4):
-            parts, rest = [], enc[s : s + _CHUNK // 4]
-            for _ in range(k):  # lowest part first
-                rest, v = np.divmod(rest, split)
-                parts.append(v)
-            c = lead[parts[0]]
-            for v in parts[1:]:
-                c = np.where(v != 0, lead[v], c)
-            c = inv[c]
-            codes = scaled[c, parts[-1]]
-            for v in parts[-2::-1]:
-                codes *= split
-                codes += scaled[c, v]
-            seen[codes] = True
-        if seen[0] or np.count_nonzero(seen) != M:
+        tower, q, M = self.tower, self.tower.q, self.M
+        coset = self._coset_reader()
+        t = np.empty(M, dtype=np.min_scalar_type(q - 1))
+        seen = np.zeros(M + 1, dtype=bool)  # flag M: the zero element
+        s = 0
+        for parts, traces in blocks:
+            e = s + traces.size
+            if e > M:
+                break
+            t[s:e] = traces
+            seen[coset(parts)] = True
+            s, last = e, parts
+        if s != M or seen[M] or not seen[:M].all():
             raise InvariantError("class walk does not meet every F_q*-coset once")
-        last = self._unpack_codes(self._packed_image(self._step, enc[-1:]), self.d)
+        step = self._image(self._step, [v[-1:] for v in last])[0]
         base, code = tower.base, tower.code(lam0)
-        if not (0 < code < q and code == last[0]):
+        word = sum(digit << (self.w * j) for j, digit in enumerate(tower.flat_digits(lam0)))
+        if not (0 < code < q and step == word):
             raise InvariantError("gamma**M is not the walk's next step in F_q*")
         if any(base.pow_(lam0[0], (q - 1) // ell) == base.one for ell in prime_factors(q - 1)):
             raise InvariantError("gamma**M does not generate F_q*")
+        return t
+
+    def _coset_reader(self):
+        """A function from the parts of a block to the coset index of each unit.
+
+        A unit x whose highest nonzero F_q-coordinate is c, at position i,
+        scales to u = x / c, whose code lies in [q**i, 2 * q**i).  Its
+        index is that code plus off(i) = (q**i - 1) / (q - 1) - q**i, which
+        counts the cosets led below position i, so the M cosets take the
+        indices below M; zero takes M.  The highest nonzero part holds c,
+        and lead, read at that part, gives off(i) * 2**32 + (c - 1) * S;
+        scaled holds each part's share of the code of u, in rows of S
+        slots, one row per c.
+        """
+        tower, q, M = self.tower, self.tower.q, self.M
+        p, r = self.p, tower.base.r
+        mul, inv, _ = base_tables(tower.base)
+        S = max(int(slots[-1]) for _, slots in self._part_slots) + 1  # all digits p - 1
+        leads, scaled = [], []
+        for (a, c), (digits, slots) in zip(self._parts, self._part_slots):
+            h, first = c // r, a // r
+            coords = digits.reshape(-1, h, r) @ p ** np.arange(r, dtype=np.int64)
+            nonzero = coords != 0
+            top = h - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+            low = q ** (first + top)
+            key = ((low - 1) // (q - 1) - low) * 2**32
+            key += (coords[np.arange(len(coords)), top] - 1) * S
+            lead = np.zeros(int(slots[-1]) + 1, dtype=np.int64)
+            lead[slots] = np.where(nonzero.any(axis=1), key, M * 2**32)
+            table = np.zeros((q - 1, S), dtype=np.int64)
+            table[:, slots] = mul[inv[1:]][:, coords] @ q ** np.arange(first, first + h)
+            leads.append(lead)
+            scaled.append(table.reshape(-1))
+        starts = np.cumsum([0] + [lead.size for lead in leads[:-1]])
+        lead = np.concatenate(leads)
+
+        def read(parts):
+            at = parts[0]  # the highest nonzero part, as an index into lead
+            for start, v in zip(starts[1:], parts[1:]):
+                at = np.where(v != 0, v + start, at)
+            key = lead[at]
+            row = key & (2**32 - 1)
+            index = key >> 32
+            for table, v in zip(scaled, parts):
+                index += table[row + v]
+            return index
+
+        return read
+
+    # -- packed parts ----------------------------------------------------------
+
+    @cached_property
+    def _parts(self) -> tuple[tuple[int, int], ...]:
+        """(first digit, digits) of each packed part of a word.
+
+        A part holds h whole F_q-coordinates, h the widest that keeps its
+        table within 2**_PART_BITS slots and whose coset table, q - 1 rows
+        of q**h valid entries, has no more of them than the class walk has
+        units (or than F_q has products), so no table outgrows the walk it
+        serves; or whose whole coset table, valid or not, has at most
+        _SMALL_TABLE slots, which cost less than another part's numpy
+        calls.  The coordinates are shared out evenly over the parts.
+        """
+        base, n = self.tower.base, self.tower.n
+        q, r, w = base.order, base.r, self.w
+        h = max(1, min(_PART_BITS // (r * w), n))
+        while (
+            h > 1
+            and (q - 1) * q**h > max(self.M, q * q)
+            and (q - 1) * ((self.p - 1) * _repeat(1, w, r * h) + 1) > _SMALL_TABLE
+        ):
+            h -= 1
+        k = -(-n // h)
+        sizes = [n // k + (j < n % k) for j in range(k)]
+        return tuple((r * sum(sizes[:j]), r * c) for j, c in enumerate(sizes))
+
+    @cached_property
+    def _part_slots(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per part, (the digits of every valid value, its packed slot);
+        the last slot, all digits p - 1, is the largest."""
+        p, w, of_size = self.p, self.w, {}
+        for _, c in self._parts:
+            if c not in of_size:  # parts differ in size by one coordinate at most
+                place = np.arange(c, dtype=np.int64)
+                digits = np.arange(p**c, dtype=np.int64)[:, None] // p**place % p
+                of_size[c] = digits, digits @ np.left_shift(1, w * place)
+        return [of_size[c] for _, c in self._parts]
+
+    def _split(self, words: np.ndarray) -> list[np.ndarray]:
+        """The packed parts of words: part j, digits [a, a + c), read by a
+        shift and a mask (bits above the d digits are dropped)."""
+        w = self.w
+        return [(words >> (w * a) if a else words) & ((1 << (w * c)) - 1) for a, c in self._parts]
+
+    def _map_table(self, matrix, places=None) -> list[np.ndarray]:
+        """Part tables of an F_p-linear map given by a (k, d) matrix: per
+        part, the packed image of every valid slot, digit j of the image in
+        bits [w*j, w*j + w) (or weighted by places[j]); the other slots are
+        never read."""
+        A = np.asarray(matrix, dtype=np.float64)  # exact: sums stay below d * p**2
+        if places is None:
+            places = np.left_shift(1, self.w * np.arange(len(A), dtype=np.int64))
+        tables = []
+        for (a, c), (digits, slots) in zip(self._parts, self._part_slots):
+            table = np.zeros(int(slots[-1]) + 1, dtype=np.int64)
+            table[slots] = gf._mod(digits @ A[:, a : a + c].T, self.p).astype(np.int64) @ places
+            tables.append(table)
+        return tables
+
+    def _image(self, tables: list[np.ndarray], parts: list[np.ndarray]) -> np.ndarray:
+        """Packed images of the words split into parts, under the map whose
+        part tables are given: the images of the parts, summed."""
+        words = tables[0][parts[0]]
+        for table, v in zip(tables[1:], parts[1:]):
+            if self.p == 2:
+                words ^= table[v]
+            else:
+                words += table[v]
+                self._reduce(words)
+        return words
+
+    def _square(self, tables: list[np.ndarray]):
+        """Map every valid entry of tables once more by tables, in place:
+        the tables of x -> a * x become those of x -> a**2 * x."""
+        slots = [slots for _, slots in self._part_slots]
+        entries = np.concatenate([table[at] for table, at in zip(tables, slots)])
+        images = self._image(tables, self._split(entries))
+        start = 0
+        for table, at in zip(tables, slots):
+            table[at] = images[start : start + at.size]
+            start += at.size
+
+    @cached_property
+    def _code_tables(self) -> list[np.ndarray]:
+        """Per part, the share of each valid slot in the element's code:
+        the identity map, with digit j weighted by p**j."""
+        d = self.d
+        return self._map_table(np.eye(d, dtype=np.int64), self.p ** np.arange(d, dtype=np.int64))
+
+    def _codes(self, parts: list[np.ndarray]) -> np.ndarray:
+        """Base-p codes of the words split into parts."""
+        tables = self._code_tables
+        codes = tables[0][parts[0]]
+        for table, v in zip(tables[1:], parts[1:]):
+            codes += table[v]
+        return codes
 
     # -- generic access -------------------------------------------------------
 
@@ -286,6 +460,25 @@ class FieldTable:
             out[:, j] = t % self.p
             t //= self.p
         return out
+
+    def _reduce(self, words: np.ndarray):
+        """Reduce mod p, in place, every digit of words below 2p (odd p).
+
+        Adding 2**(w-1) - p to every digit sets bit w-1 exactly in the
+        digits that reached p, so one subtraction reduces them all.
+        """
+        w, (add, top) = self.w, self._reduce_masks
+        over = words + add
+        over &= top
+        over >>= w - 1
+        over *= self.p
+        words -= over
+
+    @cached_property
+    def _reduce_masks(self) -> tuple[int, int]:
+        """2**(w-1) - p in every digit, and bit w-1 of every digit."""
+        ones = _repeat(1, self.w, _WORD_BITS // self.w)
+        return ((1 << (self.w - 1)) - self.p) * ones, (1 << (self.w - 1)) * ones
 
     def _packed_table(self, matrix) -> np.ndarray:
         """Packed images of every low and every high part of a code.
@@ -309,26 +502,22 @@ class FieldTable:
         """Packed images of codes under the map whose table is given.
 
         For p = 2 the two table entries add by XOR.  For odd p their
-        digitwise sum has digits below 2p.  Adding 2**(w-1) - p to every
-        digit sets bit w-1 exactly in the digits that reached p, so one
-        subtraction reduces them all mod p.
+        digitwise sum has digits below 2p and is reduced.  The high part is
+        taken by floor division, not divmod, which has no fast path for a
+        scalar divisor.
         """
-        p, w, h = self.p, self.w, self.d // 2
+        p, h = self.p, self.d // 2
         if p == 2:
             words = table[codes & ((1 << h) - 1)]
             words ^= table[(codes >> h) + (1 << h)]
             return words
-        ones = _repeat(1, w, _WORD_BITS // w)
         split = p**h
-        hi, lo = np.divmod(codes, split)
+        hi = codes // split
+        lo = codes - hi * split
         hi += split
         words = table[lo]
         words += table[hi]
-        over = words + ((1 << (w - 1)) - p) * ones
-        over &= (1 << (w - 1)) * ones
-        over >>= w - 1
-        over *= p
-        words -= over
+        self._reduce(words)
         return words
 
     def _codes_of(self, table: np.ndarray, k: int, enc: np.ndarray) -> np.ndarray:
@@ -336,8 +525,8 @@ class FieldTable:
         k-digit map whose packed table is given, in the smallest unsigned
         dtype that holds p**k - 1."""
         codes = np.empty(enc.size, dtype=np.min_scalar_type(self.p**k - 1))
-        for s in range(0, enc.size, _CHUNK):
-            words = self._packed_image(table, enc[s : s + _CHUNK])
+        for s in range(0, enc.size, _BLOCK):
+            words = self._packed_image(table, enc[s : s + _BLOCK])
             codes[s : s + words.size] = self._unpack_codes(words, k)
         return codes
 
@@ -380,14 +569,22 @@ class FieldTable:
 
     # -- traces ---------------------------------------------------------------
 
+    @cached_property
+    def frobenius_matrix(self) -> np.ndarray:
+        """Phi, the F_p matrix of gf's Frobenius x -> x**q on the tower,
+        from d definitional evaluations; built once per table, read-only."""
+        phi = linear_map_matrix(self.tower, self.tower, self.tower.frobenius)
+        phi.flags.writeable = False
+        return phi
+
     def trace_rows(self) -> np.ndarray:
         """Digit-space functionals giving the base-field digits of the trace.
 
         The trace x + x**q + ... + x**(q**(n-1)) is the map sum_{j<n} Phi**j,
-        Phi the matrix of gf's Frobenius, summed by n - 1 products of d x d
-        int64 matrices; every entry stays below d * p**2 < 2**63.  Its
-        first r rows are the base-field digits; the rest must vanish, as
-        in gf's trace_to_base.  Built once per table; read-only.
+        Phi = frobenius_matrix, summed by n - 1 products of d x d int64
+        matrices; every entry stays below d * p**2 < 2**63.  Its first r
+        rows are the base-field digits; the rest must vanish, as in gf's
+        trace_to_base.  Built once per table; read-only.
         """
         return self._trace_rows
 
@@ -396,7 +593,7 @@ class FieldTable:
         tower, p, d = self.tower, self.p, self.d
         total = np.eye(d, dtype=np.int64)
         if tower.n > 1:
-            phi = linear_map_matrix(tower, tower, tower.frobenius)
+            phi = self.frobenius_matrix
             power = total
             for _ in range(tower.n - 1):
                 power = power @ phi % p
@@ -424,35 +621,47 @@ class FieldTable:
     def trace_pair_histogram(self) -> np.ndarray:
         """H[a, b] = #{k : Tr(gamma**k) has code a, Tr(gamma**-k) has code b}.
 
-        A q x q int64 array over base-field codes, summing to N, read off the
-        class walk t_k = Tr(gamma**k), k < M.  For 0 < k < M,
-        gamma**-k = lam0**-1 * gamma**(M-k), so the pairs of the walk are
-        h(t_k, lam0**-1 * t_(M-k)), taken in chunks with the partners a
-        reversed slice.  The trace is F_q-linear, so the unit lam * gamma**k
-        has the pair (lam * a, lam**-1 * b): H adds h(a, b) at
+        A q x q int64 array over base-field codes, summing to N, read off
+        the class walk t_k = Tr(gamma**k), k < M, which is streamed in
+        blocks and never held whole.  For 0 < k < M,
+        gamma**-k = lam0**-1 * gamma**(M-k), so the walk's pairs are
+        (t_k, lam0**-1 * t_(M-k)): h0 counts (t_k, t_(M-k)) in blocks, with
+        the partners a reversed slice, and its columns are then moved by
+        lam0**-1.  The trace is F_q-linear, so the unit lam * gamma**k has
+        the pair (lam * a, lam**-1 * b): H adds h(a, b) at
         (lam * a, lam**-1 * b) for every lam in F_q*.
         """
         return self._trace_pairs
 
     @cached_property
     def _trace_pairs(self) -> np.ndarray:
-        q, M = self.tower.q, self.M
-        enc, lam0 = self._class_walk()
+        q, M, r = self.tower.q, self.M, self.tower.base.r
+        # a word holds the d digits of a unit and the r of its trace, and a
+        # coset index, below M, shares an int64 with 32 bits of table row
+        if (self.d + r) * self.w > _WORD_BITS or M >= 1 << 31:
+            raise BudgetExceededError(
+                f"the class walk of {M} units packs {self.d} + {r} digits mod {self.p};"
+                f" it holds {_WORD_BITS} bits per word and 2**31 units"
+            )
+        lam0 = self.tower.pow_(self._generator, M)
+        t = self._stream_class_walk(self._class_blocks(), lam0)
         mul, inv, _ = base_tables(self.tower.base)
-        t = self._codes_of(self._trace_table, self.tower.base.r, enc)
-        back = mul[inv[self.tower.code(lam0)]]  # b -> lam0**-1 * b, by code
-        h = np.zeros(q * q, dtype=np.int64)
-        h[int(t[0]) * (q + 1)] += 1  # k = 0: gamma**0 = 1 is its own inverse
-        for s in range(1, M, _CHUNK):
-            e = min(s + _CHUNK, M)
-            keys = t[s:e].astype(np.int64) * q
-            keys += back[t[M - e + 1 : M - s + 1][::-1]]
-            h += np.bincount(keys, minlength=q * q)
+        h0 = np.zeros(q * q, dtype=np.int64)
+        key = np.min_scalar_type(q * q - 1)
+        for s in range(1, M, _BLOCK):
+            e = min(s + _BLOCK, M)
+            keys = t[s:e].astype(key)
+            keys *= q
+            keys += t[M - e + 1 : M - s + 1][::-1]
+            h0 += np.bincount(keys, minlength=q * q)
+        h = np.zeros((q, q), dtype=np.int64)  # h[a, lam0**-1 * b] = h0[a, b]
+        h[:, mul[inv[self.tower.code(lam0)]]] = h0.reshape(q, q)
+        h[t[0], t[0]] += 1  # k = 0: gamma**0 = 1 is its own inverse
         cells = np.flatnonzero(h)
         a, b = np.divmod(cells, q)
         lam = np.arange(1, q)[:, None]
         hist = np.zeros((q, q), dtype=np.int64)
-        np.add.at(hist, (mul[lam, a], mul[inv[lam], b]), h[cells])
+        np.add.at(hist, (mul[lam, a], mul[inv[lam], b]), h.reshape(-1)[cells])
         return hist
 
     def trace_zero_exp(self) -> np.ndarray:
@@ -475,8 +684,9 @@ class FieldTable:
 def table_for(tower: ExtensionField) -> FieldTable:
     """Shared per-tower table cache; entries are immutable once built.
 
-    Eight entries hold, through oracle.verify_all up to n_max = 4, the
-    engine's towers (up to genus + 2 = 6 at p = 5) and the alternative
-    towers the loop adds, so no tower is walked twice.
+    Eight entries hold the engine's towers up to genus + 2 = 8 at p = 7,
+    so oracle.verify_all up to n_max = 4 walks no tower twice: its loop
+    reads the same towers, and walks each alternative-modulus tower in a
+    table of its own.
     """
     return FieldTable(tower)

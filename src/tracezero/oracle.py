@@ -21,10 +21,10 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import gf
-from .counting import SELFCHECK_DEPTH, CountEngine, CountReport
-from .curves import big_curve_count, count_family_naive, count_points, family_genus
+from .counting import CountEngine, CountReport
+from .curves import big_curve_count, count_family_naive, count_points
 from .errors import BudgetExceededError, InvariantError
-from .fastfield import table_for
+from .fastfield import FieldTable, table_for
 from .numtheory import divisors, prime_factors, prime_power_parts
 
 
@@ -55,7 +55,9 @@ def enum_f_count(
     convention.
     """
     gf.check_element_cap(q, n, max_elements)
-    tab = table_for(_tower(q, n, tower))
+    # a caller's tower (another modulus) is walked in a table of its own,
+    # so it evicts none of the shared tables from table_for
+    tab = table_for(_tower(q, n)) if tower is None else FieldTable(_tower(q, n, tower))
     tz = tab.trace_zero_exp()
     return 1 + int((tz & tab.reversed_exp(tz)).sum())
 
@@ -265,8 +267,8 @@ class VerifyReport:
 
 def _image_of_artin_schreier_map(tower: gf.ExtensionField, tab) -> np.ndarray:
     """Bitmap over element encodings of {y**q - y : y in F_{q^n}}."""
-    # The map y -> y**q - y is F_p-linear; evaluate it on every code.
-    M = gf.linear_map_matrix(tower, tower, lambda y: tower.sub(tower.frobenius(y), y))
+    # The map y -> y**q - y is F_p-linear, Phi - I; evaluate it on every code.
+    M = (tab.frobenius_matrix - np.eye(tab.d, dtype=np.int64)) % tab.p
     order = tower.order
     weights = tab.p ** np.arange(tab.d, dtype=np.int64)
     bitmap = np.zeros(order, dtype=bool)
@@ -293,14 +295,6 @@ def verify_all(q: int, n_max: int, max_elements: int = gf.DEFAULT_MAX_ELEMENTS) 
     """
     p, r = prime_power_parts(q)
     field = gf.make_field(p, r)
-    # The checks below read the full walk of every tower up to n_max, and
-    # the engine reads the class walk, its prefix, up to genus + 2.  Walk
-    # the shared towers first, so that the engine takes the prefixes and no
-    # tower is walked twice (while its table stays in table_for's cache).
-    for m in range(1, min(family_genus(field) + SELFCHECK_DEPTH, n_max) + 1):
-        if gf.over_cap(q**m, max_elements):
-            break
-        table_for(gf.make_tower(field, m)).exp_enc
     engine = CountEngine(field, max_elements=max_elements)
     curves = engine.curves
     units = [a for a in field.elements() if not field.is_zero(a)]

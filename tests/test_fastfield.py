@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tracezero import gf
+from tracezero import fastfield, gf
 from tracezero.counting import engine_for
 from tracezero.errors import BudgetExceededError, InvariantError
 from tracezero.fastfield import (
@@ -188,6 +188,15 @@ class TestDigitWidth:
         assert np.array_equal(got, want)
         assert tab._unpack_codes(got, 34) is got
 
+    @pytest.mark.parametrize("p,d", [(3, 21), (2, 32)])
+    def test_class_walk_refuses_before_touching_the_field(self, p, d):
+        # 21 digits mod 3 fill 63 bits, leaving no room for the trace's
+        # digit; F_{2^32} has 2**32 - 1 cosets of F_2*, past 31-bit indices
+        base = SimpleNamespace(p=p, r=1)
+        fake = SimpleNamespace(base=base, flat_degree=d, order=p**d, q=p)
+        with pytest.raises(BudgetExceededError, match="class walk"):
+            FieldTable(fake).trace_pair_histogram()
+
     def test_functionals_refuse_rows_past_one_word(self):
         tab = FieldTable(_tower(131, 1))  # w = 9: seven digits per word
         codes = tab.functionals_exp(np.ones((7, 1), dtype=np.int64))
@@ -222,7 +231,8 @@ def test_trace_rows_refuse_a_trace_outside_the_base_field(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The class walk: gamma**k for k < M = N / (q - 1), one point per F_q*-coset.
+# The class walk: gamma**k for k < M = N / (q - 1), one point per F_q*-coset,
+# streamed in blocks of fastfield._BLOCK units.
 
 _CLASS_TOWERS = sorted(
     {(q, n) for q in ENGINE_FIELDS for n in range(1, 17) if q**n <= 1 << 16}
@@ -230,63 +240,124 @@ _CLASS_TOWERS = sorted(
 )
 
 
+def _full_walk_histogram(tab):
+    """The trace-pair histogram counted off the full walk, unit by unit."""
+    q = tab.tower.q
+    codes = tab.trace_codes_exp().astype(np.int64)
+    want = np.zeros((q, q), dtype=np.int64)
+    np.add.at(want, (codes, tab.reversed_exp(codes)), 1)
+    return want
+
+
+@pytest.fixture(scope="module")
+def full_walk_histogram():
+    """The full-walk histogram of a tower, counted once per module."""
+    cache = {}
+
+    def get(q, n):
+        if (q, n) not in cache:
+            cache[q, n] = _full_walk_histogram(FieldTable(_tower(q, n)))
+        return cache[q, n]
+
+    return get
+
+
 @pytest.mark.parametrize("q,n", _CLASS_TOWERS)
 def test_class_walk_histogram_matches_the_full_walk(q, n):
     tab = FieldTable(_tower(q, n))
     got = tab.trace_pair_histogram()  # first, so the class walk is what runs
     assert "exp_enc" not in vars(tab)
-    codes = tab.trace_codes_exp().astype(np.int64)
-    want = np.zeros((q, q), dtype=np.int64)
-    np.add.at(want, (codes, tab.reversed_exp(codes)), 1)
     assert got.dtype == np.int64 and got.sum() == tab.N
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, _full_walk_histogram(tab))
 
 
-@pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (16, 2), (25, 2)])
-def test_class_walk_is_the_prefix_of_the_full_walk(q, n):
+@pytest.mark.parametrize(
+    "q,n,block,blocks",
+    [
+        (7, 4, 1 << 14, 1),  # M = 400 < C
+        (3, 3, 4, 4),  # M = 13 = 3C + 1
+        (4, 3, 4, 6),  # M = 21 = 5C + 1
+        (7, 3, 8, 8),  # M = 57 = 7C + 1
+        (16, 2, 16, 2),  # M = 17 = C + 1
+        (7, 4, 16, 25),  # M = 400 = 25C
+        (9, 4, 64, 13),  # M = 820 = 12C + 52
+        (2, 12, 256, 16),  # M = N = 4095 = 16C - 1
+    ],
+)
+def test_streamed_histogram_matches_the_full_walk(
+    monkeypatch, full_walk_histogram, q, n, block, blocks
+):
+    want = full_walk_histogram(q, n)
+    monkeypatch.setattr(fastfield, "_BLOCK", block)
     tab = FieldTable(_tower(q, n))
-    enc, lam0 = tab._class_walk()
-    assert np.array_equal(enc, tab.exp_enc[: tab.M])
-    tower = tab.tower
-    assert tower.code(lam0) == tab.exp_enc[tab.M]  # gamma**M, an element of F_q*
+    assert len(list(tab._class_blocks())) == blocks
+    assert np.array_equal(tab.trace_pair_histogram(), want)
+
+
+@pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (16, 2), (25, 2), (3, 6)])
+def test_class_walk_is_the_prefix_of_the_full_walk(monkeypatch, q, n):
+    monkeypatch.setattr(fastfield, "_BLOCK", 32)  # several blocks
+    tab = FieldTable(_tower(q, n))
+    blocks = list(tab._class_blocks())
+    codes = np.concatenate([tab._codes(parts) for parts, _ in blocks])
+    traces = np.concatenate([traces for _, traces in blocks])
+    assert np.array_equal(codes, tab.exp_enc[: tab.M])
+    assert np.array_equal(traces, tab.trace_codes_exp()[: tab.M])
+    lam0 = tab.tower.pow_(tab._generator, tab.M)
+    assert tab.tower.code(lam0) == tab.exp_enc[tab.M]  # gamma**M, an element of F_q*
+
+
+def _packed_word(tab, code: int) -> int:
+    digits = tab.decode_digits(np.array([code], dtype=np.int64))[0]
+    return int(digits @ np.left_shift(1, tab.w * np.arange(tab.d, dtype=np.int64)))
 
 
 class TestClassWalkFaults:
-    """Each corruption of the class walk or of lam0 = gamma**M is refused."""
+    """Each corruption of the streamed class walk or of lam0 = gamma**M is refused."""
 
     @staticmethod
     def _walk(q, n):
         tab = FieldTable(_tower(q, n))
-        enc, lam0 = tab._class_walk()
-        return tab, enc.copy(), lam0
+        blocks = [([v.copy() for v in parts], traces) for parts, traces in tab._class_blocks()]
+        return tab, blocks, tab.tower.pow_(tab._generator, tab.M)
+
+    @staticmethod
+    def _code(tab, blocks, k) -> int:
+        parts = blocks[0][0]
+        return int(tab._codes([v[k : k + 1] for v in parts])[0])
+
+    @staticmethod
+    def _set(tab, blocks, k, code):
+        for v, part in zip(blocks[0][0], tab._split(np.array([_packed_word(tab, code)]))):
+            v[k] = part[0]
 
     @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (4, 5), (3, 6)])
     def test_scalar_multiple_of_another_entry(self, q, n):
-        tab, enc, lam0 = self._walk(q, n)
+        tab, blocks, lam0 = self._walk(q, n)
         tower = tab.tower
-        x = tower.from_code(int(enc[5]))
+        x = tower.from_code(self._code(tab, blocks, 5))
         # 2 is the code of a scalar other than 1 (a generator of F_4 when q = 4)
-        enc[9] = tower.code(tower.mul(tower.embed_base(tower.base.from_code(2)), x))
+        self._set(tab, blocks, 9, tower.code(tower.mul(tower.embed_base(tower.base.from_code(2)), x)))
         with pytest.raises(InvariantError, match="coset"):
-            tab._check_class_walk(enc, lam0)
+            tab._stream_class_walk(blocks, lam0)
 
     @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (2, 8)])
     def test_duplicated_entry(self, q, n):
-        tab, enc, lam0 = self._walk(q, n)
-        enc[7] = enc[3]
+        tab, blocks, lam0 = self._walk(q, n)
+        self._set(tab, blocks, 7, self._code(tab, blocks, 3))
         with pytest.raises(InvariantError, match="coset"):
-            tab._check_class_walk(enc, lam0)
+            tab._stream_class_walk(blocks, lam0)
 
     @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (5, 3)])
     def test_lam0_that_does_not_close_the_walk(self, q, n):
-        tab, enc, lam0 = self._walk(q, n)
+        tab, blocks, lam0 = self._walk(q, n)
         base = tab.tower.base
         other = tab.tower.embed_base(base.mul(lam0[0], base.from_code(2)))
         with pytest.raises(InvariantError, match="next step"):
-            tab._check_class_walk(enc, other)
+            tab._stream_class_walk(blocks, other)
         # an element outside F_q fails the same way
         with pytest.raises(InvariantError, match="next step"):
-            tab._check_class_walk(enc, tab.tower.from_code(int(enc[1])))
+            tab._stream_class_walk(blocks, tab.tower.from_code(self._code(tab, blocks, 1)))
 
     def test_lam0_of_lower_order(self):
         # beta = g**9 in F_{7^2}: N = 48, M = 8, and 9 = 1 mod 8, so the walk
@@ -295,16 +366,92 @@ class TestClassWalkFaults:
         tab = FieldTable(_tower(7, 2))
         tab._generator = tab.tower.pow_(multiplicative_generator(tab.tower), 9)
         with pytest.raises(InvariantError, match="generate"):
-            tab._class_walk()
+            tab.trace_pair_histogram()
 
     def test_lam0_of_lower_order_in_three_parts(self):
-        # beta = g**2 in F_{9^3}, whose codes split into three parts: N = 728,
+        # beta = g**2 in F_{9^3}, whose words split into three parts: N = 728,
         # M = 91 and gcd(2, 91) = 1, so the walk of beta meets every coset,
         # but beta**91 = g**182 has order 4 in F_9*, not 8
         tab = FieldTable(_tower(9, 3))
+        assert len(tab._parts) == 3
         tab._generator = tab.tower.pow_(multiplicative_generator(tab.tower), 2)
         with pytest.raises(InvariantError, match="generate"):
-            tab._class_walk()
+            tab.trace_pair_histogram()
+
+    def test_corrupted_table_of_a_later_block(self, monkeypatch):
+        # the first block is right, and each later one is the image of the
+        # one before under the table of gamma**C; with gamma's table in its
+        # place, the second block repeats 15 units of the first
+        monkeypatch.setattr(fastfield, "_BLOCK", 16)
+        real = FieldTable._double
+
+        def corrupt(self, length):
+            words, _ = real(self, length)
+            return words, [part.copy() for part in self._step]
+
+        monkeypatch.setattr(FieldTable, "_double", corrupt)
+        tab = FieldTable(_tower(7, 4))
+        with pytest.raises(InvariantError, match="coset"):
+            tab.trace_pair_histogram()
+
+
+def test_histogram_streams_in_bounded_memory():
+    # the class walk of F_{7^8} has 960800 units; the histogram keeps one
+    # trace byte and one coset flag per unit, and blocks of 2**14 units
+    tower = _tower(7, 8)
+    tracemalloc.start()
+    try:
+        FieldTable(tower).trace_pair_histogram()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20
+
+
+# SHA-256 of trace_pair_histogram() as little-endian int64, recorded before
+# the class walk was streamed, for every tower the engine-set builds read.
+_HISTOGRAM_DIGESTS = {
+    (2, 1): "013f21dd7052786e2c338b57f23ec2c7feb0c12f7b3b28fbb5affaca27103f51",
+    (2, 2): "01dcc266fb5789a610afc3835051d549320cff7f5aae613a36d8c5f92b1658aa",
+    (2, 3): "87f4c44ac08723bdfdacc0dc08c5ad49ed94f0a0054848e0c7f4ebea4458a881",
+    (3, 1): "9cf2445fe38d6c2e5270e14f694446e3d6cc0b8e86652fbde3589e96c60af15b",
+    (3, 2): "e471190b43e476e94a9bbf98433334578ff11f5a4d5dafaa4f10327fd8d7696e",
+    (3, 3): "f11dc460fc16f33a1cbaac41436af124c025d94541dbdad17bcaeb6461877c25",
+    (3, 4): "05744941f2afa0cff4ce57e9915e9bf9961aef051c18b05544c4b3f98824aceb",
+    (4, 1): "71eb1e960e0fbdd8e0be7e6a2e1ed265f68bebb479baee4f6997bb496388952c",
+    (4, 2): "087b667c0990226af8b919b392a4d167e11b9e66d42bc88f055b9f358e91d823",
+    (4, 3): "f66772cd927bdaac2d8e3e2ab61a218b2000e38c05811c58054f70f41f2d8480",
+    (5, 1): "bb751ed4069dc2c4cc0075de96b122df2213c0540c1a904c402f15a5a861599f",
+    (5, 2): "d8bfb192576378fcc2c563c17848ba616a27f244f71a5d5b724f581262e94b14",
+    (5, 3): "d0a0a8fec330071e1b2547a484988e95255b6a964aab4951bfd79bec67e0d88c",
+    (5, 4): "337c57cde751f1dd5561fd3b2ed6f13dac8e4eccc16f487e66efd49adf57ee42",
+    (5, 5): "2c4d48c6594923b8a36e066ccf70945c8479615b2a8d800e460c4ef2e44ccedc",
+    (5, 6): "5ca3ca3e27e537418a72dbbf96d3b0d7ad633ec264a33aa46ec27e4120f29a03",
+    (7, 1): "2bc9d62c2a48648760b6904e0d612b998258c19e5301cc1994beeba92381bcfe",
+    (7, 2): "9013fdd8ffb6d5bd87773d3124a8383c3c0a74d54b86b297ad59d58e54bd78dc",
+    (7, 3): "abffd7e307848f6a8be8067959df31ee4da6bb3d4e41be09d4f14db55adbb767",
+    (7, 4): "95940f94ded6630978b9516409d1e6bbd1f6709f84c1f5426fe90e8703ed14c1",
+    (7, 5): "c18adade7fc724ca8f34007649fd97076573db150c74c650f4584cc48b72627c",
+    (7, 6): "7bffb406f497ff45d3cb934f3066bb6980f8bc815bc8d214cbc221100d007c59",
+    (7, 7): "c539bd7c4f383fddab7121a2c45ced20310c310401afde0b38fd4f5979ac7dd2",
+    (7, 8): "bf1ba17c0ef3ab7156da0d4f802243e31601edecf768aad820abf825b569a212",
+    (8, 1): "f850f53f33e17364929e4ec32c0756f5f0484f1e4ca8230fbc38301c0674e94e",
+    (8, 2): "ac0631e2697ebe0027d4033593c05c280761cd3296a892946b322aa43679c1a6",
+    (8, 3): "e5471d9651aa1286766bd5bbc79616c720cc5b66074aebfd1847aa4e0e697c71",
+    (9, 1): "a4f03dc06c86c4a6600660ddc32c37e7a302c89e497a1dbd3e60821ad5467d62",
+    (9, 2): "36b433feda5a4237dee65dd93c24cde3351195f983b6f214c7f9f66612406ed0",
+    (9, 3): "b0caab4e2263c8a15e8af09bec9815c415b5fad2d6e92e9c7db797dc1efc4400",
+    (9, 4): "89f211eb72f20929d0bd953850d21e4b3e56c7aa67c3cc6400c2835e9728d0cf",
+    (16, 1): "69282690b68d6aa2d4aadf0416ae3577e6ce5dec7808e2a8b5bf8b69d70aa0a8",
+    (16, 2): "e31b4eb86b326c5af7211798f6b660c76ff17920cc8fbf61dab47c9ae66bf505",
+    (16, 3): "27775a031d4eb5ee651e9f7261a84d59fe1db1795cb16732bbd7dae9e009cce8",
+}
+
+
+@pytest.mark.parametrize("q,n", sorted(_HISTOGRAM_DIGESTS))
+def test_histogram_is_pinned(q, n):
+    hist = table_for(_tower(q, n)).trace_pair_histogram()
+    assert hashlib.sha256(hist.astype("<i8").tobytes()).hexdigest() == _HISTOGRAM_DIGESTS[q, n]
 
 
 @pytest.mark.parametrize("q", ENGINE_FIELDS)

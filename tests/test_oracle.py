@@ -233,22 +233,29 @@ class TestVerifyAll:
         assert report.passed
         assert any(c.status == "skip" for c in report.checks)
 
-    @pytest.mark.parametrize("q", [3, 5, 9, 4])
+    @pytest.mark.parametrize("q", [3, 5, 9, 4, 7])
     def test_each_tower_is_walked_once(self, q, monkeypatch):
-        # the engine's class walks take the prefixes of the full walks, and
-        # table_for keeps every tower through the loop over n
-        walks = Counter()
-        real = FieldTable._walk
+        # the checks read the full walks, the engine's curve counts the class
+        # walks; table_for keeps every tower through the loop over n, and
+        # the alternative-modulus towers are walked outside it
+        full, classes = Counter(), Counter()
+        walk, class_blocks = FieldTable._walk, FieldTable._class_blocks
 
-        def counting(self, length):
-            walks[self.tower] += 1
-            return real(self, length)
+        def counting_walk(self, length):
+            full[self.tower] += 1
+            return walk(self, length)
 
-        monkeypatch.setattr(FieldTable, "_walk", counting)
+        def counting_class_walk(self):
+            classes[self.tower] += 1
+            return class_blocks(self)
+
+        monkeypatch.setattr(FieldTable, "_walk", counting_walk)
+        monkeypatch.setattr(FieldTable, "_class_blocks", counting_class_walk)
         table_for.cache_clear()
         assert verify_all(q, 4).passed
-        assert {_tower(q, n) for n in range(1, 5)} <= set(walks)
-        assert set(walks.values()) == {1}
+        assert {_tower(q, n) for n in range(1, 5)} <= set(full) & set(classes)
+        assert set(full.values()) == {1}
+        assert set(classes.values()) == {1}
 
     def test_tower_products_stay_off_the_python_arithmetic(self, monkeypatch):
         # tables and curve checks multiply by F_p matrices from the modulus;
