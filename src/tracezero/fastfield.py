@@ -8,12 +8,13 @@ for free because (gamma**k)**-1 = gamma**(N-k).
 
 The walk's state is the packed word: digit j of an element sits in bits
 [w*j, w*j + w).  A word splits into parts of whole F_q-coordinates, each
-taken with a shift and a mask and at most _PART_BITS = 16 bits wide, and an
-F_p-linear map is one table per part, indexed by the packed part: A(x) is
-the sum of the parts' images.  Only a table's valid slots, whose digits
-are all below p, are filled or ever read.  For odd p, 2**(w-1) >= p, so
-two images add digitwise with no carry between digits, and a handful of
-whole-word operations reduce every digit mod p at once.  For p = 2 a digit
+taken with a shift and a mask and at most _PART_BITS = 16 bits wide (or one
+coordinate, when a coordinate is wider), and an F_p-linear map is one table
+per part, indexed by the packed part: A(x) is the sum of the parts' images.
+Only a table's valid slots, whose digits are all below p, are filled or
+ever read.  For odd p, 2**(w-1) >= p, so two images add digitwise with no
+carry between digits, and a handful of whole-word operations reduce every
+digit mod p at once.  For p = 2 a digit
 is one bit and digits add by XOR, so a packed word is its element code and
 nothing is reduced or converted.  Element codes are made only for the full
 walk, whose readers index by code; the class walk and its checks read
@@ -39,12 +40,13 @@ its inverse take each pair of base-field values) needs only the class
 walk: the trace is F_q-linear, so scaling x by lam in F_q* moves its pair
 (a, b) to (lam * a, lam**-1 * b).  Per block, one read per part of a table
 that maps x to (gamma**_BLOCK * x, Tr(x)) gives both the next block and
-each unit's trace; each unit, scaled by its leading F_q-coordinate, marks
-its coset in M flags; and the trace is kept at one byte per unit.  The
-class walk itself is never held whole.  The curve counts read nothing
-else, so no engine build walks more than (q**n - 1) / (q - 1) units of a
-tower.  base_tables holds the arithmetic of F_q itself, by element code,
-for that expansion, the coset marks and the curve counts.
+each unit's trace; each unit, scaled by its leading F_q-coordinate (read
+by tables indexed by the code of each part), marks its coset in M flags;
+and the trace is kept at one byte per unit.  The class walk itself is
+never held whole.  The curve counts read nothing else, so no engine build
+walks more than (q**n - 1) / (q - 1) units of a tower.  base_tables holds
+the arithmetic of F_q itself, by element code, for that expansion, the
+coset marks and the curve counts.
 
 Multiplication comes from the modulus: gf.structure_constants builds the
 F_p matrices of multiplication by each basis element from the matrix of
@@ -82,7 +84,6 @@ from .numtheory import prime_factors
 
 _BLOCK = 1 << 14  # units per block: a block's temporaries stay in a 2 MB L2
 _PART_BITS = 16  # a packed part indexes a table of at most 2**16 slots
-_SMALL_TABLE = 1 << 12  # coset-table slots always allowed a part: cheaper than another part
 _FIRST_CANDIDATES = 4  # the generator search's first block; generators are common
 _WORD_BITS = 63  # packed words are non-negative int64
 
@@ -220,23 +221,32 @@ class FieldTable:
         return words
 
     def _double(self, length: int) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(packed gamma**k for k < length, the part tables of gamma**h),
-        h the largest power of two below length (1 when length <= 2).
+        """(packed gamma**k for k < length, the part tables of gamma**L),
+        L the least power of two not below length.
 
         words[L:2L] is the image of words[0:L] under x -> gamma**L * x, and
         the table of x -> gamma**(2L) * x is that of x -> gamma**L * x with
-        every valid entry mapped once more by the same table.
+        every valid entry mapped once more by the same table.  A round
+        takes both in one image: the first block of its words, then every
+        valid entry.
         """
         words = np.empty(length, dtype=np.int64)
         words[0] = 1  # the packed word of one
         table, L = [part.copy() for part in self._step], 1
+        slots = [slots for _, slots in self._part_slots]
         while L < length:
-            if L > 1:
-                self._square(table)
             todo = min(L, length - L)
-            for s in range(0, todo, _BLOCK):
+            head = min(todo, _BLOCK)
+            entries = [words[:head]] + [part[at] for part, at in zip(table, slots)]
+            images = self._image(table, self._split(np.concatenate(entries)))
+            for s in range(head, todo, _BLOCK):
                 e = min(s + _BLOCK, todo)
                 words[L + s : L + e] = self._image(table, self._split(words[s:e]))
+            words[L : L + head] = images[:head]
+            start = head
+            for part, at in zip(table, slots):
+                part[at] = images[start : start + at.size]
+                start += at.size
             L *= 2
         return words, table
 
@@ -245,20 +255,19 @@ class FieldTable:
         parts of its units and the codes of their traces.
 
         The first block, min(_BLOCK, M) units, is the doubling walk, whose
-        last table, squared once more, is that of gamma**_BLOCK (a power of
-        two).  Tr's part tables, shifted past the d digits, are added to
-        that table, so one image of a block's parts holds, in its low d
-        digits, the next block and, in the r digits above, the trace of
-        each unit.  Each unit is thus split once and read by one table per
-        part.  The image of a block under the table of gamma**_BLOCK is the
-        next block, so no table is composed after the first block.
+        last table is that of gamma**_BLOCK (a power of two) when M is
+        longer than a block.  Tr's part tables, shifted past the d digits,
+        are added to that table, so one image of a block's parts holds, in
+        its low d digits, the next block and, in the r digits above, the
+        trace of each unit.  Each unit is thus split once and read by one
+        table per part.  The image of a block under the table of
+        gamma**_BLOCK is the next block, so no table is composed after the
+        first block.
         """
         M, shift, r = self.M, self.d * self.w, self.tower.base.r
         words, table = self._double(min(_BLOCK, M))
-        if M > _BLOCK:
-            self._square(table)  # gamma**(_BLOCK / 2) -> gamma**_BLOCK
-        trace = self._map_table(self.trace_rows())
-        table = [part + (tr << shift) for part, tr in zip(table, trace)]
+        for part, tr in zip(table, self._map_table(self.trace_rows())):
+            part += tr << shift
         parts, done = self._split(words), 0
         while True:
             image = self._image(table, parts)
@@ -311,42 +320,53 @@ class FieldTable:
         scales to u = x / c, whose code lies in [q**i, 2 * q**i).  Its
         index is that code plus off(i) = (q**i - 1) / (q - 1) - q**i, which
         counts the cosets led below position i, so the M cosets take the
-        indices below M; zero takes M.  The highest nonzero part holds c,
-        and lead, read at that part, gives off(i) * 2**32 + (c - 1) * S;
-        scaled holds each part's share of the code of u, in rows of S
-        slots, one row per c.
+        indices below M; zero takes M.  Each part is first read as its
+        code, below Q = q**h for the h coordinates of the widest part (for
+        p = 2 a packed part is its code).  lead, in rows of Q codes, one row
+        per part, gives the key off(i) * 2**32 + (c - 1) * Q of a nonzero
+        part, i and c those of its highest nonzero coordinate, and
+        M * 2**32 for a zero part.  The least key of x is that of its
+        highest nonzero part: off(i) falls as i grows (for q = 2 it is -1
+        throughout, and c is 1).  scaled, in rows of Q codes, one row per
+        c, holds the code of v / c for every code v; a part's share of the
+        code of u is that, weighted by q to its first coordinate.  So each
+        table has (q - 1) * Q cells at most, which the part sizes bound.
         """
-        tower, q, M = self.tower, self.tower.q, self.M
-        p, r = self.p, tower.base.r
+        tower, q, M, n = self.tower, self.tower.q, self.M, self.tower.n
+        r = tower.base.r
         mul, inv, _ = base_tables(tower.base)
-        S = max(int(slots[-1]) for _, slots in self._part_slots) + 1  # all digits p - 1
-        leads, scaled = [], []
-        for (a, c), (digits, slots) in zip(self._parts, self._part_slots):
-            h, first = c // r, a // r
-            coords = digits.reshape(-1, h, r) @ p ** np.arange(r, dtype=np.int64)
-            nonzero = coords != 0
-            top = h - 1 - np.argmax(nonzero[:, ::-1], axis=1)
-            low = q ** (first + top)
-            key = ((low - 1) // (q - 1) - low) * 2**32
-            key += (coords[np.arange(len(coords)), top] - 1) * S
-            lead = np.zeros(int(slots[-1]) + 1, dtype=np.int64)
-            lead[slots] = np.where(nonzero.any(axis=1), key, M * 2**32)
-            table = np.zeros((q - 1, S), dtype=np.int64)
-            table[:, slots] = mul[inv[1:]][:, coords] @ q ** np.arange(first, first + h)
-            leads.append(lead)
-            scaled.append(table.reshape(-1))
-        starts = np.cumsum([0] + [lead.size for lead in leads[:-1]])
-        lead = np.concatenate(leads)
+        H = max(c for _, c in self._parts) // r
+        Q = q**H
+        v = np.arange(Q)
+        place = q ** np.arange(n)
+        coords = v[:, None] // place[:H] % q
+        top = np.zeros(Q, dtype=np.int64)  # the highest nonzero coordinate of v
+        for j in range(1, H):
+            top[coords[:, j] != 0] = j
+        scaled = (mul[inv[1:]][:, coords] @ place[:H]).reshape(-1)
+        first = np.array([a // r for a, _ in self._parts])
+        off = (place - 1) // (q - 1) - place
+        # a part's codes lie below q**h, so first + top < n where read
+        lead = off[(first[:, None] + top) % n] * 2**32 + (v // place[top] - 1) * Q
+        lead[:, 0] = M * 2**32
+        weights = place[first]
+        codes, sizes = {}, [c for _, c in self._parts]
+        for c, (_, slots) in zip(sizes, self._part_slots):
+            if self.p != 2 and c not in codes:
+                codes[c] = np.zeros(int(slots[-1]) + 1, dtype=np.int64)
+                codes[c][slots] = np.arange(slots.size)  # slots lie in order of code
 
         def read(parts):
-            at = parts[0]  # the highest nonzero part, as an index into lead
-            for start, v in zip(starts[1:], parts[1:]):
-                at = np.where(v != 0, v + start, at)
-            key = lead[at]
+            if codes:
+                parts = [codes[c][v] for c, v in zip(sizes, parts)]
+            key = lead[0][parts[0]]
+            for keys, v in zip(lead[1:], parts[1:]):
+                np.minimum(key, keys[v], out=key)
             row = key & (2**32 - 1)
             index = key >> 32
-            for table, v in zip(scaled, parts):
-                index += table[row + v]
+            index += scaled[row + parts[0]]  # the first part's weight is 1
+            for weight, v in zip(weights[1:], parts[1:]):
+                index += scaled[row + v] * weight
             return index
 
         return read
@@ -357,22 +377,17 @@ class FieldTable:
     def _parts(self) -> tuple[tuple[int, int], ...]:
         """(first digit, digits) of each packed part of a word.
 
-        A part holds h whole F_q-coordinates, h the widest that keeps its
-        table within 2**_PART_BITS slots and whose coset table, q - 1 rows
-        of q**h valid entries, has no more of them than the class walk has
-        units (or than F_q has products), so no table outgrows the walk it
-        serves; or whose whole coset table, valid or not, has at most
-        _SMALL_TABLE slots, which cost less than another part's numpy
-        calls.  The coordinates are shared out evenly over the parts.
+        A part holds h whole F_q-coordinates, at least one, h the widest
+        that keeps its table within 2**_PART_BITS slots and whose coset
+        table, q - 1 rows of q**h cells, has no more cells than the class
+        walk has units (or than F_q has products), so no coset table
+        outgrows the walk it checks.  The coordinates are shared out evenly
+        over the parts.
         """
         base, n = self.tower.base, self.tower.n
-        q, r, w = base.order, base.r, self.w
-        h = max(1, min(_PART_BITS // (r * w), n))
-        while (
-            h > 1
-            and (q - 1) * q**h > max(self.M, q * q)
-            and (q - 1) * ((self.p - 1) * _repeat(1, w, r * h) + 1) > _SMALL_TABLE
-        ):
+        q, r = base.order, base.r
+        h = max(1, min(_PART_BITS // (r * self.w), n))
+        while h > 1 and (q - 1) * q**h > max(self.M, q * q):
             h -= 1
         k = -(-n // h)
         sizes = [n // k + (j < n % k) for j in range(k)]
@@ -400,14 +415,17 @@ class FieldTable:
         """Part tables of an F_p-linear map given by a (k, d) matrix: per
         part, the packed image of every valid slot, digit j of the image in
         bits [w*j, w*j + w) (or weighted by places[j]); the other slots are
-        never read."""
+        never read.  Built in blocks of rows whose products hold at most
+        _BLOCK cells."""
         A = np.asarray(matrix, dtype=np.float64)  # exact: sums stay below d * p**2
         if places is None:
             places = np.left_shift(1, self.w * np.arange(len(A), dtype=np.int64))
-        tables = []
+        rows, tables = max(1, _BLOCK // len(A)), []
         for (a, c), (digits, slots) in zip(self._parts, self._part_slots):
             table = np.zeros(int(slots[-1]) + 1, dtype=np.int64)
-            table[slots] = gf._mod(digits @ A[:, a : a + c].T, self.p).astype(np.int64) @ places
+            for s in range(0, slots.size, rows):
+                image = gf._mod(digits[s : s + rows] @ A[:, a : a + c].T, self.p)
+                table[slots[s : s + rows]] = image.astype(np.int64) @ places
             tables.append(table)
         return tables
 
@@ -422,17 +440,6 @@ class FieldTable:
                 words += table[v]
                 self._reduce(words)
         return words
-
-    def _square(self, tables: list[np.ndarray]):
-        """Map every valid entry of tables once more by tables, in place:
-        the tables of x -> a * x become those of x -> a**2 * x."""
-        slots = [slots for _, slots in self._part_slots]
-        entries = np.concatenate([table[at] for table, at in zip(tables, slots)])
-        images = self._image(tables, self._split(entries))
-        start = 0
-        for table, at in zip(tables, slots):
-            table[at] = images[start : start + at.size]
-            start += at.size
 
     @cached_property
     def _code_tables(self) -> list[np.ndarray]:
@@ -626,10 +633,10 @@ class FieldTable:
         blocks and never held whole.  For 0 < k < M,
         gamma**-k = lam0**-1 * gamma**(M-k), so the walk's pairs are
         (t_k, lam0**-1 * t_(M-k)): h0 counts (t_k, t_(M-k)) in blocks, with
-        the partners a reversed slice, and its columns are then moved by
-        lam0**-1.  The trace is F_q-linear, so the unit lam * gamma**k has
-        the pair (lam * a, lam**-1 * b): H adds h(a, b) at
-        (lam * a, lam**-1 * b) for every lam in F_q*.
+        the partners a reversed slice, and each of its cells (a, b) then
+        moves to (a, lam0**-1 * b).  The trace is F_q-linear, so the unit
+        lam * gamma**k has the pair (lam * a, lam**-1 * b): H adds h(a, b)
+        at (lam * a, lam**-1 * b) for every lam in F_q*.
         """
         return self._trace_pairs
 
@@ -646,22 +653,21 @@ class FieldTable:
         lam0 = self.tower.pow_(self._generator, M)
         t = self._stream_class_walk(self._class_blocks(), lam0)
         mul, inv, _ = base_tables(self.tower.base)
+        c0, t0 = self.tower.code(lam0), int(t[0])
         h0 = np.zeros(q * q, dtype=np.int64)
-        key = np.min_scalar_type(q * q - 1)
+        h0[t0 * q + int(mul[c0, t0])] = 1  # k = 0: gamma**0 = 1 is its own inverse
         for s in range(1, M, _BLOCK):
             e = min(s + _BLOCK, M)
-            keys = t[s:e].astype(key)
+            keys = t[s:e].astype(np.int64)
             keys *= q
             keys += t[M - e + 1 : M - s + 1][::-1]
             h0 += np.bincount(keys, minlength=q * q)
-        h = np.zeros((q, q), dtype=np.int64)  # h[a, lam0**-1 * b] = h0[a, b]
-        h[:, mul[inv[self.tower.code(lam0)]]] = h0.reshape(q, q)
-        h[t[0], t[0]] += 1  # k = 0: gamma**0 = 1 is its own inverse
-        cells = np.flatnonzero(h)
+        cells = np.flatnonzero(h0)
         a, b = np.divmod(cells, q)
+        b = mul[inv[c0], b]  # the pair of gamma**k: (a, lam0**-1 * b)
         lam = np.arange(1, q)[:, None]
         hist = np.zeros((q, q), dtype=np.int64)
-        np.add.at(hist, (mul[lam, a], mul[inv[lam], b]), h.reshape(-1)[cells])
+        np.add.at(hist, (mul[lam, a], mul[inv[lam], b]), h0[cells])
         return hist
 
     def trace_zero_exp(self) -> np.ndarray:

@@ -348,6 +348,15 @@ class TestClassWalkFaults:
         with pytest.raises(InvariantError, match="coset"):
             tab._stream_class_walk(blocks, lam0)
 
+    @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (2, 8)])
+    def test_zero_in_place_of_one(self, q, n):
+        # gamma**0 = 1 is the walk's one unit of the coset of index 0; zero
+        # in its place takes the flag past the cosets, so that one is missed
+        tab, blocks, lam0 = self._walk(q, n)
+        self._set(tab, blocks, 0, 0)
+        with pytest.raises(InvariantError, match="coset"):
+            tab._stream_class_walk(blocks, lam0)
+
     @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (5, 3)])
     def test_lam0_that_does_not_close_the_walk(self, q, n):
         tab, blocks, lam0 = self._walk(q, n)
@@ -406,6 +415,23 @@ def test_histogram_streams_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 12 << 20
+
+
+def test_coset_table_of_a_wide_base_field_stays_small(full_walk_histogram):
+    # F_{243^2}: a word is two parts of one 15-bit coordinate each, and the
+    # coset table has (q - 1) * q cells (0.47 MB); indexed by packed slot
+    # rather than by code it would have 242 * 9363 (18 MB) per part
+    tab = FieldTable(_tower(243, 2))
+    assert len(tab._parts) == 2
+    tab.trace_rows()  # the Frobenius matrix is not the histogram's cost
+    tracemalloc.start()
+    try:
+        got = tab.trace_pair_histogram()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert np.array_equal(got, full_walk_histogram(243, 2))
 
 
 # SHA-256 of trace_pair_histogram() as little-endian int64, recorded before
