@@ -18,35 +18,41 @@ digit mod p at once.  For p = 2 a digit
 is one bit and digits add by XOR, so a packed word is its element code and
 nothing is reduced or converted.  Element codes are made only for the full
 walk, whose readers index by code; the class walk and its checks read
-packed parts.
+packed parts.  A part table has at most _MAX_SLOTS = 2**24 slots, as many
+as the default element cap admits units: a tower with one coordinate whose
+table would have more is refused before any table is made.
 
 The walk itself is such a map, applied by doubling: words[L:2L] is the
 image of words[0:L] under x -> gamma**L * x, and the table of gamma**(2L)
 is the table of gamma**L with every valid entry mapped once more by
-itself.  One walk routine serves two lengths:
+itself.  One walk routine streams gamma**k in blocks of _BLOCK = 2**14
+units, so that a block's temporaries stay in a 2 MB L2: its first block is
+the doubling walk, and each later block is the image of the one before
+under the table of gamma**_BLOCK.  Per block, one read per part of a table
+that maps x to (gamma**_BLOCK * x, F(x)), for F_p-linear functionals F,
+gives both the next block and the values of F on each unit, so each unit
+is split once.  The routine runs to two lengths:
 
-* the full walk exp_enc, all N units in one block, converted to codes and
-  checked to be a bijection onto the units.  The oracles' enumerations
-  read it, and evaluate functionals on its codes by split-code tables (a
-  code is lo + p**h * hi, hi taken by floor division);
-* the class walk, gamma**k for k < M = N / (q - 1), streamed in blocks of
-  _BLOCK = 2**14 units, so that a block's temporaries stay in a 2 MB L2.
-  Its first block is the doubling walk, and each later block is the image
-  of the one before under the table of gamma**_BLOCK.  gamma**M lies in
-  F_q*, so the class walk holds one point of every F_q*-coset of the units.
+* the full walk, all N units, in the pass of functionals_exp: each block's
+  element codes are read off its parts by the code tables (for p = 2 the
+  parts are the code's bits), and the N codes are checked to be a
+  bijection onto the units and kept as exp_enc.  The trace codes are this
+  pass over the trace rows, so exp_enc and the trace codes come together,
+  whichever is read first; the oracles' enumerations read them;
+* the class walk, gamma**k for k < M = N / (q - 1), with the trace as its
+  functional.  gamma**M lies in F_q*, so the class walk holds one point of
+  every F_q*-coset of the units.
 
 The trace-pair histogram (how often the trace of a unit and the trace of
 its inverse take each pair of base-field values) needs only the class
 walk: the trace is F_q-linear, so scaling x by lam in F_q* moves its pair
-(a, b) to (lam * a, lam**-1 * b).  Per block, one read per part of a table
-that maps x to (gamma**_BLOCK * x, Tr(x)) gives both the next block and
-each unit's trace; each unit, scaled by its leading F_q-coordinate (read
-by tables indexed by the code of each part), marks its coset in M flags;
-and the trace is kept at one byte per unit.  The class walk itself is
-never held whole.  The curve counts read nothing else, so no engine build
-walks more than (q**n - 1) / (q - 1) units of a tower.  base_tables holds
-the arithmetic of F_q itself, by element code, for that expansion, the
-coset marks and the curve counts.
+(a, b) to (lam * a, lam**-1 * b).  Per block, each unit, scaled by its
+leading F_q-coordinate (read by tables indexed by the code of each part),
+marks its coset in M flags, and the trace is kept at one byte per unit.
+The class walk itself is never held whole.  The curve counts read nothing
+else, so no engine build walks more than (q**n - 1) / (q - 1) units of a
+tower.  base_tables holds the arithmetic of F_q itself, by element code,
+for that expansion, the coset marks and the curve counts.
 
 Multiplication comes from the modulus: gf.structure_constants builds the
 F_p matrices of multiplication by each basis element from the matrix of
@@ -84,6 +90,7 @@ from .numtheory import prime_factors
 
 _BLOCK = 1 << 14  # units per block: a block's temporaries stay in a 2 MB L2
 _PART_BITS = 16  # a packed part indexes a table of at most 2**16 slots
+_MAX_SLOTS = gf.DEFAULT_MAX_ELEMENTS  # a part table is no larger than the walk the cap admits
 _FIRST_CANDIDATES = 4  # the generator search's first block; generators are common
 _WORD_BITS = 63  # packed words are non-negative int64
 
@@ -197,28 +204,42 @@ class FieldTable:
 
     @cached_property
     def exp_enc(self) -> np.ndarray:
-        """Codes of gamma**k for k < N, walked and checked on first read.
+        """Codes of gamma**k for k < N, walked and checked on first read,
+        by the pass that also gives the trace codes."""
+        self.trace_codes_exp()
+        return self.__dict__["exp_enc"]
 
-        The assignment of the finished array is the only write, so two
-        threads reading it first build equal arrays and either may stay.
+    def functionals_exp(self, rows) -> np.ndarray:
+        """Evaluate F_p-linear functionals on gamma**k for every k < N.
+
+        rows is a (k, d) array-like of digit-space functionals; the result
+        holds, per exponent, the base-p code of the k values (row j gives
+        digit j), in the smallest unsigned dtype that holds p**k - 1.  This
+        is the full walk: the units' codes are read off the same parts,
+        checked to be a bijection onto the units and, by the first pass,
+        kept as exp_enc.  Each write is one assignment of a finished array,
+        so two threads reading first build equal arrays and either may stay.
         """
-        enc = self._walk(self.N)
+        # k values past one word and oversized part tables are refused
+        # before any array is made
+        digit_width(self.p, len(rows))
+        self._parts
+        N = self.N
+        enc = np.empty(N, dtype=np.int64)
+        values = np.empty(N, dtype=np.min_scalar_type(self.p ** len(rows) - 1))
+        s = 0
+        for parts, codes in self._blocks(N, rows):
+            e = s + codes.size
+            self._codes(parts, enc[s:e])
+            values[s:e] = codes
+            s = e
         # N walk entries covering all N nonzero codes are a bijection
         seen = np.zeros(self.tower.order, dtype=bool)
         seen[enc] = True
         if seen[0] or not seen[1:].all():
             raise InvariantError("generator walk did not cover the unit group")
-        return enc
-
-    def _walk(self, length: int) -> np.ndarray:
-        """Codes of gamma**k for k < length: the doubling walk as one block
-        of packed words, then the code of each word, in place."""
-        words, _ = self._double(length)
-        if self.p != 2:  # for p = 2 a packed word is its code
-            for s in range(0, length, _BLOCK):
-                block = words[s : s + _BLOCK]
-                block[:] = self._codes(self._split(block))
-        return words
+        self.__dict__.setdefault("exp_enc", enc)
+        return values
 
     def _double(self, length: int) -> tuple[np.ndarray, list[np.ndarray]]:
         """(packed gamma**k for k < length, the part tables of gamma**L),
@@ -250,32 +271,39 @@ class FieldTable:
             L *= 2
         return words, table
 
-    def _class_blocks(self):
-        """The class walk gamma**k, k < M, in blocks: per block, the packed
-        parts of its units and the codes of their traces.
+    def _blocks(self, length: int, rows):
+        """gamma**k for k < length, in blocks: per block, the packed parts
+        of its units and the codes of the functionals rows on them.
 
-        The first block, min(_BLOCK, M) units, is the doubling walk, whose
-        last table is that of gamma**_BLOCK (a power of two) when M is
-        longer than a block.  Tr's part tables, shifted past the d digits,
-        are added to that table, so one image of a block's parts holds, in
-        its low d digits, the next block and, in the r digits above, the
-        trace of each unit.  Each unit is thus split once and read by one
-        table per part.  The image of a block under the table of
-        gamma**_BLOCK is the next block, so no table is composed after the
-        first block.
+        rows is a (k, d) array-like over F_p, as for functionals_exp, whose
+        k values fit one word (the callers refuse more).  The first block,
+        min(_BLOCK, length) units, is the doubling walk, whose last table is
+        that of gamma**_BLOCK (a power of two) when the walk is longer than
+        a block.  When the d digits and the k values fit one word, the
+        functionals' part tables, shifted past the d digits, are added to
+        that table, so one image of a block's parts holds, in its low d
+        digits, the next block and, in the k digits above, the values on
+        each unit; otherwise the functionals' tables are read as a second
+        image of the same parts.  Each unit is thus split once.  The image
+        of a block under the table of gamma**_BLOCK is the next block, so no
+        table is composed after the first block.
         """
-        M, shift, r = self.M, self.d * self.w, self.tower.base.r
-        words, table = self._double(min(_BLOCK, M))
-        for part, tr in zip(table, self._map_table(self.trace_rows())):
-            part += tr << shift
+        k, shift = len(rows), self.d * self.w
+        words, table = self._double(min(_BLOCK, length))
+        values = self._map_table(rows)
+        if shift + k * self.w <= _WORD_BITS:
+            for part, v in zip(table, values):
+                part += v << shift
+            values = None
         parts, done = self._split(words), 0
         while True:
             image = self._image(table, parts)
-            yield parts, self._unpack_codes(image >> shift, r)
+            codes = image >> shift if values is None else self._image(values, parts)
+            yield parts, self._unpack_codes(codes, k)
             done += image.size
-            if done == M:
+            if done == length:
                 return
-            parts = self._split(image[: M - done])
+            parts = self._split(image[: length - done])
 
     def _stream_class_walk(self, blocks, lam0) -> np.ndarray:
         """Trace codes of gamma**k, k < M, read off blocks of the class walk.
@@ -382,10 +410,18 @@ class FieldTable:
         table, q - 1 rows of q**h cells, has no more cells than the class
         walk has units (or than F_q has products), so no coset table
         outgrows the walk it checks.  The coordinates are shared out evenly
-        over the parts.
+        over the parts.  Raises BudgetExceededError, before any table is
+        made, when one coordinate's table would have more than _MAX_SLOTS
+        slots.
         """
         base, n = self.tower.base, self.tower.n
         q, r = base.order, base.r
+        slots = (self.p - 1) * _repeat(1, self.w, r) + 1  # the table of one coordinate
+        if slots > _MAX_SLOTS:
+            raise BudgetExceededError(
+                f"F_{q}^{n}: a part table of one F_{q}-coordinate has {slots} slots;"
+                f" the bound is {_MAX_SLOTS}"
+            )
         h = max(1, min(_PART_BITS // (r * self.w), n))
         while h > 1 and (q - 1) * q**h > max(self.M, q * q):
             h -= 1
@@ -448,25 +484,25 @@ class FieldTable:
         d = self.d
         return self._map_table(np.eye(d, dtype=np.int64), self.p ** np.arange(d, dtype=np.int64))
 
-    def _codes(self, parts: list[np.ndarray]) -> np.ndarray:
-        """Base-p codes of the words split into parts."""
+    def _codes(self, parts: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+        """Base-p codes of the words split into parts (into out, if given).
+
+        For p = 2 a part is the code's bits from its first digit on, joined
+        by shifts; otherwise each part's code is read from its code table.
+        """
+        codes = np.empty_like(parts[0]) if out is None else out
+        if self.p == 2:
+            codes[:] = parts[0]
+            for (a, _), v in zip(self._parts[1:], parts[1:]):
+                codes |= v << a
+            return codes
         tables = self._code_tables
-        codes = tables[0][parts[0]]
+        codes[:] = tables[0][parts[0]]
         for table, v in zip(tables[1:], parts[1:]):
             codes += table[v]
         return codes
 
     # -- generic access -------------------------------------------------------
-
-    def decode_digits(self, encs: np.ndarray, d: int | None = None) -> np.ndarray:
-        """The first d (default all) base-p digits of each encoding."""
-        d = self.d if d is None else d
-        out = np.empty((encs.size, d), dtype=np.int64)
-        t = encs.copy()
-        for j in range(d):
-            out[:, j] = t % self.p
-            t //= self.p
-        return out
 
     def _reduce(self, words: np.ndarray):
         """Reduce mod p, in place, every digit of words below 2p (odd p).
@@ -486,56 +522,6 @@ class FieldTable:
         """2**(w-1) - p in every digit, and bit w-1 of every digit."""
         ones = _repeat(1, self.w, _WORD_BITS // self.w)
         return ((1 << (self.w - 1)) - self.p) * ones, (1 << (self.w - 1)) * ones
-
-    def _packed_table(self, matrix) -> np.ndarray:
-        """Packed images of every low and every high part of a code.
-
-        matrix is a (k, d) array-like over F_p acting on digit columns.
-        Splitting a code as lo + p**h * hi with h = d // 2, entry lo holds
-        the image of lo and entry p**h + hi the image of p**h * hi; digit j
-        of an image sits in bits [w*j, w*j + w) of its word.
-        """
-        p, d, h = self.p, self.d, self.d // 2
-        A = np.asarray(matrix, dtype=np.int64)
-        places = np.left_shift(1, digit_width(p, len(A)) * np.arange(len(A), dtype=np.int64))
-
-        def images(lo: int, hi: int) -> np.ndarray:
-            digits = self.decode_digits(np.arange(p ** (hi - lo)), hi - lo)
-            return (digits @ A[:, lo:hi].T) % p @ places
-
-        return np.concatenate([images(0, h), images(h, d)])
-
-    def _packed_image(self, table: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Packed images of codes under the map whose table is given.
-
-        For p = 2 the two table entries add by XOR.  For odd p their
-        digitwise sum has digits below 2p and is reduced.  The high part is
-        taken by floor division, not divmod, which has no fast path for a
-        scalar divisor.
-        """
-        p, h = self.p, self.d // 2
-        if p == 2:
-            words = table[codes & ((1 << h) - 1)]
-            words ^= table[(codes >> h) + (1 << h)]
-            return words
-        split = p**h
-        hi = codes // split
-        lo = codes - hi * split
-        hi += split
-        words = table[lo]
-        words += table[hi]
-        self._reduce(words)
-        return words
-
-    def _codes_of(self, table: np.ndarray, k: int, enc: np.ndarray) -> np.ndarray:
-        """Base-p codes of the images of the element codes enc under the
-        k-digit map whose packed table is given, in the smallest unsigned
-        dtype that holds p**k - 1."""
-        codes = np.empty(enc.size, dtype=np.min_scalar_type(self.p**k - 1))
-        for s in range(0, enc.size, _BLOCK):
-            words = self._packed_image(table, enc[s : s + _BLOCK])
-            codes[s : s + words.size] = self._unpack_codes(words, k)
-        return codes
 
     def _unpack_codes(self, words: np.ndarray, k: int) -> np.ndarray:
         """Base-p codes of packed words of k digits; overwrites words.
@@ -559,15 +545,6 @@ class FieldTable:
             words += high
             width, m = 2 * width, 2 * m
         return words
-
-    def functionals_exp(self, rows) -> np.ndarray:
-        """Evaluate F_p-linear functionals on gamma**k for every k.
-
-        rows is a (k, d) array-like of digit-space functionals; the result
-        holds, per exponent, the base-p code of the k values (row j gives
-        digit j), in the smallest unsigned dtype that holds p**k - 1.
-        """
-        return self._codes_of(self._packed_table(rows), len(rows), self.exp_enc)
 
     @staticmethod
     def reversed_exp(arr: np.ndarray) -> np.ndarray:
@@ -613,17 +590,13 @@ class FieldTable:
         rows.flags.writeable = False
         return rows
 
-    @cached_property
-    def _trace_table(self) -> np.ndarray:
-        return self._packed_table(self.trace_rows())
-
     def trace_codes_exp(self) -> np.ndarray:
         """Positional code of Tr(gamma**k) in the base field, per k < N."""
         return self._trace_codes
 
     @cached_property
     def _trace_codes(self) -> np.ndarray:
-        return self._codes_of(self._trace_table, self.tower.base.r, self.exp_enc)
+        return self.functionals_exp(self.trace_rows())
 
     def trace_pair_histogram(self) -> np.ndarray:
         """H[a, b] = #{k : Tr(gamma**k) has code a, Tr(gamma**-k) has code b}.
@@ -650,8 +623,9 @@ class FieldTable:
                 f"the class walk of {M} units packs {self.d} + {r} digits mod {self.p};"
                 f" it holds {_WORD_BITS} bits per word and 2**31 units"
             )
+        self._parts  # an oversized part table is refused before any array is made
         lam0 = self.tower.pow_(self._generator, M)
-        t = self._stream_class_walk(self._class_blocks(), lam0)
+        t = self._stream_class_walk(self._blocks(M, self.trace_rows()), lam0)
         mul, inv, _ = base_tables(self.tower.base)
         c0, t0 = self.tower.code(lam0), int(t[0])
         h0 = np.zeros(q * q, dtype=np.int64)
@@ -669,21 +643,6 @@ class FieldTable:
         hist = np.zeros((q, q), dtype=np.int64)
         np.add.at(hist, (mul[lam, a], mul[inv[lam], b]), h0[cells])
         return hist
-
-    def trace_zero_exp(self) -> np.ndarray:
-        return self.trace_codes_exp() == 0
-
-    # -- subfields --------------------------------------------------------------
-
-    def subfield_mask(self, e: int) -> np.ndarray:
-        """Mask of exponents k with gamma**k in the subfield F_{q^e}."""
-        if self.tower.n % e:
-            raise ValueError(f"{e} does not divide the tower degree")
-        sub_order = self.tower.q**e - 1
-        step = self.N // sub_order
-        mask = np.zeros(self.N, dtype=bool)
-        mask[::step] = True
-        return mask
 
 
 @lru_cache(maxsize=8)

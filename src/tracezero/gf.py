@@ -377,9 +377,19 @@ def digit_table(field: FieldSpec) -> np.ndarray:
 
 
 def code_digits(field: FieldSpec, codes: np.ndarray) -> np.ndarray:
-    """The base-p digits of each code in codes, along a new last axis."""
+    """The base-p digits of each code in codes, along a new last axis.
+
+    Digit j of x is t - t // p * p for t = x // p**j: floor division by a
+    scalar takes numpy's fast path, which % and division by an array of
+    powers do not.
+    """
     p = field.p
-    return codes[..., None] // p ** np.arange(field.r, dtype=np.int64) % p
+    digits = np.empty(codes.shape + (field.r,), dtype=np.int64)
+    for j in range(field.r):
+        high = codes // p
+        np.subtract(codes, high * p, out=digits[..., j])
+        codes = high
+    return digits
 
 
 @lru_cache(maxsize=32)

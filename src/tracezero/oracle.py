@@ -58,8 +58,7 @@ def enum_f_count(
     # a caller's tower (another modulus) is walked in a table of its own,
     # so it evicts none of the shared tables from table_for
     tab = table_for(_tower(q, n)) if tower is None else FieldTable(_tower(q, n, tower))
-    tz = tab.trace_zero_exp()
-    return 1 + int((tz & tab.reversed_exp(tz)).sum())
+    return 1 + int(np.count_nonzero(_both_traces_zero(tab)))
 
 
 def enum_f_count_small(tower: gf.ExtensionField, max_elements: int = 1 << 12) -> int:
@@ -111,21 +110,37 @@ def enum_i_count(
     if method == "orbit":
         gf.check_element_cap(q, n, max_elements)
         tab = table_for(_tower(q, n))
-        tz = tab.trace_zero_exp()
-        return _degree_n_orbits(tab, n, tz & tab.reversed_exp(tz))
+        return _degree_n_orbits(tab, n, _both_traces_zero(tab))
     if method == "scan":
         return _enum_i_scan(q, n, max_elements)
     raise ValueError(f"unknown method {method!r}")
 
 
+def _both_traces_zero(tab) -> np.ndarray:
+    """Mask over exponents k of Tr(gamma**k) = 0 and Tr(gamma**-k) = 0.
+
+    gamma**-k is gamma**(N-k), so the mask is the trace-zero mask and-ed
+    with its reverse past entry 0, which is copied into the result first:
+    a reversed copy is fast in numpy, a logical_and reading a reversed
+    view is not.
+    """
+    tz = tab.trace_codes_exp() == 0
+    both = np.empty_like(tz)
+    both[0] = tz[0]
+    both[1:] = tz[:0:-1]
+    both &= tz
+    return both
+
+
 def _degree_n_orbits(tab, n: int, keep: np.ndarray) -> int:
     """Number of Frobenius orbits of degree-n elements in keep, a mask over exponents.
 
-    keep is narrowed in place to the elements outside every maximal subfield.
+    keep is narrowed in place to the elements outside every maximal
+    subfield; F_{q^e}* is the exponents divisible by N / (q**e - 1).
     """
     for ell in prime_factors(n):
-        keep &= ~tab.subfield_mask(n // ell)
-    hits = int(keep.sum())
+        keep[:: tab.N // (tab.tower.q ** (n // ell) - 1)] = False
+    hits = int(np.count_nonzero(keep))
     if hits % n:
         raise InvariantError("degree-n element count not divisible by n")
     return hits // n
@@ -274,7 +289,7 @@ def _image_of_artin_schreier_map(tower: gf.ExtensionField, tab) -> np.ndarray:
     bitmap = np.zeros(order, dtype=bool)
     chunk = 1 << 18
     for s in range(0, order, chunk):
-        digits = tab.decode_digits(np.arange(s, min(s + chunk, order), dtype=np.int64))
+        digits = gf.code_digits(tab.tower, np.arange(s, min(s + chunk, order), dtype=np.int64))
         bitmap[(digits @ M.T % tab.p) @ weights] = True
     return bitmap
 
@@ -282,7 +297,7 @@ def _image_of_artin_schreier_map(tower: gf.ExtensionField, tab) -> np.ndarray:
 def _trace_zero_enc_bitmap(tower: gf.ExtensionField, tab) -> np.ndarray:
     bitmap = np.zeros(tower.order, dtype=bool)
     bitmap[0] = True
-    bitmap[tab.exp_enc[tab.trace_zero_exp()]] = True
+    bitmap[tab.exp_enc[tab.trace_codes_exp() == 0]] = True
     return bitmap
 
 

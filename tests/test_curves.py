@@ -380,6 +380,19 @@ class TestBigCurve:
         }
         assert len(counts) == 1
 
+    @pytest.mark.parametrize("q,m", [(4, 3), (8, 2), (16, 2), (3, 4), (5, 3), (9, 2), (25, 2)])
+    def test_alpha_times_the_trace(self, q, m):
+        # big_curve_count reads Tr(alpha x) as alpha * Tr(x); the functional
+        # route, the trace rows after the matrix of x -> alpha x, agrees
+        field = gf.make_field(*prime_power_parts(q))
+        tower = gf.make_tower(field, m)
+        tab = FieldTable(tower)
+        v = tab.reversed_exp(tab.trace_codes_exp())
+        for a in field.element_list[1:]:
+            rows = tab.trace_rows() @ gf.mul_matrix(tower, tower.embed_base(a)) % field.p
+            want = q * int((tab.functionals_exp(rows) == v).sum()) + 2
+            assert big_curve_count(field, a, m) == want
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_even_fiber_product(self, m):
         big = big_curve_count(F4, F4.one, m)

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tracezero import fastfield, gf
+from tracezero import fastfield, gf, oracle
 from tracezero.counting import engine_for
 from tracezero.errors import BudgetExceededError, InvariantError
 from tracezero.fastfield import (
@@ -110,6 +110,67 @@ def test_walk_matches_block_loop(q, n):
     assert np.array_equal(FieldTable(tower).exp_enc, _walk_reference(tower))
 
 
+# SHA-256 of trace_codes_exp() (uint8 codes), recorded with the split-code
+# trace pass over exp_enc that the blocked pass replaced, for every tower of
+# the oracle benchmark's grid, q in the engine set and 2**18 <= q**n <= 2**22.
+_TRACE_DIGESTS = {
+    (2, 18): "a5cbaa1fb8f0e85f475ee4fa8666ffc4a745f2118dca35bbfa6a3e540900357a",
+    (2, 19): "3c079c412a2ae40f2e51c639f0e36c690a0f933390339b49c86ff1b113c7d2ac",
+    (2, 20): "9b507e8b38be6de393336d8e480fb6866e47b353ee9b104a51745088cd4c86c9",
+    (2, 21): "65142222994b180962e22a5d759f847cd6c6a70144376e84a4c2ef2b684375d7",
+    (2, 22): "792987b3e2d508bbea51c4e901eba46dea0487374a9e3e24e80d066e1b5b995b",
+    (3, 12): "5c8bd2deba307e88c887aebc7fd4b74be89c3e9a4609024706288774ffe3b424",
+    (3, 13): "d62d8018b39adf36c61bac4476eb047892a31dd157813d1187900de1239b09ea",
+    (4, 9): "9bc7683344c85a94860650daeb8d5fe86d6c33f0147555712c2fd4dcc4c889f7",
+    (4, 10): "d55336c5480f5b03dd2d374a565c00ffd54db9407023c00f79adeca6b68712a9",
+    (4, 11): "b80b5850d980360efe64a304160c1dabd045ff72ad04fedd71886fec5cea3a0d",
+    (5, 8): "5cd8e9813e655a3d891cc5fd08ec70804eb4da26607af5830522a82af82ceeb3",
+    (5, 9): "cfae595adda09eacda07b68629ac486b0c105bc29b7bdf07b306e59571973b34",
+    (7, 7): "c51bb25f53ea710ca745fb647e2d35dfd1d890241a2afea069f44978487b87cc",
+    (8, 6): "875d07b3d2ec99d45b51aa3fa8e0dcd9aacb09462c41f32295ba49dab4265cfd",
+    (8, 7): "23669082d0988deccae3e31f0b6b92c42e7495083c62994c12251711d2bde515",
+    (9, 6): "8ee931194da816ef470db8e97b95b408ccbc6f898f18e98fac8f568745e621d7",
+    (16, 5): "c2d1a489bb159205d0bc995205b4b9ba3afb93c597e7ca0d8f2402b501a25c89",
+}
+
+
+@pytest.mark.parametrize("q,n", sorted(_TRACE_DIGESTS))
+def test_trace_codes_are_pinned(q, n):
+    codes = FieldTable(_tower(q, n)).trace_codes_exp()
+    assert codes.dtype == np.uint8
+    assert hashlib.sha256(codes.tobytes()).hexdigest() == _TRACE_DIGESTS[q, n]
+
+
+@pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (2, 12), (16, 3)])
+def test_corrupted_step_entry_fails_the_full_walk(q, n):
+    # two valid slots of the first part map to one image, so the step is no
+    # longer injective and the N walked codes miss a unit
+    tab = FieldTable(_tower(q, n))
+    step, (_, slots) = tab._step[0], tab._part_slots[0]
+    step[slots[1]] = step[slots[2]]
+    with pytest.raises(InvariantError, match="cover the unit group"):
+        tab.exp_enc
+
+
+def test_oversized_part_tables_are_refused_before_allocation():
+    # one 33-bit coordinate of F_{3^11} would index a table of 2454267027
+    # slots (18.3 GiB of int64); the refusal names the tower and the count
+    tab = FieldTable(_tower(3**11, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="F_177147\\^1.*2454267027 slots"):
+            tab.trace_codes_exp()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(BudgetExceededError, match="slots"):
+        oracle.enum_f_count(3**11, 1)
+    # one coordinate of 21, 20 and 16 bits stays within the bound
+    for q, n in [(2187, 2), (3125, 2), (65536, 1)]:
+        assert len(FieldTable(_tower(q, n))._parts) == n
+
+
 # ---------------------------------------------------------------------------
 # The generator search: the element loop it replaced, kept verbatim as the
 # reference.
@@ -177,14 +238,15 @@ class TestDigitWidth:
     def test_characteristic_two_kernel_past_31_digits(self):
         # d = 34 needed 68 bits at two bits per digit; at one bit the packed
         # image of a code under a random F_2 matrix is the code of A @ digits
-        fake = SimpleNamespace(base=SimpleNamespace(p=2), flat_degree=34, order=1 << 34, q=2)
+        base = SimpleNamespace(p=2, r=1, order=2)
+        fake = SimpleNamespace(base=base, flat_degree=34, order=1 << 34, q=2, n=34)
         tab = FieldTable(fake)
         rng = np.random.default_rng(34)
         A = rng.integers(0, 2, size=(34, 34))
         codes = rng.integers(0, 1 << 34, size=4096, dtype=np.int64)
         places = np.left_shift(1, np.arange(34, dtype=np.int64))
         want = (codes[:, None] >> np.arange(34) & 1) @ A.T % 2 @ places
-        got = tab._packed_image(tab._packed_table(A), codes)
+        got = tab._image(tab._map_table(A), tab._split(codes))
         assert np.array_equal(got, want)
         assert tab._unpack_codes(got, 34) is got
 
@@ -290,7 +352,7 @@ def test_streamed_histogram_matches_the_full_walk(
     want = full_walk_histogram(q, n)
     monkeypatch.setattr(fastfield, "_BLOCK", block)
     tab = FieldTable(_tower(q, n))
-    assert len(list(tab._class_blocks())) == blocks
+    assert len(list(tab._blocks(tab.M, tab.trace_rows()))) == blocks
     assert np.array_equal(tab.trace_pair_histogram(), want)
 
 
@@ -298,7 +360,7 @@ def test_streamed_histogram_matches_the_full_walk(
 def test_class_walk_is_the_prefix_of_the_full_walk(monkeypatch, q, n):
     monkeypatch.setattr(fastfield, "_BLOCK", 32)  # several blocks
     tab = FieldTable(_tower(q, n))
-    blocks = list(tab._class_blocks())
+    blocks = list(tab._blocks(tab.M, tab.trace_rows()))
     codes = np.concatenate([tab._codes(parts) for parts, _ in blocks])
     traces = np.concatenate([traces for _, traces in blocks])
     assert np.array_equal(codes, tab.exp_enc[: tab.M])
@@ -308,7 +370,7 @@ def test_class_walk_is_the_prefix_of_the_full_walk(monkeypatch, q, n):
 
 
 def _packed_word(tab, code: int) -> int:
-    digits = tab.decode_digits(np.array([code], dtype=np.int64))[0]
+    digits = gf.code_digits(tab.tower, np.array([code], dtype=np.int64))[0]
     return int(digits @ np.left_shift(1, tab.w * np.arange(tab.d, dtype=np.int64)))
 
 
@@ -318,7 +380,8 @@ class TestClassWalkFaults:
     @staticmethod
     def _walk(q, n):
         tab = FieldTable(_tower(q, n))
-        blocks = [([v.copy() for v in parts], traces) for parts, traces in tab._class_blocks()]
+        walk = tab._blocks(tab.M, tab.trace_rows())
+        blocks = [([v.copy() for v in parts], traces) for parts, traces in walk]
         return tab, blocks, tab.tower.pow_(tab._generator, tab.M)
 
     @staticmethod

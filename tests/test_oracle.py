@@ -163,32 +163,42 @@ class TestTableInternals:
         encs = tab.exp_enc
         # gamma**k times gamma**(N-k) is 1, spot-checked through gf
         for k in (1, 2, tab.N // 2, tab.N - 1):
-            a = tower.from_flat_digits(tab.decode_digits(encs[k : k + 1])[0])
+            a = tower.from_flat_digits(gf.code_digits(tab.tower, encs[k : k + 1])[0])
             b = tower.from_flat_digits(
-                tab.decode_digits(encs[(tab.N - k) % tab.N : (tab.N - k) % tab.N + 1])[0]
+                gf.code_digits(tab.tower, encs[(tab.N - k) % tab.N : (tab.N - k) % tab.N + 1])[0]
             )
             assert tower.mul(a, b) == tower.one
 
 
 class TestSplitDigitFunctionals:
-    """functionals_exp against decoding every encoding digit by digit."""
+    """functionals_exp, the blocked pass over the walk, against decoding
+    every encoding digit by digit."""
 
     @pytest.mark.parametrize(
-        "q,n",
-        [(2, 1), (5, 1), (7, 1), (2, 7), (3, 3), (8, 3), (5, 3), (2, 20)],
-        ids=["d1-q2", "d1-q5", "d1-q7", "d7-p2", "d3-p3", "d9-p2", "d3-p5", "d20-p2"],
+        "q,n,k",
+        [
+            (2, 1, 3), (5, 1, 3), (7, 1, 3), (2, 7, 3), (3, 3, 3), (8, 3, 3), (5, 3, 3),
+            (2, 20, 3), (5, 7, 9), (2, 16, 48),
+        ],
+        ids=[
+            "d1-q2", "d1-q5", "d1-q7", "d7-p2", "d3-p3", "d9-p2", "d3-p5", "d20-p2",
+            "d7-p5-second-word", "d16-p2-second-word",
+        ],
     )
-    def test_matches_decoded_digits(self, q, n):
+    def test_matches_decoded_digits(self, q, n, k):
+        # the last two overflow one word with the d digits and the k values,
+        # so the values are read as a second image of the same parts
         tab = table_for(_tower(q, n))
+        assert ((tab.d + k) * tab.w > 63) == (k > 3)
         rng = np.random.default_rng(q * 100 + n)
-        rows = rng.integers(0, tab.p, size=(3, tab.d))
+        rows = rng.integers(0, tab.p, size=(k, tab.d))
         rows[0] = tab.trace_rows()[0]
         got = tab.functionals_exp(rows)
-        assert got.shape == (tab.N,) and got.dtype == np.min_scalar_type(tab.p**3 - 1)
+        assert got.shape == (tab.N,) and got.dtype == np.min_scalar_type(tab.p**k - 1)
         step = 1 << 16
         for s in range(0, tab.N, step):
-            want = tab.decode_digits(tab.exp_enc[s : s + step]) @ rows.T % tab.p
-            assert (got[s : s + step] == want @ tab.p ** np.arange(3)).all()
+            want = gf.code_digits(tab.tower, tab.exp_enc[s : s + step]) @ rows.T % tab.p
+            assert (got[s : s + step] == want @ tab.p ** np.arange(k)).all()
 
     @pytest.mark.parametrize("q,n", [(131, 1), (251, 2), (243, 2), (9, 3), (65536, 1)])
     def test_compact_trace_codes(self, q, n):
@@ -197,7 +207,7 @@ class TestSplitDigitFunctionals:
         codes = tab.trace_codes_exp()
         assert codes.dtype == np.min_scalar_type(q - 1)
         for k in np.random.default_rng(q + n).integers(0, tab.N, 64):
-            x = tower.from_flat_digits(tab.decode_digits(tab.exp_enc[k : k + 1])[0])
+            x = tower.from_flat_digits(gf.code_digits(tab.tower, tab.exp_enc[k : k + 1])[0])
             assert codes[k] == tower.base.code(tower.trace_to_base(x))
 
     @pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (4, 3), (9, 2), (7, 2)])
@@ -236,21 +246,18 @@ class TestVerifyAll:
     @pytest.mark.parametrize("q", [3, 5, 9, 4, 7])
     def test_each_tower_is_walked_once(self, q, monkeypatch):
         # the checks read the full walks, the engine's curve counts the class
-        # walks; table_for keeps every tower through the loop over n, and
-        # the alternative-modulus towers are walked outside it
+        # walks, both runs of the one block routine, to length N or M (q > 2,
+        # so M < N); table_for keeps every tower through the loop over n,
+        # and the alternative-modulus towers are walked outside it
         full, classes = Counter(), Counter()
-        walk, class_blocks = FieldTable._walk, FieldTable._class_blocks
+        blocks = FieldTable._blocks
 
-        def counting_walk(self, length):
-            full[self.tower] += 1
-            return walk(self, length)
+        def counting_blocks(self, length, rows):
+            walks = {self.N: full, self.M: classes}[length]
+            walks[self.tower] += 1
+            return blocks(self, length, rows)
 
-        def counting_class_walk(self):
-            classes[self.tower] += 1
-            return class_blocks(self)
-
-        monkeypatch.setattr(FieldTable, "_walk", counting_walk)
-        monkeypatch.setattr(FieldTable, "_class_blocks", counting_class_walk)
+        monkeypatch.setattr(FieldTable, "_blocks", counting_blocks)
         table_for.cache_clear()
         assert verify_all(q, 4).passed
         assert {_tower(q, n) for n in range(1, 5)} <= set(full) & set(classes)
