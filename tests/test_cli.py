@@ -1,12 +1,16 @@
 """The command line surface: values, formats, determinism, exit codes."""
 
+import hashlib
 import json
 import sys
 
 import pytest
 
+from tracezero import gf
 from tracezero.cli import ENV_BUDGET, main
 from tracezero.counting import engine_for
+from tracezero.curves import curve_family
+from tracezero.numtheory import prime_power_parts
 
 
 def run(capsys, *argv):
@@ -202,6 +206,15 @@ class TestVerify:
         assert out == ""
 
 
+# SHA-256 of the exit code and stdout of `curve --m-max 4` and `lpoly`, text
+# and json, over the curves that test_curve_and_lpoly_output_is_pinned
+# runs, recorded before the curve counts were read off the class counts.
+_CLI_DIGESTS = {
+    9: "de816370db2d33496330f854f6a3b7f15d3d2bab693115e27c5b321a7eb2b261",
+    27: "788862d1cd9c2f2dd3c85ea8f0644235814e16dedc2ae6cdb6beb44cbf34c07e",
+}
+
+
 class TestCurveAndLpoly:
     def test_genus_one_coefficients(self, capsys):
         code, out, _ = run(capsys, "lpoly", "--p", "2", "--r", "2", "--alpha", "1")
@@ -276,6 +289,25 @@ class TestCurveAndLpoly:
                 argv += ["--beta", str(field.code(curve.beta))]
             want = " ".join(str(c) for c in lp.coeffs) + "\n"
             assert run(capsys, *argv) == (0, want, ""), curve.describe()
+
+    @pytest.mark.parametrize("q", sorted(_CLI_DIGESTS))
+    def test_curve_and_lpoly_output_is_pinned(self, capsys, q):
+        p, r = prime_power_parts(q)
+        field = gf.make_field(p, r)
+        # every curve of F_9's family; the first beta of each alpha of
+        # F_27's, which still meets every c = A*B
+        curves = curve_family(field)[:: 1 if q == 9 else (q - 1) // (p - 1)]
+        outputs = []
+        for curve in curves:
+            argv = ["--p", str(p), "--r", str(r), "--alpha", str(field.code(curve.alpha))]
+            argv += ["--beta", str(field.code(curve.beta))]
+            for cmd in (["curve", "--m-max", "4"], ["lpoly"]):
+                for fmt in ("text", "json"):
+                    code, out, err = run(capsys, *cmd, *argv, "--format", fmt)
+                    assert err == ""
+                    outputs.append(f"{code}\n{out}")
+        digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
+        assert digest == _CLI_DIGESTS[q]
 
 
 class TestFamilyAndBound:

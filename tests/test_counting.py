@@ -192,6 +192,39 @@ class TestCurveClasses:
         assert seen[g + 1] == seen[g + 2] == len(e.curves)
 
 
+def _engine_state(e) -> str:
+    """Each class's coefficients and number of c, in order; the class index
+    of each curve's L-polynomial; verified_depth and selfcheck_note."""
+    index = {id(lp): i for i, (lp, _) in enumerate(e.classes)}
+    classes = [(list(lp.coeffs), k) for lp, k in e.classes]
+    return repr((classes, [index[id(lp)] for lp in e.lpolys], e.verified_depth, e.selfcheck_note))
+
+
+# SHA-256 of _engine_state(engine_for(q)), recorded while every curve of the
+# family was still counted on its own.
+ENGINE_STATE_DIGESTS = {
+    2: "9df8de5c31fdf982bcc74f47c95c22e7d3a9cdd2ed20f3c6c3e18157ff830a64",
+    3: "315f7e79393193c49d7857a5ebaf005083078c4143a5a7873562876972ddc565",
+    4: "e836289a05ea2160b7fac7de1fc659630ee6132876e9fdcdc5cf426c37072cf1",
+    5: "37805a2999f927618416a943ca2857963666c98def2f2cce830c5893507f9f58",
+    7: "385c5e0fd1b497dd0d626dac0aade30b37e724be9211b88ded7cdd24a4bb3b30",
+    8: "55f9d3216e2655e2b2b35e83e02b3a446963cd6fa8d77db1ae8778abd7e64ad0",
+    9: "9f8d827716eb29ab7cbcabb263c6d93cb7d058573ef9e4a781362dd71c1f9126",
+    16: "999d862691455cadf8f0d90fe87b592241fe8c3574c12e06d0db7da129d41466",
+    25: "dbd754288a1d3570d801d8479d8c13d23cdceabca2b9de0bb062f0129083b062",
+    27: "293071827156ec6368b625e137600731e985ef5dcc5d1cad29163f24f42eb500",
+    32: "242a7e4b8eb1972f82fd425243653c518989727a9336804eafd914a99dc6ecef",
+    64: "fa7f80074419f697fd2c2329c4348b4ce0d7410c04ea774ea3173810faf4bc5d",
+    81: "719aca66022c3265e274363e7b7f6f3657610b33c14424ae3c9dc7ec8acd35ef",
+}
+
+
+@pytest.mark.parametrize("q", sorted(ENGINE_STATE_DIGESTS))
+def test_engine_state_is_pinned(engine, q):
+    digest = hashlib.sha256(_engine_state(engine(q)).encode()).hexdigest()
+    assert digest == ENGINE_STATE_DIGESTS[q]
+
+
 class TestElementCap:
     @pytest.mark.parametrize(
         "p,r,cap,message",
