@@ -34,7 +34,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import gf
-from .curves import CurveSpec, check_count_cap, count_points, curve_family, family_genus
+from .curves import CurveSpec, check_count_cap, class_point_counts, count_points
+from .curves import curve_family, family_genus
 from .errors import InvariantError, NegativeCountError, NonIntegralError
 from .lpoly import LPolynomial
 from .numtheory import prime_power_parts, squarefree_divisors
@@ -134,17 +135,18 @@ def _defect(lp: LPolynomial, n: int, line: int) -> int:
 class CountEngine:
     """Curve counts and L-polynomials for one base field, queried per n.
 
-    Construction keys every curve of the family by c = A * B and seeds one
-    L-polynomial per c from direct counts over F_{q^m}, m = 1..genus; equal
-    L-polynomials merge into classes, held as (LPolynomial, number of c)
-    pairs.  It then re-counts every curve of the family at genus+1 and
-    genus+2, as far as the element cap allows, against its class's
-    prediction.  That over-determination check is the strongest self-test
-    the engine has: a wrong genus, a wrong smooth completion, a wrong
-    Newton step or a wrong class reduction fails it immediately.
-    verified_depth records how many of the SELFCHECK_DEPTH extra degrees
-    were checked before the cap stopped the check; selfcheck_note says so in
-    one line when the cap cut the check short, and is None otherwise.
+    Construction keys every curve of the family by c = A * B, reads every
+    c's counts from one class_point_counts array per m = 1..genus and seeds
+    one L-polynomial per distinct count vector; the c sharing it form a
+    class, held as (LPolynomial, number of c) pairs in first-seen order.  It
+    then re-counts every c at genus+1 and genus+2, as far as the element
+    cap allows, against its class's prediction.  That over-determination
+    check is the strongest self-test the engine has: a wrong genus, a wrong
+    smooth completion, a wrong Newton step or a wrong class reduction fails
+    it immediately.  verified_depth records how many of the SELFCHECK_DEPTH
+    extra degrees were checked before the cap stopped the check;
+    selfcheck_note says so in one line when the cap cut the check short,
+    and is None otherwise.
     """
 
     def __init__(
@@ -155,40 +157,38 @@ class CountEngine:
         self.field = field
         self.q = q = field.order
         self.p = field.p
-        self.genus = family_genus(field)
-        check_count_cap(q, self.genus, max_elements)  # before the family is built
+        self.genus = g = family_genus(field)
+        check_count_cap(q, g, max_elements)  # before the family is built
         self.curves = curve_family(field)
-        keys = [field.mul(*curve.h_coeffs()) for curve in self.curves]  # c = A * B
+        keys = [field.code(field.mul(*curve.h_coeffs())) for curve in self.curves]  # c = A * B
         per_c = Counter(keys)
         if len(per_c) != q - 1 or len(set(per_c.values())) != 1:
             raise InvariantError("the curve family does not cover F_q* evenly in c = A*B")
-        shared: dict[LPolynomial, LPolynomial] = {}
-        class_of: dict = {}  # c -> its class L-polynomial, seeded from its first curve
-        for curve, c in zip(self.curves, keys):
-            if c not in class_of:
-                lp = seed_lpolynomial(curve, max_elements)
-                class_of[c] = shared.setdefault(lp, lp)
-        self.lpolys = [class_of[c] for c in keys]
+        counts = [class_point_counts(field, m, max_elements) for m in range(1, g + 1)]
+        # code of c -> its counts over m = 1..genus, in first-seen order
+        rows = {c: tuple(int(n[c]) for n in counts) for c in per_c}
+        seeded = {row: LPolynomial.from_counts(q, g, row) for row in set(rows.values())}
+        self.lpolys = [seeded[rows[c]] for c in keys]
         # (class L-polynomial, number of c with it), in first-seen order
         self.classes: tuple[tuple[LPolynomial, int], ...] = tuple(
-            Counter(class_of.values()).items()
+            (seeded[row], k) for row, k in Counter(rows.values()).items()
         )
         self.verified_depth = 0
         self.selfcheck_note = None
         for extra in range(1, SELFCHECK_DEPTH + 1):
-            m = self.genus + extra
+            m = g + extra
             if gf.over_cap(q**m, max_elements):
                 self.selfcheck_note = (
                     f"self-check reached depth {self.verified_depth} of "
                     f"{SELFCHECK_DEPTH}; the element cap {max_elements} stopped it"
                 )
                 break
-            for curve, lp in zip(self.curves, self.lpolys):
-                direct = count_points(curve, m, max_elements)
-                if lp.predict_count(m) != direct:
+            direct = class_point_counts(field, m, max_elements)
+            for c, row in rows.items():
+                if seeded[row].predict_count(m) != direct[c]:
                     raise InvariantError(
                         f"class L-polynomial prediction disagrees with direct "
-                        f"count at m={m} for curve {curve.describe()}"
+                        f"count at m={m} for c={c}"
                     )
             self.verified_depth = extra
 

@@ -18,7 +18,7 @@ itself has no solutions with x = 0.  Hence
 
     #C(F_{q^m}) = p * #{x in F_{q^m}* : Tr_{F_{q^m}/F_p}(h(x)) = 0} + 2.
 
-count_points implements exactly that; count_points_naive re-counts by
+class_point_counts evaluates that, as below; count_points_naive re-counts by
 testing the curve equation literally on every (x, y) pair and exists purely
 as an independent check.  It uses no trace.  L(y) = y**p - y is an
 F_p-linear map, and each curve's R(x) is one applied to x**2, plus a
@@ -33,14 +33,15 @@ Since A and B lie in F_q, transitivity of the trace gives
     Tr_{F_{q^m}/F_p}(A x + B / x) = Tr_{F_q/F_p}(A a + B b),
     a = Tr_{F_{q^m}/F_q}(x),  b = Tr_{F_{q^m}/F_q}(1 / x),
 
-so the zero count is a sum over the q x q histogram of trace pairs (a, b)
-of F_{q^m}*, weighted by [Tr_{F_q/F_p}(A a + B b) = 0].  The histogram is
-read off the class walk of fastfield, (q**m - 1) / (q - 1) units, one per
-F_q*-coset, and expanded over F_q*; it is built once per field and shared
-by every curve of the family, so after the first curve each further one
-costs O(q**2) base-field work.  Every m takes this one route.  The
-histogram has q**2 cells, more than F_q has elements, so at m = 1 the
-element cap is held against q**2.
+and x -> lam * x, lam in F_q*, moves (a, b) to (lam * a, b / lam).  Let
+n0(e) = #{mu in F_q* : Tr(mu + e / mu) = 0}, a Kloosterman-type zero
+count.  A coset with a * b = u != 0 holds n0(c * u) zeros (mu = A lam a,
+c = A * B), one with a single zero trace n0(0) = q/p - 1, and one with
+both zero q - 1.  With fastfield's class counts, v[u] cosets with
+a * b = u and both with a = b = 0, #C_c(F_{q^m}) = p * Z(c) + 2, where
+Z(c) = sum_u v[u] * n0(c * u) + both * (q - q/p).  class_point_counts
+makes two passes over the q**2 products of F_q, more than F_q has
+elements, so at m = 1 the element cap is held against q**2.
 """
 
 from __future__ import annotations
@@ -137,13 +138,6 @@ def curve_family(field: gf.FieldSpec) -> list[CurveSpec]:
     return [CurveSpec(field, a, b) for a in units for b in reps]
 
 
-def _trace_after_mul(field: gf.FieldSpec, c) -> np.ndarray:
-    """Tr_{F_q/F_p}(c * a) for every base-field element a, indexed by code."""
-    mul, _, trace = base_tables(field)
-    # narrow, so that sums of two values and gathers over a whole field stay small
-    return trace[mul[field.code(c)]].astype(np.min_scalar_type(2 * (field.p - 1)))
-
-
 def check_count_cap(q: int, m_max: int, max_elements: int | None):
     """Refuse count_points over F_{q^m}, m = 1..m_max, before the first count.
 
@@ -155,21 +149,30 @@ def check_count_cap(q: int, m_max: int, max_elements: int | None):
         gf.check_element_cap(q, m, max_elements)
 
 
-def count_points(curve: CurveSpec, m: int, max_elements: int | None = None) -> int:
-    """#C(F_{q^m}) by the additive-character solvability criterion."""
-    field = curve.field
-    q, p = field.order, field.p
-    # the histogram has q**2 cells, more than F_{q^m} has elements at m = 1
+def class_point_counts(field: gf.FieldSpec, m: int, max_elements: int | None = None) -> np.ndarray:
+    """#C_c(F_{q^m}) for every c = A * B, by code of c (0 at c = 0); a count
+    that breaks the Weil bound raises HasseWeilError naming its c."""
+    q, p, g = field.order, field.p, family_genus(field)
     gf.check_element_cap(q, max(m, 2), max_elements)
-    hist = table_for(gf.make_tower(field, m)).trace_pair_histogram()
-    A, B = curve.h_coeffs()
-    ta, tb = _trace_after_mul(field, A), _trace_after_mul(field, B)
-    zeros = int(hist[(ta[:, None] + tb) % p == 0].sum())
-    count = p * zeros + 2
-    g = curve.genus
-    if (count - q**m - 1) ** 2 > 4 * g * g * q**m:
-        raise HasseWeilError(f"count {count} at m={m} violates the Weil bound")
-    return count
+    v, both = table_for(gf.make_tower(field, m)).class_counts
+    mul, inv, trace = base_tables(field)
+    # n0[e] counts mu in F_q*, or nu = 1 / mu, with Tr(e * nu) = -Tr(1 / nu)
+    n0 = (trace[mul[:, 1:]] == -trace[inv[1:]] % p).sum(axis=1, dtype=mul.dtype)
+    # einsum casts in buffered chunks, so n0[mul] stays narrow
+    zeros = np.einsum("cu,u->c", n0[mul], v)
+    counts = p * (zeros + both * (q - q // p)) + 2
+    counts[0] = 0  # no curve of the family has c = 0
+    c = int(np.abs(counts[1:] - (q**m + 1)).argmax()) + 1  # the c farthest from the line
+    if (int(counts[c]) - q**m - 1) ** 2 > 4 * g * g * q**m:
+        raise HasseWeilError(f"count {counts[c]} at m={m} for c={c} violates the Weil bound")
+    return counts
+
+
+def count_points(curve: CurveSpec, m: int, max_elements: int | None = None) -> int:
+    """#C(F_{q^m}): the class count of its c = A * B."""
+    field = curve.field
+    c = field.code(field.mul(*curve.h_coeffs()))
+    return int(class_point_counts(field, m, max_elements)[c])
 
 
 def count_points_naive(curve: CurveSpec, m: int, max_pairs: int | None = None) -> int:

@@ -43,16 +43,16 @@ is split once.  The routine runs to two lengths:
   functional.  gamma**M lies in F_q*, so the class walk holds one point of
   every F_q*-coset of the units.
 
-The trace-pair histogram (how often the trace of a unit and the trace of
-its inverse take each pair of base-field values) needs only the class
-walk: the trace is F_q-linear, so scaling x by lam in F_q* moves its pair
-(a, b) to (lam * a, lam**-1 * b).  Per block, each unit, scaled by its
-leading F_q-coordinate (read by tables indexed by the code of each part),
-marks its coset in M flags, and the trace is kept at one byte per unit.
-The class walk itself is never held whole.  The curve counts read nothing
-else, so no engine build walks more than (q**n - 1) / (q - 1) units of a
-tower.  base_tables holds the arithmetic of F_q itself, by element code,
-for that expansion, the coset marks and the curve counts.
+The class counts (how many cosets have each product Tr(x) * Tr(1/x))
+need only the class walk: the trace is F_q-linear, so scaling x by lam in
+F_q* moves (Tr(x), Tr(1/x)) to (lam * Tr(x), lam**-1 * Tr(1/x)).  Per
+block, each unit, scaled by its leading F_q-coordinate (read by tables
+indexed by the code of each part), marks its coset in M flags, and the
+trace is kept at one byte per unit.  The class walk itself is never held
+whole.  The curve counts read nothing else, so no engine build walks more
+than (q**n - 1) / (q - 1) units of a tower.  base_tables holds the
+arithmetic of F_q itself, by element code, for the class counts, the
+coset marks and the curve counts.
 
 Multiplication comes from the modulus: gf.structure_constants builds the
 F_p matrices of multiplication by each basis element from the matrix of
@@ -179,8 +179,8 @@ class FieldTable:
     """Enumeration tables for F_{q^n}, indexed by exponent of a generator.
 
     Nothing is walked at construction.  exp_enc, the full walk, is built on
-    first read; the trace-pair histogram streams the class walk, its first
-    M units, and keeps one trace code per unit.
+    first read; the class counts stream the class walk, its first M units,
+    and keep one trace code per unit.
     """
 
     def __init__(self, tower: ExtensionField):
@@ -598,23 +598,19 @@ class FieldTable:
     def _trace_codes(self) -> np.ndarray:
         return self.functionals_exp(self.trace_rows())
 
-    def trace_pair_histogram(self) -> np.ndarray:
-        """H[a, b] = #{k : Tr(gamma**k) has code a, Tr(gamma**-k) has code b}.
-
-        A q x q int64 array over base-field codes, summing to N, read off
-        the class walk t_k = Tr(gamma**k), k < M, which is streamed in
-        blocks and never held whole.  For 0 < k < M,
-        gamma**-k = lam0**-1 * gamma**(M-k), so the walk's pairs are
-        (t_k, lam0**-1 * t_(M-k)): h0 counts (t_k, t_(M-k)) in blocks, with
-        the partners a reversed slice, and each of its cells (a, b) then
-        moves to (a, lam0**-1 * b).  The trace is F_q-linear, so the unit
-        lam * gamma**k has the pair (lam * a, lam**-1 * b): H adds h(a, b)
-        at (lam * a, lam**-1 * b) for every lam in F_q*.
-        """
-        return self._trace_pairs
-
     @cached_property
-    def _trace_pairs(self) -> np.ndarray:
+    def class_counts(self) -> tuple[np.ndarray, int]:
+        """(v, both): v[u] units of the class walk, one per F_q*-coset, with
+        Tr(x) * Tr(1/x) of code u, a read-only int64 array, and both of
+        them (counted in v[0] too) with both traces zero.
+
+        The class walk t_k = Tr(gamma**k), k < M, is streamed in blocks and
+        never held whole.  For 0 < k < M, gamma**-k = lam0**-1 * gamma**(M-k),
+        so the walk's pairs are (t_k, lam0**-1 * t_(M-k)): h0 counts
+        (t_k, t_(M-k)) in blocks, with the partners a reversed slice, and
+        each nonzero cell (a, b) of it adds to v at the code of
+        a * lam0**-1 * b.
+        """
         q, M, r = self.tower.q, self.M, self.tower.base.r
         # a word holds the d digits of a unit and the r of its trace, and a
         # coset index, below M, shares an int64 with 32 bits of table row
@@ -638,11 +634,10 @@ class FieldTable:
             h0 += np.bincount(keys, minlength=q * q)
         cells = np.flatnonzero(h0)
         a, b = np.divmod(cells, q)
-        b = mul[inv[c0], b]  # the pair of gamma**k: (a, lam0**-1 * b)
-        lam = np.arange(1, q)[:, None]
-        hist = np.zeros((q, q), dtype=np.int64)
-        np.add.at(hist, (mul[lam, a], mul[inv[lam], b]), h0[cells])
-        return hist
+        # weights sum below M < 2**31, so the float64 bincount is exact
+        v = np.bincount(mul[a, mul[inv[c0], b]], weights=h0[cells], minlength=q).astype(np.int64)
+        v.flags.writeable = False
+        return v, int(h0[0])
 
 
 @lru_cache(maxsize=8)

@@ -1,6 +1,7 @@
 import pytest
 
 from tracezero.counting import CountEngine
+from tracezero.fastfield import base_tables
 from tracezero.gf import DEFAULT_MAX_ELEMENTS, make_field
 from tracezero.numtheory import prime_power_parts
 
@@ -22,3 +23,28 @@ def engine():
         return cache[q]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def trace_pair_histogram():
+    """H[a, b] = #{units x : Tr x has code a, Tr 1/x has code b} of a table,
+    rebuilt from its class counts (v, both).
+
+    x -> lam * x, lam in F_q*, moves (a, b) to (lam * a, b / lam), so a
+    coset whose traces are both nonzero puts one unit in each cell of its
+    product a * b; one with a single zero trace puts one in each nonzero
+    cell of its zero row or column, and x -> 1/x pairs those two kinds;
+    and one with both zero puts q - 1 units in H[0, 0].
+    """
+
+    def rebuild(tab):
+        q = tab.tower.q
+        v, both = tab.class_counts
+        H = v[base_tables(tab.tower.base)[0]]  # v[a * b]: a and b both nonzero
+        one_zero, odd = divmod(int(v[0]) - both, 2)
+        assert not odd
+        H[0, 1:] = H[1:, 0] = one_zero
+        H[0, 0] = (q - 1) * both
+        return H
+
+    return rebuild

@@ -176,20 +176,38 @@ class TestCurveClasses:
             assert e.f_count(n) == enum_f_count(27, n, budget)
 
     @pytest.mark.parametrize("q", [4, 9])
-    def test_seeds_one_curve_per_c_and_rechecks_every_curve(self, monkeypatch, q):
+    def test_reads_one_class_count_array_per_degree(self, monkeypatch, q):
         seen = Counter()
-        real = counting.count_points
+        real = counting.class_point_counts
 
-        def counted(curve, m, max_elements=None):
+        def counted(field, m, max_elements=None):
             seen[m] += 1
-            return real(curve, m, max_elements)
+            return real(field, m, max_elements)
 
-        monkeypatch.setattr(counting, "count_points", counted)
-        p, r = prime_power_parts(q)
-        e = CountEngine(gf.make_field(p, r))
-        g = e.genus
-        assert sum(seen[m] for m in range(1, g + 1)) == (q - 1) * g
-        assert seen[g + 1] == seen[g + 2] == len(e.curves)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the engine counted one curve on its own")
+
+        monkeypatch.setattr(counting, "class_point_counts", counted)
+        monkeypatch.setattr(counting, "count_points", refuse)
+        e = CountEngine(gf.make_field(*prime_power_parts(q)))
+        assert seen == Counter(range(1, e.genus + 3))  # m = 1..genus+2, once each
+
+    @pytest.mark.parametrize("q,extra,c", [(4, 1, 2), (4, 2, 3), (9, 1, 5), (9, 2, 8)])
+    def test_a_shifted_class_count_names_its_c_and_m(self, monkeypatch, q, extra, c):
+        # a count moved by p stays 2 mod p, so only the class prediction sees it
+        field = gf.make_field(*prime_power_parts(q))
+        m = field.p - 1 + extra
+        real = counting.class_point_counts
+
+        def shifted(field, k, max_elements=None):
+            counts = real(field, k, max_elements)
+            if k == m:
+                counts[c] += field.p
+            return counts
+
+        monkeypatch.setattr(counting, "class_point_counts", shifted)
+        with pytest.raises(InvariantError, match=rf"at m={m} for c={c}$"):
+            CountEngine(field)
 
 
 def _engine_state(e) -> str:
@@ -404,17 +422,17 @@ class TestThreadSafety:
         assert all(r == want for r in _in_four_threads(lambda i: shared.table(1, 500)))
 
     def test_fresh_field_table_across_threads(self):
-        # a table's lazy parts (the class walk behind the histogram, the full
-        # walk, the trace codes) are built by whichever thread reads first;
-        # two threads start from the histogram, two from the full walk
+        # a table's lazy parts (the class walk behind the class counts, the
+        # full walk, the trace codes) are built by whichever thread reads
+        # first; two threads start from the class counts, two from the full walk
         tower = gf.make_tower(gf.make_field(3, 2), 4)
         fresh, shared = FieldTable(tower), FieldTable(tower)
 
-        def read(table, histogram_first):
-            if histogram_first:
-                return table.trace_pair_histogram(), table.exp_enc, table.trace_codes_exp()
+        def read(table, classes_first):
+            if classes_first:
+                return (*table.class_counts, table.exp_enc, table.trace_codes_exp())
             walk = table.exp_enc
-            return table.trace_pair_histogram(), walk, table.trace_codes_exp()
+            return (*table.class_counts, walk, table.trace_codes_exp())
 
         want = read(fresh, True)
         for got in _in_four_threads(lambda i: read(shared, i % 2 == 0)):

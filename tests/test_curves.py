@@ -2,6 +2,9 @@
 count, family structure, and the relations tying the small curves to the
 big one."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,18 +14,18 @@ from tracezero.curves import (
     EVEN,
     _lhs_matrix,
     _rhs_maps,
-    _trace_after_mul,
     CurveSpec,
     beta_representatives,
     big_curve_count,
     check_count_cap,
+    class_point_counts,
     count_family_naive,
     count_points,
     count_points_naive,
     curve_family,
 )
-from tracezero.errors import BudgetExceededError
-from tracezero.fastfield import FieldTable, multiplicative_generator, table_for
+from tracezero.errors import BudgetExceededError, HasseWeilError
+from tracezero.fastfield import FieldTable, base_tables, multiplicative_generator, table_for
 from tracezero.numtheory import prime_power_parts
 from tracezero.oracle import z_count
 
@@ -131,7 +134,7 @@ class TestCountPoints:
         check_count_cap(2, 24, 1 << 24)  # 2**24 is at the cap, not over it
 
     def test_histogram_cells_are_capped_before_the_tower(self, monkeypatch):
-        # at m = 1 the q x q histogram outgrows F_q itself
+        # at m = 1 the q x q products of F_q outgrow F_q itself
         def refuse(*args, **kwargs):
             raise AssertionError("tower built before the budget check")
 
@@ -149,13 +152,28 @@ class TestCountPoints:
         for curve in curve_family(F9)[:3]:
             assert count_points(curve, m) == count_points_naive(curve, m)
 
-    @pytest.mark.parametrize("field", [F2, F4, F5, F9, F25, gf.make_field(3, 3)])
-    def test_trace_after_mul_is_the_literal_trace(self, field):
-        for c in field.element_list:
-            got = _trace_after_mul(field, c)
-            assert [int(got[field.code(a)]) for a in field.element_list] == [
-                field.trace_to_prime(field.mul(c, a)) for a in field.element_list
-            ]
+    def test_weil_failure_names_c(self, monkeypatch):
+        # all M = 10 cosets of F_81* with both traces zero: 3 * 80 + 2 points
+        tab = table_for(gf.make_tower(F9, 2))
+        monkeypatch.setitem(vars(tab), "class_counts", (np.eye(9, 1, dtype=np.int64)[:, 0] * 10, 10))
+        with pytest.raises(HasseWeilError, match=r"^count 242 at m=2 for c=1 violates the Weil bound$"):
+            class_point_counts(F9, 2)
+
+
+@pytest.mark.parametrize("q,m,bound", [(256, 3, 4 << 20), (1024, 2, 20.3 * (1 << 20))])
+def test_class_counts_stay_small(q, m, bound):
+    # the q x q trace-pair histogram that the class counts replaced peaked
+    # at 22.3 MB at (256, 3) and 20.3 MB at (1024, 2)
+    field = gf.make_field(*prime_power_parts(q))
+    base_tables(field)  # F_q's own tables are not the class counts' cost
+    table_for.cache_clear()
+    tracemalloc.start()
+    try:
+        class_point_counts(field, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def _naive_reference(curve: CurveSpec, m: int, max_pairs: int | None = None) -> int:

@@ -1,8 +1,7 @@
 """The generator walk of FieldTable: pinned outputs, the block-loop walk it
 replaced as a differential reference, the generator search against the
 element loop it replaced, the digit-packing width rule, the trace rows,
-the class walk behind the trace-pair histogram, and the base-field
-tables."""
+the class walk behind the class counts, and the base-field tables."""
 
 import hashlib
 import tracemalloc
@@ -257,7 +256,7 @@ class TestDigitWidth:
         base = SimpleNamespace(p=p, r=1)
         fake = SimpleNamespace(base=base, flat_degree=d, order=p**d, q=p)
         with pytest.raises(BudgetExceededError, match="class walk"):
-            FieldTable(fake).trace_pair_histogram()
+            FieldTable(fake).class_counts
 
     def test_functionals_refuse_rows_past_one_word(self):
         tab = FieldTable(_tower(131, 1))  # w = 9: seven digits per word
@@ -325,10 +324,13 @@ def full_walk_histogram():
 
 
 @pytest.mark.parametrize("q,n", _CLASS_TOWERS)
-def test_class_walk_histogram_matches_the_full_walk(q, n):
+def test_class_walk_histogram_matches_the_full_walk(trace_pair_histogram, q, n):
     tab = FieldTable(_tower(q, n))
-    got = tab.trace_pair_histogram()  # first, so the class walk is what runs
+    v, both = tab.class_counts  # first, so the class walk is what runs
     assert "exp_enc" not in vars(tab)
+    assert v.dtype == np.int64 and v.sum() == tab.M and not v.flags.writeable
+    assert type(both) is int and 0 <= both <= v[0]
+    got = trace_pair_histogram(tab)
     assert got.dtype == np.int64 and got.sum() == tab.N
     assert np.array_equal(got, _full_walk_histogram(tab))
 
@@ -347,13 +349,13 @@ def test_class_walk_histogram_matches_the_full_walk(q, n):
     ],
 )
 def test_streamed_histogram_matches_the_full_walk(
-    monkeypatch, full_walk_histogram, q, n, block, blocks
+    monkeypatch, full_walk_histogram, trace_pair_histogram, q, n, block, blocks
 ):
     want = full_walk_histogram(q, n)
     monkeypatch.setattr(fastfield, "_BLOCK", block)
     tab = FieldTable(_tower(q, n))
     assert len(list(tab._blocks(tab.M, tab.trace_rows()))) == blocks
-    assert np.array_equal(tab.trace_pair_histogram(), want)
+    assert np.array_equal(trace_pair_histogram(tab), want)
 
 
 @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (16, 2), (25, 2), (3, 6)])
@@ -438,7 +440,7 @@ class TestClassWalkFaults:
         tab = FieldTable(_tower(7, 2))
         tab._generator = tab.tower.pow_(multiplicative_generator(tab.tower), 9)
         with pytest.raises(InvariantError, match="generate"):
-            tab.trace_pair_histogram()
+            tab.class_counts
 
     def test_lam0_of_lower_order_in_three_parts(self):
         # beta = g**2 in F_{9^3}, whose words split into three parts: N = 728,
@@ -448,7 +450,7 @@ class TestClassWalkFaults:
         assert len(tab._parts) == 3
         tab._generator = tab.tower.pow_(multiplicative_generator(tab.tower), 2)
         with pytest.raises(InvariantError, match="generate"):
-            tab.trace_pair_histogram()
+            tab.class_counts
 
     def test_corrupted_table_of_a_later_block(self, monkeypatch):
         # the first block is right, and each later one is the image of the
@@ -464,41 +466,42 @@ class TestClassWalkFaults:
         monkeypatch.setattr(FieldTable, "_double", corrupt)
         tab = FieldTable(_tower(7, 4))
         with pytest.raises(InvariantError, match="coset"):
-            tab.trace_pair_histogram()
+            tab.class_counts
 
 
 def test_histogram_streams_in_bounded_memory():
-    # the class walk of F_{7^8} has 960800 units; the histogram keeps one
+    # the class walk of F_{7^8} has 960800 units; the class counts keep one
     # trace byte and one coset flag per unit, and blocks of 2**14 units
     tower = _tower(7, 8)
     tracemalloc.start()
     try:
-        FieldTable(tower).trace_pair_histogram()
+        FieldTable(tower).class_counts
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 12 << 20
 
 
-def test_coset_table_of_a_wide_base_field_stays_small(full_walk_histogram):
+def test_coset_table_of_a_wide_base_field_stays_small(full_walk_histogram, trace_pair_histogram):
     # F_{243^2}: a word is two parts of one 15-bit coordinate each, and the
     # coset table has (q - 1) * q cells (0.47 MB); indexed by packed slot
     # rather than by code it would have 242 * 9363 (18 MB) per part
     tab = FieldTable(_tower(243, 2))
     assert len(tab._parts) == 2
-    tab.trace_rows()  # the Frobenius matrix is not the histogram's cost
+    tab.trace_rows()  # the Frobenius matrix is not the class counts' cost
     tracemalloc.start()
     try:
-        got = tab.trace_pair_histogram()
+        tab.class_counts
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
-    assert np.array_equal(got, full_walk_histogram(243, 2))
+    assert np.array_equal(trace_pair_histogram(tab), full_walk_histogram(243, 2))
 
 
-# SHA-256 of trace_pair_histogram() as little-endian int64, recorded before
-# the class walk was streamed, for every tower the engine-set builds read.
+# SHA-256 of the trace-pair histogram as little-endian int64, recorded before
+# the class walk was streamed, for every tower the engine-set builds read;
+# the histogram is now rebuilt from the class counts.
 _HISTOGRAM_DIGESTS = {
     (2, 1): "013f21dd7052786e2c338b57f23ec2c7feb0c12f7b3b28fbb5affaca27103f51",
     (2, 2): "01dcc266fb5789a610afc3835051d549320cff7f5aae613a36d8c5f92b1658aa",
@@ -538,8 +541,8 @@ _HISTOGRAM_DIGESTS = {
 
 
 @pytest.mark.parametrize("q,n", sorted(_HISTOGRAM_DIGESTS))
-def test_histogram_is_pinned(q, n):
-    hist = table_for(_tower(q, n)).trace_pair_histogram()
+def test_histogram_is_pinned(trace_pair_histogram, q, n):
+    hist = trace_pair_histogram(table_for(_tower(q, n)))
     assert hashlib.sha256(hist.astype("<i8").tobytes()).hexdigest() == _HISTOGRAM_DIGESTS[q, n]
 
 

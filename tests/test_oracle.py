@@ -211,12 +211,12 @@ class TestSplitDigitFunctionals:
             assert codes[k] == tower.base.code(tower.trace_to_base(x))
 
     @pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (4, 3), (9, 2), (7, 2)])
-    def test_trace_pair_histogram(self, q, n):
+    def test_trace_pair_histogram(self, trace_pair_histogram, q, n):
         tab = table_for(_tower(q, n))
         codes = tab.trace_codes_exp().astype(np.int64)
         want = np.zeros((q, q), dtype=np.int64)
         np.add.at(want, (codes, tab.reversed_exp(codes)), 1)
-        got = tab.trace_pair_histogram()
+        got = trace_pair_histogram(tab)
         assert got.dtype == np.int64 and got.sum() == tab.N
         assert (got == want).all()
 
