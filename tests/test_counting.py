@@ -234,6 +234,9 @@ ENGINE_STATE_DIGESTS = {
     32: "242a7e4b8eb1972f82fd425243653c518989727a9336804eafd914a99dc6ecef",
     64: "fa7f80074419f697fd2c2329c4348b4ce0d7410c04ea774ea3173810faf4bc5d",
     81: "719aca66022c3265e274363e7b7f6f3657610b33c14424ae3c9dc7ec8acd35ef",
+    # recorded before F_q's arithmetic moved to exp/log tables
+    256: "7a7b37e33d1ef76b5c7d56abac15683098c798fc28e21d9f8588654152b07af3",
+    1024: "dde60ccbb2739f02758a831fc69b4fdf22ed881d1caaafc26ce92726ee812878",
 }
 
 
