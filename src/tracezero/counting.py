@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from . import gf
 from .curves import CurveSpec, check_count_cap, class_point_counts, count_points
-from .curves import curve_family, family_genus
+from .curves import curve_family, family_codes, family_genus
 from .errors import InvariantError, NegativeCountError, NonIntegralError
 from .lpoly import LPolynomial
 from .numtheory import prime_power_parts, squarefree_divisors
@@ -160,7 +160,7 @@ class CountEngine:
         self.genus = g = family_genus(field)
         check_count_cap(q, g, max_elements)  # before the family is built
         self.curves = curve_family(field)
-        keys = [field.code(field.mul(*curve.h_coeffs())) for curve in self.curves]  # c = A * B
+        keys = family_codes(field)[2].tolist()  # c = A * B, by code
         per_c = Counter(keys)
         if len(per_c) != q - 1 or len(set(per_c.values())) != 1:
             raise InvariantError("the curve family does not cover F_q* evenly in c = A*B")

@@ -39,9 +39,11 @@ count.  A coset with a * b = u != 0 holds n0(c * u) zeros (mu = A lam a,
 c = A * B), one with a single zero trace n0(0) = q/p - 1, and one with
 both zero q - 1.  With fastfield's class counts, v[u] cosets with
 a * b = u and both with a = b = 0, #C_c(F_{q^m}) = p * Z(c) + 2, where
-Z(c) = sum_u v[u] * n0(c * u) + both * (q - q/p).  class_point_counts
-makes two passes over the q**2 products of F_q, more than F_q has
-elements, so at m = 1 the element cap is held against q**2.
+Z(c) = sum_u v[u] * n0(c * u) + both * (q - q/p).  With c = g**j and
+u = g**i, the sum over u != 0 is a cyclic correlation in log coordinates,
+sum_i v[g**i] * n0(g**(i + j)): q**2 int64 multiply-adds over a sliding
+window of n0, not a q**2 array, but more than F_q has elements, so at
+m = 1 the element cap is still held against q**2.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf
-from .errors import BudgetExceededError, HasseWeilError, InvariantError
-from .fastfield import base_tables, table_for
+from .errors import BudgetExceededError, HasseWeilError
+from .fastfield import cyclic_correlation, log_tables, table_for
 
 EVEN = "even"
 ODD = "odd"
@@ -110,32 +112,40 @@ class CurveSpec:
         return out
 
 
+def family_codes(field: gf.FieldSpec) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Codes of alpha, beta (None when p = 2) and c = A * B for every curve
+    of the family, in curve_family's order.
+
+    The beta representatives are the least code of each coset of F_p* in
+    F_q*, in increasing order: F_p* is the powers of g**w, w = (q-1)/(p-1),
+    so a unit's coset is its log mod w.  A = B = alpha when p = 2;
+    otherwise A = beta * alpha and B = -beta, and -1 has code p - 1.
+    """
+    q, p = field.order, field.p
+    logs, units = log_tables(field), np.arange(1, q)
+    if p == 2:
+        return units, None, logs.mul(units, units)
+    _, first = np.unique(logs.log[units] % ((q - 1) // (p - 1)), return_index=True)
+    reps = units[np.sort(first)]
+    alpha, beta = np.repeat(units, reps.size), np.tile(reps, q - 1)
+    return alpha, beta, logs.mul(logs.mul(alpha, beta), logs.mul(beta, p - 1))
+
+
 def beta_representatives(field: gf.FieldSpec) -> list:
-    """One unit per coset of F_p* in F_q*, chosen greedily in canonical order."""
+    """One unit per coset of F_p* in F_q*, the least in canonical order."""
     if field.p == 2:
         raise ValueError("beta representatives only apply in odd characteristic")
-    reps = []
-    seen = set()
-    scalars = [field.embed(c) for c in range(1, field.p)]
-    for a in field.elements():
-        if field.is_zero(a) or a in seen:
-            continue
-        reps.append(a)
-        for s in scalars:
-            seen.add(field.mul(s, a))
-    expect = (field.order - 1) // (field.p - 1)
-    if len(reps) != expect:
-        raise InvariantError("coset scan produced a wrong representative count")
-    return reps
+    beta = family_codes(field)[1][: (field.order - 1) // (field.p - 1)]
+    return [field.element_list[b] for b in beta.tolist()]
 
 
 def curve_family(field: gf.FieldSpec) -> list[CurveSpec]:
-    """All curves of the family: q-1 for p = 2, (q-1)^2/(p-1) otherwise."""
-    units = [a for a in field.elements() if not field.is_zero(a)]
-    if field.p == 2:
-        return [CurveSpec(field, a) for a in units]
-    reps = beta_representatives(field)
-    return [CurveSpec(field, a, b) for a in units for b in reps]
+    """All curves of the family: q-1 for p = 2, (q-1)^2/(p-1) otherwise,
+    each alpha with every beta representative in turn."""
+    alpha, beta, _ = family_codes(field)
+    e = field.element_list
+    betas = [None] * alpha.size if beta is None else [e[b] for b in beta.tolist()]
+    return [CurveSpec(field, e[a], b) for a, b in zip(alpha.tolist(), betas)]
 
 
 def check_count_cap(q: int, m_max: int, max_elements: int | None):
@@ -155,13 +165,11 @@ def class_point_counts(field: gf.FieldSpec, m: int, max_elements: int | None = N
     q, p, g = field.order, field.p, family_genus(field)
     gf.check_element_cap(q, max(m, 2), max_elements)
     v, both = table_for(gf.make_tower(field, m)).class_counts
-    mul, inv, trace = base_tables(field)
-    # n0[e] counts mu in F_q*, or nu = 1 / mu, with Tr(e * nu) = -Tr(1 / nu)
-    n0 = (trace[mul[:, 1:]] == -trace[inv[1:]] % p).sum(axis=1, dtype=mul.dtype)
-    # einsum casts in buffered chunks, so n0[mul] stays narrow
-    zeros = np.einsum("cu,u->c", n0[mul], v)
-    counts = p * (zeros + both * (q - q // p)) + 2
-    counts[0] = 0  # no curve of the family has c = 0
+    exp, _, _, n0 = log_tables(field)
+    # Z(g**j) = sum_i v[g**i] * n0(g**(i + j)), plus the u = 0 term
+    zeros = cyclic_correlation(v[exp], n0[exp]) + v[0] * n0[0]
+    counts = np.zeros(q, dtype=np.int64)  # no curve of the family has c = 0
+    counts[exp] = p * (zeros + both * (q - q // p)) + 2
     c = int(np.abs(counts[1:] - (q**m + 1)).argmax()) + 1  # the c farthest from the line
     if (int(counts[c]) - q**m - 1) ** 2 > 4 * g * g * q**m:
         raise HasseWeilError(f"count {counts[c]} at m={m} for c={c} violates the Weil bound")
@@ -286,7 +294,7 @@ def big_curve_count(
     gf.check_element_cap(q, m, max_elements)
     tower = gf.make_tower(field, m)
     tab = table_for(tower)
-    mul, _, _ = base_tables(field)
     t = tab.trace_codes_exp()
-    u = mul[field.code(alpha)][t]  # Tr(alpha x) = alpha Tr(x): the trace is F_q-linear
+    # Tr(alpha x) = alpha Tr(x): the trace is F_q-linear
+    u = log_tables(field).mul(field.code(alpha), np.arange(q))[t]
     return q * int(np.count_nonzero(u == tab.reversed_exp(t))) + 2

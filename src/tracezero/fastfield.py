@@ -50,20 +50,24 @@ block, each unit, scaled by its leading F_q-coordinate (read by tables
 indexed by the code of each part), marks its coset in M flags, and the
 trace is kept at one byte per unit.  The class walk itself is never held
 whole.  The curve counts read nothing else, so no engine build walks more
-than (q**n - 1) / (q - 1) units of a tower.  base_tables holds the
-arithmetic of F_q itself, by element code, for the class counts, the
-coset marks and the curve counts.
+than (q**n - 1) / (q - 1) units of a tower.
+
+F_q itself is held in log coordinates of a generator g (log_tables): exp
+and log, the trace and the zero counts n0, q entries each, so that
+a * b = g**(log a + log b).  The coset marks, the class counts and the
+curve counts read them; no q x q array is built for F_q's arithmetic.
 
 Multiplication comes from the modulus: gf.structure_constants builds the
 F_p matrices of multiplication by each basis element from the matrix of
 multiplication by x, and the walk's step (the matrix of gamma) and the
 generator search (the matrices of the candidates, raised to N / l) read
-them.  Two checks stay on gf's definitional arithmetic, so every build
-still holds the matrices against gf.mul: the trace is the literal sum of
-the Frobenius conjugates, composed as linear maps (with Phi the matrix of
-gf's Frobenius x -> x**q, kept on the table as frobenius_matrix, the trace
-rows are those of sum_{j<n} Phi**j),
-and lam0 = gamma**M of the class walk is gf's power, which the class-walk
+them, and so does F_q's trace, the trace of the matrix of multiplication
+by each element.  Two checks stay on gf's definitional arithmetic, so
+every build still holds the matrices against gf.mul: a tower's trace is
+the literal sum of the Frobenius conjugates, composed as linear maps
+(with Phi the matrix of gf's Frobenius x -> x**q, kept on the table as
+frobenius_matrix, the trace rows are those of sum_{j<n} Phi**j), and
+lam0 = gamma**M of the class walk is gf's power, which the class-walk
 check holds against the walk's next step.  No closed-form formula under
 test enters any table.
 """
@@ -71,8 +75,10 @@ test enters any table.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import gf
 from .errors import BudgetExceededError, InvariantError
@@ -80,9 +86,7 @@ from .gf import (
     ExtensionField,
     FieldSpec,
     code_digits,
-    digit_table,
     linear_map_matrix,
-    make_field,
     mul_by_matrices,
     structure_constants,
 )
@@ -148,31 +152,76 @@ def multiplicative_generator(tower: ExtensionField):
     raise InvariantError("unit group has no generator; field data corrupt")
 
 
-@lru_cache(maxsize=8)
-def base_tables(field: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only code tables (mul, inv, trace) of the field F_q.
+def cyclic_correlation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """z[..., j] = sum_i x[..., i] * y[..., (i + j) % n], exact for int64 x
+    and y with last axes of length n: row j of the sliding windows of y,
+    then y[:-1], is y turned by j, a view, so the n**2 multiply-adds are one
+    int64 matmul in O(n) memory."""
+    n = x.shape[-1]
+    turns = sliding_window_view(np.concatenate([y, y[..., :-1]], axis=-1), n, axis=-1)
+    return (turns @ x[..., None])[..., 0]
 
-    mul[a, b] is the code of a * b, inv[a] that of 1 / a (inv[0] = 0), and
-    trace[a] is Tr_{F_q/F_p}(a), all indexed by element code.  Multiplying
-    by a is the F_p-linear map sum_j a_j T_j, with T_j the matrix of
-    b -> e_j * b, and the trace is the F_p-linear functional of gf's
-    trace_to_prime.
+
+class LogTables(NamedTuple):
+    """F_q in log coordinates of a generator g: read-only tables of q entries.
+
+    exp[i] is the code of g**i, i < q - 1, and log[a] the exponent of the
+    unit of code a (log[0] = q - 1: no power of g is zero), in a dtype that
+    holds the sum of two logs.  trace[a] is Tr_{F_q/F_p}(a), and n0[e] =
+    #{mu in F_q* : Tr(mu + e / mu) = 0}, a Kloosterman-type zero count.
+    """
+
+    exp: np.ndarray
+    log: np.ndarray
+    trace: np.ndarray
+    n0: np.ndarray
+
+    def mul(self, a, b) -> np.ndarray:
+        """Codes of a * b, for codes a and b broadcast together."""
+        a, b = np.asarray(a), np.asarray(b)
+        product = self.exp[(self.log[a] + self.log[b]) % self.exp.size]
+        return np.where((a == 0) | (b == 0), 0, product)
+
+    def inv(self, a) -> np.ndarray:
+        """Codes of 1 / a, for codes a of units."""
+        return self.exp[(self.exp.size - self.log[a]) % self.exp.size]
+
+
+@lru_cache(maxsize=8)
+def log_tables(field: FieldSpec) -> LogTables:
+    """The LogTables of the field F_q, built once per field.
+
+    The digits of g**i, g multiplicative_generator's, come from a doubling
+    walk: g**(L + i) is g**i times G**L, G the matrix of multiplication by
+    g.  The walk is checked to be a bijection onto the units.  Tr(a) is the
+    trace of the matrix of multiplication by a.  With tau_i = Tr(g**i),
+    n0(g**j) = #{i : tau_i + tau_(j-i) = 0}, the sum over s in F_p of the
+    cyclic correlations of [tau = s], reversed, with [tau = -s].
     """
     p, r, q = field.p, field.r, field.order
-    digits = digit_table(field)
-    weights = p ** np.arange(r, dtype=np.int64)
-    by = mul_by_matrices(digits, structure_constants(field)) % p  # the matrix of b -> a * b
-    mul = np.empty((q, q), dtype=np.min_scalar_type(q - 1))
-    rows = max(1, (1 << 16) // (q * r))  # bounds the (rows, r, q) products
-    for s in range(0, q, rows):
-        mul[s : s + rows] = weights @ (by[s : s + rows] @ digits.T % p)
-    inv = np.zeros(q, dtype=mul.dtype)
-    a, b = np.nonzero(mul == 1)  # 1 is the code of one
-    inv[a] = b
-    trace = digits @ linear_map_matrix(field, make_field(p, 1), field.trace_to_prime)[0] % p
-    for table in (mul, inv, trace):
+    n, L = q - 1, 1
+    G = gf.mul_matrix(field, multiplicative_generator(field))
+    digits = np.zeros((n, r), dtype=np.int64)
+    digits[0, 0] = 1  # the digits of one
+    while L < n:
+        digits[L : 2 * L] = digits[: min(L, n - L)] @ G.T % p
+        G, L = G @ G % p, 2 * L
+    exp = (digits @ p ** np.arange(r)).astype(np.min_scalar_type(2 * n))
+    log = np.full(q, n, dtype=exp.dtype)
+    log[exp] = np.arange(n)
+    if log[0] != n or (log[1:] == n).any():
+        raise InvariantError("generator walk of F_q did not cover its units")
+    tau = digits @ np.trace(structure_constants(field), axis1=1, axis2=2) % p  # Tr(g**i)
+    trace = np.zeros(q, dtype=np.int64)
+    trace[exp] = tau
+    s = np.arange(p)[:, None]
+    n0 = np.full(q, q // p - 1)  # n0(0) = #{mu : Tr(mu) = 0}
+    levels = (tau[-np.arange(n)] == s).astype(np.int64), (tau == -s % p).astype(np.int64)
+    n0[exp] = cyclic_correlation(*levels).sum(axis=0)
+    tables = LogTables(exp, log, trace, n0)
+    for table in tables:
         table.flags.writeable = False
-    return mul, inv, trace
+    return tables
 
 
 class FieldTable:
@@ -362,7 +411,7 @@ class FieldTable:
         """
         tower, q, M, n = self.tower, self.tower.q, self.M, self.tower.n
         r = tower.base.r
-        mul, inv, _ = base_tables(tower.base)
+        logs = log_tables(tower.base)
         H = max(c for _, c in self._parts) // r
         Q = q**H
         v = np.arange(Q)
@@ -371,7 +420,9 @@ class FieldTable:
         top = np.zeros(Q, dtype=np.int64)  # the highest nonzero coordinate of v
         for j in range(1, H):
             top[coords[:, j] != 0] = j
-        scaled = (mul[inv[1:]][:, coords] @ place[:H]).reshape(-1)
+        inverses = logs.inv(np.arange(1, q))[:, None, None]
+        # einsum casts in buffered chunks, so the quotients stay narrow
+        scaled = np.einsum("cvh,h->cv", logs.mul(inverses, coords), place[:H]).reshape(-1)
         first = np.array([a // r for a, _ in self._parts])
         off = (place - 1) // (q - 1) - place
         # a part's codes lie below q**h, so first + top < n where read
@@ -622,10 +673,10 @@ class FieldTable:
         self._parts  # an oversized part table is refused before any array is made
         lam0 = self.tower.pow_(self._generator, M)
         t = self._stream_class_walk(self._blocks(M, self.trace_rows()), lam0)
-        mul, inv, _ = base_tables(self.tower.base)
+        logs = log_tables(self.tower.base)
         c0, t0 = self.tower.code(lam0), int(t[0])
         h0 = np.zeros(q * q, dtype=np.int64)
-        h0[t0 * q + int(mul[c0, t0])] = 1  # k = 0: gamma**0 = 1 is its own inverse
+        h0[t0 * q + int(logs.mul(c0, t0))] = 1  # k = 0: gamma**0 = 1 is its own inverse
         for s in range(1, M, _BLOCK):
             e = min(s + _BLOCK, M)
             keys = t[s:e].astype(np.int64)
@@ -635,7 +686,8 @@ class FieldTable:
         cells = np.flatnonzero(h0)
         a, b = np.divmod(cells, q)
         # weights sum below M < 2**31, so the float64 bincount is exact
-        v = np.bincount(mul[a, mul[inv[c0], b]], weights=h0[cells], minlength=q).astype(np.int64)
+        keys = logs.mul(logs.mul(a, b), logs.inv(c0))
+        v = np.bincount(keys, weights=h0[cells], minlength=q).astype(np.int64)
         v.flags.writeable = False
         return v, int(h0[0])
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import gf
 from .counting import CountEngine, CountReport
-from .curves import big_curve_count, count_family_naive, count_points
+from .curves import CurveSpec, big_curve_count, class_point_counts, count_family_naive
+from .curves import family_codes
 from .errors import BudgetExceededError, InvariantError
 from .fastfield import FieldTable, table_for
 from .numtheory import divisors, prime_factors, prime_power_parts
@@ -301,6 +302,12 @@ def _trace_zero_enc_bitmap(tower: gf.ExtensionField, tab) -> np.ndarray:
     return bitmap
 
 
+def direct_count(counts: np.ndarray, curve: CurveSpec, c: int) -> int:
+    """#C(F_{q^n}) of curve, read from counts = class_point_counts(field, n)
+    at the code c of its A * B; verify_all reads each curve's count here."""
+    return int(counts[c])
+
+
 def verify_all(q: int, n_max: int, max_elements: int = gf.DEFAULT_MAX_ELEMENTS) -> VerifyReport:
     """Run every numeric identity check for 1 <= n <= n_max.
 
@@ -312,6 +319,7 @@ def verify_all(q: int, n_max: int, max_elements: int = gf.DEFAULT_MAX_ELEMENTS) 
     field = gf.make_field(p, r)
     engine = CountEngine(field, max_elements=max_elements)
     curves = engine.curves
+    keys = family_codes(field)[2].tolist()  # c = A * B of each curve, by code
     units = [a for a in field.elements() if not field.is_zero(a)]
     unit_labels = [f"alpha={field.code(a)}" for a in units]
     curve_labels = [
@@ -374,7 +382,8 @@ def verify_all(q: int, n_max: int, max_elements: int = gf.DEFAULT_MAX_ELEMENTS) 
         report.add_all("big_curve_solvability", q, n, zip(unit_labels, bigs, expect))
 
         # Fiber products: the big curve's defect is the sum of the small ones'.
-        direct = [count_points(c, n, max_elements) for c in curves]
+        counts = class_point_counts(field, n, max_elements)
+        direct = [direct_count(counts, curve, c) for curve, c in zip(curves, keys)]
         line = q**n + 1  # points of the projective line over F_{q^n}
 
         if p == 2:

@@ -1,7 +1,7 @@
+import numpy as np
 import pytest
 
 from tracezero.counting import CountEngine
-from tracezero.fastfield import base_tables
 from tracezero.gf import DEFAULT_MAX_ELEMENTS, make_field
 from tracezero.numtheory import prime_power_parts
 
@@ -34,13 +34,20 @@ def trace_pair_histogram():
     coset whose traces are both nonzero puts one unit in each cell of its
     product a * b; one with a single zero trace puts one in each nonzero
     cell of its zero row or column, and x -> 1/x pairs those two kinds;
-    and one with both zero puts q - 1 units in H[0, 0].
+    and one with both zero puts q - 1 units in H[0, 0].  The codes of the
+    products a * b come from gf.mul, not from the library's tables.
     """
+    products = {}  # field -> the codes of a * b, by the codes of a and b
 
     def rebuild(tab):
-        q = tab.tower.q
+        field, q = tab.tower.base, tab.tower.q
+        if field not in products:
+            elements = field.element_list
+            products[field] = np.array(
+                [[field.code(field.mul(a, b)) for b in elements] for a in elements]
+            )
         v, both = tab.class_counts
-        H = v[base_tables(tab.tower.base)[0]]  # v[a * b]: a and b both nonzero
+        H = v[products[field]]  # v[a * b]: a and b both nonzero
         one_zero, odd = divmod(int(v[0]) - both, 2)
         assert not odd
         H[0, 1:] = H[1:, 0] = one_zero

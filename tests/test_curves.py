@@ -23,9 +23,10 @@ from tracezero.curves import (
     count_points,
     count_points_naive,
     curve_family,
+    family_codes,
 )
 from tracezero.errors import BudgetExceededError, HasseWeilError
-from tracezero.fastfield import FieldTable, base_tables, multiplicative_generator, table_for
+from tracezero.fastfield import FieldTable, log_tables, multiplicative_generator, table_for
 from tracezero.numtheory import prime_power_parts
 from tracezero.oracle import z_count
 
@@ -79,6 +80,45 @@ class TestFamilies:
     def test_beta_reps_refused_in_characteristic_two(self):
         with pytest.raises(ValueError):
             beta_representatives(F4)
+
+    @staticmethod
+    def _greedy_reps(field):
+        """The coset scan in canonical order, over gf's arithmetic."""
+        reps, seen = [], set()
+        scalars = [field.embed(c) for c in range(1, field.p)]
+        for a in field.element_list[1:]:
+            if a not in seen:
+                reps.append(a)
+                seen.update(field.mul(s, a) for s in scalars)
+        return reps
+
+    @pytest.mark.parametrize("q", [4, 7, 9, 16, 25, 27, 81])
+    def test_codes_match_gf(self, q):
+        field = gf.make_field(*prime_power_parts(q))
+        alpha, beta, c = family_codes(field)
+        family = curve_family(field)
+        assert alpha.tolist() == [field.code(curve.alpha) for curve in family]
+        assert c.tolist() == [field.code(field.mul(*curve.h_coeffs())) for curve in family]
+        if field.p == 2:
+            assert beta is None
+        else:
+            assert beta.tolist() == [field.code(curve.beta) for curve in family]
+            assert beta_representatives(field) == self._greedy_reps(field)
+            k = len(beta_representatives(field))
+            assert [curve.beta for curve in family[:k]] == beta_representatives(field)
+
+    def test_family_makes_no_python_product(self, monkeypatch):
+        # the family, its beta representatives and its c keys come from
+        # F_q's log tables, built from the structure constants
+        def refuse(self, a, b):
+            raise AssertionError("gf.mul called")
+
+        F81 = gf.make_field(3, 4)
+        log_tables.cache_clear()
+        monkeypatch.setattr(gf.ExtensionField, "mul", refuse)
+        assert len(curve_family(F81)) == 80 * 40
+        assert len(beta_representatives(F81)) == 40
+        assert family_codes(F81)[2].size == 80 * 40
 
 
 class TestCountPoints:
@@ -165,7 +205,7 @@ def test_class_counts_stay_small(q, m, bound):
     # the q x q trace-pair histogram that the class counts replaced peaked
     # at 22.3 MB at (256, 3) and 20.3 MB at (1024, 2)
     field = gf.make_field(*prime_power_parts(q))
-    base_tables(field)  # F_q's own tables are not the class counts' cost
+    log_tables(field)  # F_q's own tables are not the class counts' cost
     table_for.cache_clear()
     tracemalloc.start()
     try:

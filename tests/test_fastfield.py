@@ -1,7 +1,7 @@
 """The generator walk of FieldTable: pinned outputs, the block-loop walk it
 replaced as a differential reference, the generator search against the
 element loop it replaced, the digit-packing width rule, the trace rows,
-the class walk behind the class counts, and the base-field tables."""
+the class walk behind the class counts, and the log tables of F_q."""
 
 import hashlib
 import tracemalloc
@@ -10,14 +10,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracezero import fastfield, gf, oracle
 from tracezero.counting import engine_for
 from tracezero.errors import BudgetExceededError, InvariantError
 from tracezero.fastfield import (
     FieldTable,
-    base_tables,
+    cyclic_correlation,
     digit_width,
+    log_tables,
     multiplicative_generator,
     table_for,
 )
@@ -558,16 +561,63 @@ def test_engine_build_never_reads_the_full_walk(monkeypatch, q):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
-def test_base_tables_match_gf(q):
+def test_log_tables_match_gf(q):
     field = gf.make_field(*prime_power_parts(q))
-    mul, inv, trace = base_tables(field)
+    logs = log_tables(field)
+    exp, log, trace = logs.exp, logs.log, logs.trace
+    assert sorted(exp.tolist()) == list(range(1, q))  # a bijection onto the units
+    assert log[exp].tolist() == list(range(q - 1))
+    assert log[0] == q - 1
     elems = field.element_list
     for a in elems:
         ca = field.code(a)
         assert trace[ca] == field.trace_to_prime(a)
-        assert [mul[ca, field.code(b)] for b in elems] == [
-            field.code(field.mul(a, b)) for b in elems
-        ]
+        want = [field.code(field.mul(a, b)) for b in elems]
+        assert logs.mul(ca, np.arange(q)).tolist() == want
         if not field.is_zero(a):
-            assert inv[ca] == field.code(field.inv(a))
-    assert not (mul.flags.writeable or inv.flags.writeable or trace.flags.writeable)
+            la = int(log[ca])
+            assert [int(exp[(la + int(log[cb])) % (q - 1)]) for cb in range(1, q)] == want[1:]
+            assert logs.inv(ca) == field.code(field.inv(a))
+    assert not any(table.flags.writeable for table in logs)
+
+
+@pytest.mark.parametrize("q", [4, 9, 25, 27])
+def test_n0_is_the_kloosterman_zero_count(q):
+    # n0[e] = #{mu in F_q* : Tr(mu + e / mu) = 0}, counted over gf's arithmetic
+    field = gf.make_field(*prime_power_parts(q))
+    units = [mu for mu in field.element_list if not field.is_zero(mu)]
+    want = [
+        sum(field.trace_to_prime(field.add(mu, field.mul(e, field.inv(mu)))) == 0 for mu in units)
+        for e in field.element_list
+    ]
+    assert log_tables(field).n0.tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cyclic_correlation_is_the_double_loop(data):
+    rows = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 24))
+    entries = st.lists(st.integers(-(1 << 20), 1 << 20), min_size=rows * n, max_size=rows * n)
+    x = np.array(data.draw(entries), dtype=np.int64).reshape(rows, n)
+    y = np.array(data.draw(entries), dtype=np.int64).reshape(rows, n)
+    want = [
+        [sum(int(x[k, i]) * int(y[k, (i + j) % n]) for i in range(n)) for j in range(n)]
+        for k in range(rows)
+    ]
+    assert cyclic_correlation(x, y).tolist() == want
+    assert cyclic_correlation(x[0], y[0]).tolist() == want[0]
+
+
+def test_log_tables_stay_small():
+    # q entries per table: no q x q array is built for F_q's arithmetic
+    field = gf.make_field(2, 10)
+    gf.structure_constants(field)
+    log_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        log_tables(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

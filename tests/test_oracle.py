@@ -274,7 +274,7 @@ class TestVerifyAll:
             calls.append(self.n)
             return real(self, a, b)
 
-        for cache in (table_for, gf.structure_constants, fastfield.base_tables):
+        for cache in (table_for, gf.structure_constants, fastfield.log_tables):
             cache.cache_clear()
         monkeypatch.setattr(gf.ExtensionField, "mul", counting)
         engine_for(7)
@@ -290,16 +290,16 @@ class TestVerifyAllFaults:
         return [(c.name, c.n, c.detail) for c in report.checks if c.status == "fail"]
 
     @staticmethod
-    def _count_points_off_at_alpha_two(monkeypatch):
-        real = oracle.count_points
+    def _curve_count_off_at_alpha_two(monkeypatch):
+        real = oracle.direct_count
         calls = []
 
-        def faulty(curve, m, max_elements=None):
+        def faulty(counts, curve, c):
             calls.append(curve)
             field = curve.field
-            return real(curve, m, max_elements) + (field.p if field.code(curve.alpha) == 2 else 0)
+            return real(counts, curve, c) + (field.p if field.code(curve.alpha) == 2 else 0)
 
-        monkeypatch.setattr(oracle, "count_points", faulty)
+        monkeypatch.setattr(oracle, "direct_count", faulty)
         return calls
 
     @staticmethod
@@ -318,7 +318,7 @@ class TestVerifyAllFaults:
         return calls
 
     def test_even_curve_fault(self, monkeypatch):
-        self._count_points_off_at_alpha_two(monkeypatch)
+        self._curve_count_off_at_alpha_two(monkeypatch)
         assert self._fails(verify_all(4, 3)) == [
             ("fiber_product_even", 1, "1 != 3"),
             ("naive_curve_agreement", 1, "alpha=2: 6 != 4 (1 of 3 disagree)"),
@@ -329,7 +329,7 @@ class TestVerifyAllFaults:
         ]
 
     def test_odd_curve_fault(self, monkeypatch):
-        self._count_points_off_at_alpha_two(monkeypatch)
+        self._curve_count_off_at_alpha_two(monkeypatch)
         assert self._fails(verify_all(9, 2)) == [
             ("fiber_product_odd", 1, "alpha=2: 10 != 22 (1 of 8 disagree)"),
             ("naive_curve_agreement", 1, "alpha=2 beta=1: 23 != 20 (4 of 32 disagree)"),
@@ -347,7 +347,7 @@ class TestVerifyAllFaults:
         ]
 
     def test_each_count_is_made_once_per_n(self, monkeypatch):
-        curve_calls = self._count_points_off_at_alpha_two(monkeypatch)
+        curve_calls = self._curve_count_off_at_alpha_two(monkeypatch)
         z_calls = self._combination_off_at_two(monkeypatch)
         verify_all(9, 2)
         assert len(curve_calls) == 2 * 32
