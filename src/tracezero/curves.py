@@ -54,7 +54,7 @@ import numpy as np
 
 from . import gf
 from .errors import BudgetExceededError, HasseWeilError
-from .fastfield import cyclic_correlation, log_tables, table_for
+from .fastfield import log_tables, table_for
 
 EVEN = "even"
 ODD = "odd"
@@ -118,15 +118,15 @@ def family_codes(field: gf.FieldSpec) -> tuple[np.ndarray, np.ndarray | None, np
 
     The beta representatives are the least code of each coset of F_p* in
     F_q*, in increasing order: F_p* is the powers of g**w, w = (q-1)/(p-1),
-    so a unit's coset is its log mod w.  A = B = alpha when p = 2;
-    otherwise A = beta * alpha and B = -beta, and -1 has code p - 1.
+    so the coset of g**i is column i mod w of exp in p - 1 rows of w.
+    A = B = alpha when p = 2; otherwise A = beta * alpha and B = -beta,
+    and -1 has code p - 1.
     """
     q, p = field.order, field.p
     logs, units = log_tables(field), np.arange(1, q)
     if p == 2:
         return units, None, logs.mul(units, units)
-    _, first = np.unique(logs.log[units] % ((q - 1) // (p - 1)), return_index=True)
-    reps = units[np.sort(first)]
+    reps = np.sort(logs.exp.reshape(p - 1, -1).min(axis=0))
     alpha, beta = np.repeat(units, reps.size), np.tile(reps, q - 1)
     return alpha, beta, logs.mul(logs.mul(alpha, beta), logs.mul(beta, p - 1))
 
@@ -157,6 +157,13 @@ def check_count_cap(q: int, m_max: int, max_elements: int | None):
     """
     for m in range(1, max(m_max, 2) + 1):
         gf.check_element_cap(q, m, max_elements)
+
+
+def cyclic_correlation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """z[j] = sum_i x[i] * y[(i + j) % n], exactly, for int64 x and y of
+    length n: the correlation of y, then y[:-1], with x, in numpy's 'valid'
+    mode, runs the n**2 multiply-adds in C in O(n) memory, with no FFT."""
+    return np.correlate(np.concatenate([y, y[:-1]]), x, mode="valid")
 
 
 def class_point_counts(field: gf.FieldSpec, m: int, max_elements: int | None = None) -> np.ndarray:

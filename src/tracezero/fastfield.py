@@ -152,16 +152,6 @@ def multiplicative_generator(tower: ExtensionField):
     raise InvariantError("unit group has no generator; field data corrupt")
 
 
-def cyclic_correlation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """z[..., j] = sum_i x[..., i] * y[..., (i + j) % n], exact for int64 x
-    and y with last axes of length n: row j of the sliding windows of y,
-    then y[:-1], is y turned by j, a view, so the n**2 multiply-adds are one
-    int64 matmul in O(n) memory."""
-    n = x.shape[-1]
-    turns = sliding_window_view(np.concatenate([y, y[..., :-1]], axis=-1), n, axis=-1)
-    return (turns @ x[..., None])[..., 0]
-
-
 class LogTables(NamedTuple):
     """F_q in log coordinates of a generator g: read-only tables of q entries.
 
@@ -195,8 +185,9 @@ def log_tables(field: FieldSpec) -> LogTables:
     walk: g**(L + i) is g**i times G**L, G the matrix of multiplication by
     g.  The walk is checked to be a bijection onto the units.  Tr(a) is the
     trace of the matrix of multiplication by a.  With tau_i = Tr(g**i),
-    n0(g**j) = #{i : tau_i + tau_(j-i) = 0}, the sum over s in F_p of the
-    cyclic correlations of [tau = s], reversed, with [tau = -s].
+    n0(g**j) = #{i : tau_i = -tau_(j-i)}: row j of the sliding windows of
+    -tau, reversed and doubled, is -tau_(j-i) over i, a view, compared
+    with tau in blocks of rows, so the q**2 comparisons hold O(q) memory.
     """
     p, r, q = field.p, field.r, field.order
     n, L = q - 1, 1
@@ -214,10 +205,14 @@ def log_tables(field: FieldSpec) -> LogTables:
     tau = digits @ np.trace(structure_constants(field), axis1=1, axis2=2) % p  # Tr(g**i)
     trace = np.zeros(q, dtype=np.int64)
     trace[exp] = tau
-    s = np.arange(p)[:, None]
+    narrow = np.min_scalar_type(p - 1)
+    minus = (-tau % p)[-np.arange(n)].astype(narrow)  # -tau_(-i)
+    tau = tau.astype(narrow)
+    turns = sliding_window_view(np.concatenate([minus, minus]), n)[n:0:-1]
     n0 = np.full(q, q // p - 1)  # n0(0) = #{mu : Tr(mu) = 0}
-    levels = (tau[-np.arange(n)] == s).astype(np.int64), (tau == -s % p).astype(np.int64)
-    n0[exp] = cyclic_correlation(*levels).sum(axis=0)
+    rows = max(1, _BLOCK // n)
+    for a in range(0, n, rows):
+        n0[exp[a : a + rows]] = np.count_nonzero(turns[a : a + rows] == tau, axis=1)
     tables = LogTables(exp, log, trace, n0)
     for table in tables:
         table.flags.writeable = False
@@ -421,8 +416,7 @@ class FieldTable:
         for j in range(1, H):
             top[coords[:, j] != 0] = j
         inverses = logs.inv(np.arange(1, q))[:, None, None]
-        # einsum casts in buffered chunks, so the quotients stay narrow
-        scaled = np.einsum("cvh,h->cv", logs.mul(inverses, coords), place[:H]).reshape(-1)
+        scaled = (logs.mul(inverses, coords) @ place[:H]).reshape(-1)
         first = np.array([a // r for a, _ in self._parts])
         off = (place - 1) // (q - 1) - place
         # a part's codes lie below q**h, so first + top < n where read

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from tracezero import fastfield, gf, oracle
 from tracezero.counting import engine_for
+from tracezero.curves import cyclic_correlation
 from tracezero.errors import BudgetExceededError, InvariantError
 from tracezero.fastfield import (
     FieldTable,
-    cyclic_correlation,
     digit_width,
     log_tables,
     multiplicative_generator,
@@ -581,7 +581,7 @@ def test_log_tables_match_gf(q):
     assert not any(table.flags.writeable for table in logs)
 
 
-@pytest.mark.parametrize("q", [4, 9, 25, 27])
+@pytest.mark.parametrize("q", [4, 7, 9, 25, 27])
 def test_n0_is_the_kloosterman_zero_count(q):
     # n0[e] = #{mu in F_q* : Tr(mu + e / mu) = 0}, counted over gf's arithmetic
     field = gf.make_field(*prime_power_parts(q))
@@ -596,17 +596,13 @@ def test_n0_is_the_kloosterman_zero_count(q):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_cyclic_correlation_is_the_double_loop(data):
-    rows = data.draw(st.integers(1, 3))
-    n = data.draw(st.integers(1, 24))
-    entries = st.lists(st.integers(-(1 << 20), 1 << 20), min_size=rows * n, max_size=rows * n)
-    x = np.array(data.draw(entries), dtype=np.int64).reshape(rows, n)
-    y = np.array(data.draw(entries), dtype=np.int64).reshape(rows, n)
-    want = [
-        [sum(int(x[k, i]) * int(y[k, (i + j) % n]) for i in range(n)) for j in range(n)]
-        for k in range(rows)
-    ]
-    assert cyclic_correlation(x, y).tolist() == want
-    assert cyclic_correlation(x[0], y[0]).tolist() == want[0]
+    n = data.draw(st.integers(1, 40))
+    entries = st.lists(st.integers(-(1 << 20), 1 << 20), min_size=n, max_size=n)
+    x = np.array(data.draw(entries), dtype=np.int64)
+    y = np.array(data.draw(entries), dtype=np.int64)
+    want = [sum(int(x[i]) * int(y[(i + j) % n]) for i in range(n)) for j in range(n)]
+    got = cyclic_correlation(x, y)
+    assert got.dtype == np.int64 and got.tolist() == want
 
 
 def test_log_tables_stay_small():
