@@ -41,8 +41,8 @@ both zero q - 1.  With fastfield's class counts, v[u] cosets with
 a * b = u and both with a = b = 0, #C_c(F_{q^m}) = p * Z(c) + 2, where
 Z(c) = sum_u v[u] * n0(c * u) + both * (q - q/p).  With c = g**j and
 u = g**i, the sum over u != 0 is a cyclic correlation in log coordinates,
-sum_i v[g**i] * n0(g**(i + j)): q**2 int64 multiply-adds over a sliding
-window of n0, not a q**2 array, but more than F_q has elements, so at
+sum_i v[g**i] * n0(g**(i + j)): q**2 int64 multiply-adds in numpy's C
+correlation, not a q**2 array, but more than F_q has elements, so at
 m = 1 the element cap is still held against q**2.
 """
 

@@ -561,7 +561,8 @@ def test_engine_build_never_reads_the_full_walk(monkeypatch, q):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
-def test_log_tables_match_gf(q):
+def test_base_tables_match_gf(q):
+    # the base field F_q's log tables against gf's definitional arithmetic
     field = gf.make_field(*prime_power_parts(q))
     logs = log_tables(field)
     exp, log, trace = logs.exp, logs.log, logs.trace
