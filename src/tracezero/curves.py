@@ -112,21 +112,25 @@ class CurveSpec:
         return out
 
 
+def _beta_codes(field: gf.FieldSpec) -> np.ndarray:
+    """The least code of each coset of F_p* in F_q*, in increasing order:
+    F_p* is the powers of g**w, w = (q-1)/(p-1), so the coset of g**i is
+    column i mod w of exp in p - 1 rows of w."""
+    return np.sort(log_tables(field).exp.reshape(field.p - 1, -1).min(axis=0))
+
+
 def family_codes(field: gf.FieldSpec) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Codes of alpha, beta (None when p = 2) and c = A * B for every curve
     of the family, in curve_family's order.
 
-    The beta representatives are the least code of each coset of F_p* in
-    F_q*, in increasing order: F_p* is the powers of g**w, w = (q-1)/(p-1),
-    so the coset of g**i is column i mod w of exp in p - 1 rows of w.
-    A = B = alpha when p = 2; otherwise A = beta * alpha and B = -beta,
-    and -1 has code p - 1.
+    A = B = alpha when p = 2; otherwise beta runs over _beta_codes for each
+    alpha, A = beta * alpha and B = -beta, and -1 has code p - 1.
     """
     q, p = field.order, field.p
     logs, units = log_tables(field), np.arange(1, q)
     if p == 2:
         return units, None, logs.mul(units, units)
-    reps = np.sort(logs.exp.reshape(p - 1, -1).min(axis=0))
+    reps = _beta_codes(field)
     alpha, beta = np.repeat(units, reps.size), np.tile(reps, q - 1)
     return alpha, beta, logs.mul(logs.mul(alpha, beta), logs.mul(beta, p - 1))
 
@@ -135,8 +139,7 @@ def beta_representatives(field: gf.FieldSpec) -> list:
     """One unit per coset of F_p* in F_q*, the least in canonical order."""
     if field.p == 2:
         raise ValueError("beta representatives only apply in odd characteristic")
-    beta = family_codes(field)[1][: (field.order - 1) // (field.p - 1)]
-    return [field.element_list[b] for b in beta.tolist()]
+    return [field.element_list[b] for b in _beta_codes(field).tolist()]
 
 
 def curve_family(field: gf.FieldSpec) -> list[CurveSpec]:

@@ -61,8 +61,8 @@ Multiplication comes from the modulus: gf.structure_constants builds the
 F_p matrices of multiplication by each basis element from the matrix of
 multiplication by x, and the walk's step (the matrix of gamma) and the
 generator search (the matrices of the candidates, raised to N / l) read
-them, and so does F_q's trace, the trace of the matrix of multiplication
-by each element.  Two checks stay on gf's definitional arithmetic, so
+them; F_q's own trace in log_tables is the trace of each element's
+multiplication matrix.  Two checks stay on gf's definitional arithmetic, so
 every build still holds the matrices against gf.mul: a tower's trace is
 the literal sum of the Frobenius conjugates, composed as linear maps
 (with Phi the matrix of gf's Frobenius x -> x**q, kept on the table as
