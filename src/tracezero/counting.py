@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from . import gf
 from .curves import CurveSpec, check_count_cap, class_point_counts, count_points
-from .curves import curve_family, family_codes, family_genus
+from .curves import family_codes, family_genus
 from .errors import InvariantError, NegativeCountError, NonIntegralError
 from .lpoly import LPolynomial
 from .numtheory import prime_power_parts, squarefree_divisors
@@ -125,20 +125,13 @@ def seed_lpolynomial(curve: CurveSpec, max_elements: int | None) -> LPolynomial:
     return LPolynomial.from_counts(q, g, counts)
 
 
-def _defect(lp: LPolynomial, n: int, line: int) -> int:
-    """#C(F_{q^n}) - line = -S_n for line = q**n + 1, refusing a negative count."""
-    if (s := lp.power_sum(n)) > line:
-        raise NegativeCountError(f"predicted count {line - s} at n={n}")
-    return -s
-
-
 class CountEngine:
     """Curve counts and L-polynomials for one base field, queried per n.
 
-    Construction keys every curve of the family by c = A * B, reads every
-    c's counts from one class_point_counts array per m = 1..genus and seeds
-    one L-polynomial per distinct count vector; the c sharing it form a
-    class, held as (LPolynomial, number of c) pairs in first-seen order.  It
+    Construction keys the family by c = A * B, building no curve, reads
+    every c's counts from one class_point_counts array per m = 1..genus and
+    seeds one L-polynomial per distinct count vector; the c sharing it form
+    a class, held as (LPolynomial, number of c) pairs in first-seen order.  It
     then re-counts every c at genus+1 and genus+2, as far as the element
     cap allows, against its class's prediction.  That over-determination
     check is the strongest self-test the engine has: a wrong genus, a wrong
@@ -158,17 +151,14 @@ class CountEngine:
         self.q = q = field.order
         self.p = field.p
         self.genus = g = family_genus(field)
-        check_count_cap(q, g, max_elements)  # before the family is built
-        self.curves = curve_family(field)
-        keys = family_codes(field)[2].tolist()  # c = A * B, by code
-        per_c = Counter(keys)
+        check_count_cap(q, g, max_elements)  # before the family is keyed
+        per_c = Counter(family_codes(field)[2].tolist())  # c = A * B, by code
         if len(per_c) != q - 1 or len(set(per_c.values())) != 1:
             raise InvariantError("the curve family does not cover F_q* evenly in c = A*B")
         counts = [class_point_counts(field, m, max_elements) for m in range(1, g + 1)]
         # code of c -> its counts over m = 1..genus, in first-seen order
         rows = {c: tuple(int(n[c]) for n in counts) for c in per_c}
         seeded = {row: LPolynomial.from_counts(q, g, row) for row in set(rows.values())}
-        self.lpolys = [seeded[rows[c]] for c in keys]
         # (class L-polynomial, number of c with it), in first-seen order
         self.classes: tuple[tuple[LPolynomial, int], ...] = tuple(
             (seeded[row], k) for row, k in Counter(rows.values()).items()
@@ -194,10 +184,6 @@ class CountEngine:
 
     # -- the closed forms ----------------------------------------------------
 
-    def curve_defect(self, index: int, n: int) -> int:
-        """S(F_{q^n}) = #C(F_{q^n}) - (q**n + 1) for curve number index."""
-        return _defect(self.lpolys[index], n, self.q**n + 1)
-
     def f_count(self, n: int) -> int:
         """Elements of F_{q^n} with vanishing trace and reciprocal trace."""
         if n < 1:
@@ -205,7 +191,11 @@ class CountEngine:
         q = self.q
         qn = q**n
         w = (q - 1) // (self.p - 1)
-        defects = sum(k * _defect(lp, n, qn + 1) for lp, k in self.classes)
+        defects = 0  # sum of k * (#C(F_{q^n}) - (q**n + 1)) = -k * S_n over the classes
+        for lp, k in self.classes:
+            if (s := lp.power_sum(n)) > qn + 1:
+                raise NegativeCountError(f"predicted count {qn + 1 - s} at n={n}")
+            defects -= k * s
         num = qn + (q - 1) ** 2 + w * defects
         if num % (q * q):
             raise NonIntegralError(f"f_count numerator not divisible by q^2 at n={n}")

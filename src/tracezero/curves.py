@@ -75,6 +75,9 @@ class CurveSpec:
 
     def __post_init__(self):
         f = self.field
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if value is not None and value not in f:
+                raise ValueError(f"{name} {value!r} is not an element of F_{f.order}")
         if f.is_zero(self.alpha):
             raise ValueError("alpha must be a unit")
         if f.p == 2:
@@ -299,6 +302,8 @@ def big_curve_count(
     product decomposition into the p-exponent curves.
     """
     q = field.order
+    if alpha not in field:
+        raise ValueError(f"alpha {alpha!r} is not an element of F_{q}")
     if field.is_zero(alpha):
         raise ValueError("alpha must be a unit")
     gf.check_element_cap(q, m, max_elements)

@@ -453,11 +453,11 @@ class FieldTable:
         A part holds h whole F_q-coordinates, at least one, h the widest
         that keeps its table within 2**_PART_BITS slots and whose coset
         table, q - 1 rows of q**h cells, has no more cells than the class
-        walk has units (or than F_q has products), so no coset table
-        outgrows the walk it checks.  The coordinates are shared out evenly
-        over the parts.  Raises BudgetExceededError, before any table is
-        made, when one coordinate's table would have more than _MAX_SLOTS
-        slots.
+        walk has units; at h = 1 it has (q - 1) * q cells however short the
+        walk, and outgrows one of fewer units.  The coordinates are shared
+        out evenly over the parts.  Raises BudgetExceededError, before any
+        table is made, when one coordinate's table would have more than
+        _MAX_SLOTS slots.
         """
         base, n = self.tower.base, self.tower.n
         q, r = base.order, base.r
@@ -468,7 +468,7 @@ class FieldTable:
                 f" the bound is {_MAX_SLOTS}"
             )
         h = max(1, min(_PART_BITS // (r * self.w), n))
-        while h > 1 and (q - 1) * q**h > max(self.M, q * q):
+        while h > 1 and (q - 1) * q**h > self.M:
             h -= 1
         k = -(-n // h)
         sizes = [n // k + (j < n % k) for j in range(k)]

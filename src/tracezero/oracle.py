@@ -23,7 +23,7 @@ import numpy as np
 from . import gf
 from .counting import CountEngine, CountReport
 from .curves import CurveSpec, big_curve_count, class_point_counts, count_family_naive
-from .curves import family_codes
+from .curves import curve_family, family_codes
 from .errors import BudgetExceededError, InvariantError
 from .fastfield import FieldTable, table_for
 from .numtheory import divisors, prime_factors, prime_power_parts
@@ -318,7 +318,7 @@ def verify_all(q: int, n_max: int, max_elements: int = gf.DEFAULT_MAX_ELEMENTS) 
     p, r = prime_power_parts(q)
     field = gf.make_field(p, r)
     engine = CountEngine(field, max_elements=max_elements)
-    curves = engine.curves
+    curves = curve_family(field)
     keys = family_codes(field)[2].tolist()  # c = A * B of each curve, by code
     units = [a for a in field.elements() if not field.is_zero(a)]
     unit_labels = [f"alpha={field.code(a)}" for a in units]

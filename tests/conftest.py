@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from tracezero.counting import CountEngine
+from tracezero.curves import class_point_counts, family_codes
 from tracezero.gf import DEFAULT_MAX_ELEMENTS, make_field
+from tracezero.lpoly import LPolynomial
 from tracezero.numtheory import prime_power_parts
 
 
@@ -21,6 +23,28 @@ def engine():
             p, r = prime_power_parts(q)
             cache[q] = CountEngine(make_field(p, r))
         return cache[q]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def curve_lpolys():
+    """The class L-polynomial of each curve of an engine's family, in
+    curve_family's order: the entry of engine.classes equal to the
+    L-polynomial seeded from class_point_counts at the curve's c = A * B."""
+    cache = {}
+
+    def get(e: CountEngine) -> list[LPolynomial]:
+        if e not in cache:
+            codes = family_codes(e.field)[2].tolist()
+            counts = [class_point_counts(e.field, m) for m in range(1, e.genus + 1)]
+            by_value = {lp: lp for lp, _ in e.classes}
+            of_c = {
+                c: by_value[LPolynomial.from_counts(e.q, e.genus, [int(n[c]) for n in counts])]
+                for c in set(codes)
+            }
+            cache[e] = [of_c[c] for c in codes]
+        return cache[e]
 
     return get
 

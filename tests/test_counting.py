@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tracezero import counting, gf
+from tracezero import counting, curves, gf
 from tracezero.counting import CountEngine, CountReport, CountRow, carlitz_count, engine_for, gauss_count
 from tracezero.errors import BudgetExceededError, InvariantError
 from tracezero.fastfield import FieldTable
@@ -130,21 +130,24 @@ class TestEngineValues:
             assert engine(q).f_count(1) == 1
             assert engine(q).i_count(1) == 1
 
-    def test_worked_intermediates(self, engine):
-        e4 = engine(4)
-        assert sum(e4.curve_defect(i, 5) + 1 for i in range(3)) == -176
-        e9 = engine(9)
-        assert sum(e9.curve_defect(i, 5) for i in range(32)) == 5768
+    def test_worked_intermediates(self, engine, curve_lpolys):
+        lps4 = curve_lpolys(engine(4))
+        assert len(lps4) == 3
+        assert sum(lp.predict_count(5) - (4**5 + 1) + 1 for lp in lps4) == -176
+        lps9 = curve_lpolys(engine(9))
+        assert len(lps9) == 32
+        assert sum(lp.predict_count(5) - (9**5 + 1) for lp in lps9) == 5768
 
     def test_engine_selfcheck_ran(self, engine):
         for q in (2, 3, 4, 9):
             assert engine(q).verified_depth == 2
 
 
-def _per_curve_f_count(e, n):
-    """The element count summed curve by curve, one formula per characteristic."""
+def _per_curve_f_count(e, lpolys, n):
+    """The element count summed curve by curve, one formula per characteristic;
+    lpolys holds each curve's class L-polynomial."""
     q = e.q
-    defects = [lp.predict_count(n) - (q**n + 1) for lp in e.lpolys]
+    defects = [lp.predict_count(n) - (q**n + 1) for lp in lpolys]
     if e.p == 2:
         num = q**n + (q - 1) * sum(s + 1 for s in defects)
     else:
@@ -155,21 +158,22 @@ def _per_curve_f_count(e, n):
 
 class TestCurveClasses:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
-    def test_classes_partition_the_units(self, engine, q):
+    def test_classes_partition_the_units(self, engine, curve_lpolys, q):
         e = engine(q)
         assert sum(k for _, k in e.classes) == q - 1
-        assert len(e.classes) == len(set(e.lpolys))
+        assert len(e.classes) == len(set(curve_lpolys(e)))
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
-    def test_class_sum_equals_the_per_curve_sum(self, engine, q):
+    def test_class_sum_equals_the_per_curve_sum(self, engine, curve_lpolys, q):
         e = engine(q)
+        lpolys = curve_lpolys(e)
         for n in range(1, 201):
-            assert e.f_count(n) == _per_curve_f_count(e, n)
+            assert e.f_count(n) == _per_curve_f_count(e, lpolys, n)
 
-    def test_q27_classes(self, engine, budget):
+    def test_q27_classes(self, engine, curve_lpolys, budget):
         e = engine(27)
         # each c = A*B in F_27* labels 13 curves, all sharing one L-polynomial
-        covered = Counter(id(lp) for lp in e.lpolys)
+        covered = Counter(id(lp) for lp in curve_lpolys(e))
         assert covered == {id(lp): 13 * k for lp, k in e.classes}
         assert e.verified_depth == 2
         for n in range(1, 5):
@@ -192,6 +196,25 @@ class TestCurveClasses:
         e = CountEngine(gf.make_field(*prime_power_parts(q)))
         assert seen == Counter(range(1, e.genus + 3))  # m = 1..genus+2, once each
 
+    @pytest.mark.parametrize("q", [4, 9])
+    def test_keys_the_family_once_and_builds_no_curve(self, monkeypatch, q):
+        calls = []
+        real = curves.family_codes
+
+        def counted(field):
+            calls.append(field.order)
+            return real(field)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the engine built the curve family")
+
+        # curve_family reads family_codes from curves, the engine from counting
+        for module in (curves, counting):
+            monkeypatch.setattr(module, "family_codes", counted)
+            monkeypatch.setattr(module, "curve_family", refuse, raising=False)
+        CountEngine(gf.make_field(*prime_power_parts(q)))
+        assert calls == [q]
+
     @pytest.mark.parametrize("q,extra,c", [(4, 1, 2), (4, 2, 3), (9, 1, 5), (9, 2, 8)])
     def test_a_shifted_class_count_names_its_c_and_m(self, monkeypatch, q, extra, c):
         # a count moved by p stays 2 mod p, so only the class prediction sees it
@@ -210,12 +233,12 @@ class TestCurveClasses:
             CountEngine(field)
 
 
-def _engine_state(e) -> str:
+def _engine_state(e, lpolys) -> str:
     """Each class's coefficients and number of c, in order; the class index
-    of each curve's L-polynomial; verified_depth and selfcheck_note."""
+    of each curve's L-polynomial, lpolys; verified_depth and selfcheck_note."""
     index = {id(lp): i for i, (lp, _) in enumerate(e.classes)}
     classes = [(list(lp.coeffs), k) for lp, k in e.classes]
-    return repr((classes, [index[id(lp)] for lp in e.lpolys], e.verified_depth, e.selfcheck_note))
+    return repr((classes, [index[id(lp)] for lp in lpolys], e.verified_depth, e.selfcheck_note))
 
 
 # SHA-256 of _engine_state(engine_for(q)), recorded while every curve of the
@@ -241,8 +264,9 @@ ENGINE_STATE_DIGESTS = {
 
 
 @pytest.mark.parametrize("q", sorted(ENGINE_STATE_DIGESTS))
-def test_engine_state_is_pinned(engine, q):
-    digest = hashlib.sha256(_engine_state(engine(q)).encode()).hexdigest()
+def test_engine_state_is_pinned(engine, curve_lpolys, q):
+    e = engine(q)
+    digest = hashlib.sha256(_engine_state(e, curve_lpolys(e)).encode()).hexdigest()
     assert digest == ENGINE_STATE_DIGESTS[q]
 
 
@@ -259,9 +283,9 @@ class TestElementCap:
     )
     def test_refused_before_the_family_is_built(self, monkeypatch, p, r, cap, message):
         def refuse(*args, **kwargs):
-            raise AssertionError("curve family built before the element cap check")
+            raise AssertionError("curve family keyed before the element cap check")
 
-        monkeypatch.setattr(counting, "curve_family", refuse)
+        monkeypatch.setattr(counting, "family_codes", refuse)
         with pytest.raises(BudgetExceededError) as exc:
             CountEngine(gf.make_field(p, r), max_elements=cap)
         assert str(exc.value) == message

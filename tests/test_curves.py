@@ -50,6 +50,19 @@ class TestCurveSpec:
         with pytest.raises(ValueError):
             CurveSpec(F4, F4.zero)
 
+    @pytest.mark.parametrize(
+        "field,alpha,beta,message",
+        [
+            (gf.make_field(7, 1), 7, 1, "alpha 7 is not an element of F_7"),
+            (F9, (1, 0), (3, 0), r"beta \(3, 0\) is not an element of F_9"),
+        ],
+        ids=["alpha_F7", "beta_F9"],
+    )
+    def test_constants_outside_the_field_are_refused(self, field, alpha, beta, message):
+        # read as codes, they count 0 points where the naive count finds 2 and 26
+        with pytest.raises(ValueError, match=message):
+            CurveSpec(field, alpha, beta)
+
     def test_genus(self):
         assert CurveSpec(F4, F4.one).genus == 1
         assert CurveSpec(F9, F9.one, F9.one).genus == 2
@@ -429,6 +442,10 @@ class TestLinearMaps:
 
 
 class TestBigCurve:
+    def test_alpha_outside_the_field_is_refused(self):
+        with pytest.raises(ValueError, match="alpha 9 is not an element of F_7"):
+            big_curve_count(gf.make_field(7, 1), 9, 2)
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_alpha_invariance_even(self, m):
         counts = {

@@ -3,6 +3,8 @@ the module layering, and the one element cap every public enumeration takes."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,18 @@ def test_every_traced_target_resolves():
         if owner is None or vars(owner).get(attr) is None:
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def test_benchmark_selfcheck_passes():
+    # a toy run of every workload, traced and untraced, against the oracles
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--selfcheck"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
 
 
 def _imported_modules(node: ast.AST) -> set[str]:
