@@ -46,16 +46,17 @@ is split once.  The routine runs to two lengths:
 The class counts (how many cosets have each product Tr(x) * Tr(1/x))
 need only the class walk: the trace is F_q-linear, so scaling x by lam in
 F_q* moves (Tr(x), Tr(1/x)) to (lam * Tr(x), lam**-1 * Tr(1/x)).  Per
-block, each unit, scaled by its leading F_q-coordinate (read by tables
-indexed by the code of each part), marks its coset in M flags, and the
-trace is kept at one byte per unit.  The class walk itself is never held
-whole.  The curve counts read nothing else, so no engine build walks more
-than (q**n - 1) / (q - 1) units of a tower.
+block, each unit's image under the step is checked to be the next unit,
+and the trace is kept at one byte per unit.  With gamma**M a generator of
+F_q* and gamma**(M/l) outside F_q* for each prime l | M, that step chain
+gives gamma order N, so the M units meet each coset once.  The class walk
+itself is never held whole.  The curve counts read nothing else, so no
+engine build walks more than (q**n - 1) / (q - 1) units of a tower.
 
 F_q itself is held in log coordinates of a generator g (log_tables): exp
 and log, the trace and the zero counts n0, q entries each, so that
-a * b = g**(log a + log b).  The coset marks, the class counts and the
-curve counts read them; no q x q array is built for F_q's arithmetic.
+a * b = g**(log a + log b).  The class counts and the curve counts read
+them; no q x q array is built for F_q's arithmetic.
 
 Multiplication comes from the modulus: gf.structure_constants builds the
 F_p matrices of multiplication by each basis element from the matrix of
@@ -354,95 +355,43 @@ class FieldTable:
 
         blocks yields, per block of consecutive units gamma**k, k < M, their
         packed parts and trace codes, and lam0 is gamma**M.  Per block the
-        trace codes are kept, one per unit, and each unit's F_q*-coset is
-        marked in M flags.  Raises unless the F_q*-multiples of the walk
-        cover every unit exactly once, which holds when two things do.
-        First, the M units meet M distinct cosets, which are all of them.
-        Second, the walk's step maps the last unit to lam0, which lies in
-        F_q* and has order q - 1, so gamma**(jM + k) = lam0**j * gamma**k
-        runs through each coset.
+        trace codes are kept, one per unit.  Raises unless unit 0 is one,
+        the walk's step x -> gamma * x maps each unit to the next (the last
+        of a block to the first of the next) and the last to lam0, so that
+        unit k is gamma**k, and unless lam0 lies in F_q* and generates it
+        and, for each prime l | M, unit M / l has a digit at or above r, so
+        lies outside F_q*.  Then gamma has order N: for l | q - 1,
+        gamma**(N / l) = lam0**((q - 1) / l) != 1, and for l | M,
+        gamma**(N / l) = 1 only if gamma**(M / l) lies in F_q*.  So the M
+        units meet each F_q*-coset once, and gamma**-k is
+        lam0**-1 * gamma**(M - k).
         """
         tower, q, M = self.tower, self.tower.q, self.M
-        coset = self._coset_reader()
+        top = self.w * tower.base.r  # digits from r on: the unit is outside F_q
+        probes = {M // ell: ell for ell in prime_factors(M)}
         t = np.empty(M, dtype=np.min_scalar_type(q - 1))
-        seen = np.zeros(M + 1, dtype=bool)  # flag M: the zero element
-        s = 0
+        s, step = 0, 1  # the packed word of one
         for parts, traces in blocks:
             e = s + traces.size
             if e > M:
                 break
+            words = self._join(parts)
+            image = self._image(self._step, parts)
+            bad = np.flatnonzero(words != np.concatenate(([step], image[:-1])))
+            if bad.size:
+                raise InvariantError(f"class walk leaves the step chain at unit {s + bad[0]}")
+            for k, ell in probes.items():
+                if s <= k < e and not words[k - s] >> top:
+                    raise InvariantError(f"class walk unit M/{ell} = {k} lies in F_q*")
             t[s:e] = traces
-            seen[coset(parts)] = True
-            s, last = e, parts
-        if s != M or seen[M] or not seen[:M].all():
-            raise InvariantError("class walk does not meet every F_q*-coset once")
-        step = self._image(self._step, [v[-1:] for v in last])[0]
+            s, step = e, int(image[-1])
         base, code = tower.base, tower.code(lam0)
         word = sum(digit << (self.w * j) for j, digit in enumerate(tower.flat_digits(lam0)))
-        if not (0 < code < q and step == word):
+        if not (s == M and 0 < code < q and step == word):
             raise InvariantError("gamma**M is not the walk's next step in F_q*")
         if any(base.pow_(lam0[0], (q - 1) // ell) == base.one for ell in prime_factors(q - 1)):
             raise InvariantError("gamma**M does not generate F_q*")
         return t
-
-    def _coset_reader(self):
-        """A function from the parts of a block to the coset index of each unit.
-
-        A unit x whose highest nonzero F_q-coordinate is c, at position i,
-        scales to u = x / c, whose code lies in [q**i, 2 * q**i).  Its
-        index is that code plus off(i) = (q**i - 1) / (q - 1) - q**i, which
-        counts the cosets led below position i, so the M cosets take the
-        indices below M; zero takes M.  Each part is first read as its
-        code, below Q = q**h for the h coordinates of the widest part (for
-        p = 2 a packed part is its code).  lead, in rows of Q codes, one row
-        per part, gives the key off(i) * 2**32 + (c - 1) * Q of a nonzero
-        part, i and c those of its highest nonzero coordinate, and
-        M * 2**32 for a zero part.  The least key of x is that of its
-        highest nonzero part: off(i) falls as i grows (for q = 2 it is -1
-        throughout, and c is 1).  scaled, in rows of Q codes, one row per
-        c, holds the code of v / c for every code v; a part's share of the
-        code of u is that, weighted by q to its first coordinate.  So each
-        table has (q - 1) * Q cells at most, which the part sizes bound.
-        """
-        tower, q, M, n = self.tower, self.tower.q, self.M, self.tower.n
-        r = tower.base.r
-        logs = log_tables(tower.base)
-        H = max(c for _, c in self._parts) // r
-        Q = q**H
-        v = np.arange(Q)
-        place = q ** np.arange(n)
-        coords = v[:, None] // place[:H] % q
-        top = np.zeros(Q, dtype=np.int64)  # the highest nonzero coordinate of v
-        for j in range(1, H):
-            top[coords[:, j] != 0] = j
-        inverses = logs.inv(np.arange(1, q))[:, None, None]
-        scaled = (logs.mul(inverses, coords) @ place[:H]).reshape(-1)
-        first = np.array([a // r for a, _ in self._parts])
-        off = (place - 1) // (q - 1) - place
-        # a part's codes lie below q**h, so first + top < n where read
-        lead = off[(first[:, None] + top) % n] * 2**32 + (v // place[top] - 1) * Q
-        lead[:, 0] = M * 2**32
-        weights = place[first]
-        codes, sizes = {}, [c for _, c in self._parts]
-        for c, (_, slots) in zip(sizes, self._part_slots):
-            if self.p != 2 and c not in codes:
-                codes[c] = np.zeros(int(slots[-1]) + 1, dtype=np.int64)
-                codes[c][slots] = np.arange(slots.size)  # slots lie in order of code
-
-        def read(parts):
-            if codes:
-                parts = [codes[c][v] for c, v in zip(sizes, parts)]
-            key = lead[0][parts[0]]
-            for keys, v in zip(lead[1:], parts[1:]):
-                np.minimum(key, keys[v], out=key)
-            row = key & (2**32 - 1)
-            index = key >> 32
-            index += scaled[row + parts[0]]  # the first part's weight is 1
-            for weight, v in zip(weights[1:], parts[1:]):
-                index += scaled[row + v] * weight
-            return index
-
-        return read
 
     # -- packed parts ----------------------------------------------------------
 
@@ -451,13 +400,13 @@ class FieldTable:
         """(first digit, digits) of each packed part of a word.
 
         A part holds h whole F_q-coordinates, at least one, h the widest
-        that keeps its table within 2**_PART_BITS slots and whose coset
-        table, q - 1 rows of q**h cells, has no more cells than the class
-        walk has units; at h = 1 it has (q - 1) * q cells however short the
-        walk, and outgrows one of fewer units.  The coordinates are shared
-        out evenly over the parts.  Raises BudgetExceededError, before any
-        table is made, when one coordinate's table would have more than
-        _MAX_SLOTS slots.
+        that keeps its table within 2**_PART_BITS slots and, past h = 1,
+        its q**h valid slots within M / (q - 1): the doubling walk maps
+        every valid slot of every part table once per round, so unless
+        h = 1 a round's table work per part stays below the class walk's
+        M units.  The coordinates are shared out evenly over the parts.
+        Raises BudgetExceededError, before any table is made, when one
+        coordinate's table would have more than _MAX_SLOTS slots.
         """
         base, n = self.tower.base, self.tower.n
         q, r = base.order, base.r
@@ -491,6 +440,15 @@ class FieldTable:
         shift and a mask (bits above the d digits are dropped)."""
         w = self.w
         return [(words >> (w * a) if a else words) & ((1 << (w * c)) - 1) for a, c in self._parts]
+
+    def _join(self, parts: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+        """The packed words whose parts are given (into out, if given), the
+        parts joined by shifts: the inverse of _split on words of d digits."""
+        words = np.empty_like(parts[0]) if out is None else out
+        words[:] = parts[0]
+        for (a, _), v in zip(self._parts[1:], parts[1:]):
+            words |= v << (self.w * a)
+        return words
 
     def _map_table(self, matrix, places=None) -> list[np.ndarray]:
         """Part tables of an F_p-linear map given by a (k, d) matrix: per
@@ -532,15 +490,12 @@ class FieldTable:
     def _codes(self, parts: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
         """Base-p codes of the words split into parts (into out, if given).
 
-        For p = 2 a part is the code's bits from its first digit on, joined
-        by shifts; otherwise each part's code is read from its code table.
+        For p = 2 a packed word is its code, so the parts are joined;
+        otherwise each part's code is read from its code table.
         """
-        codes = np.empty_like(parts[0]) if out is None else out
         if self.p == 2:
-            codes[:] = parts[0]
-            for (a, _), v in zip(self._parts[1:], parts[1:]):
-                codes |= v << a
-            return codes
+            return self._join(parts, out)
+        codes = np.empty_like(parts[0]) if out is None else out
         tables = self._code_tables
         codes[:] = tables[0][parts[0]]
         for table, v in zip(tables[1:], parts[1:]):
@@ -657,8 +612,9 @@ class FieldTable:
         a * lam0**-1 * b.
         """
         q, M, r = self.tower.q, self.M, self.tower.base.r
-        # a word holds the d digits of a unit and the r of its trace, and a
-        # coset index, below M, shares an int64 with 32 bits of table row
+        # a word holds the d digits of a unit and the r of its trace, and
+        # the trace codes, one per unit, are held whole: 2**31 units and up
+        # (2 GiB at one byte each) are refused before any array is made
         if (self.d + r) * self.w > _WORD_BITS or M >= 1 << 31:
             raise BudgetExceededError(
                 f"the class walk of {M} units packs {self.d} + {r} digits mod {self.p};"

@@ -213,10 +213,14 @@ class TestCountPoints:
             class_point_counts(F9, 2)
 
 
-@pytest.mark.parametrize("q,m,bound", [(256, 3, 4 << 20), (1024, 2, 20.3 * (1 << 20))])
+@pytest.mark.parametrize(
+    "q,m,bound", [(256, 3, 4 << 20), (1024, 2, 20.3 * (1 << 20)), (1024, 1, 10 << 20)]
+)
 def test_class_counts_stay_small(q, m, bound):
     # the q x q trace-pair histogram that the class counts replaced peaked
-    # at 22.3 MB at (256, 3) and 20.3 MB at (1024, 2)
+    # at 22.3 MB at (256, 3) and 20.3 MB at (1024, 2); at (1024, 1) F_q's
+    # coset table held 18.0 MB for a one-unit walk, and h0's q**2 int64
+    # cells (8 MB) are now the peak
     field = gf.make_field(*prime_power_parts(q))
     log_tables(field)  # F_q's own tables are not the class counts' cost
     table_for.cache_clear()

@@ -146,12 +146,14 @@ def test_trace_codes_are_pinned(q, n):
 @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (2, 12), (16, 3)])
 def test_corrupted_step_entry_fails_the_full_walk(q, n):
     # two valid slots of the first part map to one image, so the step is no
-    # longer injective and the N walked codes miss a unit
-    tab = FieldTable(_tower(q, n))
-    step, (_, slots) = tab._step[0], tab._part_slots[0]
-    step[slots[1]] = step[slots[2]]
-    with pytest.raises(InvariantError, match="cover the unit group"):
-        tab.exp_enc
+    # longer injective and the N walked codes miss a unit; the class walk,
+    # whose tables are composed from the same step, is refused as well
+    for walk, message in [("exp_enc", "cover the unit group"), ("class_counts", "step chain")]:
+        tab = FieldTable(_tower(q, n))
+        step, (_, slots) = tab._step[0], tab._part_slots[0]
+        step[slots[1]] = step[slots[2]]
+        with pytest.raises(InvariantError, match=message):
+            getattr(tab, walk)
 
 
 def test_oversized_part_tables_are_refused_before_allocation():
@@ -255,7 +257,7 @@ class TestDigitWidth:
     @pytest.mark.parametrize("p,d", [(3, 21), (2, 32)])
     def test_class_walk_refuses_before_touching_the_field(self, p, d):
         # 21 digits mod 3 fill 63 bits, leaving no room for the trace's
-        # digit; F_{2^32} has 2**32 - 1 cosets of F_2*, past 31-bit indices
+        # digit; F_{2^32} has a class walk of 2**32 - 1 units, past 2**31
         base = SimpleNamespace(p=p, r=1)
         fake = SimpleNamespace(base=base, flat_degree=d, order=p**d, q=p)
         with pytest.raises(BudgetExceededError, match="class walk"):
@@ -399,30 +401,43 @@ class TestClassWalkFaults:
         for v, part in zip(blocks[0][0], tab._split(np.array([_packed_word(tab, code)]))):
             v[k] = part[0]
 
+    def _scale(self, tab, blocks, k, source):
+        """Set unit k to 2 times unit source; 2 is the code of a scalar
+        other than 1 (a generator of F_4 when q = 4)."""
+        tower = tab.tower
+        x = tower.from_code(self._code(tab, blocks, source))
+        self._set(tab, blocks, k, tower.code(tower.mul(tower.embed_base(tower.base.from_code(2)), x)))
+
     @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (4, 5), (3, 6)])
     def test_scalar_multiple_of_another_entry(self, q, n):
         tab, blocks, lam0 = self._walk(q, n)
-        tower = tab.tower
-        x = tower.from_code(self._code(tab, blocks, 5))
-        # 2 is the code of a scalar other than 1 (a generator of F_4 when q = 4)
-        self._set(tab, blocks, 9, tower.code(tower.mul(tower.embed_base(tower.base.from_code(2)), x)))
-        with pytest.raises(InvariantError, match="coset"):
+        self._scale(tab, blocks, 9, 5)
+        with pytest.raises(InvariantError, match="step chain at unit 9$"):
+            tab._stream_class_walk(blocks, lam0)
+
+    @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (4, 5), (3, 6)])
+    def test_scalar_multiple_of_itself(self, q, n):
+        # unit 9 stays in its own F_q*-coset, so every coset is still met
+        # once; only the step from unit 8 tells the walk from gamma**k
+        tab, blocks, lam0 = self._walk(q, n)
+        self._scale(tab, blocks, 9, 9)
+        with pytest.raises(InvariantError, match="step chain at unit 9$"):
             tab._stream_class_walk(blocks, lam0)
 
     @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (2, 8)])
     def test_duplicated_entry(self, q, n):
         tab, blocks, lam0 = self._walk(q, n)
         self._set(tab, blocks, 7, self._code(tab, blocks, 3))
-        with pytest.raises(InvariantError, match="coset"):
+        with pytest.raises(InvariantError, match="step chain at unit 7$"):
             tab._stream_class_walk(blocks, lam0)
 
     @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (2, 8)])
     def test_zero_in_place_of_one(self, q, n):
-        # gamma**0 = 1 is the walk's one unit of the coset of index 0; zero
-        # in its place takes the flag past the cosets, so that one is missed
+        # the walk starts from gamma**0 = 1, so zero in its place is refused
+        # before any step is compared
         tab, blocks, lam0 = self._walk(q, n)
         self._set(tab, blocks, 0, 0)
-        with pytest.raises(InvariantError, match="coset"):
+        with pytest.raises(InvariantError, match="step chain at unit 0$"):
             tab._stream_class_walk(blocks, lam0)
 
     @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (5, 3)])
@@ -455,6 +470,25 @@ class TestClassWalkFaults:
         with pytest.raises(InvariantError, match="generate"):
             tab.class_counts
 
+    @pytest.mark.parametrize(
+        "q,n,e,ell",
+        [
+            (4, 2, 5, 5),  # N = 15, M = 5: beta = g**5 = beta**M has order 3
+            (3, 3, 13, 13),  # N = 26, M = 13: beta = g**13 = beta**M = -1
+            (7, 3, 19, 19),  # N = 342, M = 57: beta**3 = g**57 = beta**M, order 6
+        ],
+    )
+    def test_generator_of_order_n_over_a_prime_of_m(self, q, n, e, ell):
+        # beta = g**e has order N / l for a prime l | M with l not dividing
+        # q - 1, so lam0 = beta**M still generates F_q*; the walk of beta
+        # repeats its cosets, and unit M / l = beta**(M / l) lies in F_q*
+        tab = FieldTable(_tower(q, n))
+        assert tab.M % ell == 0 and (q - 1) % ell != 0
+        g = multiplicative_generator(tab.tower)
+        tab._generator = tab.tower.pow_(g, e)
+        with pytest.raises(InvariantError, match=rf"unit M/{ell} = {tab.M // ell} lies in F_q\*$"):
+            tab.class_counts
+
     def test_corrupted_table_of_a_later_block(self, monkeypatch):
         # the first block is right, and each later one is the image of the
         # one before under the table of gamma**C; with gamma's table in its
@@ -468,13 +502,13 @@ class TestClassWalkFaults:
 
         monkeypatch.setattr(FieldTable, "_double", corrupt)
         tab = FieldTable(_tower(7, 4))
-        with pytest.raises(InvariantError, match="coset"):
+        with pytest.raises(InvariantError, match="step chain at unit 16$"):
             tab.class_counts
 
 
 def test_histogram_streams_in_bounded_memory():
     # the class walk of F_{7^8} has 960800 units; the class counts keep one
-    # trace byte and one coset flag per unit, and blocks of 2**14 units
+    # trace byte per unit, and blocks of 2**14 units
     tower = _tower(7, 8)
     tracemalloc.start()
     try:
@@ -485,10 +519,9 @@ def test_histogram_streams_in_bounded_memory():
     assert peak < 12 << 20
 
 
-def test_coset_table_of_a_wide_base_field_stays_small(full_walk_histogram, trace_pair_histogram):
+def test_class_walk_of_a_wide_base_field_stays_small(full_walk_histogram, trace_pair_histogram):
     # F_{243^2}: a word is two parts of one 15-bit coordinate each, and the
-    # coset table has (q - 1) * q cells (0.47 MB); indexed by packed slot
-    # rather than by code it would have 242 * 9363 (18 MB) per part
+    # class walk reads no table wider than a part's 9363 packed slots
     tab = FieldTable(_tower(243, 2))
     assert len(tab._parts) == 2
     tab.trace_rows()  # the Frobenius matrix is not the class counts' cost
