@@ -473,7 +473,7 @@ class TestClassWalkFaults:
     @pytest.mark.parametrize(
         "q,n,e,ell",
         [
-            (4, 2, 5, 5),  # N = 15, M = 5: beta = g**5 = beta**M has order 3
+            (4, 2, 5, 5),  # N = 15, M = 5: beta = g**5 has order 3, beta**M = g**10
             (3, 3, 13, 13),  # N = 26, M = 13: beta = g**13 = beta**M = -1
             (7, 3, 19, 19),  # N = 342, M = 57: beta**3 = g**57 = beta**M, order 6
         ],
