@@ -18,17 +18,17 @@ cached sums S_1, S_2, ... one step at a time up to S_n and checks every
 sum it appends against the Weil bound S_k**2 <= 4 g**2 q**k; extend_to(n)
 takes it however far n lies, and CountEngine.table walks each class that
 way to its last row before the first, so no row of a sweep jumps.  When n
-lies more than JUMP_MARGIN beyond the cache, power_sum(n) jumps: it
-computes x**n mod P(x), with
-P(x) = x**(2g) + c_1 x**(2g-1) + ... + c_{2g}, by square-and-multiply and
-reads S_n = sum(r_j * S_j, j < 2g) off its coefficients r_j, with
-S_0 = 2g (Fiduccia, SIAM J. Comput. 14, 1985): O(log n) polynomial steps
-instead of n recurrence steps.  The jump computes no intermediate sum, so
-it checks none; it checks S_n itself against the same bound, and its base
-sums S_1..S_{2g-1} come from the checked sequential route.  Each S_n a
-jump returns is kept in a dict by n, so asking the same far n again reads
-it; a caller stepping through far n one at a time by power_sum (or by
-f_count and i_count) pays one jump per n, where extend_to walks once.
+lies more than JUMP_MARGIN beyond the cache, power_sum(n) jumps by Lucas
+doubling on the real Weil polynomial h, L(T) = T**g * h(qT + 1/T), whose
+roots are a_i = alpha_i + q/alpha_i: S_n = sum(D_n(a_i)), with D_0 = 2,
+D_1 = u, D_2k = D_k**2 - 2 q**k and D_2k+1 = D_k D_k+1 - u q**k, in
+O(log n) steps in Z[u]/(s); S_n is w times the ring trace of D_n.  s is
+h's exact square root with w = 2 where h is a square, as at every class of
+odd p (Kloosterman sums are real: Carlitz, Acta Arith. 16, 1969), else
+s = h with w = 1; at p = 2 and 3 the ring is Z.  The jump reads no cached
+sum and checks only S_n.  Each S_n it returns is kept in a dict by n and
+read back when asked again; stepping through far n one by one by
+power_sum, f_count or i_count costs a jump per n, where extend_to walks once.
 
 The power sums are cached per instance and extended under a per-instance
 lock, so one LPolynomial (and an engine holding it) can be queried from
@@ -41,18 +41,19 @@ each compute it and store the same value.
 from __future__ import annotations
 
 import threading
-from operator import mul
+from math import comb
+from operator import mul, sub
 
 from .errors import HasseWeilError, NegativeCountError, NonIntegralError
 
 # A request more than this many sums beyond the cache jumps; a closer one
 # extends the cache.  Measured as the best of 7 runs on a 2-core x86 host
 # (CPython 3.11), extending a cache of L sums by m against one jump to
-# L + m, for L in {8, 100, 1000}: at genus 1 and 2 (q = 4, 9, 27) the jump
-# wins from m = 32 and is 2-4x faster at m = 64; at genus 4 and 6
-# (q = 25, 7) the two are about even at m = 64 and the jump wins from
-# m = 128.
-JUMP_MARGIN = 64
+# L + m, for L in {8, 100, 1000}: at genus 1 and 2 (q = 4, 9, 27; the ring
+# is Z) the jump wins from m = 4 and is 4-10x faster at m = 16; at genus 4
+# and 6 (q = 25, 7; deg s = 2, 3) it is 1.6-2.5x slower at m = 16 and wins
+# from m = 32-48.  Engine rows n <= 12 and the self-check never jump.
+JUMP_MARGIN = 16
 
 
 def _breaks_weil(t: int, bound: int) -> bool:
@@ -60,10 +61,64 @@ def _breaks_weil(t: int, bound: int) -> bool:
     return 2 * t.bit_length() >= bound.bit_length() and t * t > bound
 
 
+def _convolve(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+class _Residue:
+    """v mod the monic s = u**d + low, d >= 2, coefficients low first."""
+
+    __slots__ = ("v", "low")
+
+    def __init__(self, v: list, low: list):
+        self.v, self.low = v, low
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _Residue([c * other for c in self.v], self.low)
+        prod, low = _convolve(self.v, other.v), self.low
+        d = len(low)
+        for k in range(len(prod) - 1, d - 1, -1):
+            for j, c in enumerate(low):
+                prod[k - d + j] -= prod[k] * c
+        return _Residue(prod[:d], low)
+
+    def __sub__(self, other):
+        if isinstance(other, int):
+            return _Residue([self.v[0] - other, *self.v[1:]], self.low)
+        return _Residue(list(map(sub, self.v, other.v)), self.low)
+
+
+def _half_ring(q: int, g: int, coeffs: tuple) -> tuple:
+    """(u mod s, w, p): the jump's ring; p_j are the power sums of s's roots.
+
+    h is read off c_0..c_g, h_g first: h_k T**(g-k) (1 + qT**2)**k is the
+    first term of L to reach T**(g-k).
+    """
+    c, h = list(coeffs[: g + 1]), []  # h = [h_g, ..., h_0], h_g = 1
+    for k in range(g, -1, -1):
+        h.append(hk := c[g - k])
+        for i in range(1, k // 2 + 1):
+            c[g - k + 2 * i] -= hk * comb(k, i) * q**i
+    root = [1]  # h's square root if it has one (never at odd g: the lengths differ)
+    for k in range(1, g // 2 + 1):
+        root.append((h[k] - sum(root[i] * root[k - i] for i in range(1, k))) // 2)
+    s, w = (root, 2) if _convolve(root, root) == h else (h, 1)
+    d = len(s) - 1
+    p = [d]
+    for k in range(1, d):
+        p.append(-k * s[k] - sum(s[i] * p[k - i] for i in range(1, k)))
+    return (-s[1] if d == 1 else _Residue([0, 1] + [0] * (d - 2), s[:0:-1])), w, p
+
+
 class LPolynomial:
     """Integer coefficient vector c_0..c_{2g} with base field size q."""
 
-    __slots__ = ("q", "g", "coeffs", "_sums", "_jumps", "_lock")
+    __slots__ = ("q", "g", "coeffs", "_half", "_sums", "_jumps", "_lock")
 
     def __init__(self, q: int, g: int, coeffs):
         coeffs = tuple(int(c) for c in coeffs)
@@ -79,6 +134,7 @@ class LPolynomial:
         self.q = q
         self.g = g
         self.coeffs = coeffs
+        self._half = _half_ring(q, g, coeffs)  # read by _jump only
         self._sums: list[int] = []  # S_1, S_2, ... extended on demand
         self._jumps: dict[int, int] = {}  # S_n reached by a jump, by n
         self._lock = threading.Lock()
@@ -168,35 +224,19 @@ class LPolynomial:
             sums.append(t)
 
     def _jump(self, n: int) -> int:
-        """S_n from x**n mod P(x); appends nothing to the cache."""
-        g, q, cs = self.g, self.q, self.coeffs
-        d = 2 * g
-        base = self._sums[:d]  # a copy: S_1..S_{2g-1} (and S_2g) as cached
-        if len(base) < d - 1:
-            self._extend(base, d - 1)
-
-        def reduced(a: list) -> list:
-            """a mod P, low degree first, by x**d = -(c_1 x**(d-1) + ... + c_d)."""
-            for k in range(len(a) - 1, d - 1, -1):
-                if top := a[k]:
-                    for i in range(1, d + 1):
-                        a[k - i] -= top * cs[i]
-            return a[:d]
-
-        r = [1] + [0] * (d - 1)  # x**e mod P for e = the leading bits of n
-        for bit in bin(n)[2:]:
-            sq = [0] * (2 * d - 1)
-            for i, a in enumerate(r):
-                if a:
-                    sq[2 * i] += a * a
-                    a2 = 2 * a
-                    for j in range(i + 1, d):
-                        sq[i + j] += a2 * r[j]
-            r = reduced(sq)
-            if bit == "1":  # multiply by x: a shift and one reduction
-                r = reduced([0] + r)
-        t = d * r[0] + sum(map(mul, r[1:], base))
-        if _breaks_weil(t, 4 * g * g * q**n):
+        """S_n by Lucas doubling in Z[u]/(s); appends nothing to the cache."""
+        (u, w, p), q = self._half, self.q
+        x, y, qk = u, u * u - 2 * q, q  # D_k, D_{k+1} and q**k, from k = 1
+        for bit in bin(n)[3:]:
+            xy = x * y - u * qk
+            if bit == "1":
+                x, y = xy, y * y - 2 * q * qk
+                qk *= q * qk
+            else:
+                x, y = x * x - 2 * qk, xy
+                qk *= qk
+        t = w * (x if isinstance(x, int) else sum(map(mul, x.v, p)))
+        if _breaks_weil(t, 4 * self.g * self.g * qk):
             raise HasseWeilError(f"power sum S_{n} = {t} violates the Weil bound")
         return t
 

@@ -340,7 +340,7 @@ class TestReport:
         with pytest.raises(ValueError):
             engine(4).table(5, 3)
 
-    # far rows: each single request on a cold engine is a Fiduccia jump;
+    # far rows: each single request on a cold engine is a jump;
     # near rows: p | n, and n with three prime factors (30, 42, 60)
     @pytest.mark.parametrize(
         "q,n_min,n_max",

@@ -160,8 +160,22 @@ class TestWeilCheck:
                 lp.power_sum(n)
         assert lp._jumps == {}
 
+    def test_forged_square_fails_the_jump(self):
+        # L = M**2 with M = 1 + 11T + 27T**2, whose reciprocal zeros lie off
+        # the Weil circle (|-11| > 2 sqrt(27)); the jump runs over u + 11,
+        # the square root of h = (u + 11)**2, with weight 2
+        lp = LPolynomial(27, 2, (1, 22, 175, 594, 729))
+        assert lp._half == (-11, 2, [1])
+        n = JUMP_MARGIN + 100
+        for _ in range(2):
+            with pytest.raises(HasseWeilError, match=f"S_{n} "):
+                lp.power_sum(n)
+        assert lp._jumps == {}
 
-JUMP_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 27)
+
+JUMP_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 81)
+# every bit-pattern edge of the doubling ladder: 2**k - 1 (all ones), 2**k, 2**k + 1
+LADDER_EDGES = tuple(2**k + e for k in range(5, 12) for e in (-1, 0, 1))
 _sequential: dict = {}
 
 
@@ -185,15 +199,28 @@ class TestJump:
     @pytest.mark.parametrize("q", JUMP_FIELDS)
     def test_jump_equals_the_recurrence(self, q, engine):
         for lp, _ in engine(q).classes:
-            seq = _sequential_sums(lp, 2000)
-            for n in (2 * lp.g, 2 * lp.g + 1, 17, 100, 999, 2000):
+            seq = _sequential_sums(lp, 3000)
+            for n in (1, 2, 2 * lp.g, 2 * lp.g + 1, 17, 100, 999, 2000, *LADDER_EDGES):
                 assert lp._jump(n) == seq[n - 1], (q, lp.coeffs, n)
+
+    @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16, 25, 27))
+    def test_odd_p_jumps_over_a_square_root(self, q, engine):
+        # at odd p, L = M**2 for every class (Kloosterman sums are real), so
+        # the jump runs over s of degree (p - 1)/2 with weight 2; at p = 2
+        # over h itself, of degree 1
+        p = engine(q).p
+        d = 1 if p == 2 else (p - 1) // 2
+        for lp, _ in engine(q).classes:
+            u, w, power_sums = lp._half
+            assert w == (1 if p == 2 else 2), (q, lp.coeffs)
+            assert len(power_sums) == d
+            assert isinstance(u, int) if d == 1 else len(u.v) == d
 
     @pytest.mark.parametrize("q", (5, 7, 9))
     def test_jump_leaves_the_cache_alone(self, q, engine):
         for cls, _ in engine(q).classes:
-            # rebuilt from its g seed counts, the cache holds S_1..S_g,
-            # fewer than the 2g - 1 base sums the jump needs once g >= 2
+            # rebuilt from its g seed counts, the cache holds S_1..S_g; the
+            # jump reads none of them and appends none
             lp = _cold(cls)
             n = lp.g + JUMP_MARGIN + 1
             assert lp.power_sum(n) == _sequential_sums(lp, n)[n - 1]
