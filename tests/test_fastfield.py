@@ -582,6 +582,26 @@ def test_histogram_is_pinned(trace_pair_histogram, q, n):
     assert hashlib.sha256(hist.astype("<i8").tobytes()).hexdigest() == _HISTOGRAM_DIGESTS[q, n]
 
 
+# SHA-256 of (v, both), v as little-endian int64 followed by both as one
+# more, recorded while the class counts were binned through a q**2 cell
+# histogram: the towers where the stored trace widens past one byte and
+# where that histogram was the peak.
+_CLASS_COUNT_DIGESTS = {
+    (81, 2): "bbbd2451ffaa6d5743bcec8c9c9c72685538f418fc3ec833d066f641e3c470c1",
+    (256, 2): "e18b4d705e4c3a674bbfded6aefd2b0cebfd00e0a5aefe924fb1c5966c045cc0",
+    (1024, 2): "7d98833a7ef5779b91f01f9dc4326611773c6d1c0d7bfcc2e1acd844d50b08e5",
+    (2187, 2): "f38f522879940e83cf2c3295f2464f9e7e584e30b1ea25ee3b8d58215f345d93",
+    (4096, 1): "22c3768eeb24becb676cdb0da88bebcd02baf603d32146c9f877ac8797e26603",
+}
+
+
+@pytest.mark.parametrize("q,n", sorted(_CLASS_COUNT_DIGESTS))
+def test_class_counts_are_pinned(q, n):
+    v, both = FieldTable(_tower(q, n)).class_counts
+    data = v.astype("<i8").tobytes() + both.to_bytes(8, "little")
+    assert hashlib.sha256(data).hexdigest() == _CLASS_COUNT_DIGESTS[q, n]
+
+
 @pytest.mark.parametrize("q", ENGINE_FIELDS)
 def test_engine_build_never_reads_the_full_walk(monkeypatch, q):
     def refuse(self):
