@@ -34,8 +34,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import gf
-from .curves import CurveSpec, check_count_cap, class_point_counts, count_points
-from .curves import family_codes, family_genus
+from .curves import CurveSpec, c_order, check_count_cap, class_point_counts, count_points
+from .curves import family_genus
 from .errors import InvariantError, NegativeCountError, NonIntegralError
 from .lpoly import LPolynomial
 from .numtheory import prime_power_parts, squarefree_divisors
@@ -128,7 +128,7 @@ def seed_lpolynomial(curve: CurveSpec, max_elements: int | None) -> LPolynomial:
 class CountEngine:
     """Curve counts and L-polynomials for one base field, queried per n.
 
-    Construction keys the family by c = A * B, building no curve, reads
+    Construction keys each c = A * B by c_order, building no family, reads
     every c's counts from one class_point_counts array per m = 1..genus and
     seeds one L-polynomial per distinct count vector; the c sharing it form
     a class, held as (LPolynomial, number of c) pairs in first-seen order.  It
@@ -151,13 +151,10 @@ class CountEngine:
         self.q = q = field.order
         self.p = field.p
         self.genus = g = family_genus(field)
-        check_count_cap(q, g, max_elements)  # before the family is keyed
-        per_c = Counter(family_codes(field)[2].tolist())  # c = A * B, by code
-        if len(per_c) != q - 1 or len(set(per_c.values())) != 1:
-            raise InvariantError("the curve family does not cover F_q* evenly in c = A*B")
+        check_count_cap(q, g, max_elements)  # before any array is made
         counts = [class_point_counts(field, m, max_elements) for m in range(1, g + 1)]
-        # code of c -> its counts over m = 1..genus, in first-seen order
-        rows = {c: tuple(int(n[c]) for n in counts) for c in per_c}
+        # code of c -> its counts over m = 1..genus, in the family's order
+        rows = {c: tuple(int(n[c]) for n in counts) for c in c_order(field)}
         seeded = {row: LPolynomial.from_counts(q, g, row) for row in set(rows.values())}
         # (class L-polynomial, number of c with it), in first-seen order
         self.classes: tuple[tuple[LPolynomial, int], ...] = tuple(

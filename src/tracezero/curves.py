@@ -138,6 +138,18 @@ def family_codes(field: gf.FieldSpec) -> tuple[np.ndarray, np.ndarray | None, np
     return alpha, beta, logs.mul(logs.mul(alpha, beta), logs.mul(beta, p - 1))
 
 
+def c_order(field: gf.FieldSpec) -> list[int]:
+    """Codes of the q - 1 values of c = A * B in the order family_codes first
+    meets them: -alpha * beta**2 over _beta_codes, row by row of alpha (when
+    p = 2, row alpha = 1 is beta**2 over all units, the family's alpha**2)."""
+    q, logs, reps = field.order, log_tables(field), _beta_codes(field)
+    row, seen, alpha = logs.mul(logs.mul(reps, reps), field.p - 1), {}, 0  # -beta**2
+    while len(seen) < q - 1:  # by alpha = q - 1, every -alpha is met
+        alpha += 1
+        seen.update(dict.fromkeys(logs.mul(alpha, row).tolist()))
+    return list(seen)
+
+
 def beta_representatives(field: gf.FieldSpec) -> list:
     """One unit per coset of F_p* in F_q*, the least in canonical order."""
     if field.p == 2:

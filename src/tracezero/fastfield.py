@@ -47,7 +47,7 @@ The class counts (how many cosets have each product Tr(x) * Tr(1/x))
 need only the class walk: the trace is F_q-linear, so scaling x by lam in
 F_q* moves (Tr(x), Tr(1/x)) to (lam * Tr(x), lam**-1 * Tr(1/x)).  Per
 block, each unit's image under the step is checked to be the next unit,
-and the trace is kept at one byte per unit.  With gamma**M a generator of
+and the trace is kept as its log in F_q.  With gamma**M a generator of
 F_q* and gamma**(M/l) outside F_q* for each prime l | M, that step chain
 gives gamma order N, so the M units meet each coset once.  The class walk
 itself is never held whole.  The curve counts read nothing else, so no
@@ -55,8 +55,8 @@ engine build walks more than (q**n - 1) / (q - 1) units of a tower.
 
 F_q itself is held in log coordinates of a generator g (log_tables): exp
 and log, the trace and the zero counts n0, q entries each, so that
-a * b = g**(log a + log b).  The class counts and the curve counts read
-them; no q x q array is built for F_q's arithmetic.
+a * b = g**(log a + log b).  The class counts, which bin sums of two
+logs, and the curve counts read them; no q x q array is built for F_q.
 
 Multiplication comes from the modulus: gf.structure_constants builds the
 F_p matrices of multiplication by each basis element from the matrix of
@@ -157,9 +157,9 @@ class LogTables(NamedTuple):
     """F_q in log coordinates of a generator g: read-only tables of q entries.
 
     exp[i] is the code of g**i, i < q - 1, and log[a] the exponent of the
-    unit of code a (log[0] = q - 1: no power of g is zero), in a dtype that
-    holds the sum of two logs.  trace[a] is Tr_{F_q/F_p}(a), and n0[e] =
-    #{mu in F_q* : Tr(mu + e / mu) = 0}, a Kloosterman-type zero count.
+    unit of code a; log[0] = 2(q - 1), so a sum of two logs, which the dtype
+    holds, tells how many are of zero.  trace[a] is Tr_{F_q/F_p}(a), and
+    n0[e] = #{mu in F_q* : Tr(mu + e / mu) = 0}, a Kloosterman-type zero count.
     """
 
     exp: np.ndarray
@@ -172,10 +172,6 @@ class LogTables(NamedTuple):
         a, b = np.asarray(a), np.asarray(b)
         product = self.exp[(self.log[a] + self.log[b]) % self.exp.size]
         return np.where((a == 0) | (b == 0), 0, product)
-
-    def inv(self, a) -> np.ndarray:
-        """Codes of 1 / a, for codes a of units."""
-        return self.exp[(self.exp.size - self.log[a]) % self.exp.size]
 
 
 @lru_cache(maxsize=8)
@@ -198,10 +194,10 @@ def log_tables(field: FieldSpec) -> LogTables:
     while L < n:
         digits[L : 2 * L] = digits[: min(L, n - L)] @ G.T % p
         G, L = G @ G % p, 2 * L
-    exp = (digits @ p ** np.arange(r)).astype(np.min_scalar_type(2 * n))
-    log = np.full(q, n, dtype=exp.dtype)
+    exp = (digits @ p ** np.arange(r)).astype(np.min_scalar_type(4 * n))
+    log = np.full(q, 2 * n, dtype=exp.dtype)
     log[exp] = np.arange(n)
-    if log[0] != n or (log[1:] == n).any():
+    if log[0] != 2 * n or (log[1:] == 2 * n).any():
         raise InvariantError("generator walk of F_q did not cover its units")
     tau = digits @ np.trace(structure_constants(field), axis1=1, axis2=2) % p  # Tr(g**i)
     trace = np.zeros(q, dtype=np.int64)
@@ -351,11 +347,11 @@ class FieldTable:
             parts = self._split(image[: length - done])
 
     def _stream_class_walk(self, blocks, lam0) -> np.ndarray:
-        """Trace codes of gamma**k, k < M, read off blocks of the class walk.
+        """Trace logs of gamma**k, k < M, read off blocks of the class walk.
 
         blocks yields, per block of consecutive units gamma**k, k < M, their
         packed parts and trace codes, and lam0 is gamma**M.  Per block the
-        trace codes are kept, one per unit.  Raises unless unit 0 is one,
+        trace logs are kept, one per unit.  Raises unless unit 0 is one,
         the walk's step x -> gamma * x maps each unit to the next (the last
         of a block to the first of the next) and the last to lam0, so that
         unit k is gamma**k, and unless lam0 lies in F_q* and generates it
@@ -369,7 +365,8 @@ class FieldTable:
         tower, q, M = self.tower, self.tower.q, self.M
         top = self.w * tower.base.r  # digits from r on: the unit is outside F_q
         probes = {M // ell: ell for ell in prime_factors(M)}
-        t = np.empty(M, dtype=np.min_scalar_type(q - 1))
+        log = log_tables(tower.base).log
+        t = np.empty(M, dtype=log.dtype)
         s, step = 0, 1  # the packed word of one
         for parts, traces in blocks:
             e = s + traces.size
@@ -383,7 +380,7 @@ class FieldTable:
             for k, ell in probes.items():
                 if s <= k < e and not words[k - s] >> top:
                     raise InvariantError(f"class walk unit M/{ell} = {k} lies in F_q*")
-            t[s:e] = traces
+            t[s:e] = log[traces]
             s, step = e, int(image[-1])
         base, code = tower.base, tower.code(lam0)
         word = sum(digit << (self.w * j) for j, digit in enumerate(tower.flat_digits(lam0)))
@@ -604,16 +601,15 @@ class FieldTable:
         Tr(x) * Tr(1/x) of code u, a read-only int64 array, and both of
         them (counted in v[0] too) with both traces zero.
 
-        The class walk t_k = Tr(gamma**k), k < M, is streamed in blocks and
-        never held whole.  For 0 < k < M, gamma**-k = lam0**-1 * gamma**(M-k),
-        so the walk's pairs are (t_k, lam0**-1 * t_(M-k)): h0 counts
-        (t_k, t_(M-k)) in blocks, with the partners a reversed slice, and
-        each nonzero cell (a, b) of it adds to v at the code of
-        a * lam0**-1 * b.
+        The class walk streams the logs l_k of t_k = Tr(gamma**k), k < M.
+        Unit k > 0 has the product t_k * t_(M-k) / lam0, and l_k + l_(M-k),
+        a block plus a reversed slice, counts in 4(q - 1) + 1 cells: below
+        2(q - 1), log lam0 plus the product's log mod q - 1, if neither trace
+        is zero; 2(q - 1) + l if one is; 4(q - 1) if both.  Unit 0 has t_0**2.
         """
         q, M, r = self.tower.q, self.M, self.tower.base.r
         # a word holds the d digits of a unit and the r of its trace, and
-        # the trace codes, one per unit, are held whole: 2**31 units and up
+        # the trace logs, one per unit, are held whole: 2**31 units and up
         # (2 GiB at one byte each) are refused before any array is made
         if (self.d + r) * self.w > _WORD_BITS or M >= 1 << 31:
             raise BudgetExceededError(
@@ -623,23 +619,18 @@ class FieldTable:
         self._parts  # an oversized part table is refused before any array is made
         lam0 = self.tower.pow_(self._generator, M)
         t = self._stream_class_walk(self._blocks(M, self.trace_rows()), lam0)
-        logs = log_tables(self.tower.base)
-        c0, t0 = self.tower.code(lam0), int(t[0])
-        h0 = np.zeros(q * q, dtype=np.int64)
-        h0[t0 * q + int(logs.mul(c0, t0))] = 1  # k = 0: gamma**0 = 1 is its own inverse
+        logs, n, t0 = log_tables(self.tower.base), q - 1, int(t[0])
+        shift = int(logs.log[self.tower.code(lam0)])
+        cells = np.zeros(4 * n + 1, dtype=np.int64)
+        cells[4 * n if t0 == 2 * n else (2 * t0 + shift) % n] = 1  # unit 0: t_0**2
         for s in range(1, M, _BLOCK):
             e = min(s + _BLOCK, M)
-            keys = t[s:e].astype(np.int64)
-            keys *= q
-            keys += t[M - e + 1 : M - s + 1][::-1]
-            h0 += np.bincount(keys, minlength=q * q)
-        cells = np.flatnonzero(h0)
-        a, b = np.divmod(cells, q)
-        # weights sum below M < 2**31, so the float64 bincount is exact
-        keys = logs.mul(logs.mul(a, b), logs.inv(c0))
-        v = np.bincount(keys, weights=h0[cells], minlength=q).astype(np.int64)
+            cells += np.bincount(t[s:e] + t[M - e + 1 : M - s + 1][::-1], minlength=cells.size)
+        v = np.zeros(q, dtype=np.int64)
+        v[logs.exp] = np.roll(cells[: 2 * n].reshape(2, n).sum(axis=0), -shift)
+        v[0] = cells[2 * n :].sum()
         v.flags.writeable = False
-        return v, int(h0[0])
+        return v, int(cells[-1])
 
 
 @lru_cache(maxsize=8)

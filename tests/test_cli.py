@@ -384,9 +384,10 @@ class TestContracts:
 
     def test_cap_refused_before_the_curve_family(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("curve family built before the element cap check")
+            raise AssertionError("an array was made before the element cap check")
 
-        monkeypatch.setattr("tracezero.counting.family_codes", refuse)
+        monkeypatch.setattr("tracezero.counting.c_order", refuse)
+        monkeypatch.setattr("tracezero.counting.class_point_counts", refuse)
         code, out, err = run(
             capsys, "count", "--p", "2", "--r", "18", "--n", "3", "--max-elements", "100"
         )

@@ -6,6 +6,7 @@ import itertools
 import random
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from tracezero import counting, curves, gf
 from tracezero.counting import CountEngine, CountReport, CountRow, carlitz_count, engine_for, gauss_count
 from tracezero.errors import BudgetExceededError, InvariantError
-from tracezero.fastfield import FieldTable
+from tracezero.fastfield import FieldTable, log_tables, table_for
 from tracezero.lpoly import LPolynomial
 from tracezero.numtheory import divisors, mobius, prime_power_parts, squarefree_divisors
 from tracezero.oracle import cross_check, enum_f_count, enum_irreducible_total
@@ -196,24 +197,19 @@ class TestCurveClasses:
         e = CountEngine(gf.make_field(*prime_power_parts(q)))
         assert seen == Counter(range(1, e.genus + 3))  # m = 1..genus+2, once each
 
-    @pytest.mark.parametrize("q", [4, 9])
-    def test_keys_the_family_once_and_builds_no_curve(self, monkeypatch, q):
-        calls = []
-        real = curves.family_codes
-
-        def counted(field):
-            calls.append(field.order)
-            return real(field)
-
+    @pytest.mark.parametrize("q", [4, 9, 2187])
+    def test_never_calls_family_codes_or_curve_family(self, monkeypatch, q):
+        # the engine keys its classes by c alone: no array of the family's
+        # (q-1)**2/(p-1) curves, 2389298 of them at q = 2187, is built
         def refuse(*args, **kwargs):
-            raise AssertionError("the engine built the curve family")
+            raise AssertionError("the engine keyed or built the curve family")
 
-        # curve_family reads family_codes from curves, the engine from counting
+        # counting imports neither; patching it too catches a later import
         for module in (curves, counting):
-            monkeypatch.setattr(module, "family_codes", counted)
-            monkeypatch.setattr(module, "curve_family", refuse, raising=False)
-        CountEngine(gf.make_field(*prime_power_parts(q)))
-        assert calls == [q]
+            for name in ("family_codes", "curve_family"):
+                monkeypatch.setattr(module, name, refuse, raising=module is curves)
+        e = CountEngine(gf.make_field(*prime_power_parts(q)))
+        assert sum(k for _, k in e.classes) == q - 1
 
     @pytest.mark.parametrize("q,extra,c", [(4, 1, 2), (4, 2, 3), (9, 1, 5), (9, 2, 8)])
     def test_a_shifted_class_count_names_its_c_and_m(self, monkeypatch, q, extra, c):
@@ -274,6 +270,22 @@ def test_engine_state_is_pinned(engine, curve_lpolys, q):
     assert digest == ENGINE_STATE_DIGESTS[q]
 
 
+@pytest.mark.parametrize("q,bound", [(2187, 40 << 20), (4096, 16 << 20)])
+def test_engine_build_stays_small(q, bound):
+    # keying all (q-1)**2/(p-1) curves by c and binning trace pairs into
+    # q**2 cells peaked at 87.5 MiB at q = 2187 and 259 MiB at q = 4096; the
+    # rest at q = 2187 is the part tables of a 17-bit F_q-coordinate
+    log_tables.cache_clear()
+    table_for.cache_clear()
+    tracemalloc.start()
+    try:
+        engine_for(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
 class TestElementCap:
     @pytest.mark.parametrize(
         "p,r,cap,message",
@@ -287,9 +299,10 @@ class TestElementCap:
     )
     def test_refused_before_the_family_is_built(self, monkeypatch, p, r, cap, message):
         def refuse(*args, **kwargs):
-            raise AssertionError("curve family keyed before the element cap check")
+            raise AssertionError("an array was made before the element cap check")
 
-        monkeypatch.setattr(counting, "family_codes", refuse)
+        monkeypatch.setattr(counting, "c_order", refuse)
+        monkeypatch.setattr(counting, "class_point_counts", refuse)
         with pytest.raises(BudgetExceededError) as exc:
             CountEngine(gf.make_field(p, r), max_elements=cap)
         assert str(exc.value) == message

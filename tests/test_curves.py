@@ -17,6 +17,7 @@ from tracezero.curves import (
     CurveSpec,
     beta_representatives,
     big_curve_count,
+    c_order,
     check_count_cap,
     class_point_counts,
     count_family_naive,
@@ -120,6 +121,21 @@ class TestFamilies:
             k = len(beta_representatives(field))
             assert [curve.beta for curve in family[:k]] == beta_representatives(field)
 
+    # every q of the engine state pins in test_counting.py, and 243
+    @pytest.mark.parametrize(
+        "q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 64, 81, 243, 256, 1024, 2187]
+    )
+    def test_family_covers_every_c_evenly(self, q):
+        # c = alpha**2 when p = 2, a bijection of F_q*, and c = -alpha * beta**2
+        # when p is odd, where for each beta alpha -> c is a bijection, so each
+        # c occurs once per beta: (q-1)/(p-1) times.  The engine keys its
+        # classes by c alone on this, and orders them by c_order
+        field = gf.make_field(*prime_power_parts(q))
+        c = family_codes(field)[2]
+        each = 1 if field.p == 2 else (q - 1) // (field.p - 1)
+        assert np.bincount(c, minlength=q).tolist() == [0] + [each] * (q - 1)
+        assert c_order(field) == list(dict.fromkeys(c.tolist()))
+
     def test_family_makes_no_python_product(self, monkeypatch):
         # the family, its beta representatives and its c keys come from
         # F_q's log tables, built from the structure constants
@@ -132,6 +148,7 @@ class TestFamilies:
         assert len(curve_family(F81)) == 80 * 40
         assert len(beta_representatives(F81)) == 40
         assert family_codes(F81)[2].size == 80 * 40
+        assert sorted(c_order(F81)) == list(range(1, 81))
 
 
 class TestCountPoints:
@@ -214,15 +231,25 @@ class TestCountPoints:
 
 
 @pytest.mark.parametrize(
-    "q,m,bound", [(256, 3, 4 << 20), (1024, 2, 20.3 * (1 << 20)), (1024, 1, 10 << 20)]
+    "q,m,bound",
+    [
+        (256, 3, 4 << 20),
+        (1024, 2, 12 << 20),
+        (1024, 1, 0.6 * (1 << 20)),
+        (4096, 1, 2 << 20),
+        (2187, 2, 40 << 20),
+    ],
 )
 def test_class_counts_stay_small(q, m, bound):
     # the q x q trace-pair histogram that the class counts replaced peaked
-    # at 22.3 MB at (256, 3) and 20.3 MB at (1024, 2); at (1024, 1) F_q's
-    # coset table held 18.0 MB for a one-unit walk, and h0's q**2 int64
-    # cells (8 MB) are now the peak
+    # at 22.3 MB at (256, 3) and 20.3 MB at (1024, 2); binning the pairs
+    # into q**2 cells then peaked at 8.1 MiB at (1024, 1), 128.5 MiB at
+    # (4096, 1) and 82.6 MiB at (2187, 2).  At (1024, 2) the generator
+    # search (6.1 MiB) is now the peak, and at (2187, 2) the part tables
+    # of a 17-bit F_q-coordinate
     field = gf.make_field(*prime_power_parts(q))
-    log_tables(field)  # F_q's own tables are not the class counts' cost
+    log_tables(field)  # F_q's own tables are not the class counts' cost,
+    gf.make_tower(field, m)  # nor is the tower's modulus scan
     table_for.cache_clear()
     tracemalloc.start()
     try:

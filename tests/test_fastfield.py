@@ -621,7 +621,7 @@ def test_base_tables_match_gf(q):
     exp, log, trace = logs.exp, logs.log, logs.trace
     assert sorted(exp.tolist()) == list(range(1, q))  # a bijection onto the units
     assert log[exp].tolist() == list(range(q - 1))
-    assert log[0] == q - 1
+    assert log[0] == 2 * (q - 1)
     elems = field.element_list
     for a in elems:
         ca = field.code(a)
@@ -631,7 +631,6 @@ def test_base_tables_match_gf(q):
         if not field.is_zero(a):
             la = int(log[ca])
             assert [int(exp[(la + int(log[cb])) % (q - 1)]) for cb in range(1, q)] == want[1:]
-            assert logs.inv(ca) == field.code(field.inv(a))
     assert not any(table.flags.writeable for table in logs)
 
 
