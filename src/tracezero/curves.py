@@ -236,7 +236,7 @@ def _lhs_matrix(tower: gf.ExtensionField) -> np.ndarray:
     Column j is L(e_j): T[j] multiplies by e_j, so its p-th power maps 1
     to e_j**p.
     """
-    p, d = tower.p, tower.flat_degree
+    p, d = tower.p, tower.r
     gf.check_power_bound(d, p)
     T = gf.structure_constants(tower).astype(np.float64)
     frob = gf._power(T, p, p)[:, :, 0].T.astype(np.int64)
@@ -280,7 +280,7 @@ def count_family_naive(curves, m: int, max_pairs: int | None = None) -> list[int
     if gf.over_cap(q ** (2 * m), max_pairs):
         raise BudgetExceededError(f"{q}**{2*m} pairs exceed the cap {max_pairs}")
     tower = gf.make_tower(field, m)
-    p, d = field.p, tower.flat_degree
+    p, d = field.p, tower.r
     digits = gf.digit_table(tower)
     T = gf.structure_constants(tower)
     l_digits = digits @ _lhs_matrix(tower).T % p  # L(y), y in canonical order

@@ -16,11 +16,11 @@ ever read.  For odd p, 2**(w-1) >= p, so two images add digitwise with no
 carry between digits, and a handful of whole-word operations reduce every
 digit mod p at once.  For p = 2 a digit
 is one bit and digits add by XOR, so a packed word is its element code and
-nothing is reduced or converted.  Element codes are made only for the full
-walk, whose readers index by code; the class walk and its checks read
-packed parts.  A part table has at most _MAX_SLOTS = 2**24 slots, as many
-as the default element cap admits units: a tower with one coordinate whose
-table would have more is refused before any table is made.
+nothing is reduced.  No walk makes element codes: the walks and their
+check read packed parts and give functional values.  A part table has at
+most _MAX_SLOTS = 2**24 slots, as many as the default element cap admits
+units: a tower with one coordinate whose table would have more is refused
+before any table is made.
 
 The walk itself is such a map, applied by doubling: words[L:2L] is the
 image of words[0:L] under x -> gamma**L * x, and the table of gamma**(2L)
@@ -33,25 +33,26 @@ that maps x to (gamma**_BLOCK * x, F(x)), for F_p-linear functionals F,
 gives both the next block and the values of F on each unit, so each unit
 is split once.  The routine runs to two lengths:
 
-* the full walk, all N units, in the pass of functionals_exp: each block's
-  element codes are read off its parts by the code tables (for p = 2 the
-  parts are the code's bits), and the N codes are checked to be a
-  bijection onto the units and kept as exp_enc.  The trace codes are this
-  pass over the trace rows, so exp_enc and the trace codes come together,
-  whichever is read first; the oracles' enumerations read them;
+* the full walk, all N units, in the pass of functionals_exp; the trace
+  codes, which the oracles' enumerations read, are this pass over the
+  trace rows;
 * the class walk, gamma**k for k < M = N / (q - 1), with the trace as its
   functional.  gamma**M lies in F_q*, so the class walk holds one point of
   every F_q*-coset of the units.
 
+Both walks are one checked stream, so one argument proves both.  Per
+block, each unit's image under the step x -> gamma * x is checked to be
+the next unit, unit 0 to be one and unit M to be lam0 = gamma**M, which
+lies in F_q* and generates it; and for each prime l | M, unit M / l is
+checked to lie outside F_q*.  That gives gamma order N, so the full walk
+meets each unit once and the class walk each coset once.
+
 The class counts (how many cosets have each product Tr(x) * Tr(1/x))
 need only the class walk: the trace is F_q-linear, so scaling x by lam in
 F_q* moves (Tr(x), Tr(1/x)) to (lam * Tr(x), lam**-1 * Tr(1/x)).  Per
-block, each unit's image under the step is checked to be the next unit,
-and the trace is kept as its log in F_q.  With gamma**M a generator of
-F_q* and gamma**(M/l) outside F_q* for each prime l | M, that step chain
-gives gamma order N, so the M units meet each coset once.  The class walk
-itself is never held whole.  The curve counts read nothing else, so no
-engine build walks more than (q**n - 1) / (q - 1) units of a tower.
+block the trace is kept as its log in F_q; the class walk itself is never
+held whole.  The curve counts read nothing else, so no engine build walks
+more than (q**n - 1) / (q - 1) units of a tower.
 
 F_q itself is held in log coordinates of a generator g (log_tables): exp
 and log, the trace and the zero counts n0, q entries each, so that
@@ -68,9 +69,9 @@ every build still holds the matrices against gf.mul: a tower's trace is
 the literal sum of the Frobenius conjugates, composed as linear maps
 (with Phi the matrix of gf's Frobenius x -> x**q, kept on the table as
 frobenius_matrix, the trace rows are those of sum_{j<n} Phi**j), and
-lam0 = gamma**M of the class walk is gf's power, which the class-walk
-check holds against the walk's next step.  No closed-form formula under
-test enters any table.
+lam0 = gamma**M is gf's power, computed once per table, which both walks
+hold against their unit M.  No closed-form formula under test enters any
+table.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def multiplicative_generator(tower: ExtensionField):
     N = tower.order - 1
     if N == 1:
         return tower.one
-    p, D = tower.p, tower.flat_degree
+    p, D = tower.p, tower.r
     gf.check_power_bound(D, p)
     T = structure_constants(tower).astype(np.float64)
     exponents = [N // ell for ell in prime_factors(N)]
@@ -219,15 +220,15 @@ def log_tables(field: FieldSpec) -> LogTables:
 class FieldTable:
     """Enumeration tables for F_{q^n}, indexed by exponent of a generator.
 
-    Nothing is walked at construction.  exp_enc, the full walk, is built on
-    first read; the class counts stream the class walk, its first M units,
-    and keep one trace code per unit.
+    Nothing is walked at construction.  The trace codes, the full walk over
+    the trace rows, are built on first read; the class counts stream the
+    class walk, its first M units, and keep one trace log per unit.
     """
 
     def __init__(self, tower: ExtensionField):
         self.tower = tower
         self.p = tower.base.p
-        self.d = tower.flat_degree
+        self.d = tower.r
         self.w = digit_width(self.p, self.d)  # refuse before allocating anything
         self.N = tower.order - 1
         self.M = self.N // (tower.q - 1)  # one walk entry per F_q*-coset of the units
@@ -244,11 +245,18 @@ class FieldTable:
         return self._map_table(gf.mul_matrix(self.tower, self._generator))
 
     @cached_property
-    def exp_enc(self) -> np.ndarray:
-        """Codes of gamma**k for k < N, walked and checked on first read,
-        by the pass that also gives the trace codes."""
-        self.trace_codes_exp()
-        return self.__dict__["exp_enc"]
+    def _lam0(self) -> tuple[int, int]:
+        """(code, packed word) of lam0 = gamma**M, gf's power, which both
+        walks hold against their unit M.  Raises unless lam0 lies in F_q*
+        and generates it."""
+        tower, q = self.tower, self.tower.q
+        lam0 = tower.pow_(self._generator, self.M)
+        code, base = tower.code(lam0), tower.base
+        if not 0 < code < q:
+            raise InvariantError("gamma**M does not lie in F_q*")
+        if any(base.pow_(lam0[0], (q - 1) // ell) == base.one for ell in prime_factors(q - 1)):
+            raise InvariantError("gamma**M does not generate F_q*")
+        return code, sum(digit << (self.w * j) for j, digit in enumerate(tower.flat_digits(lam0)))
 
     def functionals_exp(self, rows) -> np.ndarray:
         """Evaluate F_p-linear functionals on gamma**k for every k < N.
@@ -256,30 +264,18 @@ class FieldTable:
         rows is a (k, d) array-like of digit-space functionals; the result
         holds, per exponent, the base-p code of the k values (row j gives
         digit j), in the smallest unsigned dtype that holds p**k - 1.  This
-        is the full walk: the units' codes are read off the same parts,
-        checked to be a bijection onto the units and, by the first pass,
-        kept as exp_enc.  Each write is one assignment of a finished array,
-        so two threads reading first build equal arrays and either may stay.
+        is the full walk: the stream of _walk to length N, checked as the
+        class walk is.
         """
         # k values past one word and oversized part tables are refused
         # before any array is made
         digit_width(self.p, len(rows))
         self._parts
-        N = self.N
-        enc = np.empty(N, dtype=np.int64)
-        values = np.empty(N, dtype=np.min_scalar_type(self.p ** len(rows) - 1))
+        values = np.empty(self.N, dtype=np.min_scalar_type(self.p ** len(rows) - 1))
         s = 0
-        for parts, codes in self._blocks(N, rows):
-            e = s + codes.size
-            self._codes(parts, enc[s:e])
-            values[s:e] = codes
-            s = e
-        # N walk entries covering all N nonzero codes are a bijection
-        seen = np.zeros(self.tower.order, dtype=bool)
-        seen[enc] = True
-        if seen[0] or not seen[1:].all():
-            raise InvariantError("generator walk did not cover the unit group")
-        self.__dict__.setdefault("exp_enc", enc)
+        for codes in self._walk(self.N, rows):
+            values[s : s + codes.size] = codes
+            s += codes.size
         return values
 
     def _double(self, length: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -346,49 +342,41 @@ class FieldTable:
                 return
             parts = self._split(image[: length - done])
 
-    def _stream_class_walk(self, blocks, lam0) -> np.ndarray:
-        """Trace logs of gamma**k, k < M, read off blocks of the class walk.
+    def _walk(self, length: int, rows):
+        """The codes of the functionals rows on gamma**k, k < length, one
+        array per block of consecutive units, each block checked before it
+        is given; length is M (the class walk) or N (the full walk).
 
-        blocks yields, per block of consecutive units gamma**k, k < M, their
-        packed parts and trace codes, and lam0 is gamma**M.  Per block the
-        trace logs are kept, one per unit.  Raises unless unit 0 is one,
-        the walk's step x -> gamma * x maps each unit to the next (the last
-        of a block to the first of the next) and the last to lam0, so that
-        unit k is gamma**k, and unless lam0 lies in F_q* and generates it
-        and, for each prime l | M, unit M / l has a digit at or above r, so
-        lies outside F_q*.  Then gamma has order N: for l | q - 1,
+        Raises unless unit 0 is one and the walk's step x -> gamma * x maps
+        each unit to the next (the last of a block to the first of the
+        next), so that unit k is gamma**k; unless unit M, the step from unit
+        M - 1, is lam0, which lies in F_q* and generates it; and unless, for
+        each prime l | M, unit M / l has a digit at or above r, so lies
+        outside F_q*.  Then gamma has order N: for l | q - 1,
         gamma**(N / l) = lam0**((q - 1) / l) != 1, and for l | M,
-        gamma**(N / l) = 1 only if gamma**(M / l) lies in F_q*.  So the M
-        units meet each F_q*-coset once, and gamma**-k is
+        gamma**(N / l) = 1 only if gamma**(M / l) lies in F_q*.  So the N
+        units of the full walk are the units, each once, the M units of the
+        class walk meet each F_q*-coset once, and gamma**-k is
         lam0**-1 * gamma**(M - k).
         """
-        tower, q, M = self.tower, self.tower.q, self.M
-        top = self.w * tower.base.r  # digits from r on: the unit is outside F_q
+        M, (_, lam0) = self.M, self._lam0
+        top = self.w * self.tower.base.r  # digits from r on: the unit is outside F_q
         probes = {M // ell: ell for ell in prime_factors(M)}
-        log = log_tables(tower.base).log
-        t = np.empty(M, dtype=log.dtype)
         s, step = 0, 1  # the packed word of one
-        for parts, traces in blocks:
-            e = s + traces.size
-            if e > M:
-                break
+        for parts, values in self._blocks(length, rows):
+            e = s + values.size
             words = self._join(parts)
             image = self._image(self._step, parts)
             bad = np.flatnonzero(words != np.concatenate(([step], image[:-1])))
             if bad.size:
-                raise InvariantError(f"class walk leaves the step chain at unit {s + bad[0]}")
+                raise InvariantError(f"walk leaves the step chain at unit {s + bad[0]}")
             for k, ell in probes.items():
                 if s <= k < e and not words[k - s] >> top:
-                    raise InvariantError(f"class walk unit M/{ell} = {k} lies in F_q*")
-            t[s:e] = log[traces]
+                    raise InvariantError(f"walk unit M/{ell} = {k} lies in F_q*")
+            if s < M <= e and image[M - 1 - s] != lam0:
+                raise InvariantError("gamma**M is not the walk's next step after unit M - 1")
+            yield values
             s, step = e, int(image[-1])
-        base, code = tower.base, tower.code(lam0)
-        word = sum(digit << (self.w * j) for j, digit in enumerate(tower.flat_digits(lam0)))
-        if not (s == M and 0 < code < q and step == word):
-            raise InvariantError("gamma**M is not the walk's next step in F_q*")
-        if any(base.pow_(lam0[0], (q - 1) // ell) == base.one for ell in prime_factors(q - 1)):
-            raise InvariantError("gamma**M does not generate F_q*")
-        return t
 
     # -- packed parts ----------------------------------------------------------
 
@@ -438,11 +426,10 @@ class FieldTable:
         w = self.w
         return [(words >> (w * a) if a else words) & ((1 << (w * c)) - 1) for a, c in self._parts]
 
-    def _join(self, parts: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
-        """The packed words whose parts are given (into out, if given), the
-        parts joined by shifts: the inverse of _split on words of d digits."""
-        words = np.empty_like(parts[0]) if out is None else out
-        words[:] = parts[0]
+    def _join(self, parts: list[np.ndarray]) -> np.ndarray:
+        """The packed words whose parts are given, the parts joined by
+        shifts: the inverse of _split on words of d digits."""
+        words = parts[0].copy()
         for (a, _), v in zip(self._parts[1:], parts[1:]):
             words |= v << (self.w * a)
         return words
@@ -476,28 +463,6 @@ class FieldTable:
                 words += table[v]
                 self._reduce(words)
         return words
-
-    @cached_property
-    def _code_tables(self) -> list[np.ndarray]:
-        """Per part, the share of each valid slot in the element's code:
-        the identity map, with digit j weighted by p**j."""
-        d = self.d
-        return self._map_table(np.eye(d, dtype=np.int64), self.p ** np.arange(d, dtype=np.int64))
-
-    def _codes(self, parts: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
-        """Base-p codes of the words split into parts (into out, if given).
-
-        For p = 2 a packed word is its code, so the parts are joined;
-        otherwise each part's code is read from its code table.
-        """
-        if self.p == 2:
-            return self._join(parts, out)
-        codes = np.empty_like(parts[0]) if out is None else out
-        tables = self._code_tables
-        codes[:] = tables[0][parts[0]]
-        for table, v in zip(tables[1:], parts[1:]):
-            codes += table[v]
-        return codes
 
     # -- generic access -------------------------------------------------------
 
@@ -601,7 +566,8 @@ class FieldTable:
         Tr(x) * Tr(1/x) of code u, a read-only int64 array, and both of
         them (counted in v[0] too) with both traces zero.
 
-        The class walk streams the logs l_k of t_k = Tr(gamma**k), k < M.
+        The class walk, the checked stream of _walk to length M, gives the
+        logs l_k of t_k = Tr(gamma**k), k < M, kept one per unit.
         Unit k > 0 has the product t_k * t_(M-k) / lam0, and l_k + l_(M-k),
         a block plus a reversed slice, counts in 4(q - 1) + 1 cells: below
         2(q - 1), log lam0 plus the product's log mod q - 1, if neither trace
@@ -617,10 +583,12 @@ class FieldTable:
                 f" it holds {_WORD_BITS} bits per word and 2**31 units"
             )
         self._parts  # an oversized part table is refused before any array is made
-        lam0 = self.tower.pow_(self._generator, M)
-        t = self._stream_class_walk(self._blocks(M, self.trace_rows()), lam0)
-        logs, n, t0 = log_tables(self.tower.base), q - 1, int(t[0])
-        shift = int(logs.log[self.tower.code(lam0)])
+        logs, n = log_tables(self.tower.base), q - 1
+        t, s = np.empty(M, dtype=logs.log.dtype), 0
+        for traces in self._walk(M, self.trace_rows()):
+            t[s : s + traces.size] = logs.log[traces]
+            s += traces.size
+        t0, shift = int(t[0]), int(logs.log[self._lam0[0]])
         cells = np.zeros(4 * n + 1, dtype=np.int64)
         cells[4 * n if t0 == 2 * n else (2 * t0 + shift) % n] = 1  # unit 0: t_0**2
         for s in range(1, M, _BLOCK):

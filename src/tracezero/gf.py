@@ -73,11 +73,6 @@ class FieldSpec:
     def element_list(self) -> tuple:
         return tuple(self.elements())
 
-    @property
-    def flat_degree(self) -> int:
-        """Dimension over F_p (the same as r)."""
-        return self.r
-
     def basis_element(self, j: int):
         """The element whose flat digit vector is the j-th unit vector."""
         digs = [0] * self.r

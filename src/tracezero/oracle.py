@@ -281,25 +281,26 @@ class VerifyReport:
         }
 
 
-def _image_of_artin_schreier_map(tower: gf.ExtensionField, tab) -> np.ndarray:
-    """Bitmap over element encodings of {y**q - y : y in F_{q^n}}."""
-    # The map y -> y**q - y is F_p-linear, Phi - I; evaluate it on every code.
-    M = (tab.frobenius_matrix - np.eye(tab.d, dtype=np.int64)) % tab.p
-    order = tower.order
-    weights = tab.p ** np.arange(tab.d, dtype=np.int64)
-    bitmap = np.zeros(order, dtype=bool)
+def _trace_zero_image(tab) -> tuple[np.ndarray, np.ndarray]:
+    """Bitmaps over element codes of {a : Tr(a) = 0} and of
+    {y**q - y : y in F_{q^n}}.
+
+    Both maps are F_p-linear: the trace is tab.trace_rows(), and
+    y -> y**q - y is Phi - I.  Each is evaluated on the digits of every
+    code, a chunk of codes at a time.
+    """
+    p, order = tab.p, tab.tower.order
+    rows = tab.trace_rows()
+    M = (tab.frobenius_matrix - np.eye(tab.d, dtype=np.int64)) % p
+    weights = p ** np.arange(tab.d, dtype=np.int64)
+    zero, image = np.zeros(order, dtype=bool), np.zeros(order, dtype=bool)
     chunk = 1 << 18
     for s in range(0, order, chunk):
-        digits = gf.code_digits(tab.tower, np.arange(s, min(s + chunk, order), dtype=np.int64))
-        bitmap[(digits @ M.T % tab.p) @ weights] = True
-    return bitmap
-
-
-def _trace_zero_enc_bitmap(tower: gf.ExtensionField, tab) -> np.ndarray:
-    bitmap = np.zeros(tower.order, dtype=bool)
-    bitmap[0] = True
-    bitmap[tab.exp_enc[tab.trace_codes_exp() == 0]] = True
-    return bitmap
+        e = min(s + chunk, order)
+        digits = gf.code_digits(tab.tower, np.arange(s, e, dtype=np.int64))
+        zero[s:e] = ~(digits @ rows.T % p).any(axis=1)
+        image[(digits @ M.T % p) @ weights] = True
+    return zero, image
 
 
 def direct_count(counts: np.ndarray, curve: CurveSpec, c: int) -> int:
@@ -343,9 +344,9 @@ def verify_all(q: int, n_max: int, max_elements: int = gf.DEFAULT_MAX_ELEMENTS) 
         z_rt = z_count(q, n, "rtrace", max_elements=max_elements)
         report.add("rtrace_fiber_size", q, n, z_rt == q ** (n - 1), z_rt, q ** (n - 1))
 
-        # {Tr = 0} equals the image of y -> y**q - y.
-        lhs = _trace_zero_enc_bitmap(tower, tab)
-        rhs = _image_of_artin_schreier_map(tower, tab)
+        # {Tr = 0} equals the image of y -> y**q - y, both over every
+        # element code: the trace rows' kernel against Phi - I's image.
+        lhs, rhs = _trace_zero_image(tab)
         report.add(
             "trace_zero_image", q, n, bool((lhs == rhs).all()), int(lhs.sum()), int(rhs.sum())
         )

@@ -79,3 +79,14 @@ def trace_pair_histogram():
         return H
 
     return rebuild
+
+
+@pytest.fixture(scope="session")
+def walk_codes():
+    """The element codes of a table's full walk, gamma**k for k < N, as
+    int64: functionals_exp with the unit's own d digits as its functionals."""
+
+    def codes(tab):
+        return tab.functionals_exp(np.eye(tab.d, dtype=np.int64)).astype(np.int64)
+
+    return codes

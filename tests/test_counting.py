@@ -465,17 +465,18 @@ class TestThreadSafety:
         shared = engine_for(4)
         assert all(r == want for r in _in_four_threads(lambda i: shared.table(1, 500)))
 
-    def test_fresh_field_table_across_threads(self):
+    def test_fresh_field_table_across_threads(self, walk_codes):
         # a table's lazy parts (the class walk behind the class counts, the
-        # full walk, the trace codes) are built by whichever thread reads
-        # first; two threads start from the class counts, two from the full walk
+        # trace codes of the full walk, lam0) are built by whichever thread
+        # reads first; two threads start from the class counts, two from the
+        # full walk
         tower = gf.make_tower(gf.make_field(3, 2), 4)
         fresh, shared = FieldTable(tower), FieldTable(tower)
 
         def read(table, classes_first):
             if classes_first:
-                return (*table.class_counts, table.exp_enc, table.trace_codes_exp())
-            walk = table.exp_enc
+                return (*table.class_counts, walk_codes(table), table.trace_codes_exp())
+            walk = walk_codes(table)
             return (*table.class_counts, walk, table.trace_codes_exp())
 
         want = read(fresh, True)

@@ -54,7 +54,7 @@ def _mat_pow(m: np.ndarray, e: int, p: int) -> np.ndarray:
 
 
 def _walk_reference(tower) -> np.ndarray:
-    p, d, N = tower.base.p, tower.flat_degree, tower.order - 1
+    p, d, N = tower.base.p, tower.r, tower.order - 1
     pow_p = p ** np.arange(d, dtype=np.int64)
     g = multiplicative_generator(tower)
     M = gf.linear_map_matrix(tower, tower, partial(tower.mul, g))  # x -> g*x
@@ -77,9 +77,10 @@ def _walk_reference(tower) -> np.ndarray:
         cur = np.rint(cur.astype(np.float64) @ step).astype(np.int64) % p
 
 
-# SHA-256 of exp_enc as little-endian int64, recorded with the block-loop
-# walk.  The towers cover d = 1, large p, odd-p packing, extension bases, N
-# below one chunk and N across several doubling rounds.
+# SHA-256 of the walk's element codes (walk_codes) as little-endian int64,
+# recorded with the block-loop walk.  The towers cover d = 1, large p,
+# odd-p packing, extension bases, N below one chunk and N across several
+# doubling rounds.
 _WALK_DIGESTS = {
     (2, 1): "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8",
     (2, 12): "f93111f2d5d03cbd58220f842d679e036230e6d30c67a053250bb339045d0897",
@@ -97,8 +98,8 @@ _WALK_DIGESTS = {
 
 
 @pytest.mark.parametrize("q,n", sorted(_WALK_DIGESTS))
-def test_walk_is_pinned(q, n):
-    enc = FieldTable(_tower(q, n)).exp_enc
+def test_walk_is_pinned(walk_codes, q, n):
+    enc = walk_codes(FieldTable(_tower(q, n)))
     assert enc.dtype == np.int64
     assert hashlib.sha256(enc.astype("<i8").tobytes()).hexdigest() == _WALK_DIGESTS[q, n]
 
@@ -107,14 +108,15 @@ def test_walk_is_pinned(q, n):
     "q,n",
     [(q, n) for q in ENGINE_FIELDS for n in range(1, 17) if q**n <= 1 << 16],
 )
-def test_walk_matches_block_loop(q, n):
+def test_walk_matches_block_loop(walk_codes, q, n):
     tower = _tower(q, n)
-    assert np.array_equal(FieldTable(tower).exp_enc, _walk_reference(tower))
+    assert np.array_equal(walk_codes(FieldTable(tower)), _walk_reference(tower))
 
 
 # SHA-256 of trace_codes_exp() (uint8 codes), recorded with the split-code
-# trace pass over exp_enc that the blocked pass replaced, for every tower of
-# the oracle benchmark's grid, q in the engine set and 2**18 <= q**n <= 2**22.
+# trace pass over the walk's element codes that the blocked pass replaced,
+# for every tower of the oracle benchmark's grid, q in the engine set and
+# 2**18 <= q**n <= 2**22.
 _TRACE_DIGESTS = {
     (2, 18): "a5cbaa1fb8f0e85f475ee4fa8666ffc4a745f2118dca35bbfa6a3e540900357a",
     (2, 19): "3c079c412a2ae40f2e51c639f0e36c690a0f933390339b49c86ff1b113c7d2ac",
@@ -143,17 +145,41 @@ def test_trace_codes_are_pinned(q, n):
     assert hashlib.sha256(codes.tobytes()).hexdigest() == _TRACE_DIGESTS[q, n]
 
 
+# The two runs of the one checked stream: the class walk, to M units, and
+# the full walk, to N.
+_WALKS = {
+    "class walk": lambda tab: tab.class_counts,
+    "full walk": lambda tab: tab.trace_codes_exp(),
+}
+
+
 @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (2, 12), (16, 3)])
 def test_corrupted_step_entry_fails_the_full_walk(q, n):
     # two valid slots of the first part map to one image, so the step is no
-    # longer injective and the N walked codes miss a unit; the class walk,
-    # whose tables are composed from the same step, is refused as well
-    for walk, message in [("exp_enc", "cover the unit group"), ("class_counts", "step chain")]:
+    # longer linear and the walk's composed tables leave its step chain; the
+    # full walk and the class walk are the one checked stream, so both refuse
+    for walk in _WALKS.values():
         tab = FieldTable(_tower(q, n))
         step, (_, slots) = tab._step[0], tab._part_slots[0]
         step[slots[1]] = step[slots[2]]
-        with pytest.raises(InvariantError, match=message):
-            getattr(tab, walk)
+        with pytest.raises(InvariantError, match="step chain"):
+            walk(tab)
+
+
+@pytest.mark.parametrize("q,n,bound", [(2, 20, 4 << 20), (3, 13, 5 << 20)])
+def test_full_walk_keeps_no_element_codes(q, n, bound):
+    # with the tower, the generator, the step and the trace rows warm, the
+    # trace pass holds its N one-byte codes and blocks of 2**14 units, and
+    # no int64 code or flag per element
+    tab = FieldTable(_tower(q, n))
+    tab._step, tab.trace_rows()
+    tracemalloc.start()
+    try:
+        codes = tab.trace_codes_exp()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes.nbytes == tab.N and peak < bound
 
 
 def test_oversized_part_tables_are_refused_before_allocation():
@@ -235,7 +261,7 @@ class TestDigitWidth:
     def test_table_refuses_before_touching_the_field(self):
         # a stand-in with only p and the degree: the refusal must come
         # before the order, the generator or any array is read or made
-        fake = SimpleNamespace(base=SimpleNamespace(p=3), flat_degree=22)
+        fake = SimpleNamespace(base=SimpleNamespace(p=3), r=22)
         with pytest.raises(BudgetExceededError):
             FieldTable(fake)
 
@@ -243,7 +269,7 @@ class TestDigitWidth:
         # d = 34 needed 68 bits at two bits per digit; at one bit the packed
         # image of a code under a random F_2 matrix is the code of A @ digits
         base = SimpleNamespace(p=2, r=1, order=2)
-        fake = SimpleNamespace(base=base, flat_degree=34, order=1 << 34, q=2, n=34)
+        fake = SimpleNamespace(base=base, r=34, order=1 << 34, q=2, n=34)
         tab = FieldTable(fake)
         rng = np.random.default_rng(34)
         A = rng.integers(0, 2, size=(34, 34))
@@ -259,16 +285,17 @@ class TestDigitWidth:
         # 21 digits mod 3 fill 63 bits, leaving no room for the trace's
         # digit; F_{2^32} has a class walk of 2**32 - 1 units, past 2**31
         base = SimpleNamespace(p=p, r=1)
-        fake = SimpleNamespace(base=base, flat_degree=d, order=p**d, q=p)
+        fake = SimpleNamespace(base=base, r=d, order=p**d, q=p)
         with pytest.raises(BudgetExceededError, match="class walk"):
             FieldTable(fake).class_counts
 
-    def test_functionals_refuse_rows_past_one_word(self):
+    def test_functionals_refuse_rows_past_one_word(self, walk_codes):
         tab = FieldTable(_tower(131, 1))  # w = 9: seven digits per word
         codes = tab.functionals_exp(np.ones((7, 1), dtype=np.int64))
         # every functional reads the one digit, the code of x is x * (1 + 131 + ... + 131**6)
         assert codes.dtype == np.uint64
-        assert (codes == tab.exp_enc.astype(np.uint64) * np.uint64(sum(131**j for j in range(7)))).all()
+        enc = walk_codes(tab).astype(np.uint64)
+        assert (codes == enc * np.uint64(sum(131**j for j in range(7)))).all()
         with pytest.raises(BudgetExceededError):
             tab.functionals_exp(np.ones((8, 1), dtype=np.int64))
 
@@ -332,7 +359,7 @@ def full_walk_histogram():
 def test_class_walk_histogram_matches_the_full_walk(trace_pair_histogram, q, n):
     tab = FieldTable(_tower(q, n))
     v, both = tab.class_counts  # first, so the class walk is what runs
-    assert "exp_enc" not in vars(tab)
+    assert "_trace_codes" not in vars(tab)
     assert v.dtype == np.int64 and v.sum() == tab.M and not v.flags.writeable
     assert type(both) is int and 0 <= both <= v[0]
     got = trace_pair_histogram(tab)
@@ -364,111 +391,133 @@ def test_streamed_histogram_matches_the_full_walk(
 
 
 @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (16, 2), (25, 2), (3, 6)])
-def test_class_walk_is_the_prefix_of_the_full_walk(monkeypatch, q, n):
+def test_class_walk_is_the_prefix_of_the_full_walk(monkeypatch, walk_codes, q, n):
     monkeypatch.setattr(fastfield, "_BLOCK", 32)  # several blocks
     tab = FieldTable(_tower(q, n))
     blocks = list(tab._blocks(tab.M, tab.trace_rows()))
-    codes = np.concatenate([tab._codes(parts) for parts, _ in blocks])
+    words = np.concatenate([tab._join(parts) for parts, _ in blocks])
     traces = np.concatenate([traces for _, traces in blocks])
-    assert np.array_equal(codes, tab.exp_enc[: tab.M])
+    codes = walk_codes(tab)  # the full walk's identity functionals
+    assert np.array_equal(words, _packed_words(tab, codes[: tab.M]))
     assert np.array_equal(traces, tab.trace_codes_exp()[: tab.M])
-    lam0 = tab.tower.pow_(tab._generator, tab.M)
-    assert tab.tower.code(lam0) == tab.exp_enc[tab.M]  # gamma**M, an element of F_q*
+    assert tab._lam0 == (codes[tab.M], _packed_words(tab, codes[tab.M : tab.M + 1])[0])
 
 
-def _packed_word(tab, code: int) -> int:
-    digits = gf.code_digits(tab.tower, np.array([code], dtype=np.int64))[0]
-    return int(digits @ np.left_shift(1, tab.w * np.arange(tab.d, dtype=np.int64)))
+def _packed_words(tab, codes) -> np.ndarray:
+    digits = gf.code_digits(tab.tower, np.asarray(codes, dtype=np.int64))
+    return digits @ np.left_shift(1, tab.w * np.arange(tab.d, dtype=np.int64))
+
+
+def _word_codes(tab, words) -> np.ndarray:
+    digits = words[:, None] >> tab.w * np.arange(tab.d, dtype=np.int64) & (1 << tab.w) - 1
+    return digits @ tab.p ** np.arange(tab.d, dtype=np.int64)
 
 
 class TestClassWalkFaults:
-    """Each corruption of the streamed class walk or of lam0 = gamma**M is refused."""
+    """Each corruption of the walk or of lam0 = gamma**M is refused by the
+    checked stream, on the class walk and on the full walk alike."""
 
     @staticmethod
-    def _walk(q, n):
-        tab = FieldTable(_tower(q, n))
-        walk = tab._blocks(tab.M, tab.trace_rows())
-        blocks = [([v.copy() for v in parts], traces) for parts, traces in walk]
-        return tab, blocks, tab.tower.pow_(tab._generator, tab.M)
+    def _refused(q, n, match, setup=lambda tab: None):
+        for walk in _WALKS.values():
+            tab = FieldTable(_tower(q, n))
+            setup(tab)
+            with pytest.raises(InvariantError, match=match):
+                walk(tab)
 
     @staticmethod
-    def _code(tab, blocks, k) -> int:
-        parts = blocks[0][0]
-        return int(tab._codes([v[k : k + 1] for v in parts])[0])
+    def _corrupt(monkeypatch, k, unit):
+        """Set unit k of each walk's first block to the unit of code
+        unit(tab, codes), codes those of the block's units."""
+        real = FieldTable._blocks
+
+        def blocks(self, length, rows):
+            walk = real(self, length, rows)
+            parts, values = next(walk)
+            word = _packed_words(self, [unit(self, _word_codes(self, self._join(parts)))])
+            for v, part in zip(parts, self._split(word)):
+                v[k] = part[0]
+            yield parts, values
+            yield from walk
+
+        monkeypatch.setattr(FieldTable, "_blocks", blocks)
 
     @staticmethod
-    def _set(tab, blocks, k, code):
-        for v, part in zip(blocks[0][0], tab._split(np.array([_packed_word(tab, code)]))):
-            v[k] = part[0]
+    def _scaled(source):
+        """2 times unit source; 2 is the code of a scalar other than 1 (a
+        generator of F_4 when q = 4)."""
 
-    def _scale(self, tab, blocks, k, source):
-        """Set unit k to 2 times unit source; 2 is the code of a scalar
-        other than 1 (a generator of F_4 when q = 4)."""
-        tower = tab.tower
-        x = tower.from_code(self._code(tab, blocks, source))
-        self._set(tab, blocks, k, tower.code(tower.mul(tower.embed_base(tower.base.from_code(2)), x)))
+        def unit(tab, codes):
+            tower = tab.tower
+            x = tower.from_code(int(codes[source]))
+            return tower.code(tower.mul(tower.embed_base(tower.base.from_code(2)), x))
+
+        return unit
 
     @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (4, 5), (3, 6)])
-    def test_scalar_multiple_of_another_entry(self, q, n):
-        tab, blocks, lam0 = self._walk(q, n)
-        self._scale(tab, blocks, 9, 5)
-        with pytest.raises(InvariantError, match="step chain at unit 9$"):
-            tab._stream_class_walk(blocks, lam0)
+    def test_scalar_multiple_of_another_entry(self, monkeypatch, q, n):
+        self._corrupt(monkeypatch, 9, self._scaled(5))
+        self._refused(q, n, "step chain at unit 9$")
 
     @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (4, 5), (3, 6)])
-    def test_scalar_multiple_of_itself(self, q, n):
+    def test_scalar_multiple_of_itself(self, monkeypatch, q, n):
         # unit 9 stays in its own F_q*-coset, so every coset is still met
         # once; only the step from unit 8 tells the walk from gamma**k
-        tab, blocks, lam0 = self._walk(q, n)
-        self._scale(tab, blocks, 9, 9)
-        with pytest.raises(InvariantError, match="step chain at unit 9$"):
-            tab._stream_class_walk(blocks, lam0)
+        self._corrupt(monkeypatch, 9, self._scaled(9))
+        self._refused(q, n, "step chain at unit 9$")
 
     @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (2, 8)])
-    def test_duplicated_entry(self, q, n):
-        tab, blocks, lam0 = self._walk(q, n)
-        self._set(tab, blocks, 7, self._code(tab, blocks, 3))
-        with pytest.raises(InvariantError, match="step chain at unit 7$"):
-            tab._stream_class_walk(blocks, lam0)
+    def test_duplicated_entry(self, monkeypatch, q, n):
+        self._corrupt(monkeypatch, 7, lambda tab, codes: int(codes[3]))
+        self._refused(q, n, "step chain at unit 7$")
 
     @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (2, 8)])
-    def test_zero_in_place_of_one(self, q, n):
+    def test_zero_in_place_of_one(self, monkeypatch, q, n):
         # the walk starts from gamma**0 = 1, so zero in its place is refused
         # before any step is compared
-        tab, blocks, lam0 = self._walk(q, n)
-        self._set(tab, blocks, 0, 0)
-        with pytest.raises(InvariantError, match="step chain at unit 0$"):
-            tab._stream_class_walk(blocks, lam0)
+        self._corrupt(monkeypatch, 0, lambda tab, codes: 0)
+        self._refused(q, n, "step chain at unit 0$")
 
     @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (5, 3)])
     def test_lam0_that_does_not_close_the_walk(self, q, n):
-        tab, blocks, lam0 = self._walk(q, n)
-        base = tab.tower.base
-        other = tab.tower.embed_base(base.mul(lam0[0], base.from_code(2)))
-        with pytest.raises(InvariantError, match="next step"):
-            tab._stream_class_walk(blocks, other)
-        # an element outside F_q fails the same way
-        with pytest.raises(InvariantError, match="next step"):
-            tab._stream_class_walk(blocks, tab.tower.from_code(self._code(tab, blocks, 1)))
+        def scaled(tab):  # another element of F_q*
+            lam0, base = tab.tower.pow_(tab._generator, tab.M), tab.tower.base
+            code = tab.tower.code(tab.tower.embed_base(base.mul(lam0[0], base.from_code(2))))
+            tab._lam0 = (code, _packed_words(tab, [code])[0])
+
+        def outside(tab):  # gamma itself, outside F_q
+            code = tab.tower.code(tab._generator)
+            tab._lam0 = (code, _packed_words(tab, [code])[0])
+
+        self._refused(q, n, "next step", scaled)
+        self._refused(q, n, "next step", outside)
+
+    @pytest.mark.parametrize("q,n", [(7, 4), (2, 8)])
+    def test_lam0_outside_f_q(self, q, n):
+        # gf's power of zero is zero, which lies outside F_q*
+        def zero(tab):
+            tab._generator = tab.tower.zero
+
+        self._refused(q, n, r"lie in F_q\*$", zero)
 
     def test_lam0_of_lower_order(self):
         # beta = g**9 in F_{7^2}: N = 48, M = 8, and 9 = 1 mod 8, so the walk
         # of beta meets every coset and beta**8 = g**72 = -1 lies in F_7*,
         # but -1 has order 2, not 6
-        tab = FieldTable(_tower(7, 2))
-        tab._generator = tab.tower.pow_(multiplicative_generator(tab.tower), 9)
-        with pytest.raises(InvariantError, match="generate"):
-            tab.class_counts
+        def beta(tab):
+            tab._generator = tab.tower.pow_(multiplicative_generator(tab.tower), 9)
+
+        self._refused(7, 2, "generate", beta)
 
     def test_lam0_of_lower_order_in_three_parts(self):
         # beta = g**2 in F_{9^3}, whose words split into three parts: N = 728,
         # M = 91 and gcd(2, 91) = 1, so the walk of beta meets every coset,
         # but beta**91 = g**182 has order 4 in F_9*, not 8
-        tab = FieldTable(_tower(9, 3))
-        assert len(tab._parts) == 3
-        tab._generator = tab.tower.pow_(multiplicative_generator(tab.tower), 2)
-        with pytest.raises(InvariantError, match="generate"):
-            tab.class_counts
+        def beta(tab):
+            assert len(tab._parts) == 3
+            tab._generator = tab.tower.pow_(multiplicative_generator(tab.tower), 2)
+
+        self._refused(9, 3, "generate", beta)
 
     @pytest.mark.parametrize(
         "q,n,e,ell",
@@ -482,12 +531,12 @@ class TestClassWalkFaults:
         # beta = g**e has order N / l for a prime l | M with l not dividing
         # q - 1, so lam0 = beta**M still generates F_q*; the walk of beta
         # repeats its cosets, and unit M / l = beta**(M / l) lies in F_q*
-        tab = FieldTable(_tower(q, n))
-        assert tab.M % ell == 0 and (q - 1) % ell != 0
-        g = multiplicative_generator(tab.tower)
-        tab._generator = tab.tower.pow_(g, e)
-        with pytest.raises(InvariantError, match=rf"unit M/{ell} = {tab.M // ell} lies in F_q\*$"):
-            tab.class_counts
+        def beta(tab):
+            assert tab.M % ell == 0 and (q - 1) % ell != 0
+            tab._generator = tab.tower.pow_(multiplicative_generator(tab.tower), e)
+
+        M = (q**n - 1) // (q - 1)
+        self._refused(q, n, rf"unit M/{ell} = {M // ell} lies in F_q\*$", beta)
 
     def test_corrupted_table_of_a_later_block(self, monkeypatch):
         # the first block is right, and each later one is the image of the
@@ -501,9 +550,7 @@ class TestClassWalkFaults:
             return words, [part.copy() for part in self._step]
 
         monkeypatch.setattr(FieldTable, "_double", corrupt)
-        tab = FieldTable(_tower(7, 4))
-        with pytest.raises(InvariantError, match="step chain at unit 16$"):
-            tab.class_counts
+        self._refused(7, 4, "step chain at unit 16$")
 
 
 def test_histogram_streams_in_bounded_memory():
@@ -604,11 +651,11 @@ def test_class_counts_are_pinned(q, n):
 
 @pytest.mark.parametrize("q", ENGINE_FIELDS)
 def test_engine_build_never_reads_the_full_walk(monkeypatch, q):
-    def refuse(self):
+    def refuse(self, rows):
         raise AssertionError("the engine read the full walk")
 
     table_for.cache_clear()  # no table the engine reads may come in walked
-    monkeypatch.setattr(FieldTable, "exp_enc", property(refuse))
+    monkeypatch.setattr(FieldTable, "functionals_exp", refuse)
     engine = engine_for(q)
     assert engine.verified_depth == 2
 

@@ -157,10 +157,10 @@ class TestZCount:
 
 class TestTableInternals:
     @pytest.mark.parametrize("q,n", [(2, 6), (3, 3), (4, 3), (9, 2)])
-    def test_walk_inverts_correctly(self, q, n):
+    def test_walk_inverts_correctly(self, walk_codes, q, n):
         tower = _tower(q, n)
         tab = table_for(tower)
-        encs = tab.exp_enc
+        encs = walk_codes(tab)
         # gamma**k times gamma**(N-k) is 1, spot-checked through gf
         for k in (1, 2, tab.N // 2, tab.N - 1):
             a = tower.from_flat_digits(gf.code_digits(tab.tower, encs[k : k + 1])[0])
@@ -185,7 +185,7 @@ class TestSplitDigitFunctionals:
             "d7-p5-second-word", "d16-p2-second-word",
         ],
     )
-    def test_matches_decoded_digits(self, q, n, k):
+    def test_matches_decoded_digits(self, walk_codes, q, n, k):
         # the last two overflow one word with the d digits and the k values,
         # so the values are read as a second image of the same parts
         tab = table_for(_tower(q, n))
@@ -195,19 +195,19 @@ class TestSplitDigitFunctionals:
         rows[0] = tab.trace_rows()[0]
         got = tab.functionals_exp(rows)
         assert got.shape == (tab.N,) and got.dtype == np.min_scalar_type(tab.p**k - 1)
-        step = 1 << 16
+        step, enc = 1 << 16, walk_codes(tab)
         for s in range(0, tab.N, step):
-            want = gf.code_digits(tab.tower, tab.exp_enc[s : s + step]) @ rows.T % tab.p
+            want = gf.code_digits(tab.tower, enc[s : s + step]) @ rows.T % tab.p
             assert (got[s : s + step] == want @ tab.p ** np.arange(k)).all()
 
     @pytest.mark.parametrize("q,n", [(131, 1), (251, 2), (243, 2), (9, 3), (65536, 1)])
-    def test_compact_trace_codes(self, q, n):
+    def test_compact_trace_codes(self, walk_codes, q, n):
         tower = _tower(q, n)
         tab = table_for(tower)
-        codes = tab.trace_codes_exp()
+        codes, enc = tab.trace_codes_exp(), walk_codes(tab)
         assert codes.dtype == np.min_scalar_type(q - 1)
         for k in np.random.default_rng(q + n).integers(0, tab.N, 64):
-            x = tower.from_flat_digits(gf.code_digits(tab.tower, tab.exp_enc[k : k + 1])[0])
+            x = tower.from_flat_digits(gf.code_digits(tab.tower, enc[k : k + 1])[0])
             assert codes[k] == tower.base.code(tower.trace_to_base(x))
 
     @pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (4, 3), (9, 2), (7, 2)])
