@@ -130,6 +130,21 @@ class TestTable:
         assert [int(row["f_count"]) for row in data["rows"]] == [9, 9, 89, 801, 6561]
         assert all(row["sources"] == ["formula"] for row in data["rows"])
 
+    # SHA-256 of the stdout of `table --p 3 --r 2 --n-min 1 --n-max 2000`,
+    # recorded while every class recurred at order 2g
+    @pytest.mark.parametrize(
+        "fmt,digest",
+        [
+            ("text", "a24b41ed51a7b1aecf34ae9fdfcc3960b10b21561d97e04dfbc9e8ef3904d113"),
+            ("json", "76cedfb44dcd0529472cdaacb4ca07c30dceff93cc747b4d82678140fd4d9e10"),
+        ],
+    )
+    def test_long_sweep_output_is_pinned(self, capsys, fmt, digest):
+        argv = ("table", "--p", "3", "--r", "2", "--n-min", "1", "--n-max", "2000")
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_cross_check_flag(self, capsys):
         code, out, _ = run(
             capsys,

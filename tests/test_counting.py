@@ -270,6 +270,27 @@ def test_engine_state_is_pinned(engine, curve_lpolys, q):
     assert digest == ENGINE_STATE_DIGESTS[q]
 
 
+# SHA-256 of repr([(n, f_count, i_count), ...]) over engine_for(q).table(1,
+# 2000), recorded while every class recurred at order 2g with q**n raised
+# afresh for every row and divisor term.
+SWEEP_DIGESTS = {
+    3: "021eed4c14e88e0c753e3a4034d326283be0f27efe32b5ed92dacc003c79becd",
+    4: "960b8b8332ba2094ce3a5e11b1f073dcca70cdfd65f13a3b140ef1976bd914d6",
+    5: "cfc1755f90f5feed795a83cf95b9d511fb75d457741a289a5710b36d30d3850a",
+    7: "f873e51e22fd6e28600a4baffdb5bb964ba84db0d6b9b24075f8d76d11cc9613",
+    9: "f57bf321666f66b318f362191fd4c40ab588325f312edc34e8c7bde008a8efb6",
+    25: "2ae38fa01f51e63d0a654c718451e2e53cb70f14e5a7807e67d72222531e538e",
+    27: "2e0e849c46973823100a69ed95a652a9c298091aa6b128f82105c4691ffdfb74",
+}
+
+
+@pytest.mark.parametrize("q", sorted(SWEEP_DIGESTS))
+def test_sweep_is_pinned(q):
+    rows = engine_for(q).table(1, 2000).rows
+    data = repr([(row.n, row.f_count, row.i_count) for row in rows])
+    assert hashlib.sha256(data.encode()).hexdigest() == SWEEP_DIGESTS[q]
+
+
 @pytest.mark.parametrize("q,bound", [(2187, 40 << 20), (4096, 16 << 20)])
 def test_engine_build_stays_small(q, bound):
     # keying all (q-1)**2/(p-1) curves by c and binning trace pairs into
