@@ -48,9 +48,10 @@ def gauss_count(q: int, n: int) -> int:
     if n < 1:
         raise ValueError("degree must be positive")
     total = sum(mu * q ** (n // d) for d, mu in squarefree_divisors(n))
-    if total % n:
+    out, rem = divmod(total, n)
+    if rem:
         raise NonIntegralError(f"irreducible count for q={q}, n={n} not integral")
-    return total // n
+    return out
 
 
 def carlitz_count(q: int, n: int) -> int:
@@ -63,9 +64,10 @@ def carlitz_count(q: int, n: int) -> int:
         raise ValueError("degree must be positive")
     p, _ = prime_power_parts(q)
     total = sum(mu * q ** (n // d) for d, mu in squarefree_divisors(n, p))
-    if total % (q * n):
+    out, rem = divmod(total, q * n)
+    if rem:
         raise NonIntegralError(f"trace-count for q={q}, n={n} not integral")
-    return total // (q * n)
+    return out
 
 
 @dataclass(frozen=True)
@@ -83,18 +85,27 @@ class CountReport:
     rows: tuple[CountRow, ...]
 
     def __post_init__(self):
-        q = self.q
+        q, last = self.q, 0  # last: the n of q**n and q**(n//2) below, 0 before any
         for row in self.rows:
+            n = row.n
             if row.f_count < 0 or row.i_count < 0:
-                raise InvariantError(f"negative count in row n={row.n}")
+                raise InvariantError(f"negative count in row n={n}")
+            if n < 2:
+                continue
+            if last and n > last:  # ascending rows carry the powers forward
+                qn *= q ** (n - last)
+                half *= q ** (n // 2 - last // 2)
+            else:
+                qn, half = q**n, q ** (n // 2)
+            last = n
             # exact and cheap first: the divisor terms of n * gauss_count
             # past q**n have distinct exponents 1 .. n//2, so they sum to
             # less than 2 * q**(n//2) in absolute value
-            if row.n < 2 or row.n * row.i_count <= q**row.n - 2 * q ** (row.n // 2):
+            if n * row.i_count <= qn - 2 * half:
                 continue
-            if row.i_count > gauss_count(q, row.n):
+            if row.i_count > gauss_count(q, n):
                 raise InvariantError(
-                    f"constrained count exceeds the unconstrained one at n={row.n}"
+                    f"constrained count exceeds the unconstrained one at n={n}"
                 )
 
     def to_dict(self) -> dict:
@@ -185,18 +196,20 @@ class CountEngine:
         """Elements of F_{q^n} with vanishing trace and reciprocal trace."""
         if n < 1:
             raise ValueError("n must be positive")
+        return self._f_from(n, self.q**n)
+
+    def _f_from(self, n: int, qn: int) -> int:
+        """f_count(n), given qn = q**n."""
         q = self.q
-        qn = q**n
         w = (q - 1) // (self.p - 1)
         defects = 0  # sum of k * (#C(F_{q^n}) - (q**n + 1)) = -k * S_n over the classes
         for lp, k in self.classes:
             if (s := lp.power_sum(n)) > qn + 1:
                 raise NegativeCountError(f"predicted count {qn + 1 - s} at n={n}")
             defects -= k * s
-        num = qn + (q - 1) ** 2 + w * defects
-        if num % (q * q):
+        out, rem = divmod(qn + (q - 1) ** 2 + w * defects, q * q)
+        if rem:
             raise NonIntegralError(f"f_count numerator not divisible by q^2 at n={n}")
-        out = num // (q * q)
         if out < 0:
             raise InvariantError(f"negative element count at n={n}")
         return out
@@ -206,25 +219,24 @@ class CountEngine:
 
         n = 1 returns 1 by convention (the polynomial x).
         """
-        return self._i_from(n, self.f_count)
+        return self._i_from(n, self.f_count, self.q.__pow__)
 
-    def _i_from(self, n: int, f: Callable[[int], int]) -> int:
-        """i_count(n), reading f_count(n/d) from f."""
+    def _i_from(self, n: int, f: Callable[[int], int], qpow: Callable[[int], int]) -> int:
+        """i_count(n), reading f_count(n/d) from f and q**k from qpow."""
         if n < 1:
             raise ValueError("n must be positive")
         if n == 1:
             return 1
-        p, q = self.p, self.q
-        p_divides_n = n % p == 0
+        n_p, p_rem = divmod(n, self.p)
         total = 0
-        for d, mu in squarefree_divisors(n, p):
+        for d, mu in squarefree_divisors(n, self.p):
             term = f(n // d)
-            if p_divides_n:
-                term -= q ** (n // (p * d))
+            if not p_rem:
+                term -= qpow(n_p // d)
             total += mu * term
-        if total % n:
+        out, rem = divmod(total, n)
+        if rem:
             raise NonIntegralError(f"i_count total not divisible by n={n}")
-        out = total // n
         if out < 0:
             raise InvariantError(f"negative irreducible count at n={n}")
         return out
@@ -235,14 +247,20 @@ class CountEngine:
             raise ValueError("need 1 <= n_min <= n_max")
         for lp, _ in self.classes:  # every row then reads the cache, none jumps
             lp.extend_to(n_max)
+        qpow = [1]  # q**k at k, by running products
+        for _ in range(n_max):
+            qpow.append(qpow[-1] * self.q)
         seen: dict[int, int] = {}  # n -> f_count(n), for this call only
 
         def f(n: int) -> int:
             if (v := seen.get(n)) is None:
-                v = seen[n] = self.f_count(n)
+                v = seen[n] = self._f_from(n, qpow[n])
             return v
 
-        rows = tuple(CountRow(n, f(n), self._i_from(n, f)) for n in range(n_min, n_max + 1))
+        rows = tuple(
+            CountRow(n, f(n), self._i_from(n, f, qpow.__getitem__))
+            for n in range(n_min, n_max + 1)
+        )
         return CountReport(self.field.p, self.field.r, self.q, rows)
 
 

@@ -367,9 +367,10 @@ class FieldTable:
             e = s + values.size
             words = self._join(parts)
             image = self._image(self._step, parts)
-            bad = np.flatnonzero(words != np.concatenate(([step], image[:-1])))
-            if bad.size:
-                raise InvariantError(f"walk leaves the step chain at unit {s + bad[0]}")
+            bad = np.flatnonzero(words[1:] != image[:-1]) + 1
+            if words[0] != step or bad.size:
+                k = 0 if words[0] != step else bad[0]
+                raise InvariantError(f"walk leaves the step chain at unit {s + k}")
             for k, ell in probes.items():
                 if s <= k < e and not words[k - s] >> top:
                     raise InvariantError(f"walk unit M/{ell} = {k} lies in F_q*")

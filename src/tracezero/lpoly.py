@@ -13,22 +13,29 @@ The reciprocal zeros themselves are never materialised: all arithmetic is
 integer and arbitrary precision, which is what makes counts at n in the
 hundreds exact and cheap.
 
+At every class of odd p, L = M**2 for an integer polynomial M of degree
+g, because Kloosterman sums are real (Carlitz, Acta Arith. 16, 1969), so
+S_n(L) = 2 S_n(M), and both routes below run over a square root found
+exactly at construction: the sequential route over M, the jump over the
+real Weil polynomial's.
+
 power_sum(n) takes one of two routes.  The sequential route extends the
-cached sums S_1, S_2, ... one step at a time up to S_n and checks every
-sum it appends against the Weil bound S_k**2 <= 4 g**2 q**k; extend_to(n)
-takes it however far n lies, and CountEngine.table walks each class that
-way to its last row before the first, so no row of a sweep jumps.  When n
-lies more than JUMP_MARGIN beyond the cache, power_sum(n) jumps by Lucas
-doubling on the real Weil polynomial h, L(T) = T**g * h(qT + 1/T), whose
-roots are a_i = alpha_i + q/alpha_i: S_n = sum(D_n(a_i)), with D_0 = 2,
-D_1 = u, D_2k = D_k**2 - 2 q**k and D_2k+1 = D_k D_k+1 - u q**k, in
-O(log n) steps in Z[u]/(s); S_n is w times the ring trace of D_n.  s is
-h's exact square root with w = 2 where h is a square, as at every class of
-odd p (Kloosterman sums are real: Carlitz, Acta Arith. 16, 1969), else
-s = h with w = 1; at p = 2 and 3 the ring is Z.  The jump reads no cached
-sum and checks only S_n.  Each S_n it returns is kept in a dict by n and
-read back when asked again; stepping through far n one by one by
-power_sum, f_count or i_count costs a jump per n, where extend_to walks once.
+cached sums S_1, S_2, ... one step at a time up to S_n, by M's recurrence
+of order g where L = M**2 and by L's of order 2g otherwise, and checks
+every sum it appends against the Weil bound S_k**2 <= 4 g**2 q**k;
+extend_to(n) takes it however far n lies, and CountEngine.table walks each
+class that way to its last row before the first, so no row of a sweep
+jumps.  When n lies more than JUMP_MARGIN beyond the cache, power_sum(n)
+jumps by Lucas doubling on the real Weil polynomial h, L(T) = T**g *
+h(qT + 1/T), whose roots are a_i = alpha_i + q/alpha_i: S_n =
+sum(D_n(a_i)), with D_0 = 2, D_1 = u, D_2k = D_k**2 - 2 q**k and D_2k+1 =
+D_k D_k+1 - u q**k, in O(log n) steps in Z[u]/(s); S_n is w times the
+ring trace of D_n.  s is h's exact square root with w = 2 where h is a
+square, as at every class of odd p, else s = h with w = 1; at p = 2 and 3
+the ring is Z.  The jump reads no cached sum and checks only S_n.  Each
+S_n it returns is kept in a dict by n and read back when asked again;
+stepping through far n one by one by power_sum, f_count or i_count costs
+a jump per n, where extend_to walks once.
 
 The power sums are cached per instance and extended under a per-instance
 lock, so one LPolynomial (and an engine holding it) can be queried from
@@ -49,10 +56,11 @@ from .errors import HasseWeilError, NegativeCountError, NonIntegralError
 # A request more than this many sums beyond the cache jumps; a closer one
 # extends the cache.  Measured as the best of 7 runs on a 2-core x86 host
 # (CPython 3.11), extending a cache of L sums by m against one jump to
-# L + m, for L in {8, 100, 1000}: at genus 1 and 2 (q = 4, 9, 27; the ring
-# is Z) the jump wins from m = 4 and is 4-10x faster at m = 16; at genus 4
-# and 6 (q = 25, 7; deg s = 2, 3) it is 1.6-2.5x slower at m = 16 and wins
-# from m = 32-48.  Engine rows n <= 12 and the self-check never jump.
+# L + m, for L in {8, 100, 1000}, with both routes over L's square root at
+# odd p: at genus 1 and 2 (q = 4, 9, 27; the ring is Z) the jump wins from
+# m = 4 and is 3.6-10x faster at m = 16; at genus 4 and 6 (q = 25, 7;
+# deg s = 2, 3) it is 1.9-3.5x slower at m = 16 and wins from m = 48-64.
+# Engine rows n <= 12 and the self-check never jump.
 JUMP_MARGIN = 16
 
 
@@ -93,6 +101,16 @@ class _Residue:
         return _Residue(list(map(sub, self.v, other.v)), self.low)
 
 
+def _square_root(a: list) -> list | None:
+    """The integer polynomial with first coefficient 1 whose square is a,
+    a[0] = 1, or None if there is none (always when len(a) is even: the
+    lengths differ)."""
+    root = [1]
+    for k in range(1, (len(a) - 1) // 2 + 1):
+        root.append((a[k] - sum(root[i] * root[k - i] for i in range(1, k))) // 2)
+    return root if _convolve(root, root) == list(a) else None
+
+
 def _half_ring(q: int, g: int, coeffs: tuple) -> tuple:
     """(u mod s, w, p): the jump's ring; p_j are the power sums of s's roots.
 
@@ -104,10 +122,8 @@ def _half_ring(q: int, g: int, coeffs: tuple) -> tuple:
         h.append(hk := c[g - k])
         for i in range(1, k // 2 + 1):
             c[g - k + 2 * i] -= hk * comb(k, i) * q**i
-    root = [1]  # h's square root if it has one (never at odd g: the lengths differ)
-    for k in range(1, g // 2 + 1):
-        root.append((h[k] - sum(root[i] * root[k - i] for i in range(1, k))) // 2)
-    s, w = (root, 2) if _convolve(root, root) == h else (h, 1)
+    root = _square_root(h)
+    s, w = (root, 2) if root else (h, 1)
     d = len(s) - 1
     p = [d]
     for k in range(1, d):
@@ -118,7 +134,7 @@ def _half_ring(q: int, g: int, coeffs: tuple) -> tuple:
 class LPolynomial:
     """Integer coefficient vector c_0..c_{2g} with base field size q."""
 
-    __slots__ = ("q", "g", "coeffs", "_half", "_sums", "_jumps", "_lock")
+    __slots__ = ("q", "g", "coeffs", "_rec", "_half", "_sums", "_jumps", "_lock")
 
     def __init__(self, q: int, g: int, coeffs):
         coeffs = tuple(int(c) for c in coeffs)
@@ -134,6 +150,8 @@ class LPolynomial:
         self.q = q
         self.g = g
         self.coeffs = coeffs
+        root = _square_root(coeffs)  # M with L = M**2, at every class of odd p
+        self._rec = (tuple(root), 2) if root else (coeffs, 1)  # read by _extend only
         self._half = _half_ring(q, g, coeffs)  # read by _jump only
         self._sums: list[int] = []  # S_1, S_2, ... extended on demand
         self._jumps: dict[int, int] = {}  # S_n reached by a jump, by n
@@ -202,23 +220,27 @@ class LPolynomial:
     def _extend(self, sums: list, n: int):
         """Append S_{len+1}..S_n to sums, checking each against the Weil bound.
 
-        Newton's identity below 2g, the linear recurrence above; the bound
-        4 g**2 q**k is kept running, one multiplication by q per step.  On
-        a 2-core x86 host (CPython 3.11) that walks S_1..S_3000 of every
-        class at q = 9 in about 50-75 ms, against 130-200 ms with q**k
+        The sums recur over a = M, of degree g, with weight w = 2 where
+        L = M**2, else over a = L, of degree 2g, with w = 1: S_k(L) =
+        w * S_k(a) obeys a's Newton identity, scaled by w, up to k = deg a
+        and a's linear recurrence above.  The bound 4 g**2 q**k is kept
+        running, one multiplication by q per step.  On a 2-core x86 host
+        (CPython 3.11) that walks S_1..S_3000 of every class at q = 9 in
+        about 35 ms (41 ms over L itself), against 110 ms with q**k
         recomputed at each step.
         """
-        cs, g, q = self.coeffs, self.g, self.q
-        rcs = cs[:0:-1]  # c_2g, ..., c_1 against S_{k-2g}, ..., S_{k-1}
+        (a, w), g, q = self._rec, self.g, self.q
+        e = len(a) - 1  # the recurrence's order
+        ra = a[:0:-1]  # a_e, ..., a_1 against S_{k-e}, ..., S_{k-1}
         bound = 4 * g * g * q ** len(sums)
         while len(sums) < n:
             k = len(sums) + 1
             bound *= q
-            if k <= 2 * g:
-                t = -k * cs[k]
-                t -= sum(sums[m - 1] * cs[k - m] for m in range(1, k))
+            if k <= e:
+                t = -w * k * a[k]
+                t -= sum(sums[m - 1] * a[k - m] for m in range(1, k))
             else:
-                t = -sum(map(mul, rcs, sums[-2 * g :]))
+                t = -sum(map(mul, ra, sums[-e:]))
             if _breaks_weil(t, bound):
                 raise HasseWeilError(f"power sum S_{k} = {t} violates the Weil bound")
             sums.append(t)

@@ -391,14 +391,15 @@ class TestReport:
         assert [(r.n, r.f_count, r.i_count) for r in rows] == want
 
     def test_a_sweep_evaluates_each_f_count_once(self, monkeypatch):
+        # the sweep and f_count both evaluate through _f_from
         calls = Counter()
-        f_count = CountEngine.f_count
+        f_from = CountEngine._f_from
 
-        def counted(self, n):
+        def counted(self, n, qn):
             calls[n] += 1
-            return f_count(self, n)
+            return f_from(self, n, qn)
 
-        monkeypatch.setattr(CountEngine, "f_count", counted)
+        monkeypatch.setattr(CountEngine, "_f_from", counted)
         engine_for(9).table(1, 1000)
         assert calls == Counter(range(1, 1001))
 

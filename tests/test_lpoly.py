@@ -152,6 +152,27 @@ class TestWeilCheck:
             lp.power_sum(k_old)
         assert len(lp._sums) == k_old - 1
 
+    @pytest.mark.parametrize(
+        "q,g,coeffs,k_old",
+        [
+            # (1 + 11T + 27T**2)**2, as in test_forged_square_fails_the_jump
+            (27, 2, (1, 22, 175, 594, 729), 1),
+            # ((1 + 6T + 7T**2) (1 + 7T**2)**2)**2: the bound breaks inside
+            # Newton's identities over the square root, of degree 6
+            (7, 6, (1, 12, 78, 420, 1743, 5880, 17444, 41160, 85407, 144060,
+                    187278, 201684, 117649), 4),
+        ],
+    )
+    def test_forged_square_breaks_at_the_old_step(self, q, g, coeffs, k_old):
+        assert _old_first_violation(LPolynomial(q, g, coeffs), 200) == k_old
+        lp = LPolynomial(q, g, coeffs)
+        assert lp._rec[1] == 2  # the sums recur over the square root
+        for k in range(1, k_old):
+            lp.power_sum(k)
+        with pytest.raises(HasseWeilError, match=f"S_{k_old} "):
+            lp.power_sum(k_old)
+        assert len(lp._sums) == k_old - 1
+
     def test_forged_polynomial_fails_the_jump(self):
         lp = LPolynomial(27, 2, (1, -6, 8, -162, 729))
         n = JUMP_MARGIN + 100
@@ -179,12 +200,31 @@ LADDER_EDGES = tuple(2**k + e for k in range(5, 12) for e in (-1, 0, 1))
 _sequential: dict = {}
 
 
+def _order_2g_sums(lp, n_max):
+    """S_1..S_n_max by L's own recurrence of order 2g.
+
+    The sequential loop as LPolynomial._extend had it before it recurred
+    over L's square root, kept verbatim but for the Weil check as the
+    reference for both routes.
+    """
+    sums, cs, g = [], lp.coeffs, lp.g
+    rcs = cs[:0:-1]
+    while len(sums) < n_max:
+        k = len(sums) + 1
+        if k <= 2 * g:
+            t = -k * cs[k]
+            t -= sum(sums[m - 1] * cs[k - m] for m in range(1, k))
+        else:
+            t = -sum(map(mul, rcs, sums[-2 * g :]))
+        sums.append(t)
+    return sums
+
+
 def _sequential_sums(lp, n_max):
-    """S_1..S_n_max of a fresh copy of lp, one step beyond its cache at a time."""
+    """S_1..S_n_max of lp by _order_2g_sums, kept per polynomial."""
     key = (lp.q, lp.coeffs)
     if len(_sequential.get(key, ())) < n_max:
-        fresh = LPolynomial(lp.q, lp.g, lp.coeffs)
-        _sequential[key] = [fresh.power_sum(k) for k in range(1, n_max + 1)]
+        _sequential[key] = _order_2g_sums(lp, n_max)
     return _sequential[key]
 
 
@@ -249,6 +289,35 @@ class TestJump:
         n = lp.g + JUMP_MARGIN + 500
         lp.extend_to(n)
         assert lp._sums == _sequential_sums(lp, n)[:n]
+
+
+class TestSequential:
+    @pytest.mark.parametrize("q", JUMP_FIELDS)
+    def test_extend_equals_the_order_2g_recurrence(self, q, engine):
+        for lp, _ in engine(q).classes:
+            # from an empty cache (Newton's identities first) and from the g
+            # sums from_counts caches
+            for fresh in (LPolynomial(q, lp.g, lp.coeffs), _cold(lp)):
+                fresh.extend_to(3000)
+                assert fresh._sums == _sequential_sums(lp, 3000), (q, lp.coeffs)
+
+    @pytest.mark.parametrize("q", JUMP_FIELDS)
+    def test_odd_p_recurs_at_order_g(self, q, engine):
+        # at odd p, L = M**2 for every class, and the sums recur over M, of
+        # degree g, with weight 2; at p = 2 over L, of degree 2g
+        p = engine(q).p
+        for lp, _ in engine(q).classes:
+            a, w = lp._rec
+            g = lp.g
+            if p == 2:
+                assert (a, w) == (lp.coeffs, 1)
+                continue
+            assert (len(a) - 1, w) == (g, 2), (q, lp.coeffs)
+            square = [0] * (2 * g + 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(a):
+                    square[i + j] += x * y
+            assert tuple(square) == lp.coeffs
 
 
 @settings(max_examples=60, deadline=None)
