@@ -101,14 +101,14 @@ class _Residue:
         return _Residue(list(map(sub, self.v, other.v)), self.low)
 
 
-def _square_root(a: list) -> list | None:
-    """The integer polynomial with first coefficient 1 whose square is a,
-    a[0] = 1, or None if there is none (always when len(a) is even: the
-    lengths differ)."""
+def _square_root(a) -> tuple:
+    """(s, 2) with s the integer polynomial, first coefficient 1, whose
+    square is a (a[0] = 1), else (a, 1); there is none when len(a) is even:
+    the lengths differ."""
     root = [1]
     for k in range(1, (len(a) - 1) // 2 + 1):
         root.append((a[k] - sum(root[i] * root[k - i] for i in range(1, k))) // 2)
-    return root if _convolve(root, root) == list(a) else None
+    return (root, 2) if _convolve(root, root) == list(a) else (a, 1)
 
 
 def _half_ring(q: int, g: int, coeffs: tuple) -> tuple:
@@ -122,8 +122,7 @@ def _half_ring(q: int, g: int, coeffs: tuple) -> tuple:
         h.append(hk := c[g - k])
         for i in range(1, k // 2 + 1):
             c[g - k + 2 * i] -= hk * comb(k, i) * q**i
-    root = _square_root(h)
-    s, w = (root, 2) if root else (h, 1)
+    s, w = _square_root(h)
     d = len(s) - 1
     p = [d]
     for k in range(1, d):
@@ -150,8 +149,7 @@ class LPolynomial:
         self.q = q
         self.g = g
         self.coeffs = coeffs
-        root = _square_root(coeffs)  # M with L = M**2, at every class of odd p
-        self._rec = (tuple(root), 2) if root else (coeffs, 1)  # read by _extend only
+        self._rec = _square_root(coeffs)  # (M, 2) where L = M**2; read by _extend only
         self._half = _half_ring(q, g, coeffs)  # read by _jump only
         self._sums: list[int] = []  # S_1, S_2, ... extended on demand
         self._jumps: dict[int, int] = {}  # S_n reached by a jump, by n
