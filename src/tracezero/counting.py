@@ -21,7 +21,9 @@ F_q whose x**(n-1) and x coefficients vanish:
 
 The sum, like the Gauss and Carlitz counts, runs over squarefree d only,
 the only d with mobius(d) != 0, so no zero term is built.  A table reads
-each f_count(n) it needs, as a row or as a divisor term, once.
+each f_count(n) it needs, as a row or as a divisor term, once, through the
+same evaluator as a single request, and reads every q**k from one list of
+running products.
 
 All divisions are asserted exact; NonIntegralError here always means a bug
 upstream, never an unlucky input.
