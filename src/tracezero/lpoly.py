@@ -102,9 +102,10 @@ class _Residue:
 
 
 def _square_root(a) -> tuple:
-    """(s, 2) with s the integer polynomial, first coefficient 1, whose
-    square is a (a[0] = 1), else (a, 1); there is none when len(a) is even:
-    the lengths differ."""
+    """(s, 2) if a = s**2 for an integer polynomial s with s[0] = 1, else (a, 1).
+
+    a[0] = 1; an a of even length is never a square (the lengths differ).
+    """
     root = [1]
     for k in range(1, (len(a) - 1) // 2 + 1):
         root.append((a[k] - sum(root[i] * root[k - i] for i in range(1, k))) // 2)
@@ -149,7 +150,7 @@ class LPolynomial:
         self.q = q
         self.g = g
         self.coeffs = coeffs
-        self._rec = _square_root(coeffs)  # (M, 2) where L = M**2; read by _extend only
+        self._rec = _square_root(coeffs)  # (M, 2) or (coeffs, 1); read by _extend only
         self._half = _half_ring(q, g, coeffs)  # read by _jump only
         self._sums: list[int] = []  # S_1, S_2, ... extended on demand
         self._jumps: dict[int, int] = {}  # S_n reached by a jump, by n
