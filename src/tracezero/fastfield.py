@@ -7,20 +7,20 @@ a fixed constant) is then evaluated as F_p-linear maps, and inverses come
 for free because (gamma**k)**-1 = gamma**(N-k).
 
 The walk's state is the packed word: digit j of an element sits in bits
-[w*j, w*j + w).  A word splits into parts of whole F_q-coordinates, each
+[w*j, w*j + w).  A word splits into parts, each a range of whole digits
 taken with a shift and a mask and at most _PART_BITS = 16 bits wide (or one
-coordinate, when a coordinate is wider), and an F_p-linear map is one table
-per part, indexed by the packed part: A(x) is the sum of the parts' images.
-Only a table's valid slots, whose digits are all below p, are filled or
-ever read.  For odd p, 2**(w-1) >= p, so two images add digitwise with no
-carry between digits, and a handful of whole-word operations reduce every
-digit mod p at once.  For p = 2 a digit
-is one bit and digits add by XOR, so a packed word is its element code and
-nothing is reduced.  No walk makes element codes: the walks and their
-check read packed parts and give functional values.  A part table has at
-most _MAX_SLOTS = 2**24 slots, as many as the default element cap admits
-units: a tower with one coordinate whose table would have more is refused
-before any table is made.
+digit, when a digit is wider), and an F_p-linear map is one table per part,
+indexed by the packed part: A(x) is the sum of the parts' images.  Only a
+table's valid slots, whose digits are all below p, are filled or ever
+read.  For odd p, 2**(w-1) >= p, so two images add digitwise with no carry
+between digits, and a handful of whole-word operations reduce every digit
+mod p at once.  For p = 2 a digit is one bit and digits add by XOR, so a
+packed word is its element code and nothing is reduced.  No walk makes
+element codes: the walks and their check read packed parts and give
+functional values.  A part table has at most _MAX_SLOTS = 2**24 slots, as
+many as the default element cap admits units: only a one-digit part with
+p > 2**24 would have more, and its tower is refused before any table is
+made.
 
 The walk itself is such a map, applied by doubling: words[L:2L] is the
 image of words[0:L] under x -> gamma**L * x, and the table of gamma**(2L)
@@ -285,21 +285,17 @@ class FieldTable:
         words[L:2L] is the image of words[0:L] under x -> gamma**L * x, and
         the table of x -> gamma**(2L) * x is that of x -> gamma**L * x with
         every valid entry mapped once more by the same table.  A round
-        takes both in one image: the first block of its words, then every
-        valid entry.
+        takes both in one image: the words it maps, then every valid entry.
+        The one caller asks for at most _BLOCK words.
         """
         words = np.empty(length, dtype=np.int64)
         words[0] = 1  # the packed word of one
         table, L = [part.copy() for part in self._step], 1
         slots = [slots for _, slots in self._part_slots]
         while L < length:
-            todo = min(L, length - L)
-            head = min(todo, _BLOCK)
+            head = min(L, length - L)
             entries = [words[:head]] + [part[at] for part, at in zip(table, slots)]
             images = self._image(table, self._split(np.concatenate(entries)))
-            for s in range(head, todo, _BLOCK):
-                e = min(s + _BLOCK, todo)
-                words[L + s : L + e] = self._image(table, self._split(words[s:e]))
             words[L : L + head] = images[:head]
             start = head
             for part, at in zip(table, slots):
@@ -385,29 +381,28 @@ class FieldTable:
     def _parts(self) -> tuple[tuple[int, int], ...]:
         """(first digit, digits) of each packed part of a word.
 
-        A part holds h whole F_q-coordinates, at least one, h the widest
-        that keeps its table within 2**_PART_BITS slots and, past h = 1,
-        its q**h valid slots within M / (q - 1): the doubling walk maps
-        every valid slot of every part table once per round, so unless
-        h = 1 a round's table work per part stays below the class walk's
-        M units.  The coordinates are shared out evenly over the parts.
-        Raises BudgetExceededError, before any table is made, when one
-        coordinate's table would have more than _MAX_SLOTS slots.
+        A part holds c digits, c the most whose packed slots fit _PART_BITS
+        bits, at least one.  Past r digits (one F_q-coordinate), c is
+        lowered until its p**c valid slots are within M / (q - 1): the
+        doubling walk maps every valid slot of every part table once per
+        round, so a round's table work per part stays below the class
+        walk's M units.  The d digits are shared out evenly over the parts.
+        Raises BudgetExceededError, before any table is made, when the
+        widest part's table would have more than _MAX_SLOTS slots, which
+        only a one-digit part with p > _MAX_SLOTS can.
         """
-        base, n = self.tower.base, self.tower.n
-        q, r = base.order, base.r
-        slots = (self.p - 1) * _repeat(1, self.w, r) + 1  # the table of one coordinate
+        p, d, r, q = self.p, self.d, self.tower.base.r, self.tower.q
+        c = max(1, _PART_BITS // self.w)
+        while c > r and (q - 1) * p**c > self.M:
+            c -= 1
+        k = -(-d // c)
+        sizes = [d // k + (j < d % k) for j in range(k)]
+        slots = (p - 1) * _repeat(1, self.w, sizes[0]) + 1  # the first part is the widest
         if slots > _MAX_SLOTS:
             raise BudgetExceededError(
-                f"F_{q}^{n}: a part table of one F_{q}-coordinate has {slots} slots;"
-                f" the bound is {_MAX_SLOTS}"
+                f"F_{q}^{self.tower.n}: a part table has {slots} slots; the bound is {_MAX_SLOTS}"
             )
-        h = max(1, min(_PART_BITS // (r * self.w), n))
-        while h > 1 and (q - 1) * q**h > self.M:
-            h -= 1
-        k = -(-n // h)
-        sizes = [n // k + (j < n % k) for j in range(k)]
-        return tuple((r * sum(sizes[:j]), r * c) for j, c in enumerate(sizes))
+        return tuple((sum(sizes[:j]), c) for j, c in enumerate(sizes))
 
     @cached_property
     def _part_slots(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -415,7 +410,7 @@ class FieldTable:
         the last slot, all digits p - 1, is the largest."""
         p, w, of_size = self.p, self.w, {}
         for _, c in self._parts:
-            if c not in of_size:  # parts differ in size by one coordinate at most
+            if c not in of_size:  # parts differ in size by one digit at most
                 place = np.arange(c, dtype=np.int64)
                 digits = np.arange(p**c, dtype=np.int64)[:, None] // p**place % p
                 of_size[c] = digits, digits @ np.left_shift(1, w * place)
@@ -435,15 +430,13 @@ class FieldTable:
             words |= v << (self.w * a)
         return words
 
-    def _map_table(self, matrix, places=None) -> list[np.ndarray]:
+    def _map_table(self, matrix) -> list[np.ndarray]:
         """Part tables of an F_p-linear map given by a (k, d) matrix: per
         part, the packed image of every valid slot, digit j of the image in
-        bits [w*j, w*j + w) (or weighted by places[j]); the other slots are
-        never read.  Built in blocks of rows whose products hold at most
-        _BLOCK cells."""
+        bits [w*j, w*j + w); the other slots are never read.  Built in
+        blocks of rows whose products hold at most _BLOCK cells."""
         A = np.asarray(matrix, dtype=np.float64)  # exact: sums stay below d * p**2
-        if places is None:
-            places = np.left_shift(1, self.w * np.arange(len(A), dtype=np.int64))
+        places = np.left_shift(1, self.w * np.arange(len(A), dtype=np.int64))
         rows, tables = max(1, _BLOCK // len(A)), []
         for (a, c), (digits, slots) in zip(self._parts, self._part_slots):
             table = np.zeros(int(slots[-1]) + 1, dtype=np.int64)

@@ -106,15 +106,15 @@ def enum_i_count(
     over = gf.over_cap(q**n, max_elements)  # refuses a cap below 1 at every n
     if method == "auto":
         method = "scan" if over else "orbit"
+    if method not in ("orbit", "scan"):
+        raise ValueError(f"unknown method {method!r}")
     if n == 1:
         return 1
     if method == "orbit":
         gf.check_element_cap(q, n, max_elements)
         tab = table_for(_tower(q, n))
         return _degree_n_orbits(tab, n, _both_traces_zero(tab))
-    if method == "scan":
-        return _enum_i_scan(q, n, max_elements)
-    raise ValueError(f"unknown method {method!r}")
+    return _enum_i_scan(q, n, max_elements)
 
 
 def _both_traces_zero(tab) -> np.ndarray:

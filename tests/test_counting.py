@@ -291,11 +291,12 @@ def test_sweep_is_pinned(q):
     assert hashlib.sha256(data.encode()).hexdigest() == SWEEP_DIGESTS[q]
 
 
-@pytest.mark.parametrize("q,bound", [(2187, 40 << 20), (4096, 16 << 20)])
+@pytest.mark.parametrize("q,bound", [(2187, 12 << 20), (4096, 16 << 20)])
 def test_engine_build_stays_small(q, bound):
     # keying all (q-1)**2/(p-1) curves by c and binning trace pairs into
-    # q**2 cells peaked at 87.5 MiB at q = 2187 and 259 MiB at q = 4096; the
-    # rest at q = 2187 is the part tables of a 17-bit F_q-coordinate
+    # q**2 cells peaked at 87.5 MiB at q = 2187 and 259 MiB at q = 4096.
+    # At q = 2187 part tables of one 21-bit F_q-coordinate each then peaked
+    # at 37.3 MiB; parts of at most 16 bits peak at 6.4 MiB
     log_tables.cache_clear()
     table_for.cache_clear()
     tracemalloc.start()

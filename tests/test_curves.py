@@ -237,7 +237,7 @@ class TestCountPoints:
         (1024, 2, 12 << 20),
         (1024, 1, 0.6 * (1 << 20)),
         (4096, 1, 2 << 20),
-        (2187, 2, 40 << 20),
+        (2187, 2, 12 << 20),
     ],
 )
 def test_class_counts_stay_small(q, m, bound):
@@ -245,8 +245,9 @@ def test_class_counts_stay_small(q, m, bound):
     # at 22.3 MB at (256, 3) and 20.3 MB at (1024, 2); binning the pairs
     # into q**2 cells then peaked at 8.1 MiB at (1024, 1), 128.5 MiB at
     # (4096, 1) and 82.6 MiB at (2187, 2).  At (1024, 2) the generator
-    # search (6.1 MiB) is now the peak, and at (2187, 2) the part tables
-    # of a 17-bit F_q-coordinate
+    # search (6.1 MiB) is now the peak.  At (2187, 2) part tables of one
+    # 21-bit F_q-coordinate each peaked at 32.3 MiB; parts of at most 16
+    # bits peak at 6.1 MiB
     field = gf.make_field(*prime_power_parts(q))
     log_tables(field)  # F_q's own tables are not the class counts' cost,
     gf.make_tower(field, m)  # nor is the tower's modulus scan

@@ -183,22 +183,52 @@ def test_full_walk_keeps_no_element_codes(q, n, bound):
 
 
 def test_oversized_part_tables_are_refused_before_allocation():
-    # one 33-bit coordinate of F_{3^11} would index a table of 2454267027
-    # slots (18.3 GiB of int64); the refusal names the tower and the count
-    tab = FieldTable(_tower(3**11, 1))
+    # the one digit of the prime field F_16777259 would index a table of
+    # 16777259 slots, past 2**24 (128 MiB of int64); with no element cap
+    # nothing else refuses it, and the refusal names the tower and the count
+    tab = FieldTable(_tower(16777259, 1))
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError, match="F_177147\\^1.*2454267027 slots"):
+        with pytest.raises(BudgetExceededError, match="F_16777259\\^1.*16777259 slots"):
             tab.trace_codes_exp()
+        with pytest.raises(BudgetExceededError, match="16777259 slots"):
+            oracle.enum_f_count(16777259, 1, max_elements=None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    with pytest.raises(BudgetExceededError, match="slots"):
-        oracle.enum_f_count(3**11, 1)
-    # one coordinate of 21, 20 and 16 bits stays within the bound
-    for q, n in [(2187, 2), (3125, 2), (65536, 1)]:
-        assert len(FieldTable(_tower(q, n))._parts) == n
+
+
+@pytest.mark.parametrize(
+    "q,n",
+    [(2187, 2), (3125, 2), (729, 2), (65536, 1), (3**11, 1), (3**15, 1), (243, 2), (32749, 2)],
+)
+def test_part_tables_fit_16_bits_below_p_2_15(q, n):
+    # below p = 2**15 a digit packs into at most 16 bits, so a part of whole
+    # digits indexes at most 2**16 slots, however wide an F_q-coordinate is
+    # (21 bits at q = 2187, 33 at 3**11)
+    tab = FieldTable(_tower(q, n))
+    assert all(int(slots[-1]) < 1 << 16 for _, slots in tab._part_slots)
+    assert sum(c for _, c in tab._parts) == tab.d
+
+
+def test_wide_coordinate_tower_walks_every_unit_once():
+    # F_{3^11}, one 33-bit coordinate in three parts, at n = 1: the trace is
+    # the identity, so the trace codes are the units, each once, and only 0
+    # has both traces zero
+    q = 3**11
+    codes = table_for(_tower(q, 1)).trace_codes_exp()
+    assert np.array_equal(np.sort(codes), np.arange(1, q))
+    assert oracle.enum_f_count(q, 1) == 1
+
+
+def test_wide_coordinate_tower_matches_the_engine():
+    # F_{729^2}: each 18-bit coordinate spans two of three parts; the full
+    # walk's counts against the engine's, which reads the class walk
+    engine = engine_for(729)
+    assert oracle.enum_f_count(729, 2) == engine.f_count(2)
+    assert oracle.enum_i_count(729, 2) == engine.i_count(2)
+    assert oracle.z_count(729, 2, "trace") == 729
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,11 @@ class TestEnumI:
         with pytest.raises(ValueError):
             enum_i_count(4, 3, method="guess")
 
+    def test_unknown_method_at_degree_one(self):
+        # the method is checked before the n = 1 convention answers
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            enum_i_count(3, 1, method="bogus")
+
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             enum_i_count(9, 9, 100)
