@@ -34,11 +34,13 @@ gives both the next block and the values of F on each unit, so each unit
 is split once.  The routine runs to two lengths:
 
 * the full walk, all N units, in the pass of functionals_exp; the trace
-  codes, which the oracles' enumerations read, are this pass over the
-  trace rows;
+  codes (trace_codes_exp), which the oracle's z_count and the q-exponent
+  curve count read, are this pass over the trace rows;
 * the class walk, gamma**k for k < M = N / (q - 1), with the trace as its
   functional.  gamma**M lies in F_q*, so the class walk holds one point of
-  every F_q*-coset of the units.
+  every F_q*-coset of the units.  Its trace codes (class_trace_codes), one
+  per coset, are read by the class counts and by the oracle's
+  enumerations, whose conditions hold on whole cosets.
 
 Both walks are one checked stream, so one argument proves both.  Per
 block, each unit's image under the step x -> gamma * x is checked to be
@@ -49,10 +51,11 @@ meets each unit once and the class walk each coset once.
 
 The class counts (how many cosets have each product Tr(x) * Tr(1/x))
 need only the class walk: the trace is F_q-linear, so scaling x by lam in
-F_q* moves (Tr(x), Tr(1/x)) to (lam * Tr(x), lam**-1 * Tr(1/x)).  Per
-block the trace is kept as its log in F_q; the class walk itself is never
-held whole.  The curve counts read nothing else, so no engine build walks
-more than (q**n - 1) / (q - 1) units of a tower.
+F_q* moves (Tr(x), Tr(1/x)) to (lam * Tr(x), lam**-1 * Tr(1/x)).  The
+class walk keeps one trace code per unit, and the class counts read their
+logs in F_q off those codes; the walk's units themselves are never held
+whole.  The curve counts read nothing else, so no engine build walks more
+than (q**n - 1) / (q - 1) units of a tower.
 
 F_q itself is held in log coordinates of a generator g (log_tables): exp
 and log, the trace and the zero counts n0, q entries each, so that
@@ -67,8 +70,9 @@ them; F_q's own trace in log_tables is the trace of each element's
 multiplication matrix.  Two checks stay on gf's definitional arithmetic, so
 every build still holds the matrices against gf.mul: a tower's trace is
 the literal sum of the Frobenius conjugates, composed as linear maps
-(with Phi the matrix of gf's Frobenius x -> x**q, kept on the table as
-frobenius_matrix, the trace rows are those of sum_{j<n} Phi**j), and
+(with Phi the matrix of gf's Frobenius x -> x**q, built from gf's x**q
+and its gf powers and kept on the table as frobenius_matrix, the trace
+rows are those of sum_{j<n} Phi**j), and
 lam0 = gamma**M is gf's power, computed once per table, which both walks
 hold against their unit M.  No closed-form formula under test enters any
 table.
@@ -88,7 +92,6 @@ from .gf import (
     ExtensionField,
     FieldSpec,
     code_digits,
-    linear_map_matrix,
     mul_by_matrices,
     structure_constants,
 )
@@ -221,8 +224,9 @@ class FieldTable:
     """Enumeration tables for F_{q^n}, indexed by exponent of a generator.
 
     Nothing is walked at construction.  The trace codes, the full walk over
-    the trace rows, are built on first read; the class counts stream the
-    class walk, its first M units, and keep one trace log per unit.
+    the trace rows, and the class trace codes, the class walk's first M
+    units over the same rows, are each built on first read; the class
+    counts read the class trace codes.
     """
 
     def __init__(self, tower: ExtensionField):
@@ -267,13 +271,16 @@ class FieldTable:
         is the full walk: the stream of _walk to length N, checked as the
         class walk is.
         """
-        # k values past one word and oversized part tables are refused
-        # before any array is made
-        digit_width(self.p, len(rows))
-        self._parts
-        values = np.empty(self.N, dtype=np.min_scalar_type(self.p ** len(rows) - 1))
+        digit_width(self.p, len(rows))  # k values past one word are refused
+        return self._collect(self.N, rows)
+
+    def _collect(self, length: int, rows) -> np.ndarray:
+        """The codes of the functionals rows on gamma**k for k < length,
+        gathered from the blocks of _walk into one array."""
+        self._parts  # an oversized part table is refused before any array is made
+        values = np.empty(length, dtype=np.min_scalar_type(self.p ** len(rows) - 1))
         s = 0
-        for codes in self._walk(self.N, rows):
+        for codes in self._walk(length, rows):
             values[s : s + codes.size] = codes
             s += codes.size
         return values
@@ -511,9 +518,26 @@ class FieldTable:
 
     @cached_property
     def frobenius_matrix(self) -> np.ndarray:
-        """Phi, the F_p matrix of gf's Frobenius x -> x**q on the tower,
-        from d definitional evaluations; built once per table, read-only."""
-        phi = linear_map_matrix(self.tower, self.tower, self.tower.frobenius)
+        """Phi, the F_p matrix of gf's Frobenius x -> x**q on the tower;
+        built once per table, read-only.
+
+        Basis element t*r + k is e_k * x**t, e_k a basis element of F_q,
+        and (e_k * x**t)**q = e_k * (x**q)**t since e_k**q = e_k.  So one
+        gf Frobenius, of x, and n - 2 gf products give the powers of x**q,
+        and each column is a power scaled coordinatewise by e_k in F_q.
+        """
+        tower, base = self.tower, self.tower.base
+        powers = [tower.one]
+        if tower.n > 1:
+            xq = tower.frobenius(tower.basis_element(base.r))  # x**q
+            powers.append(xq)
+            while len(powers) < tower.n:
+                powers.append(tower.mul(powers[-1], xq))
+        basis = [base.basis_element(k) for k in range(base.r)]
+        cols = [
+            tower.flat_digits(tuple(base.mul(e, c) for c in y)) for y in powers for e in basis
+        ]
+        phi = np.array(cols, dtype=np.int64).T
         phi.flags.writeable = False
         return phi
 
@@ -555,33 +579,40 @@ class FieldTable:
         return self.functionals_exp(self.trace_rows())
 
     @cached_property
+    def class_trace_codes(self) -> np.ndarray:
+        """Code of Tr(gamma**k) in the base field, per k < M: the class
+        walk, the checked stream of _walk to length M, one unit per
+        F_q*-coset.  Built on first read; read-only.  The class counts and
+        the oracle's enumerations read it, so each table walks its classes
+        once.
+        """
+        # the trace codes, one per unit, are held whole: 2**31 units and up
+        # (2 GiB at one byte each) are refused before any array is made
+        if self.M >= 1 << 31:
+            raise BudgetExceededError(
+                f"the class walk of {self.M} units is past 2**31; its trace codes are held whole"
+            )
+        codes = self._collect(self.M, self.trace_rows())
+        codes.flags.writeable = False
+        return codes
+
+    @cached_property
     def class_counts(self) -> tuple[np.ndarray, int]:
         """(v, both): v[u] units of the class walk, one per F_q*-coset, with
         Tr(x) * Tr(1/x) of code u, a read-only int64 array, and both of
         them (counted in v[0] too) with both traces zero.
 
-        The class walk, the checked stream of _walk to length M, gives the
-        logs l_k of t_k = Tr(gamma**k), k < M, kept one per unit.
-        Unit k > 0 has the product t_k * t_(M-k) / lam0, and l_k + l_(M-k),
-        a block plus a reversed slice, counts in 4(q - 1) + 1 cells: below
-        2(q - 1), log lam0 plus the product's log mod q - 1, if neither trace
-        is zero; 2(q - 1) + l if one is; 4(q - 1) if both.  Unit 0 has t_0**2.
+        The logs l_k of t_k = Tr(gamma**k), k < M, are read off
+        class_trace_codes.  Unit k > 0 has the product t_k * t_(M-k) / lam0,
+        and l_k + l_(M-k), a block plus a reversed slice, counts in
+        4(q - 1) + 1 cells: below 2(q - 1), log lam0 plus the product's log
+        mod q - 1, if neither trace is zero; 2(q - 1) + l if one is;
+        4(q - 1) if both.  Unit 0 has t_0**2.
         """
-        q, M, r = self.tower.q, self.M, self.tower.base.r
-        # a word holds the d digits of a unit and the r of its trace, and
-        # the trace logs, one per unit, are held whole: 2**31 units and up
-        # (2 GiB at one byte each) are refused before any array is made
-        if (self.d + r) * self.w > _WORD_BITS or M >= 1 << 31:
-            raise BudgetExceededError(
-                f"the class walk of {M} units packs {self.d} + {r} digits mod {self.p};"
-                f" it holds {_WORD_BITS} bits per word and 2**31 units"
-            )
-        self._parts  # an oversized part table is refused before any array is made
+        q, M = self.tower.q, self.M
+        codes = self.class_trace_codes  # a walk too long to hold is refused first
         logs, n = log_tables(self.tower.base), q - 1
-        t, s = np.empty(M, dtype=logs.log.dtype), 0
-        for traces in self._walk(M, self.trace_rows()):
-            t[s : s + traces.size] = logs.log[traces]
-            s += traces.size
+        t = logs.log[codes]
         t0, shift = int(t[0]), int(logs.log[self._lam0[0]])
         cells = np.zeros(4 * n + 1, dtype=np.int64)
         cells[4 * n if t0 == 2 * n else (2 * t0 + shift) % n] = 1  # unit 0: t_0**2

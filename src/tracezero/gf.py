@@ -58,15 +58,18 @@ class FieldSpec:
         return a == self.zero
 
     def pow_(self, a, e: int):
+        """a**e by square and multiply from the top bit of e: one squaring
+        per bit after it and one product per further set bit, so a**2 is
+        one mul."""
         if e < 0:
             raise ValueError("negative exponents are not supported; invert first")
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
+        if e == 0:
+            return self.one
+        result = a
+        for bit in bin(e)[3:]:  # the bits after the leading 1
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
         return result
 
     @cached_property

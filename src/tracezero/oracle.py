@@ -5,12 +5,23 @@ Frobenius conjugates, inverses are group inverses, irreducibility is
 either tested on explicit polynomials (the candidates of gf.monic_polys,
 a block at a time through gf.irreducibles, whose test is F_p linear
 algebra on the matrix of multiplication by x) or read off Frobenius
-orbit sizes.  None
-of the enumerations touches the curve L-polynomials or the Moebius closed
-forms, so when cross_check and verify_all hold the counting module's
-results against them, agreement is a genuine two-route check.  An
-enumeration of F_{q^n} over the element cap is refused before it starts,
-through gf.check_element_cap.
+orbit sizes.  None of the enumerations touches the curve L-polynomials,
+the class binning or its n0 correlation, or the Moebius closed forms, so
+when cross_check and verify_all hold the counting module's results
+against them, agreement is a genuine two-route check.  What the
+enumerations share with the engine is fastfield's checked walk and the
+coset fact its check proves: gamma has order N and lam0 = gamma**M
+generates F_q*, so the class walk meets each F_q*-coset of the units once.
+
+Which walk each reader uses: enum_f_count, enum_i_count's orbit route and
+enum_irreducible_total read the class walk's trace codes
+(FieldTable.class_trace_codes, M = (q**n - 1) / (q - 1) units), since
+both trace conditions and the degree of an element hold on a whole coset;
+z_count and the q-exponent curve count read the full walk's
+(trace_codes_exp, all N units), since c * Tr(a) = rTr(a) is not
+coset-invariant; _trace_zero_image walks nothing and reads the digits of
+every code.  An enumeration of F_{q^n} over the element cap is refused
+before it starts, through gf.check_element_cap.
 """
 
 from __future__ import annotations
@@ -48,18 +59,20 @@ def enum_f_count(
     max_elements: int = gf.DEFAULT_MAX_ELEMENTS,
     tower: gf.ExtensionField | None = None,
 ) -> int:
-    """#{a in F_{q^n} : Tr(a) = 0 and rTr(a) = 0} by full enumeration.
+    """#{a in F_{q^n} : Tr(a) = 0 and rTr(a) = 0} by enumeration of the
+    F_q*-cosets of the units.
 
-    Walks the unit group in generator order; a and a**-1 sit at mirrored
-    exponents, so the reciprocal-trace condition is the trace condition
-    read backwards.  The zero element counts via the rtrace(0) = 0
-    convention.
+    Both conditions hold on a whole coset or on none of it, since
+    Tr(lam * a) = lam * Tr(a) and (lam * a)**-1 = lam**-1 * a**-1 for lam
+    in F_q*.  So the class walk, one unit per coset, is counted and each
+    hit scaled by q - 1 (see _both_traces_zero).  The zero element counts
+    via the rtrace(0) = 0 convention.
     """
     gf.check_element_cap(q, n, max_elements)
     # a caller's tower (another modulus) is walked in a table of its own,
     # so it evicts none of the shared tables from table_for
     tab = table_for(_tower(q, n)) if tower is None else FieldTable(_tower(q, n, tower))
-    return 1 + int(np.count_nonzero(_both_traces_zero(tab)))
+    return 1 + (q - 1) * int(np.count_nonzero(_both_traces_zero(tab)))
 
 
 def enum_f_count_small(tower: gf.ExtensionField, max_elements: int = 1 << 12) -> int:
@@ -92,10 +105,11 @@ def enum_i_count(
 
     * "scan": enumerate every monic candidate with the prescribed zero
       coefficients and test each for irreducibility (q**max(1, n-2) candidates).
-    * "orbit": enumerate the field F_{q^n}; each irreducible of degree n
-      is the minimal polynomial of exactly n elements of degree n, and the
-      two coefficient conditions are exactly trace zero and reciprocal
-      trace zero of the root.  Cost q**n but fully vectorised.
+    * "orbit": enumerate the field F_{q^n}, one unit per F_q*-coset; each
+      irreducible of degree n is the minimal polynomial of exactly n
+      elements of degree n, and the two coefficient conditions are exactly
+      trace zero and reciprocal trace zero of the root.  Cost
+      (q**n - 1) / (q - 1) units, fully vectorised.
 
     "auto" prefers the orbit route and falls back to the scan when only
     the candidate space fits the element cap.  n = 1 returns 1 by
@@ -118,14 +132,17 @@ def enum_i_count(
 
 
 def _both_traces_zero(tab) -> np.ndarray:
-    """Mask over exponents k of Tr(gamma**k) = 0 and Tr(gamma**-k) = 0.
+    """Mask over the class walk's exponents k < M of Tr(gamma**k) = 0 and
+    Tr(gamma**-k) = 0; each entry stands for the q - 1 units of its coset.
 
-    gamma**-k is gamma**(N-k), so the mask is the trace-zero mask and-ed
+    The walk's check proves that gamma has order N and lam0 = gamma**M
+    generates F_q*, so gamma**-k = lam0**-1 * gamma**(M-k) and the second
+    condition is the first at M - k: the mask is the trace-zero mask and-ed
     with its reverse past entry 0, which is copied into the result first:
     a reversed copy is fast in numpy, a logical_and reading a reversed
     view is not.
     """
-    tz = tab.trace_codes_exp() == 0
+    tz = tab.class_trace_codes == 0
     both = np.empty_like(tz)
     both[0] = tz[0]
     both[1:] = tz[:0:-1]
@@ -134,17 +151,20 @@ def _both_traces_zero(tab) -> np.ndarray:
 
 
 def _degree_n_orbits(tab, n: int, keep: np.ndarray) -> int:
-    """Number of Frobenius orbits of degree-n elements in keep, a mask over exponents.
+    """Number of Frobenius orbits of degree-n elements in keep, a mask over
+    the class walk's exponents k < M, each standing for q - 1 units.
 
-    keep is narrowed in place to the elements outside every maximal
-    subfield; F_{q^e}* is the exponents divisible by N / (q**e - 1).
+    keep is narrowed in place to the cosets outside every maximal
+    subfield; F_{q^e}* is the exponents divisible by N / (q**e - 1), which
+    divides M, so a coset lies in it whole or not at all.
     """
+    q = tab.tower.q
     for ell in prime_factors(n):
-        keep[:: tab.N // (tab.tower.q ** (n // ell) - 1)] = False
-    hits = int(np.count_nonzero(keep))
-    if hits % n:
+        keep[:: tab.N // (q ** (n // ell) - 1)] = False
+    units = (q - 1) * int(np.count_nonzero(keep))
+    if units % n:
         raise InvariantError("degree-n element count not divisible by n")
-    return hits // n
+    return units // n
 
 
 def _enum_i_scan(q: int, n: int, max_elements: int) -> int:
@@ -161,12 +181,13 @@ def _enum_i_scan(q: int, n: int, max_elements: int) -> int:
 
 
 def enum_irreducible_total(q: int, n: int, max_elements: int = gf.DEFAULT_MAX_ELEMENTS) -> int:
-    """All monic irreducibles of degree n over F_q, via Frobenius orbits."""
+    """All monic irreducibles of degree n over F_q, via Frobenius orbits
+    of the class walk's cosets."""
     gf.check_element_cap(q, n, max_elements)
     if n == 1:
         return q
     tab = table_for(_tower(q, n))
-    return _degree_n_orbits(tab, n, np.ones(tab.N, dtype=bool))
+    return _degree_n_orbits(tab, n, np.ones(tab.M, dtype=bool))
 
 
 def cross_check(report: CountReport, max_elements: int = gf.DEFAULT_MAX_ELEMENTS) -> set[int]:

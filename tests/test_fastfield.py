@@ -312,8 +312,8 @@ class TestDigitWidth:
 
     @pytest.mark.parametrize("p,d", [(3, 21), (2, 32)])
     def test_class_walk_refuses_before_touching_the_field(self, p, d):
-        # 21 digits mod 3 fill 63 bits, leaving no room for the trace's
-        # digit; F_{2^32} has a class walk of 2**32 - 1 units, past 2**31
+        # F_{3^21} and F_{2^32} have class walks of (3**21 - 1) / 2 and
+        # 2**32 - 1 units, past 2**31
         base = SimpleNamespace(p=p, r=1)
         fake = SimpleNamespace(base=base, r=d, order=p**d, q=p)
         with pytest.raises(BudgetExceededError, match="class walk"):
@@ -344,6 +344,18 @@ def test_trace_rows_match_the_literal_trace(q, n):
     want = gf.linear_map_matrix(tower, tower.base, tower.trace_to_base)
     got = FieldTable(tower).trace_rows()
     assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "q,n",
+    [(q, n) for q in ENGINE_FIELDS + (25, 27) for n in range(1, 17) if q**n <= 1 << 16],
+)
+def test_frobenius_matrix_is_gf_frobenius(q, n):
+    # built from x**q and its powers; held against d literal q-th powers
+    tower = _tower(q, n)
+    got = FieldTable(tower).frobenius_matrix
+    assert got.dtype == np.int64 and not got.flags.writeable
+    assert np.array_equal(got, gf.linear_map_matrix(tower, tower, tower.frobenius))
 
 
 def test_trace_rows_refuse_a_trace_outside_the_base_field(monkeypatch):

@@ -449,6 +449,46 @@ class TestInversion:
             F5.inv(0)
 
 
+class TestPower:
+    @pytest.mark.parametrize(
+        "field", [F3, F4, F9, gf.make_tower(F9, 3)], ids=["F3", "F4", "F9", "F9^3"]
+    )
+    def test_matches_repeated_products(self, field):
+        for a in field.element_list[:12]:
+            want = field.one
+            for e in range(41):
+                assert field.pow_(a, e) == want
+                want = field.mul(want, a)
+
+    @pytest.mark.parametrize("e,products", [(1, 0), (2, 1), (3, 2), (4, 2), (9, 4), (16, 4)])
+    def test_counts_its_products(self, monkeypatch, e, products):
+        # one squaring per bit after the top one, one product per further set bit
+        tower, calls = gf.make_tower(F9, 3), []
+        real = gf.ExtensionField.mul
+
+        def counting(self, a, b):
+            calls.append((a, b))
+            return real(self, a, b)
+
+        monkeypatch.setattr(gf.ExtensionField, "mul", counting)
+        a = tower.from_code(100)
+        assert tower.pow_(a, e) == _repeated_product(real, tower, a, e)
+        assert len(calls) == products
+
+    def test_zero_power_is_one(self):
+        assert F9.pow_(F9.zero, 0) == F9.one
+        with pytest.raises(ValueError):
+            F9.pow_(F9.one, -1)
+
+
+def _repeated_product(mul, field, a, e):
+    """a**e as e - 1 products, by mul."""
+    result = a
+    for _ in range(e - 1):
+        result = mul(field, result, a)
+    return result
+
+
 class TestEnumeration:
     @pytest.mark.parametrize(
         "base,n,size", [(F4, 1, 4), (F2, 3, 8), (F9, 2, 81)]

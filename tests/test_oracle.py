@@ -35,7 +35,8 @@ class TestEnumF:
         assert enum_f_count(q, n) == want
 
     @pytest.mark.parametrize(
-        "q,n", [(2, 2), (2, 5), (3, 3), (4, 2), (4, 3), (5, 2), (9, 2), (8, 2)]
+        "q,n",
+        [(2, 2), (2, 5), (3, 3), (4, 2), (4, 3), (5, 2), (9, 2), (8, 2), (7, 2), (16, 2), (27, 2)],
     )
     def test_table_path_matches_definitional_loop(self, q, n):
         tower = _tower(q, n)
@@ -132,6 +133,60 @@ class TestTotals:
     @pytest.mark.parametrize("q,n,want", [(2, 3, 2), (2, 4, 3), (3, 2, 3)])
     def test_total_irreducibles(self, q, n, want):
         assert enum_irreducible_total(q, n) == want
+
+
+# The coset route: the enumerations count the class walk, one unit per
+# F_q*-coset, and scale by q - 1; held against counts of all N units.
+
+_GRID = [
+    (q, n) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27) for n in range(1, 17) if q**n <= 1 << 16
+]
+
+
+def _full_walk_counts(tab, n) -> tuple[int, int, int]:
+    """(f, i, total) counted unit by unit off the full walk's trace codes.
+
+    gamma**k lies in F_{q^e} iff gamma**(k * (q**e - 1)) = 1; the degree-n
+    units are those in no F_{q^e} for a proper divisor e of n.  n = 1 gives
+    i and total by their conventions, 1 and q.
+    """
+    q, N = tab.tower.q, tab.N
+    zero = tab.trace_codes_exp() == 0
+    both = zero & tab.reversed_exp(zero)
+    k = np.arange(N, dtype=np.int64)
+    degree_n = np.ones(N, dtype=bool)
+    for e in range(1, n):
+        if n % e == 0:
+            degree_n &= k * (q**e - 1) % N != 0
+    if n == 1:
+        return 1 + int(both.sum()), 1, q
+    return 1 + int(both.sum()), int((both & degree_n).sum()) // n, int(degree_n.sum()) // n
+
+
+@pytest.mark.parametrize("q,n", _GRID)
+def test_coset_route_matches_the_full_walk(q, n):
+    want = _full_walk_counts(FieldTable(_tower(q, n)), n)
+    assert (enum_f_count(q, n), enum_i_count(q, n), enum_irreducible_total(q, n)) == want
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q, n in _GRID if n > 1 and (q, n) != (2, 2)])
+def test_coset_route_matches_the_full_walk_of_another_modulus(q, n):
+    alt = gf.make_tower_alt(gf.make_field(*prime_power_parts(q)), n)
+    f, i, total = _full_walk_counts(FieldTable(alt), n)
+    assert enum_f_count(q, n, tower=alt) == f
+    assert (enum_i_count(q, n), enum_irreducible_total(q, n)) == (i, total)
+
+
+@pytest.mark.parametrize("q,n", [(2, 10), (3, 7), (4, 6), (7, 5), (9, 4), (16, 3), (27, 3)])
+def test_enumerations_never_read_the_full_walk(monkeypatch, q, n):
+    def refuse(self, rows):
+        raise AssertionError("an enumeration read the full walk")
+
+    table_for.cache_clear()  # no table may come in with its trace codes walked
+    with monkeypatch.context() as patch:
+        patch.setattr(FieldTable, "functionals_exp", refuse)
+        got = enum_f_count(q, n), enum_i_count(q, n), enum_irreducible_total(q, n)
+    assert got == _full_walk_counts(FieldTable(_tower(q, n)), n)
 
 
 class TestZCount:
@@ -250,19 +305,20 @@ class TestVerifyAll:
 
     @pytest.mark.parametrize("q", [3, 5, 9, 4, 7])
     def test_each_tower_is_walked_once(self, q, monkeypatch):
-        # the checks read the full walks, the engine's curve counts the class
-        # walks, both runs of the one block routine, to length N or M (q > 2,
+        # z_count and the q-exponent curve counts read the full walks; the
+        # enumerations and the engine's curve counts share the class walks;
+        # both are runs of the one checked stream, to length N or M (q > 2,
         # so M < N); table_for keeps every tower through the loop over n,
         # and the alternative-modulus towers are walked outside it
         full, classes = Counter(), Counter()
-        blocks = FieldTable._blocks
+        walk = FieldTable._walk
 
-        def counting_blocks(self, length, rows):
+        def counting_walk(self, length, rows):
             walks = {self.N: full, self.M: classes}[length]
             walks[self.tower] += 1
-            return blocks(self, length, rows)
+            return walk(self, length, rows)
 
-        monkeypatch.setattr(FieldTable, "_blocks", counting_blocks)
+        monkeypatch.setattr(FieldTable, "_walk", counting_walk)
         table_for.cache_clear()
         assert verify_all(q, 4).passed
         assert {_tower(q, n) for n in range(1, 5)} <= set(full) & set(classes)
