@@ -24,7 +24,7 @@ import os
 import sys
 
 from . import gf
-from .counting import CountEngine, seed_lpolynomial
+from .counting import CountEngine
 from .curves import CurveSpec, check_count_cap, count_points
 from .errors import (
     BudgetExceededError,
@@ -211,7 +211,7 @@ def _curve_from(args, field: gf.FieldSpec) -> CurveSpec:
 def cmd_lpoly(args) -> int:
     field = _field(args)
     curve = _curve_from(args, field)
-    lp = seed_lpolynomial(curve, _max_elements(args))
+    lp = _engine(args, field).lpoly_of(curve.c_code)
     if args.format == "json":
         _emit(
             json.dumps(

@@ -36,8 +36,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import gf
-from .curves import CurveSpec, c_order, check_count_cap, class_point_counts, count_points
-from .curves import family_genus
+from .curves import c_order, check_count_cap, class_point_counts, family_genus
 from .errors import InvariantError, NegativeCountError, NonIntegralError
 from .lpoly import LPolynomial
 from .numtheory import prime_power_parts, squarefree_divisors
@@ -127,24 +126,14 @@ class CountReport:
         }
 
 
-def seed_lpolynomial(curve: CurveSpec, max_elements: int | None) -> LPolynomial:
-    """The L-polynomial of curve, from its point counts over F_{q^m}, m = 1..genus.
-
-    Every count is held against the element cap before the first is made.
-    """
-    q, g = curve.field.order, curve.genus
-    check_count_cap(q, g, max_elements)
-    counts = [count_points(curve, m, max_elements) for m in range(1, g + 1)]
-    return LPolynomial.from_counts(q, g, counts)
-
-
 class CountEngine:
     """Curve counts and L-polynomials for one base field, queried per n.
 
     Construction keys each c = A * B by c_order, building no family, reads
     every c's counts from one class_point_counts array per m = 1..genus and
     seeds one L-polynomial per distinct count vector; the c sharing it form
-    a class, held as (LPolynomial, number of c) pairs in first-seen order.  It
+    a class, held as (LPolynomial, number of c) pairs in first-seen order,
+    and lpoly_of reads the class of one c by its code.  It
     then re-counts every c at genus+1 and genus+2, as far as the element
     cap allows, against its class's prediction.  That over-determination
     check is the strongest self-test the engine has: a wrong genus, a wrong
@@ -169,9 +158,11 @@ class CountEngine:
         # code of c -> its counts over m = 1..genus, in the family's order
         rows = {c: tuple(int(n[c]) for n in counts) for c in c_order(field)}
         seeded = {row: LPolynomial.from_counts(q, g, row) for row in set(rows.values())}
+        # code of c -> its class L-polynomial, read by lpoly_of and the self-check
+        self._lpolys = {c: seeded[row] for c, row in rows.items()}
         # (class L-polynomial, number of c with it), in first-seen order
         self.classes: tuple[tuple[LPolynomial, int], ...] = tuple(
-            (seeded[row], k) for row, k in Counter(rows.values()).items()
+            Counter(self._lpolys.values()).items()
         )
         self.verified_depth = 0
         self.selfcheck_note = None
@@ -184,13 +175,17 @@ class CountEngine:
                 )
                 break
             direct = class_point_counts(field, m, max_elements)
-            for c, row in rows.items():
-                if seeded[row].predict_count(m) != direct[c]:
+            for c, lp in self._lpolys.items():
+                if lp.predict_count(m) != direct[c]:
                     raise InvariantError(
                         f"class L-polynomial prediction disagrees with direct "
                         f"count at m={m} for c={c}"
                     )
             self.verified_depth = extra
+
+    def lpoly_of(self, c: int) -> LPolynomial:
+        """The class L-polynomial of the curves whose c = A * B has code c."""
+        return self._lpolys[c]
 
     # -- the closed forms ----------------------------------------------------
 

@@ -102,6 +102,11 @@ class CurveSpec:
             return self.alpha, self.alpha
         return f.mul(self.beta, self.alpha), f.neg(self.beta)
 
+    @property
+    def c_code(self) -> int:
+        """The code of c = A * B, which fixes the curve's point counts."""
+        return self.field.code(self.field.mul(*self.h_coeffs()))
+
     def describe(self) -> dict:
         f = self.field
         out = {
@@ -203,9 +208,7 @@ def class_point_counts(field: gf.FieldSpec, m: int, max_elements: int | None = N
 
 def count_points(curve: CurveSpec, m: int, max_elements: int | None = None) -> int:
     """#C(F_{q^m}): the class count of its c = A * B."""
-    field = curve.field
-    c = field.code(field.mul(*curve.h_coeffs()))
-    return int(class_point_counts(field, m, max_elements)[c])
+    return int(class_point_counts(curve.field, m, max_elements)[curve.c_code])
 
 
 def count_points_naive(curve: CurveSpec, m: int, max_pairs: int | None = None) -> int:

@@ -35,7 +35,8 @@ is split once.  The routine runs to two lengths:
 
 * the full walk, all N units, in the pass of functionals_exp; the trace
   codes (trace_codes_exp), which the oracle's z_count and the q-exponent
-  curve count read, are this pass over the trace rows;
+  curve count read, are this pass over the trace rows (at q = 2, where
+  M = N, they are the class walk's codes, walked once);
 * the class walk, gamma**k for k < M = N / (q - 1), with the trace as its
   functional.  gamma**M lies in F_q*, so the class walk holds one point of
   every F_q*-coset of the units.  Its trace codes (class_trace_codes), one
@@ -267,22 +268,23 @@ class FieldTable:
 
         rows is a (k, d) array-like of digit-space functionals; the result
         holds, per exponent, the base-p code of the k values (row j gives
-        digit j), in the smallest unsigned dtype that holds p**k - 1.  This
-        is the full walk: the stream of _walk to length N, checked as the
-        class walk is.
+        digit j), in the smallest unsigned dtype that holds p**k - 1,
+        read-only.  This is the full walk: the stream of _walk to length N,
+        checked as the class walk is.
         """
         digit_width(self.p, len(rows))  # k values past one word are refused
         return self._collect(self.N, rows)
 
     def _collect(self, length: int, rows) -> np.ndarray:
         """The codes of the functionals rows on gamma**k for k < length,
-        gathered from the blocks of _walk into one array."""
+        gathered from the blocks of _walk into one read-only array."""
         self._parts  # an oversized part table is refused before any array is made
         values = np.empty(length, dtype=np.min_scalar_type(self.p ** len(rows) - 1))
         s = 0
         for codes in self._walk(length, rows):
             values[s : s + codes.size] = codes
             s += codes.size
+        values.flags.writeable = False
         return values
 
     def _double(self, length: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -576,6 +578,8 @@ class FieldTable:
 
     @cached_property
     def _trace_codes(self) -> np.ndarray:
+        if self.M == self.N:  # q = 2: the class walk is the full walk
+            return self.class_trace_codes
         return self.functionals_exp(self.trace_rows())
 
     @cached_property
@@ -592,9 +596,7 @@ class FieldTable:
             raise BudgetExceededError(
                 f"the class walk of {self.M} units is past 2**31; its trace codes are held whole"
             )
-        codes = self._collect(self.M, self.trace_rows())
-        codes.flags.writeable = False
-        return codes
+        return self._collect(self.M, self.trace_rows())
 
     @cached_property
     def class_counts(self) -> tuple[np.ndarray, int]:

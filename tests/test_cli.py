@@ -230,6 +230,21 @@ _CLI_DIGESTS = {
     27: "788862d1cd9c2f2dd3c85ea8f0644235814e16dedc2ae6cdb6beb44cbf34c07e",
 }
 
+# SHA-256 of the exit code and stdout of `lpoly`, text and json, over every
+# curve of the family, recorded while lpoly seeded its curve's L-polynomial
+# on its own from the point counts at m = 1..genus.
+_LPOLY_DIGESTS = {
+    3: "37fa59e330e8acc93c588550719c80df0ea92ebe75ef4c0fbd8da54097d3a745",
+    4: "076468716796687c9d354f2c11b46279116153355f84f790b06bacf3084f1afe",
+    5: "8dc40ef37d0f183c429038cb41616dd26d52fe693c736747e8ac631d9c0042af",
+    7: "09db427e2b6ffad0d8dacb1c8f39fbbec72b78da4d5df404689e242321323fa2",
+    8: "9dcddb8342106c600f5cceab962dc7ab236cb86f13da0c07eb981b88e8e05bf1",
+    9: "a1a3874254c22619d90288737507c106545b0f129c1dc90293a7ba38c12d83d9",
+    16: "c4910bcb3ba0710cc622556477bc1f9f23304eed29de4205862acc165d831068",
+    25: "049b6e5bfc9d1210b6d423b62a7f648515a6b70d8e8f4c2386c17678bd37407f",
+    27: "866079adf629f39778ffc0c116b7ea32059c1f7c5afd872d6e1811dc2d883300",
+}
+
 
 class TestCurveAndLpoly:
     def test_genus_one_coefficients(self, capsys):
@@ -292,7 +307,7 @@ class TestCurveAndLpoly:
             raise AssertionError("counted before the element cap check")
 
         monkeypatch.setattr("tracezero.cli.count_points", refuse)
-        monkeypatch.setattr("tracezero.counting.count_points", refuse)
+        monkeypatch.setattr("tracezero.counting.class_point_counts", refuse)
         assert run(capsys, *argv) == (2, "", err)
 
     @pytest.mark.parametrize("p,r", [(2, 2), (3, 2)])
@@ -331,6 +346,24 @@ class TestCurveAndLpoly:
                     outputs.append(f"{code}\n{out}")
         digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
         assert digest == _CLI_DIGESTS[q]
+
+    @pytest.mark.parametrize("q", sorted(_LPOLY_DIGESTS))
+    def test_lpoly_output_is_pinned_on_every_curve(self, capsys, engine, q):
+        p, r = prime_power_parts(q)
+        field = gf.make_field(p, r)
+        # lpoly builds the engine, so stderr holds its self-check note or nothing
+        note = engine(q).selfcheck_note
+        outputs = []
+        for curve in curve_family(field):
+            argv = ["lpoly", "--p", str(p), "--r", str(r), "--alpha", str(field.code(curve.alpha))]
+            if curve.beta is not None:
+                argv += ["--beta", str(field.code(curve.beta))]
+            for fmt in ("text", "json"):
+                code, out, err = run(capsys, *argv, "--format", fmt)
+                assert err == (f"note: {note}\n" if note else "")
+                outputs.append(f"{code}\n{out}")
+        digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
+        assert digest == _LPOLY_DIGESTS[q]
 
 
 class TestFamilyAndBound:

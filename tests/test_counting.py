@@ -193,7 +193,7 @@ class TestCurveClasses:
             raise AssertionError("the engine counted one curve on its own")
 
         monkeypatch.setattr(counting, "class_point_counts", counted)
-        monkeypatch.setattr(counting, "count_points", refuse)
+        monkeypatch.setattr(counting, "count_points", refuse, raising=False)
         e = CountEngine(gf.make_field(*prime_power_parts(q)))
         assert seen == Counter(range(1, e.genus + 3))  # m = 1..genus+2, once each
 
@@ -268,6 +268,15 @@ def test_engine_state_is_pinned(engine, curve_lpolys, q):
     e = engine(q)
     digest = hashlib.sha256(_engine_state(e, curve_lpolys(e)).encode()).hexdigest()
     assert digest == ENGINE_STATE_DIGESTS[q]
+
+
+@pytest.mark.parametrize("q", sorted(ENGINE_STATE_DIGESTS))
+def test_lpoly_of_is_each_curves_class(engine, curve_lpolys, q):
+    e = engine(q)
+    codes = curves.family_codes(e.field)[2].tolist()
+    if len(codes) < 10**4:  # curve_family builds one CurveSpec per curve
+        assert [curve.c_code for curve in curves.curve_family(e.field)] == codes
+    assert all(e.lpoly_of(c) is lp for c, lp in zip(codes, curve_lpolys(e), strict=True))
 
 
 # SHA-256 of repr([(n, f_count, i_count), ...]) over engine_for(q).table(1,

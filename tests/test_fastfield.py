@@ -145,6 +145,19 @@ def test_trace_codes_are_pinned(q, n):
     assert hashlib.sha256(codes.tobytes()).hexdigest() == _TRACE_DIGESTS[q, n]
 
 
+@pytest.mark.parametrize("q,n", [(3, 4), (2, 6)])
+def test_trace_codes_are_read_only(q, n):
+    # the codes are cached: a write would change every later z_count of the
+    # tower (at q = 2 they are the class walk's codes); every walk's codes
+    # are read-only
+    tab = FieldTable(_tower(q, n))
+    codes = tab.trace_codes_exp()
+    assert not codes.flags.writeable
+    with pytest.raises(ValueError):
+        codes[:] = 0
+    assert not tab.functionals_exp(tab.trace_rows()).flags.writeable
+
+
 # The two runs of the one checked stream: the class walk, to M units, and
 # the full walk, to N.
 _WALKS = {

@@ -325,6 +325,22 @@ class TestVerifyAll:
         assert set(full.values()) == {1}
         assert set(classes.values()) == {1}
 
+    def test_each_tower_is_walked_once_at_q2(self, monkeypatch):
+        # at q = 2, M = N: the full walk's trace codes are the class walk's,
+        # so every tower, canonical or alternative, is walked once
+        walks = Counter()
+        walk = FieldTable._walk
+
+        def counting_walk(self, length, rows):
+            walks[self.tower] += 1
+            return walk(self, length, rows)
+
+        monkeypatch.setattr(FieldTable, "_walk", counting_walk)
+        table_for.cache_clear()
+        assert verify_all(2, 8).passed
+        assert {_tower(2, n) for n in range(1, 9)} <= set(walks)
+        assert len(walks) == 14 and set(walks.values()) == {1}
+
     def test_tower_products_stay_off_the_python_arithmetic(self, monkeypatch):
         # tables and curve checks multiply by F_p matrices from the modulus;
         # the walk's lam0 and the trace's Frobenius stay on gf.mul
