@@ -1,87 +1,75 @@
 """Vectorised whole-field enumeration tables.
 
-A FieldTable walks the multiplicative group of one tower field F_{q^n} in
-generator order and exposes the walk as numpy arrays: entry k is the
-positional base-p code of gamma**k.  Linear data (traces, multiplication by
-a fixed constant) is then evaluated as F_p-linear maps, and inverses come
-for free because (gamma**k)**-1 = gamma**(N-k).
+A FieldTable enumerates the unit group of one tower field F_{q^n} in
+generator order: entry k of its arrays is the base-p code of F_p-linear
+functionals (the trace, or the digits) at gamma**k.  Inverses come for free
+because (gamma**k)**-1 = gamma**(N-k).
 
-The walk's state is the packed word: digit j of an element sits in bits
-[w*j, w*j + w).  A word splits into parts, each a range of whole digits
-taken with a shift and a mask and at most _PART_BITS = 16 bits wide (or one
-digit, when a digit is wider), and an F_p-linear map is one table per part,
-indexed by the packed part: A(x) is the sum of the parts' images.  Only a
-table's valid slots, whose digits are all below p, are filled or ever
-read.  For odd p, 2**(w-1) >= p, so two images add digitwise with no carry
-between digits, and a handful of whole-word operations reduce every digit
-mod p at once.  For p = 2 a digit is one bit and digits add by XOR, so a
-packed word is its element code and nothing is reduced.  No walk makes
-element codes: the walks and their check read packed parts and give
-functional values.  A part table has at most _MAX_SLOTS = 2**24 slots, as
-many as the default element cap admits units: only a one-digit part with
-p > 2**24 would have more, and its tower is refused before any table is
-made.
+The values come from a grid.  With k = a*B + b, B near sqrt(length), a
+functional f has f(gamma**(aB) * gamma**b) = c_a . G_f . y_b, c_a and y_b
+the digit vectors of gamma**(aB) and gamma**b and G_f[i][l] = f(e_i e_l)
+the bilinear form of f on the basis.  So all values are one matrix product
+C . W mod p, W = G . Y mod p, of two short chains, in float32 BLAS while
+its entries stay below 2**22 and in float64 below 2**50: exact F_p
+arithmetic on floating point, as in Dumas, Giorgi and Pernet (ACM TOMS
+35(3), 2008).  A small walk is one row, f on Y (c_0 = 1, and row 0 of G_f
+is f).  The grid runs to two lengths:
 
-The walk itself is such a map, applied by doubling: words[L:2L] is the
-image of words[0:L] under x -> gamma**L * x, and the table of gamma**(2L)
-is the table of gamma**L with every valid entry mapped once more by
-itself.  One walk routine streams gamma**k in blocks of _BLOCK = 2**14
-units, so that a block's temporaries stay in a 2 MB L2: its first block is
-the doubling walk, and each later block is the image of the one before
-under the table of gamma**_BLOCK.  Per block, one read per part of a table
-that maps x to (gamma**_BLOCK * x, F(x)), for F_p-linear functionals F,
-gives both the next block and the values of F on each unit, so each unit
-is split once.  The routine runs to two lengths:
+* the full walk, all N units (functionals_exp); the trace codes
+  (trace_codes_exp), which the oracle's z_count and the q-exponent curve
+  count read, are its values on the trace rows (at q = 2, where M = N,
+  they are the class walk's codes);
+* the class walk, gamma**k for k < M = N / (q - 1), on the trace rows.
+  gamma**M lies in F_q*, so it holds one point of every F_q*-coset of the
+  units; its trace codes (class_trace_codes) are read by the class counts
+  and by the oracle's enumerations, whose conditions hold on whole cosets.
 
-* the full walk, all N units, in the pass of functionals_exp; the trace
-  codes (trace_codes_exp), which the oracle's z_count and the q-exponent
-  curve count read, are this pass over the trace rows (at q = 2, where
-  M = N, they are the class walk's codes, walked once);
-* the class walk, gamma**k for k < M = N / (q - 1), with the trace as its
-  functional.  gamma**M lies in F_q*, so the class walk holds one point of
-  every F_q*-coset of the units.  Its trace codes (class_trace_codes), one
-  per coset, are read by the class counts and by the oracle's
-  enumerations, whose conditions hold on whole cosets.
+The chains are walked in packed words: digit j of an element sits in bits
+[w*j, w*j + w), and a word splits into parts of whole digits, at most
+_PART_BITS = 16 bits wide (or one digit, when a digit is wider).  An
+F_p-linear map is one table per part, indexed by the packed part, whose
+valid slots (all digits below p) alone are filled: A(x) is the sum of the
+parts' images.  For odd p, 2**(w-1) >= p, so two images add with no carry
+between digits, and a few whole-word operations reduce every digit mod p;
+for p = 2 digits add by XOR.  A part table has at most _MAX_SLOTS = 2**24
+slots; a tower with a wider one-digit part is refused before any table is
+made.  A chain is such a map applied by doubling: words[L:2L] is the image
+of words[0:L] under x -> x0**L * x, and the table of x0**(2L) is that of
+x0**L mapped once more by itself.  Y is the doubling walk of gamma, which
+ends with the table of gamma**B, and C the doubling walk of that table.
 
-Both walks are one checked stream, so one argument proves both.  Per
-block, each unit's image under the step x -> gamma * x is checked to be
-the next unit, unit 0 to be one and unit M to be lam0 = gamma**M, which
-lies in F_q* and generates it; and for each prime l | M, unit M / l is
-checked to lie outside F_q*.  That gives gamma order N, so the full walk
-meets each unit once and the class walk each coset once.
+Every unit the grid forms is checked (see FieldTable._walk): each chain
+against its multiplier's matrix from the structure constants, not the
+table that built it; unit M against lam0 = gamma**M, gf's power, which
+must lie in F_q* and generate it; unit M / l, for each prime l | M,
+outside F_q*; each form G_f against f on products of the chain's units;
+and the product's row 0 and column 0 against f on Y and on C.  That gives
+gamma order N, so the full walk meets each unit once and the class walk
+each coset once.
 
 The class counts (how many cosets have each product Tr(x) * Tr(1/x))
-need only the class walk: the trace is F_q-linear, so scaling x by lam in
-F_q* moves (Tr(x), Tr(1/x)) to (lam * Tr(x), lam**-1 * Tr(1/x)).  The
-class walk keeps one trace code per unit, and the class counts read their
-logs in F_q off those codes; the walk's units themselves are never held
-whole.  The curve counts read nothing else, so no engine build walks more
-than (q**n - 1) / (q - 1) units of a tower.
-
-F_q itself is held in log coordinates of a generator g (log_tables): exp
-and log, the trace and the zero counts n0, q entries each, so that
-a * b = g**(log a + log b).  The class counts, which bin sums of two
-logs, and the curve counts read them; no q x q array is built for F_q.
+read only the logs of the class walk's trace codes: scaling x by lam in
+F_q* moves (Tr(x), Tr(1/x)) to (lam * Tr(x), lam**-1 * Tr(1/x)).  F_q
+itself is held in log coordinates of a generator g (log_tables): exp and
+log, the trace and the zero counts n0, q entries each, so that
+a * b = g**(log a + log b); no q x q array is built for F_q.
 
 Multiplication comes from the modulus: gf.structure_constants builds the
-F_p matrices of multiplication by each basis element from the matrix of
-multiplication by x, and the walk's step (the matrix of gamma) and the
-generator search (the matrices of the candidates, raised to N / l) read
-them; F_q's own trace in log_tables is the trace of each element's
-multiplication matrix.  Two checks stay on gf's definitional arithmetic, so
-every build still holds the matrices against gf.mul: a tower's trace is
-the literal sum of the Frobenius conjugates, composed as linear maps
-(with Phi the matrix of gf's Frobenius x -> x**q, built from gf's x**q
-and its gf powers and kept on the table as frobenius_matrix, the trace
-rows are those of sum_{j<n} Phi**j), and
-lam0 = gamma**M is gf's power, computed once per table, which both walks
-hold against their unit M.  No closed-form formula under test enters any
-table.
+F_p matrices of multiplication by each basis element, and the chains'
+multipliers, the forms and the generator search (the matrices of the
+candidates, raised to N / l) read them.  Two checks stay on gf's
+definitional arithmetic, so every build still holds the matrices against
+gf.mul: a tower's trace is the literal sum of the Frobenius conjugates,
+composed as linear maps (the trace rows are those of sum_{j<n} Phi**j,
+Phi = frobenius_matrix, built from gf's x**q and its gf powers), and
+lam0 = gamma**M is gf's power.  No closed-form formula under test enters
+any table.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -98,7 +86,7 @@ from .gf import (
 )
 from .numtheory import prime_factors
 
-_BLOCK = 1 << 14  # units per block: a block's temporaries stay in a 2 MB L2
+_BLOCK = 1 << 14  # cells per block of a blocked pass: its temporaries stay in L2
 _PART_BITS = 16  # a packed part indexes a table of at most 2**16 slots
 _MAX_SLOTS = gf.DEFAULT_MAX_ELEMENTS  # a part table is no larger than the walk the cap admits
 _FIRST_CANDIDATES = 4  # the generator search's first block; generators are common
@@ -223,11 +211,8 @@ def log_tables(field: FieldSpec) -> LogTables:
 
 class FieldTable:
     """Enumeration tables for F_{q^n}, indexed by exponent of a generator.
-
-    Nothing is walked at construction.  The trace codes, the full walk over
-    the trace rows, and the class trace codes, the class walk's first M
-    units over the same rows, are each built on first read; the class
-    counts read the class trace codes.
+    Nothing is walked at construction: the trace codes of the full walk and
+    of the class walk are each built on first read.
     """
 
     def __init__(self, tower: ExtensionField):
@@ -245,15 +230,19 @@ class FieldTable:
         return multiplicative_generator(self.tower)
 
     @cached_property
-    def _step(self) -> list[np.ndarray]:
-        """Part tables of the walk's step x -> gamma * x."""
-        return self._map_table(gf.mul_matrix(self.tower, self._generator))
+    def _gamma(self) -> np.ndarray:
+        """The F_p matrix of the walk's step x -> gamma * x."""
+        return gf.mul_matrix(self.tower, self._generator)
 
     @cached_property
-    def _lam0(self) -> tuple[int, int]:
-        """(code, packed word) of lam0 = gamma**M, gf's power, which both
-        walks hold against their unit M.  Raises unless lam0 lies in F_q*
-        and generates it."""
+    def _step(self) -> list[np.ndarray]:
+        """Part tables of the walk's step."""
+        return self._map_table(self._gamma)
+
+    @cached_property
+    def _lam0(self) -> int:
+        """The code of lam0 = gamma**M, gf's power, which both walks hold
+        against their unit M; raises unless it lies in F_q* and generates it."""
         tower, q = self.tower, self.tower.q
         lam0 = tower.pow_(self._generator, self.M)
         code, base = tower.code(lam0), tower.base
@@ -261,45 +250,26 @@ class FieldTable:
             raise InvariantError("gamma**M does not lie in F_q*")
         if any(base.pow_(lam0[0], (q - 1) // ell) == base.one for ell in prime_factors(q - 1)):
             raise InvariantError("gamma**M does not generate F_q*")
-        return code, sum(digit << (self.w * j) for j, digit in enumerate(tower.flat_digits(lam0)))
+        return code
 
     def functionals_exp(self, rows) -> np.ndarray:
-        """Evaluate F_p-linear functionals on gamma**k for every k < N.
-
-        rows is a (k, d) array-like of digit-space functionals; the result
-        holds, per exponent, the base-p code of the k values (row j gives
-        digit j), in the smallest unsigned dtype that holds p**k - 1,
-        read-only.  This is the full walk: the stream of _walk to length N,
-        checked as the class walk is.
-        """
+        """Evaluate F_p-linear functionals on gamma**k for every k < N: the
+        full walk.  rows is a (k, d) array-like of digit-space functionals;
+        the result holds, per exponent, the base-p code of the k values (row
+        j gives digit j), in the least unsigned dtype that holds p**k - 1,
+        read-only."""
         digit_width(self.p, len(rows))  # k values past one word are refused
-        return self._collect(self.N, rows)
+        return self._walk(self.N, rows)
 
-    def _collect(self, length: int, rows) -> np.ndarray:
-        """The codes of the functionals rows on gamma**k for k < length,
-        gathered from the blocks of _walk into one read-only array."""
-        self._parts  # an oversized part table is refused before any array is made
-        values = np.empty(length, dtype=np.min_scalar_type(self.p ** len(rows) - 1))
-        s = 0
-        for codes in self._walk(length, rows):
-            values[s : s + codes.size] = codes
-            s += codes.size
-        values.flags.writeable = False
-        return values
-
-    def _double(self, length: int) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(packed gamma**k for k < length, the part tables of gamma**L),
-        L the least power of two not below length.
-
-        words[L:2L] is the image of words[0:L] under x -> gamma**L * x, and
-        the table of x -> gamma**(2L) * x is that of x -> gamma**L * x with
-        every valid entry mapped once more by the same table.  A round
-        takes both in one image: the words it maps, then every valid entry.
-        The one caller asks for at most _BLOCK words.
+    def _double(self, length: int, table: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(packed x**k for k < length, the part tables of x**L), x the unit
+        of the given part tables and L the least power of two not below
+        length: the doubling walk.  A round maps the words it has and every
+        valid entry of the table in one image.
         """
         words = np.empty(length, dtype=np.int64)
         words[0] = 1  # the packed word of one
-        table, L = [part.copy() for part in self._step], 1
+        table, L = [part.copy() for part in table], 1
         slots = [slots for _, slots in self._part_slots]
         while L < length:
             head = min(L, length - L)
@@ -313,76 +283,124 @@ class FieldTable:
             L *= 2
         return words, table
 
-    def _blocks(self, length: int, rows):
-        """gamma**k for k < length, in blocks: per block, the packed parts
-        of its units and the codes of the functionals rows on them.
+    def _width(self, length: int, k: int) -> int:
+        """B, the grid's width for k forms: B > length (one row) where the
+        one-row chain check, d**2 a unit, stays within 4 * _BLOCK; else the
+        power of two nearest sqrt(length / k), balancing Y and W against C."""
+        if self.d**2 * length <= 4 * _BLOCK:
+            return 1 << length.bit_length()
+        return 1 << isqrt(length // (2 * k)).bit_length()
 
-        rows is a (k, d) array-like over F_p, as for functionals_exp, whose
-        k values fit one word (the callers refuse more).  The first block,
-        min(_BLOCK, length) units, is the doubling walk, whose last table is
-        that of gamma**_BLOCK (a power of two) when the walk is longer than
-        a block.  When the d digits and the k values fit one word, the
-        functionals' part tables, shifted past the d digits, are added to
-        that table, so one image of a block's parts holds, in its low d
-        digits, the next block and, in the k digits above, the values on
-        each unit; otherwise the functionals' tables are read as a second
-        image of the same parts.  Each unit is thus split once.  The image
-        of a block under the table of gamma**_BLOCK is the next block, so no
-        table is composed after the first block.
-        """
-        k, shift = len(rows), self.d * self.w
-        words, table = self._double(min(_BLOCK, length))
-        values = self._map_table(rows)
-        if shift + k * self.w <= _WORD_BITS:
-            for part, v in zip(table, values):
-                part += v << shift
-            values = None
-        parts, done = self._split(words), 0
-        while True:
-            image = self._image(table, parts)
-            codes = image >> shift if values is None else self._image(values, parts)
-            yield parts, self._unpack_codes(codes, k)
-            done += image.size
-            if done == length:
-                return
-            parts = self._split(image[: length - done])
+    def _forms(self, rows: np.ndarray) -> np.ndarray:
+        """G, (d, k, d): G[i, j, l] = f_j(e_i * e_l), the bilinear form of
+        the functional f_j (row j of rows) on the basis, from the structure
+        constants."""
+        return gf._mod(rows @ structure_constants(self.tower), self.p)
 
-    def _walk(self, length: int, rows):
-        """The codes of the functionals rows on gamma**k, k < length, one
-        array per block of consecutive units, each block checked before it
-        is given; length is M (the class walk) or N (the full walk).
-
-        Raises unless unit 0 is one and the walk's step x -> gamma * x maps
-        each unit to the next (the last of a block to the first of the
-        next), so that unit k is gamma**k; unless unit M, the step from unit
-        M - 1, is lam0, which lies in F_q* and generates it; and unless, for
-        each prime l | M, unit M / l has a digit at or above r, so lies
-        outside F_q*.  Then gamma has order N: for l | q - 1,
-        gamma**(N / l) = lam0**((q - 1) / l) != 1, and for l | M,
-        gamma**(N / l) = 1 only if gamma**(M / l) lies in F_q*.  So the N
-        units of the full walk are the units, each once, the M units of the
-        class walk meet each F_q*-coset once, and gamma**-k is
+    def _walk(self, length: int, rows) -> np.ndarray:
+        """The codes of the functionals rows on gamma**k, k < length, as
+        functionals_exp gives them; length is M (the class walk) or N (the
+        full walk).  The grid of the module docstring, B = _width(length, k)
+        units wide; a grid of one row is f on Y (c_0 = 1, and row 0 of G_f
+        is f), and a wider one is filled by _grid.  Raises unless
+        y_0 = c_0 = 1 and each unit of Y (of C) is the image of the one
+        before under the matrix of gamma (of gamma**B, gamma's image of
+        y_(B-1)); unless unit M, c_a * y_b, is lam0; unless, for each prime
+        l | M, unit M / l has a digit at or above r, so lies outside F_q*;
+        unless f(y_i * y_l) = f(y_(i+l)) for i, l < d, which fixes each form,
+        y_0 .. y_(d-1) being a basis; and unless row 0 and column 0 of the
+        product are f on Y and on C.  Then gamma has order
+        N: for l | q - 1, gamma**(N / l) = lam0**((q - 1) / l) != 1, and
+        for l | M, gamma**(N / l) = 1 only if gamma**(M / l) lies in F_q*.
+        So the N units of the full walk are the units, each once, the M
+        units of the class walk meet each F_q*-coset once, and gamma**-k is
         lam0**-1 * gamma**(M - k).
         """
-        M, (_, lam0) = self.M, self._lam0
-        top = self.w * self.tower.base.r  # digits from r on: the unit is outside F_q
-        probes = {M // ell: ell for ell in prime_factors(M)}
-        s, step = 0, 1  # the packed word of one
-        for parts, values in self._blocks(length, rows):
-            e = s + values.size
-            words = self._join(parts)
-            image = self._image(self._step, parts)
-            bad = np.flatnonzero(words[1:] != image[:-1]) + 1
-            if words[0] != step or bad.size:
-                k = 0 if words[0] != step else bad[0]
-                raise InvariantError(f"walk leaves the step chain at unit {s + k}")
-            for k, ell in probes.items():
-                if s <= k < e and not words[k - s] >> top:
-                    raise InvariantError(f"walk unit M/{ell} = {k} lies in F_q*")
-            if s < M <= e and image[M - 1 - s] != lam0:
-                raise InvariantError("gamma**M is not the walk's next step after unit M - 1")
-            yield values
-            s, step = e, int(image[-1])
+        self._parts  # an oversized part table is refused before any array is made
+        p, d, k, M = self.p, self.d, len(rows), self.M
+        if d * (p - 1) ** 2 >= 1 << 50:
+            raise BudgetExceededError(f"grid products of {d} digits mod {p} would pass 2**50")
+        B = self._width(length, k)
+        words, table = self._double(B, self._step)
+        Y = self._digits(words)  # y_b, one unit per column
+        gamma_B = self._check_chain(Y, self._gamma, 1)
+        rows = np.asarray(rows, dtype=np.float64)
+        values = np.empty(length, dtype=np.min_scalar_type(p**k - 1))
+        points = [M] + [M // ell for ell in prime_factors(M)]  # unit i is c_(i // B) * y_(i % B)
+        if length < B:
+            units, P = Y[:, points].T, (rows @ Y).reshape(1, k * B)
+            values[:] = self._reduce_codes(P, k, values.dtype)[0, :length]
+        else:
+            units = self._grid(values, rows, Y, gamma_B, table, points)
+        if int(units[0] @ p ** np.arange(d)) != self._lam0:
+            raise InvariantError("walk unit M is not gamma**M")
+        for i, unit in zip(points[1:], units[1:]):
+            if not unit[self.tower.base.r :].any():
+                raise InvariantError(f"walk unit M/{M // i} = {i} lies in F_q*")
+        values.flags.writeable = False
+        return values
+
+    def _grid(self, values, rows, Y, gamma_B, table, points) -> np.ndarray:
+        """Fill values from the grid of more than one row, given y_b, gamma**B
+        and its table; returns the digits of the units at points."""
+        p, d, k, length, B = self.p, self.d, len(rows), len(values), Y.shape[1]
+        C = self._digits(self._double(length // B + 1, table)[0])  # c_a, a <= length / B
+        at = np.column_stack([gamma_B, C[:, [i // B for i in points]]]).T
+        mats = gf._mod(mul_by_matrices(at, structure_constants(self.tower)), p)  # gamma**B, c_a
+        self._check_chain(C, mats[0], B)
+        units = gf._mod(mats[1:] @ Y[:, [i % B for i in points]].T[:, :, None], p)[:, :, 0]
+        first = Y
+        while first.shape[1] < 2 * d - 1:  # a grid narrower than 2d - 1: y_b by the step
+            first = np.column_stack([first, gf._mod(self._gamma @ first[:, -1], p)])
+        G, basis, on_Y = self._forms(rows).reshape(d * k, d), first[:, :d], gf._mod(rows @ first, p)
+        products = gf._mod(basis.T @ gf._mod(G @ basis, p).reshape(d, k * d), p).reshape(d, k, d)
+        if (products != on_Y[:, np.arange(d)[:, None] + np.arange(d)].swapaxes(0, 1)).any():
+            raise InvariantError("the forms disagree with the functionals on the walk")
+        real = np.float32 if d * (p - 1) ** 2 < 1 << 22 else np.float64
+        C = np.ascontiguousarray(C[:, : -(-length // B)].T, dtype=real)
+        W = gf._mod(G @ Y, p).reshape(d, k * B).astype(real)
+        step = max(1, 2 * _BLOCK // (k * B))  # rows of C per block
+        for s in range(0, len(C), step):
+            block = self._reduce_codes(C[s : s + step] @ W, k, values.dtype)
+            values[s * B : (s + step) * B] = block.ravel()[: length - s * B]
+        code = p ** np.arange(k)
+        column0 = gf._mod(rows @ C.T.astype(np.float64), p).T.astype(np.int64) @ code  # f(c_a)
+        row0 = on_Y[:, :B].T.astype(np.int64) @ code
+        if (values[::B] != column0).any() or (values[:B] != row0).any():
+            raise InvariantError("the product disagrees with the functionals on the walk")
+        return units
+
+    def _digits(self, words: np.ndarray) -> np.ndarray:
+        """The d digits of packed words, one float64 column per word."""
+        w = self.w
+        return (words >> w * np.arange(self.d)[:, None] & (1 << w) - 1).astype(np.float64)
+
+    def _check_chain(self, units: np.ndarray, matrix: np.ndarray, stride: int) -> np.ndarray:
+        """The image of the last of units (columns) under matrix.  Raises
+        unless unit 0 is one and each unit is the image of the one before;
+        unit a is the walk's unit a * stride."""
+        image = gf._mod(matrix @ units, self.p)
+        one, bad = units[0, 0] == 1 and not units[1:, 0].any(), units[:, 1:] != image[:, :-1]
+        if not one or bad.any():
+            a = np.flatnonzero(bad.any(axis=0))[0] + 1 if one else 0
+            raise InvariantError(f"walk leaves the step chain at unit {a * stride}")
+        return image[:, -1]
+
+    def _reduce_codes(self, P: np.ndarray, k: int, dtype) -> np.ndarray:
+        """Base-p codes of the k values per column of a block P of the grid
+        product, whose columns are the k forms side by side: each entry mod
+        p, then digit j of a code from form j."""
+        if self.p == 2:  # entries below d <= 63
+            v = P.astype(np.uint8)
+            v &= 1
+        else:
+            v = gf._mod(P, self.p)
+        v = v.reshape(len(P), k, -1)
+        codes = v[:, k - 1].astype(dtype)
+        for j in range(k - 2, -1, -1):
+            codes *= self.p
+            np.add(codes, v[:, j], out=codes, casting="unsafe")
+        return codes
 
     # -- packed parts ----------------------------------------------------------
 
@@ -430,14 +448,6 @@ class FieldTable:
         shift and a mask (bits above the d digits are dropped)."""
         w = self.w
         return [(words >> (w * a) if a else words) & ((1 << (w * c)) - 1) for a, c in self._parts]
-
-    def _join(self, parts: list[np.ndarray]) -> np.ndarray:
-        """The packed words whose parts are given, the parts joined by
-        shifts: the inverse of _split on words of d digits."""
-        words = parts[0].copy()
-        for (a, _), v in zip(self._parts[1:], parts[1:]):
-            words |= v << (self.w * a)
-        return words
 
     def _map_table(self, matrix) -> list[np.ndarray]:
         """Part tables of an F_p-linear map given by a (k, d) matrix: per
@@ -487,29 +497,6 @@ class FieldTable:
         """2**(w-1) - p in every digit, and bit w-1 of every digit."""
         ones = _repeat(1, self.w, _WORD_BITS // self.w)
         return ((1 << (self.w - 1)) - self.p) * ones, (1 << (self.w - 1)) * ones
-
-    def _unpack_codes(self, words: np.ndarray, k: int) -> np.ndarray:
-        """Base-p codes of packed words of k digits; overwrites words.
-
-        For p = 2 a packed word is its code and is returned as it is.
-        Otherwise Horner's rule in log2(k) rounds: each round joins
-        neighbouring fields, lo + p**m * hi for fields of m digits, into
-        fields of twice the width.  A field of 2m digits holds a value
-        below p**(2m), which fits its 2m*w bits because p <= 2**(w-1).
-        """
-        p, width, m = self.p, self.w, 1
-        if p == 2:
-            return words
-        high = np.empty_like(words)
-        while m < k:
-            fields = _repeat((1 << width) - 1, 2 * width, -(-k // (2 * m)))
-            np.right_shift(words, width, out=high)
-            high &= fields
-            high *= p**m
-            words &= fields
-            words += high
-            width, m = 2 * width, 2 * m
-        return words
 
     @staticmethod
     def reversed_exp(arr: np.ndarray) -> np.ndarray:
@@ -596,7 +583,7 @@ class FieldTable:
             raise BudgetExceededError(
                 f"the class walk of {self.M} units is past 2**31; its trace codes are held whole"
             )
-        return self._collect(self.M, self.trace_rows())
+        return self._walk(self.M, self.trace_rows())
 
     @cached_property
     def class_counts(self) -> tuple[np.ndarray, int]:
@@ -609,18 +596,22 @@ class FieldTable:
         and l_k + l_(M-k), a block plus a reversed slice, counts in
         4(q - 1) + 1 cells: below 2(q - 1), log lam0 plus the product's log
         mod q - 1, if neither trace is zero; 2(q - 1) + l if one is;
-        4(q - 1) if both.  Unit 0 has t_0**2.
+        4(q - 1) if both.  The sum is the same at k and M - k, so each pair
+        k < M - k is binned once and counted twice, and k = M / 2 once.
+        Unit 0 has t_0**2.
         """
         q, M = self.tower.q, self.M
         codes = self.class_trace_codes  # a walk too long to hold is refused first
         logs, n = log_tables(self.tower.base), q - 1
         t = logs.log[codes]
-        t0, shift = int(t[0]), int(logs.log[self._lam0[0]])
+        t0, shift, half = int(t[0]), int(logs.log[self._lam0]), (M + 1) // 2
         cells = np.zeros(4 * n + 1, dtype=np.int64)
         cells[4 * n if t0 == 2 * n else (2 * t0 + shift) % n] = 1  # unit 0: t_0**2
-        for s in range(1, M, _BLOCK):
-            e = min(s + _BLOCK, M)
-            cells += np.bincount(t[s:e] + t[M - e + 1 : M - s + 1][::-1], minlength=cells.size)
+        for s in range(1, half, _BLOCK):
+            e = min(s + _BLOCK, half)
+            cells += 2 * np.bincount(t[s:e] + t[M - e + 1 : M - s + 1][::-1], minlength=cells.size)
+        if M % 2 == 0:
+            cells[2 * int(t[M // 2])] += 1
         v = np.zeros(q, dtype=np.int64)
         v[logs.exp] = np.roll(cells[: 2 * n].reshape(2, n).sum(axis=0), -shift)
         v[0] = cells[2 * n :].sum()

@@ -500,15 +500,19 @@ def monic_polys(field: FieldSpec, n: int, zero=()) -> Iterator[tuple]:
         yield tuple(coeffs)
 
 
-def irreducibles(field: FieldSpec, n: int, zero=(), unit=()) -> Iterator[tuple]:
-    """The irreducibles of monic_polys(field, n, zero) with no zero coefficient in unit.
+def irreducibles(field: FieldSpec, n: int, zero=(), unit=(), after=None) -> Iterator[tuple]:
+    """The irreducibles of monic_polys(field, n, zero) past after, if given,
+    with no zero coefficient in unit.
 
     They are tested in blocks, each twice the last, up to the row budget.
     The first holds one irreducible's worth (their density is about
     1 / n), and up to two where 1/64 of the budget allows: with matrices
     that small, a second block costs more than the extra rows.
     """
-    polys = (f for f in monic_polys(field, n, zero) if all(f[k] != field.zero for k in unit))
+    polys = monic_polys(field, n, zero)
+    if after is not None:  # the candidates up to after are not tested again
+        polys = itertools.islice(itertools.dropwhile(lambda f: f != after, polys), 1, None)
+    polys = (f for f in polys if all(f[k] != field.zero for k in unit))
     rows = min(2 * n, max(n, _block_rows(field, n) >> 6))
     while block := list(itertools.islice(polys, rows)):
         codes = [[field.code(c) for c in f[:n]] for f in block]
@@ -678,8 +682,8 @@ def make_field(p: int, r: int) -> FieldSpec:
     return field
 
 
-def _tower_modulus_scan(base: FieldSpec, n: int) -> Iterator[tuple]:
-    return irreducibles(base, n, unit={0})  # a zero constant term means the root 0
+def _tower_modulus_scan(base: FieldSpec, n: int, after=None) -> Iterator[tuple]:
+    return irreducibles(base, n, unit={0}, after=after)  # a zero constant term means the root 0
 
 
 @lru_cache(maxsize=None)
@@ -698,11 +702,11 @@ def make_tower_alt(base: FieldSpec, n: int) -> ExtensionField:
 
     Used to confirm that enumerated counts do not depend on the modulus
     choice; only defined for n >= 2 (degree 1 has a single placeholder).
+    The scan resumes past make_tower's modulus.
     """
     if n < 2:
         raise ValueError("no alternative modulus below degree 2")
-    scan = _tower_modulus_scan(base, n)
-    next(scan)
+    scan = _tower_modulus_scan(base, n, after=make_tower(base, n).modulus)
     try:
         return ExtensionField._scanned(base, n, next(scan))
     except StopIteration:

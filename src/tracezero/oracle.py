@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -127,13 +128,15 @@ def enum_i_count(
     if method == "orbit":
         gf.check_element_cap(q, n, max_elements)
         tab = table_for(_tower(q, n))
-        return _degree_n_orbits(tab, n, _both_traces_zero(tab))
+        return _degree_n_orbits(tab, n, _both_traces_zero(tab).copy())
     return _enum_i_scan(q, n, max_elements)
 
 
+@lru_cache(maxsize=1)
 def _both_traces_zero(tab) -> np.ndarray:
     """Mask over the class walk's exponents k < M of Tr(gamma**k) = 0 and
     Tr(gamma**-k) = 0; each entry stands for the q - 1 units of its coset.
+    Read-only, and kept for the last table: both enumerations read it.
 
     The walk's check proves that gamma has order N and lam0 = gamma**M
     generates F_q*, so gamma**-k = lam0**-1 * gamma**(M-k) and the second
@@ -147,6 +150,7 @@ def _both_traces_zero(tab) -> np.ndarray:
     both[0] = tz[0]
     both[1:] = tz[:0:-1]
     both &= tz
+    both.flags.writeable = False
     return both
 
 

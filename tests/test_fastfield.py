@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracezero import fastfield, gf, oracle
+from tracezero import gf, oracle
 from tracezero.counting import engine_for
 from tracezero.curves import cyclic_correlation
 from tracezero.errors import BudgetExceededError, InvariantError
@@ -53,8 +53,9 @@ def _mat_pow(m: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
-def _walk_reference(tower) -> np.ndarray:
+def _walk_reference(tower, length=None) -> np.ndarray:
     p, d, N = tower.base.p, tower.r, tower.order - 1
+    N = N if length is None else length
     pow_p = p ** np.arange(d, dtype=np.int64)
     g = multiplicative_generator(tower)
     M = gf.linear_map_matrix(tower, tower, partial(tower.mul, g))  # x -> g*x
@@ -113,6 +114,17 @@ def test_walk_matches_block_loop(walk_codes, q, n):
     assert np.array_equal(walk_codes(FieldTable(tower)), _walk_reference(tower))
 
 
+@pytest.mark.parametrize("q,n", [(4099, 2), (32749, 1)])
+def test_float64_grid_matches_block_loop(walk_codes, q, n):
+    # d(p - 1)**2 passes 2**22, so the grid's products run in float64; the
+    # class walk of F_{4099^2} (M = 4100) and the full walk of F_32749
+    tab = FieldTable(_tower(q, n))
+    assert tab.d * (tab.p - 1) ** 2 >= 1 << 22
+    reference = _walk_reference(tab.tower, tab.M if n > 1 else None)
+    got = walk_codes(tab) if n == 1 else tab._walk(tab.M, np.eye(tab.d)).astype(np.int64)
+    assert np.array_equal(got, reference)
+
+
 # SHA-256 of trace_codes_exp() (uint8 codes), recorded with the split-code
 # trace pass over the walk's element codes that the blocked pass replaced,
 # for every tower of the oracle benchmark's grid, q in the engine set and
@@ -143,6 +155,38 @@ def test_trace_codes_are_pinned(q, n):
     codes = FieldTable(_tower(q, n)).trace_codes_exp()
     assert codes.dtype == np.uint8
     assert hashlib.sha256(codes.tobytes()).hexdigest() == _TRACE_DIGESTS[q, n]
+
+
+# SHA-256 of class_trace_codes (uint8 codes), recorded with the block
+# streamer that the grid replaced, for the towers of _TRACE_DIGESTS; at
+# q = 2, M = N and the two pins agree.
+_CLASS_TRACE_DIGESTS = {
+    (2, 18): "a5cbaa1fb8f0e85f475ee4fa8666ffc4a745f2118dca35bbfa6a3e540900357a",
+    (2, 19): "3c079c412a2ae40f2e51c639f0e36c690a0f933390339b49c86ff1b113c7d2ac",
+    (2, 20): "9b507e8b38be6de393336d8e480fb6866e47b353ee9b104a51745088cd4c86c9",
+    (2, 21): "65142222994b180962e22a5d759f847cd6c6a70144376e84a4c2ef2b684375d7",
+    (2, 22): "792987b3e2d508bbea51c4e901eba46dea0487374a9e3e24e80d066e1b5b995b",
+    (3, 12): "7f91eaf0a4baa8d6658b9f00d62ec6dd801ba71d732e0f62787a58c435be4792",
+    (3, 13): "cba44b2d39e8665adaa8d711451a7576fe8e23608fa008f2346a9f21bdc8d19b",
+    (4, 9): "ddfa32408763bb5452d6c3dee80494fd743ef63b21c58acde5bee9da10eed9b7",
+    (4, 10): "33de1e3e40325195a897e7dd4aee1b3f79f7ffe36f2ce3cf8dcdca5c111610a7",
+    (4, 11): "0449148341edc3f97be065e1c242721ae70bd375b3ed53f4ebe1699415b97692",
+    (5, 8): "bd7f6405017ff0eb63faf37624cd1da67f25d23c037b666476b1ea8b315c057a",
+    (5, 9): "3f93700aee90893e20e31603064d17dbde5bb6caa97441982f22b954686f75b4",
+    (7, 7): "9bf1db52e626a710371a203f0533bb933cfc283e10747fcdbe9cf91f299f5503",
+    (8, 6): "4526a60b8e78f91b6e8a39b48d6f567cf0164404c497441679beedf86fc49816",
+    (8, 7): "9d32f6b1bfbc1941a4804a67369bb2ca76187db3d3c8f357a658ae8cc2204652",
+    (9, 6): "c0840cfb6f339ad62672a0e6488810cd9d15bb849ee2cb3d678c757ca7527b99",
+    (16, 5): "e4bd9771321556639b7b0c701b6d5b0215628fa2a7c5828a3e37a2157b38ce80",
+}
+
+
+@pytest.mark.parametrize("q,n", sorted(_CLASS_TRACE_DIGESTS))
+def test_class_trace_codes_are_pinned(q, n):
+    tab = FieldTable(_tower(q, n))
+    codes = tab.class_trace_codes
+    assert codes.dtype == np.uint8 and codes.size == tab.M and not codes.flags.writeable
+    assert hashlib.sha256(codes.tobytes()).hexdigest() == _CLASS_TRACE_DIGESTS[q, n]
 
 
 @pytest.mark.parametrize("q,n", [(3, 4), (2, 6)])
@@ -182,8 +226,8 @@ def test_corrupted_step_entry_fails_the_full_walk(q, n):
 @pytest.mark.parametrize("q,n,bound", [(2, 20, 4 << 20), (3, 13, 5 << 20)])
 def test_full_walk_keeps_no_element_codes(q, n, bound):
     # with the tower, the generator, the step and the trace rows warm, the
-    # trace pass holds its N one-byte codes and blocks of 2**14 units, and
-    # no int64 code or flag per element
+    # trace pass holds its N one-byte codes, blocks of the grid product and
+    # its two short chains, and no int64 code or flag per element
     tab = FieldTable(_tower(q, n))
     tab._step, tab.trace_rows()
     tracemalloc.start()
@@ -321,7 +365,6 @@ class TestDigitWidth:
         want = (codes[:, None] >> np.arange(34) & 1) @ A.T % 2 @ places
         got = tab._image(tab._map_table(A), tab._split(codes))
         assert np.array_equal(got, want)
-        assert tab._unpack_codes(got, 34) is got
 
     @pytest.mark.parametrize("p,d", [(3, 21), (2, 32)])
     def test_class_walk_refuses_before_touching_the_field(self, p, d):
@@ -380,7 +423,7 @@ def test_trace_rows_refuse_a_trace_outside_the_base_field(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # The class walk: gamma**k for k < M = N / (q - 1), one point per F_q*-coset,
-# streamed in blocks of fastfield._BLOCK units.
+# read off the grid of FieldTable._walk, B units per row.
 
 _CLASS_TOWERS = sorted(
     {(q, n) for q in ENGINE_FIELDS for n in range(1, 17) if q**n <= 1 << 16}
@@ -422,40 +465,51 @@ def test_class_walk_histogram_matches_the_full_walk(trace_pair_histogram, q, n):
     assert np.array_equal(got, _full_walk_histogram(tab))
 
 
+def _narrow(monkeypatch, width):
+    """Make every grid of FieldTable._walk width units wide."""
+    monkeypatch.setattr(FieldTable, "_width", lambda self, length, k: width)
+
+
 @pytest.mark.parametrize(
     "q,n,block,blocks",
     [
-        (7, 4, 1 << 14, 1),  # M = 400 < C
-        (3, 3, 4, 4),  # M = 13 = 3C + 1
-        (4, 3, 4, 6),  # M = 21 = 5C + 1
-        (7, 3, 8, 8),  # M = 57 = 7C + 1
-        (16, 2, 16, 2),  # M = 17 = C + 1
-        (7, 4, 16, 25),  # M = 400 = 25C
-        (9, 4, 64, 13),  # M = 820 = 12C + 52
-        (2, 12, 256, 16),  # M = N = 4095 = 16C - 1
+        (7, 4, 1 << 14, 1),  # M = 400 < B
+        (3, 3, 4, 4),  # M = 13 = 3B + 1, B < 2d - 1
+        (4, 3, 4, 6),  # M = 21 = 5B + 1, B < 2d - 1
+        (7, 3, 8, 8),  # M = 57 = 7B + 1
+        (16, 2, 16, 2),  # M = 17 = B + 1
+        (7, 4, 16, 25),  # M = 400 = 25B
+        (9, 4, 64, 13),  # M = 820 = 12B + 52
+        (2, 12, 256, 16),  # M = N = 4095 = 16B - 1
     ],
 )
 def test_streamed_histogram_matches_the_full_walk(
     monkeypatch, full_walk_histogram, trace_pair_histogram, q, n, block, blocks
 ):
+    # the grid's rows, B = block units each, are the product's rows
     want = full_walk_histogram(q, n)
-    monkeypatch.setattr(fastfield, "_BLOCK", block)
+    _narrow(monkeypatch, block)
+    rows, real = [], FieldTable._reduce_codes
+
+    def reduce_codes(self, P, k, dtype):
+        rows.append(len(P))
+        return real(self, P, k, dtype)
+
+    monkeypatch.setattr(FieldTable, "_reduce_codes", reduce_codes)
     tab = FieldTable(_tower(q, n))
-    assert len(list(tab._blocks(tab.M, tab.trace_rows()))) == blocks
     assert np.array_equal(trace_pair_histogram(tab), want)
+    assert sum(rows) == blocks
 
 
 @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (16, 2), (25, 2), (3, 6)])
 def test_class_walk_is_the_prefix_of_the_full_walk(monkeypatch, walk_codes, q, n):
-    monkeypatch.setattr(fastfield, "_BLOCK", 32)  # several blocks
+    _narrow(monkeypatch, 32)  # several rows
     tab = FieldTable(_tower(q, n))
-    blocks = list(tab._blocks(tab.M, tab.trace_rows()))
-    words = np.concatenate([tab._join(parts) for parts, _ in blocks])
-    traces = np.concatenate([traces for _, traces in blocks])
+    units = tab._walk(tab.M, np.eye(tab.d, dtype=np.int64)).astype(np.int64)
     codes = walk_codes(tab)  # the full walk's identity functionals
-    assert np.array_equal(words, _packed_words(tab, codes[: tab.M]))
-    assert np.array_equal(traces, tab.trace_codes_exp()[: tab.M])
-    assert tab._lam0 == (codes[tab.M], _packed_words(tab, codes[tab.M : tab.M + 1])[0])
+    assert np.array_equal(units, codes[: tab.M])
+    assert np.array_equal(tab.class_trace_codes, tab.trace_codes_exp()[: tab.M])
+    assert tab._lam0 == codes[tab.M]
 
 
 def _packed_words(tab, codes) -> np.ndarray:
@@ -481,21 +535,18 @@ class TestClassWalkFaults:
                 walk(tab)
 
     @staticmethod
-    def _corrupt(monkeypatch, k, unit):
-        """Set unit k of each walk's first block to the unit of code
-        unit(tab, codes), codes those of the block's units."""
-        real = FieldTable._blocks
+    def _corrupt(monkeypatch, k, unit, of_c=False):
+        """Set unit k of each walk's Y (of its C, with of_c) to the unit of
+        code unit(tab, codes), codes those of Y's (C's) units."""
+        real = FieldTable._double
 
-        def blocks(self, length, rows):
-            walk = real(self, length, rows)
-            parts, values = next(walk)
-            word = _packed_words(self, [unit(self, _word_codes(self, self._join(parts)))])
-            for v, part in zip(parts, self._split(word)):
-                v[k] = part[0]
-            yield parts, values
-            yield from walk
+        def double(self, length, table):
+            words, last = real(self, length, table)
+            if (table is self._step) != of_c:
+                words[k] = _packed_words(self, [unit(self, _word_codes(self, words))])[0]
+            return words, last
 
-        monkeypatch.setattr(FieldTable, "_blocks", blocks)
+        monkeypatch.setattr(FieldTable, "_double", double)
 
     @staticmethod
     def _scaled(source):
@@ -537,15 +588,13 @@ class TestClassWalkFaults:
     def test_lam0_that_does_not_close_the_walk(self, q, n):
         def scaled(tab):  # another element of F_q*
             lam0, base = tab.tower.pow_(tab._generator, tab.M), tab.tower.base
-            code = tab.tower.code(tab.tower.embed_base(base.mul(lam0[0], base.from_code(2))))
-            tab._lam0 = (code, _packed_words(tab, [code])[0])
+            tab._lam0 = tab.tower.code(tab.tower.embed_base(base.mul(lam0[0], base.from_code(2))))
 
         def outside(tab):  # gamma itself, outside F_q
-            code = tab.tower.code(tab._generator)
-            tab._lam0 = (code, _packed_words(tab, [code])[0])
+            tab._lam0 = tab.tower.code(tab._generator)
 
-        self._refused(q, n, "next step", scaled)
-        self._refused(q, n, "next step", outside)
+        self._refused(q, n, "unit M is not gamma", scaled)
+        self._refused(q, n, "unit M is not gamma", outside)
 
     @pytest.mark.parametrize("q,n", [(7, 4), (2, 8)])
     def test_lam0_outside_f_q(self, q, n):
@@ -594,18 +643,76 @@ class TestClassWalkFaults:
         self._refused(q, n, rf"unit M/{ell} = {M // ell} lies in F_q\*$", beta)
 
     def test_corrupted_table_of_a_later_block(self, monkeypatch):
-        # the first block is right, and each later one is the image of the
-        # one before under the table of gamma**C; with gamma's table in its
-        # place, the second block repeats 15 units of the first
-        monkeypatch.setattr(fastfield, "_BLOCK", 16)
+        # Y is right, and each row of C is the image of the one before under
+        # the table of gamma**B; with gamma's table in its place, c_1 is gamma
+        _narrow(monkeypatch, 16)
         real = FieldTable._double
 
-        def corrupt(self, length):
-            words, _ = real(self, length)
+        def corrupt(self, length, table):
+            words, last = real(self, length, table)
             return words, [part.copy() for part in self._step]
 
         monkeypatch.setattr(FieldTable, "_double", corrupt)
         self._refused(7, 4, "step chain at unit 16$")
+
+    @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (2, 8)])
+    def test_corrupted_slot_of_the_table_of_gamma_b(self, monkeypatch, q, n):
+        # two valid slots of the first part of gamma**B's table map to one
+        # image; C's first step reads the slot of one, so c_1 is no longer
+        # gamma**B, which C's chain, read off the structure constants, refuses
+        _narrow(monkeypatch, 16)
+        real = FieldTable._double
+
+        def corrupt(self, length, table):
+            words, last = real(self, length, table)
+            if table is self._step:
+                slots = self._part_slots[0][1]
+                last[0][slots[1]] = last[0][slots[2]]
+            return words, last
+
+        monkeypatch.setattr(FieldTable, "_double", corrupt)
+        self._refused(q, n, "step chain at unit 16$")
+
+    @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (4, 5), (2, 8)])
+    def test_corrupted_unit_of_c(self, monkeypatch, q, n):
+        # c_3 = gamma**48 replaced by c_2; every other unit of both chains is
+        # right
+        _narrow(monkeypatch, 16)
+        self._corrupt(monkeypatch, 3, lambda tab, codes: int(codes[2]), of_c=True)
+        self._refused(q, n, "step chain at unit 48$")
+
+    @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (16, 2), (2, 8)])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 2), (-1, -1)])
+    def test_one_wrong_entry_of_the_forms(self, monkeypatch, q, n, entry):
+        # G[i, 0, l] + 1: f_0(e_i * e_l) off by one, in row 0 or inside; the
+        # grids have several rows, which read the forms
+        _narrow(monkeypatch, 16)
+        real = FieldTable._forms
+
+        def forms(self, rows):
+            G = real(self, rows).copy()
+            i, l = entry
+            G[i, 0, l] = (G[i, 0, l] + 1) % self.p
+            return G
+
+        monkeypatch.setattr(FieldTable, "_forms", forms)
+        self._refused(q, n, "forms disagree")
+
+    @pytest.mark.parametrize("q,n", [(7, 4), (16, 2)])
+    @pytest.mark.parametrize("unit", [16, 5])
+    def test_corrupted_code_of_the_product(self, monkeypatch, q, n, unit):
+        # one code of the product's reduction off by one: unit B = 16 lies in
+        # column 0, unit 5 in row 0, which are held against f on C and on Y
+        _narrow(monkeypatch, 16)
+        real = FieldTable._reduce_codes
+
+        def reduce_codes(self, P, k, dtype):
+            codes = real(self, P, k, dtype)
+            codes[divmod(unit, 16)] ^= 1
+            return codes
+
+        monkeypatch.setattr(FieldTable, "_reduce_codes", reduce_codes)
+        self._refused(q, n, "product disagrees")
 
 
 def test_histogram_streams_in_bounded_memory():

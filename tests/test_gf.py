@@ -116,6 +116,26 @@ class TestMakeTower:
         assert tested.count(modulus) == 1
         assert len(tested) == len(set(tested))
 
+    @pytest.mark.parametrize("q,n,rows", [(4, 4, 8), (16, 2, 4), (2, 8, 16), (3, 4, 8)])
+    def test_alt_scan_resumes_past_the_modulus(self, monkeypatch, q, n, rows):
+        # make_tower's scan tested its modulus and every candidate before it;
+        # the alternative's scan starts past that modulus and tests only the
+        # rows of its own blocks
+        base = gf.make_field(*prime_power_parts(q))
+        first = tuple(map(base.code, gf.make_tower(base, n).modulus[:-1]))
+        tested = []
+        real = gf.irreducible_mask
+
+        def counting(codes, field):
+            tested.extend(map(tuple, np.asarray(codes).tolist()))
+            return real(codes, field)
+
+        monkeypatch.setattr(gf, "irreducible_mask", counting)
+        alt = gf.make_tower_alt.__wrapped__(base, n)
+        assert len(tested) == rows
+        assert min(row[::-1] for row in tested) > first[::-1]  # canonical order
+        assert tuple(map(base.code, alt.modulus[:-1])) in tested
+
     def test_scanned_moduli_are_pinned(self):
         # SHA-256 over the make_tower and make_tower_alt moduli (as base
         # codes; "-" where there is no alternative) of every (q, n) with
