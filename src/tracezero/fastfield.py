@@ -24,28 +24,23 @@ is f).  The grid runs to two lengths:
   units; its trace codes (class_trace_codes) are read by the class counts
   and by the oracle's enumerations, whose conditions hold on whole cosets.
 
-The chains are walked in packed words: digit j of an element sits in bits
-[w*j, w*j + w), and a word splits into parts of whole digits, at most
-_PART_BITS = 16 bits wide (or one digit, when a digit is wider).  An
-F_p-linear map is one table per part, indexed by the packed part, whose
-valid slots (all digits below p) alone are filled: A(x) is the sum of the
-parts' images.  For odd p, 2**(w-1) >= p, so two images add with no carry
-between digits, and a few whole-word operations reduce every digit mod p;
-for p = 2 digits add by XOR.  A part table has at most _MAX_SLOTS = 2**24
-slots; a tower with a wider one-digit part is refused before any table is
-made.  A chain is such a map applied by doubling: words[L:2L] is the image
-of words[0:L] under x -> x0**L * x, and the table of x0**(2L) is that of
-x0**L mapped once more by itself.  Y is the doubling walk of gamma, which
-ends with the table of gamma**B, and C the doubling walk of that table.
+The chains are doubling walks on F_p matrices (_double), as log_tables
+walks F_q: a round maps the units it has by A**L, the multiplier's power,
+and squares that power, units[L:2L] = A**L * units[0:L] and A**(2L) =
+(A**L)**2 mod p, in float64, exact while d * (p - 1)**2 < 2**50.  Y is
+the doubling walk of gamma's matrix, which ends with gamma**B's, and C the
+doubling walk of that matrix.  A walk's codes are held whole, so one of
+2**31 units or more is refused (FieldTable._admit), as are codes past 64
+bits, before any array is made.
 
 Every unit the grid forms is checked (see FieldTable._walk): each chain
-against its multiplier's matrix from the structure constants, not the
-table that built it; unit M against lam0 = gamma**M, gf's power, which
-must lie in F_q* and generate it; unit M / l, for each prime l | M,
-outside F_q*; each form G_f against f on products of the chain's units;
-and the product's row 0 and column 0 against f on Y and on C.  That gives
-gamma order N, so the full walk meets each unit once and the class walk
-each coset once.
+one step at a time against its multiplier's matrix from the structure
+constants, not the powers that doubled it; unit M against lam0 =
+gamma**M, gf's power, which must lie in F_q* and generate it; unit M / l,
+for each prime l | M, outside F_q*; each form G_f against f on products
+of the chain's units; and the product's row 0 and column 0 against f on
+Y and on C.  That gives gamma order N, so the full walk meets each unit
+once and the class walk each coset once.
 
 The class counts (how many cosets have each product Tr(x) * Tr(1/x))
 read only the logs of the class walk's trace codes: scaling x by lam in
@@ -87,32 +82,22 @@ from .gf import (
 from .numtheory import prime_factors
 
 _BLOCK = 1 << 14  # cells per block of a blocked pass: its temporaries stay in L2
-_PART_BITS = 16  # a packed part indexes a table of at most 2**16 slots
-_MAX_SLOTS = gf.DEFAULT_MAX_ELEMENTS  # a part table is no larger than the walk the cap admits
 _FIRST_CANDIDATES = 4  # the generator search's first block; generators are common
-_WORD_BITS = 63  # packed words are non-negative int64
 
 
-def digit_width(p: int, d: int) -> int:
-    """Bits per digit in a word that packs d digits mod p.
-
-    For odd p, the least w with 2**(w-1) >= p: the sum of two digits then
-    stays below 2**w, so packed words add digitwise with no carry between
-    digits.  For p = 2, one bit: digits add by XOR, so no carry can arise,
-    and the packed word of a code is the code itself.  Raises
-    BudgetExceededError when the d digits need more than 63 bits.
-    """
-    w = 1 if p == 2 else (p - 1).bit_length() + 1
-    if d * w > _WORD_BITS:
-        raise BudgetExceededError(
-            f"{d} digits mod {p} need {d * w} bits; packed words hold {_WORD_BITS}"
-        )
-    return w
-
-
-def _repeat(word: int, step: int, count: int) -> int:
-    """word, word << step, ..., word << (step * (count - 1)), summed."""
-    return word * (((1 << (step * count)) - 1) // ((1 << step) - 1))
+def _double(A: np.ndarray, length: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(units, A**L): the digit columns A**i * e_0, i < length, as float64,
+    and A**L mod p, L the least power of two not below length; e_0 is one.
+    A round maps the units it has by the power A**L and squares it.  Exact
+    while d * (p - 1)**2 < 2**50, which every caller refuses first."""
+    A = A.astype(np.float64)
+    units = np.zeros((len(A), length))
+    units[0, 0] = 1  # the digits of one
+    L = 1
+    while L < length:
+        units[:, L : 2 * L] = gf._mod(A @ units[:, : min(L, length - L)], p)
+        A, L = gf._mod(A @ A, p), 2 * L
+    return units, A
 
 
 def multiplicative_generator(tower: ExtensionField):
@@ -171,28 +156,24 @@ class LogTables(NamedTuple):
 def log_tables(field: FieldSpec) -> LogTables:
     """The LogTables of the field F_q, built once per field.
 
-    The digits of g**i, g multiplicative_generator's, come from a doubling
-    walk: g**(L + i) is g**i times G**L, G the matrix of multiplication by
-    g.  The walk is checked to be a bijection onto the units.  Tr(a) is the
-    trace of the matrix of multiplication by a.  With tau_i = Tr(g**i),
+    The digits of g**i, g multiplicative_generator's, come from the doubling
+    walk (_double) of G, the matrix of multiplication by g: g**(L + i) is
+    G**L times g**i.  The walk is checked to be a bijection onto the units.
+    Tr(a) is the trace of the matrix of multiplication by a.  With tau_i = Tr(g**i),
     n0(g**j) = #{i : tau_i = -tau_(j-i)}: row j of the sliding windows of
     -tau, reversed and doubled, is -tau_(j-i) over i, a view, compared
     with tau in blocks of rows, so the q**2 comparisons hold O(q) memory.
     """
     p, r, q = field.p, field.r, field.order
-    n, L = q - 1, 1
-    G = gf.mul_matrix(field, multiplicative_generator(field))
-    digits = np.zeros((n, r), dtype=np.int64)
-    digits[0, 0] = 1  # the digits of one
-    while L < n:
-        digits[L : 2 * L] = digits[: min(L, n - L)] @ G.T % p
-        G, L = G @ G % p, 2 * L
-    exp = (digits @ p ** np.arange(r)).astype(np.min_scalar_type(4 * n))
+    n = q - 1
+    units = _double(gf.mul_matrix(field, multiplicative_generator(field)), n, p)[0]
+    exp = (p ** np.arange(r) @ units).astype(np.min_scalar_type(4 * n))
     log = np.full(q, 2 * n, dtype=exp.dtype)
     log[exp] = np.arange(n)
     if log[0] != 2 * n or (log[1:] == 2 * n).any():
         raise InvariantError("generator walk of F_q did not cover its units")
-    tau = digits @ np.trace(structure_constants(field), axis1=1, axis2=2) % p  # Tr(g**i)
+    traces = np.trace(structure_constants(field), axis1=1, axis2=2)
+    tau = gf._mod(traces @ units, p).astype(np.int64)  # Tr(g**i)
     trace = np.zeros(q, dtype=np.int64)
     trace[exp] = tau
     narrow = np.min_scalar_type(p - 1)
@@ -219,7 +200,6 @@ class FieldTable:
         self.tower = tower
         self.p = tower.base.p
         self.d = tower.r
-        self.w = digit_width(self.p, self.d)  # refuse before allocating anything
         self.N = tower.order - 1
         self.M = self.N // (tower.q - 1)  # one walk entry per F_q*-coset of the units
 
@@ -233,11 +213,6 @@ class FieldTable:
     def _gamma(self) -> np.ndarray:
         """The F_p matrix of the walk's step x -> gamma * x."""
         return gf.mul_matrix(self.tower, self._generator)
-
-    @cached_property
-    def _step(self) -> list[np.ndarray]:
-        """Part tables of the walk's step."""
-        return self._map_table(self._gamma)
 
     @cached_property
     def _lam0(self) -> int:
@@ -257,31 +232,8 @@ class FieldTable:
         full walk.  rows is a (k, d) array-like of digit-space functionals;
         the result holds, per exponent, the base-p code of the k values (row
         j gives digit j), in the least unsigned dtype that holds p**k - 1,
-        read-only."""
-        digit_width(self.p, len(rows))  # k values past one word are refused
+        read-only; k with p**k - 1 past 64 bits is refused."""
         return self._walk(self.N, rows)
-
-    def _double(self, length: int, table: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(packed x**k for k < length, the part tables of x**L), x the unit
-        of the given part tables and L the least power of two not below
-        length: the doubling walk.  A round maps the words it has and every
-        valid entry of the table in one image.
-        """
-        words = np.empty(length, dtype=np.int64)
-        words[0] = 1  # the packed word of one
-        table, L = [part.copy() for part in table], 1
-        slots = [slots for _, slots in self._part_slots]
-        while L < length:
-            head = min(L, length - L)
-            entries = [words[:head]] + [part[at] for part, at in zip(table, slots)]
-            images = self._image(table, self._split(np.concatenate(entries)))
-            words[L : L + head] = images[:head]
-            start = head
-            for part, at in zip(table, slots):
-                part[at] = images[start : start + at.size]
-                start += at.size
-            L *= 2
-        return words, table
 
     def _width(self, length: int, k: int) -> int:
         """B, the grid's width for k forms: B > length (one row) where the
@@ -297,10 +249,24 @@ class FieldTable:
         constants."""
         return gf._mod(rows @ structure_constants(self.tower), self.p)
 
+    def _admit(self, length: int):
+        """Refuse a walk of length units, M (the class walk) or N (the full
+        walk), at 2**31 units and up: its codes are held whole (2 GiB at one
+        byte each).  Both walks check this before the trace rows, the
+        generator or any array is read or made."""
+        if length >= 1 << 31:
+            walk = "class" if length == self.M else "full"
+            raise BudgetExceededError(
+                f"the {walk} walk of {length} units is past 2**31; its codes are held whole"
+            )
+
     def _walk(self, length: int, rows) -> np.ndarray:
         """The codes of the functionals rows on gamma**k, k < length, as
         functionals_exp gives them; length is M (the class walk) or N (the
-        full walk).  The grid of the module docstring, B = _width(length, k)
+        full walk).  A walk too long to hold (_admit), codes past 64 bits
+        and grid products past 2**50 are refused before any array is made.
+
+        The grid of the module docstring, B = _width(length, k)
         units wide; a grid of one row is f on Y (c_0 = 1, and row 0 of G_f
         is f), and a wider one is filled by _grid.  Raises unless
         y_0 = c_0 = 1 and each unit of Y (of C) is the image of the one
@@ -316,22 +282,23 @@ class FieldTable:
         units of the class walk meet each F_q*-coset once, and gamma**-k is
         lam0**-1 * gamma**(M - k).
         """
-        self._parts  # an oversized part table is refused before any array is made
         p, d, k, M = self.p, self.d, len(rows), self.M
+        self._admit(length)
+        if p**k > 1 << 64:
+            raise BudgetExceededError(f"codes of {k} values mod {p} would pass 64 bits")
         if d * (p - 1) ** 2 >= 1 << 50:
             raise BudgetExceededError(f"grid products of {d} digits mod {p} would pass 2**50")
-        B = self._width(length, k)
-        words, table = self._double(B, self._step)
-        Y = self._digits(words)  # y_b, one unit per column
-        gamma_B = self._check_chain(Y, self._gamma, 1)
         rows = np.asarray(rows, dtype=np.float64)
+        B = self._width(length, k)
+        Y, gamma_B_matrix = _double(self._gamma, B, p)  # y_b, one unit per column
+        gamma_B = self._check_chain(Y, self._gamma, 1)
         values = np.empty(length, dtype=np.min_scalar_type(p**k - 1))
         points = [M] + [M // ell for ell in prime_factors(M)]  # unit i is c_(i // B) * y_(i % B)
         if length < B:
             units, P = Y[:, points].T, (rows @ Y).reshape(1, k * B)
             values[:] = self._reduce_codes(P, k, values.dtype)[0, :length]
         else:
-            units = self._grid(values, rows, Y, gamma_B, table, points)
+            units = self._grid(values, rows, Y, gamma_B, gamma_B_matrix, points)
         if int(units[0] @ p ** np.arange(d)) != self._lam0:
             raise InvariantError("walk unit M is not gamma**M")
         for i, unit in zip(points[1:], units[1:]):
@@ -340,18 +307,17 @@ class FieldTable:
         values.flags.writeable = False
         return values
 
-    def _grid(self, values, rows, Y, gamma_B, table, points) -> np.ndarray:
+    def _grid(self, values, rows, Y, gamma_B, gamma_B_matrix, points) -> np.ndarray:
         """Fill values from the grid of more than one row, given y_b, gamma**B
-        and its table; returns the digits of the units at points."""
+        and the matrix the doubling of Y ended with; returns the digits of
+        the units at points."""
         p, d, k, length, B = self.p, self.d, len(rows), len(values), Y.shape[1]
-        C = self._digits(self._double(length // B + 1, table)[0])  # c_a, a <= length / B
+        C = _double(gamma_B_matrix, length // B + 1, p)[0]  # c_a, a <= length / B
         at = np.column_stack([gamma_B, C[:, [i // B for i in points]]]).T
         mats = gf._mod(mul_by_matrices(at, structure_constants(self.tower)), p)  # gamma**B, c_a
         self._check_chain(C, mats[0], B)
         units = gf._mod(mats[1:] @ Y[:, [i % B for i in points]].T[:, :, None], p)[:, :, 0]
-        first = Y
-        while first.shape[1] < 2 * d - 1:  # a grid narrower than 2d - 1: y_b by the step
-            first = np.column_stack([first, gf._mod(self._gamma @ first[:, -1], p)])
+        first = Y if B >= 2 * d - 1 else _double(self._gamma, 2 * d - 1, p)[0]  # y_b, b < 2d - 1
         G, basis, on_Y = self._forms(rows).reshape(d * k, d), first[:, :d], gf._mod(rows @ first, p)
         products = gf._mod(basis.T @ gf._mod(G @ basis, p).reshape(d, k * d), p).reshape(d, k, d)
         if (products != on_Y[:, np.arange(d)[:, None] + np.arange(d)].swapaxes(0, 1)).any():
@@ -363,17 +329,12 @@ class FieldTable:
         for s in range(0, len(C), step):
             block = self._reduce_codes(C[s : s + step] @ W, k, values.dtype)
             values[s * B : (s + step) * B] = block.ravel()[: length - s * B]
-        code = p ** np.arange(k)
-        column0 = gf._mod(rows @ C.T.astype(np.float64), p).T.astype(np.int64) @ code  # f(c_a)
-        row0 = on_Y[:, :B].T.astype(np.int64) @ code
+        code = np.array([p**j for j in range(k)], dtype=np.uint64)  # exact below 2**64
+        column0 = gf._mod(rows @ C.T.astype(np.float64), p).T.astype(np.uint64) @ code  # f(c_a)
+        row0 = on_Y[:, :B].T.astype(np.uint64) @ code
         if (values[::B] != column0).any() or (values[:B] != row0).any():
             raise InvariantError("the product disagrees with the functionals on the walk")
         return units
-
-    def _digits(self, words: np.ndarray) -> np.ndarray:
-        """The d digits of packed words, one float64 column per word."""
-        w = self.w
-        return (words >> w * np.arange(self.d)[:, None] & (1 << w) - 1).astype(np.float64)
 
     def _check_chain(self, units: np.ndarray, matrix: np.ndarray, stride: int) -> np.ndarray:
         """The image of the last of units (columns) under matrix.  Raises
@@ -389,114 +350,20 @@ class FieldTable:
     def _reduce_codes(self, P: np.ndarray, k: int, dtype) -> np.ndarray:
         """Base-p codes of the k values per column of a block P of the grid
         product, whose columns are the k forms side by side: each entry mod
-        p, then digit j of a code from form j."""
-        if self.p == 2:  # entries below d <= 63
+        p, then digit j of a code from form j, in integers of dtype."""
+        if self.p == 2 and self.d < 1 << 8:  # entries at most d, which a byte holds
             v = P.astype(np.uint8)
             v &= 1
         else:
             v = gf._mod(P, self.p)
-        v = v.reshape(len(P), k, -1)
-        codes = v[:, k - 1].astype(dtype)
+        v = v.reshape(len(P), k, -1).astype(dtype, copy=False)  # a fresh array
+        codes = v[:, k - 1]
         for j in range(k - 2, -1, -1):
             codes *= self.p
-            np.add(codes, v[:, j], out=codes, casting="unsafe")
+            codes += v[:, j]
         return codes
 
-    # -- packed parts ----------------------------------------------------------
-
-    @cached_property
-    def _parts(self) -> tuple[tuple[int, int], ...]:
-        """(first digit, digits) of each packed part of a word.
-
-        A part holds c digits, c the most whose packed slots fit _PART_BITS
-        bits, at least one.  Past r digits (one F_q-coordinate), c is
-        lowered until its p**c valid slots are within M / (q - 1): the
-        doubling walk maps every valid slot of every part table once per
-        round, so a round's table work per part stays below the class
-        walk's M units.  The d digits are shared out evenly over the parts.
-        Raises BudgetExceededError, before any table is made, when the
-        widest part's table would have more than _MAX_SLOTS slots, which
-        only a one-digit part with p > _MAX_SLOTS can.
-        """
-        p, d, r, q = self.p, self.d, self.tower.base.r, self.tower.q
-        c = max(1, _PART_BITS // self.w)
-        while c > r and (q - 1) * p**c > self.M:
-            c -= 1
-        k = -(-d // c)
-        sizes = [d // k + (j < d % k) for j in range(k)]
-        slots = (p - 1) * _repeat(1, self.w, sizes[0]) + 1  # the first part is the widest
-        if slots > _MAX_SLOTS:
-            raise BudgetExceededError(
-                f"F_{q}^{self.tower.n}: a part table has {slots} slots; the bound is {_MAX_SLOTS}"
-            )
-        return tuple((sum(sizes[:j]), c) for j, c in enumerate(sizes))
-
-    @cached_property
-    def _part_slots(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per part, (the digits of every valid value, its packed slot);
-        the last slot, all digits p - 1, is the largest."""
-        p, w, of_size = self.p, self.w, {}
-        for _, c in self._parts:
-            if c not in of_size:  # parts differ in size by one digit at most
-                place = np.arange(c, dtype=np.int64)
-                digits = np.arange(p**c, dtype=np.int64)[:, None] // p**place % p
-                of_size[c] = digits, digits @ np.left_shift(1, w * place)
-        return [of_size[c] for _, c in self._parts]
-
-    def _split(self, words: np.ndarray) -> list[np.ndarray]:
-        """The packed parts of words: part j, digits [a, a + c), read by a
-        shift and a mask (bits above the d digits are dropped)."""
-        w = self.w
-        return [(words >> (w * a) if a else words) & ((1 << (w * c)) - 1) for a, c in self._parts]
-
-    def _map_table(self, matrix) -> list[np.ndarray]:
-        """Part tables of an F_p-linear map given by a (k, d) matrix: per
-        part, the packed image of every valid slot, digit j of the image in
-        bits [w*j, w*j + w); the other slots are never read.  Built in
-        blocks of rows whose products hold at most _BLOCK cells."""
-        A = np.asarray(matrix, dtype=np.float64)  # exact: sums stay below d * p**2
-        places = np.left_shift(1, self.w * np.arange(len(A), dtype=np.int64))
-        rows, tables = max(1, _BLOCK // len(A)), []
-        for (a, c), (digits, slots) in zip(self._parts, self._part_slots):
-            table = np.zeros(int(slots[-1]) + 1, dtype=np.int64)
-            for s in range(0, slots.size, rows):
-                image = gf._mod(digits[s : s + rows] @ A[:, a : a + c].T, self.p)
-                table[slots[s : s + rows]] = image.astype(np.int64) @ places
-            tables.append(table)
-        return tables
-
-    def _image(self, tables: list[np.ndarray], parts: list[np.ndarray]) -> np.ndarray:
-        """Packed images of the words split into parts, under the map whose
-        part tables are given: the images of the parts, summed."""
-        words = tables[0][parts[0]]
-        for table, v in zip(tables[1:], parts[1:]):
-            if self.p == 2:
-                words ^= table[v]
-            else:
-                words += table[v]
-                self._reduce(words)
-        return words
-
     # -- generic access -------------------------------------------------------
-
-    def _reduce(self, words: np.ndarray):
-        """Reduce mod p, in place, every digit of words below 2p (odd p).
-
-        Adding 2**(w-1) - p to every digit sets bit w-1 exactly in the
-        digits that reached p, so one subtraction reduces them all.
-        """
-        w, (add, top) = self.w, self._reduce_masks
-        over = words + add
-        over &= top
-        over >>= w - 1
-        over *= self.p
-        words -= over
-
-    @cached_property
-    def _reduce_masks(self) -> tuple[int, int]:
-        """2**(w-1) - p in every digit, and bit w-1 of every digit."""
-        ones = _repeat(1, self.w, _WORD_BITS // self.w)
-        return ((1 << (self.w - 1)) - self.p) * ones, (1 << (self.w - 1)) * ones
 
     @staticmethod
     def reversed_exp(arr: np.ndarray) -> np.ndarray:
@@ -567,6 +434,7 @@ class FieldTable:
     def _trace_codes(self) -> np.ndarray:
         if self.M == self.N:  # q = 2: the class walk is the full walk
             return self.class_trace_codes
+        self._admit(self.N)  # before the trace rows are read
         return self.functionals_exp(self.trace_rows())
 
     @cached_property
@@ -577,12 +445,7 @@ class FieldTable:
         the oracle's enumerations read it, so each table walks its classes
         once.
         """
-        # the trace codes, one per unit, are held whole: 2**31 units and up
-        # (2 GiB at one byte each) are refused before any array is made
-        if self.M >= 1 << 31:
-            raise BudgetExceededError(
-                f"the class walk of {self.M} units is past 2**31; its trace codes are held whole"
-            )
+        self._admit(self.M)  # before the trace rows are read
         return self._walk(self.M, self.trace_rows())
 
     @cached_property

@@ -1,7 +1,8 @@
 """The generator walk of FieldTable: pinned outputs, the block-loop walk it
-replaced as a differential reference, the generator search against the
-element loop it replaced, the digit-packing width rule, the trace rows,
-the class walk behind the class counts, and the log tables of F_q."""
+replaced as a differential reference, the doubling routine that builds its
+chains, the generator search against the element loop it replaced, the
+refusals of walks too long to hold and codes too wide, the trace rows, the
+class walk behind the class counts, and the log tables of F_q."""
 
 import hashlib
 import tracemalloc
@@ -13,13 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracezero import gf, oracle
+from tracezero import fastfield, gf, oracle
 from tracezero.counting import engine_for
 from tracezero.curves import cyclic_correlation
 from tracezero.errors import BudgetExceededError, InvariantError
 from tracezero.fastfield import (
     FieldTable,
-    digit_width,
     log_tables,
     multiplicative_generator,
     table_for,
@@ -112,6 +112,28 @@ def test_walk_is_pinned(walk_codes, q, n):
 def test_walk_matches_block_loop(walk_codes, q, n):
     tower = _tower(q, n)
     assert np.array_equal(walk_codes(FieldTable(tower)), _walk_reference(tower))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_doubling_is_the_successive_products(data):
+    # the doubling routine's units are A**i * e_0, one product at a time,
+    # and it returns A**L, L the least power of two not below the length
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 131]))
+    d = data.draw(st.integers(1, 6))
+    length = data.draw(st.integers(3, 100).filter(lambda n: n & (n - 1)))  # no power of two
+    entries = st.lists(st.integers(0, p - 1), min_size=d * d, max_size=d * d)
+    A = np.array(data.draw(entries), dtype=np.int64).reshape(d, d)
+    units, power = fastfield._double(A, length, p)
+    want, x = [], np.eye(d, dtype=np.int64)[0]
+    for _ in range(length):
+        want.append(x)
+        x = A @ x % p
+    L, A_L = 1 << (length - 1).bit_length(), np.eye(d, dtype=np.int64)
+    for _ in range(L):
+        A_L = A_L @ A % p
+    assert units.dtype == np.float64 and np.array_equal(units, np.array(want).T)
+    assert np.array_equal(power, A_L)
 
 
 @pytest.mark.parametrize("q,n", [(4099, 2), (32749, 1)])
@@ -211,25 +233,31 @@ _WALKS = {
 
 
 @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (2, 12), (16, 3)])
-def test_corrupted_step_entry_fails_the_full_walk(q, n):
-    # two valid slots of the first part map to one image, so the step is no
-    # longer linear and the walk's composed tables leave its step chain; the
-    # full walk and the class walk are the one checked stream, so both refuse
+def test_corrupted_step_entry_fails_the_full_walk(monkeypatch, q, n):
+    # the doubling of Y is handed gamma's matrix with one entry off by one,
+    # so its powers are not gamma's and Y leaves the step chain, which is
+    # read off the true matrix; the full walk and the class walk are the
+    # one checked stream, so both refuse
+    real = fastfield._double
+
+    def double(A, length, p):
+        A = A.astype(np.float64)
+        A[-1, 1] = (A[-1, 1] + 1) % p
+        return real(A, length, p)
+
+    monkeypatch.setattr(fastfield, "_double", double)
     for walk in _WALKS.values():
-        tab = FieldTable(_tower(q, n))
-        step, (_, slots) = tab._step[0], tab._part_slots[0]
-        step[slots[1]] = step[slots[2]]
         with pytest.raises(InvariantError, match="step chain"):
-            walk(tab)
+            walk(FieldTable(_tower(q, n)))
 
 
 @pytest.mark.parametrize("q,n,bound", [(2, 20, 4 << 20), (3, 13, 5 << 20)])
 def test_full_walk_keeps_no_element_codes(q, n, bound):
-    # with the tower, the generator, the step and the trace rows warm, the
-    # trace pass holds its N one-byte codes, blocks of the grid product and
-    # its two short chains, and no int64 code or flag per element
+    # with the tower, the generator, gamma's matrix and the trace rows warm,
+    # the trace pass holds its N one-byte codes, blocks of the grid product
+    # and its two short chains, and no int64 code or flag per element
     tab = FieldTable(_tower(q, n))
-    tab._step, tab.trace_rows()
+    tab._gamma, tab.trace_rows()
     tracemalloc.start()
     try:
         codes = tab.trace_codes_exp()
@@ -239,40 +267,22 @@ def test_full_walk_keeps_no_element_codes(q, n, bound):
     assert codes.nbytes == tab.N and peak < bound
 
 
-def test_oversized_part_tables_are_refused_before_allocation():
-    # the one digit of the prime field F_16777259 would index a table of
-    # 16777259 slots, past 2**24 (128 MiB of int64); with no element cap
-    # nothing else refuses it, and the refusal names the tower and the count
-    tab = FieldTable(_tower(16777259, 1))
+def test_wide_prime_field_walks_in_small_memory():
+    # F_16777259 with no element cap: its one digit mod p > 2**24 is a grid
+    # of 1 x 1 float64 matrices, and the class walk at n = 1 is one unit
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError, match="F_16777259\\^1.*16777259 slots"):
-            tab.trace_codes_exp()
-        with pytest.raises(BudgetExceededError, match="16777259 slots"):
-            oracle.enum_f_count(16777259, 1, max_elements=None)
+        count = oracle.enum_f_count(16777259, 1, max_elements=None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
-
-
-@pytest.mark.parametrize(
-    "q,n",
-    [(2187, 2), (3125, 2), (729, 2), (65536, 1), (3**11, 1), (3**15, 1), (243, 2), (32749, 2)],
-)
-def test_part_tables_fit_16_bits_below_p_2_15(q, n):
-    # below p = 2**15 a digit packs into at most 16 bits, so a part of whole
-    # digits indexes at most 2**16 slots, however wide an F_q-coordinate is
-    # (21 bits at q = 2187, 33 at 3**11)
-    tab = FieldTable(_tower(q, n))
-    assert all(int(slots[-1]) < 1 << 16 for _, slots in tab._part_slots)
-    assert sum(c for _, c in tab._parts) == tab.d
+    assert count == 1 and peak < 64 << 10
 
 
 def test_wide_coordinate_tower_walks_every_unit_once():
-    # F_{3^11}, one 33-bit coordinate in three parts, at n = 1: the trace is
-    # the identity, so the trace codes are the units, each once, and only 0
-    # has both traces zero
+    # F_{3^11}, one coordinate of 11 digits, at n = 1: the trace is the
+    # identity, so the trace codes are the units, each once, and only 0 has
+    # both traces zero
     q = 3**11
     codes = table_for(_tower(q, 1)).trace_codes_exp()
     assert np.array_equal(np.sort(codes), np.arange(1, q))
@@ -280,8 +290,8 @@ def test_wide_coordinate_tower_walks_every_unit_once():
 
 
 def test_wide_coordinate_tower_matches_the_engine():
-    # F_{729^2}: each 18-bit coordinate spans two of three parts; the full
-    # walk's counts against the engine's, which reads the class walk
+    # F_{729^2}, two coordinates of 6 digits each: the full walk's counts
+    # against the engine's, which reads the class walk
     engine = engine_for(729)
     assert oracle.enum_f_count(729, 2) == engine.f_count(2)
     assert oracle.enum_i_count(729, 2) == engine.i_count(2)
@@ -330,41 +340,28 @@ def test_generator_search_refuses_inexact_powers_before_allocation():
 
 
 class TestDigitWidth:
-    @pytest.mark.parametrize("p,w", [(2, 1), (3, 3), (5, 4), (7, 4), (131, 9)])
-    def test_least_width_with_room_for_a_digit_sum(self, p, w):
-        assert digit_width(p, 1) == w
-        # p = 2 adds digits by XOR, so one bit holds a digit; odd p needs room below 2p
-        assert w == 1 if p == 2 else 2 ** (w - 1) >= p > 2 ** (w - 2)
-
-    def test_widest_word_fits(self):
-        assert digit_width(2, 63) == 1
-        assert digit_width(3, 21) == 3
-
-    @pytest.mark.parametrize("p,d", [(2, 64), (3, 22), (131, 8)])
-    def test_refused_past_63_bits(self, p, d):
-        with pytest.raises(BudgetExceededError):
-            digit_width(p, d)
+    """The refusals of a walk whose codes are too many to hold, and of
+    functionals whose codes are too wide for 64 bits."""
 
     def test_table_refuses_before_touching_the_field(self):
-        # a stand-in with only p and the degree: the refusal must come
-        # before the order, the generator or any array is read or made
-        fake = SimpleNamespace(base=SimpleNamespace(p=3), r=22)
-        with pytest.raises(BudgetExceededError):
-            FieldTable(fake)
+        # a stand-in with only p, the degrees and the order: F_{3^22}'s full
+        # walk of 3**22 - 1 units is past 2**31, and the refusal must come
+        # before the trace rows, the generator or any array is read or made
+        fake = SimpleNamespace(base=SimpleNamespace(p=3, r=1), r=22, order=3**22, q=3)
+        with pytest.raises(BudgetExceededError, match="full walk"):
+            FieldTable(fake).trace_codes_exp()
 
-    def test_characteristic_two_kernel_past_31_digits(self):
-        # d = 34 needed 68 bits at two bits per digit; at one bit the packed
-        # image of a code under a random F_2 matrix is the code of A @ digits
-        base = SimpleNamespace(p=2, r=1, order=2)
-        fake = SimpleNamespace(base=base, r=34, order=1 << 34, q=2, n=34)
+    def test_full_walk_refuses_before_touching_the_field(self):
+        # F_{4^16}: the class walk of (4**16 - 1) / 3 units is below 2**31,
+        # but the full walk of 2**32 - 1 units is past it, with the trace
+        # rows or with functionals given
+        fake = SimpleNamespace(base=SimpleNamespace(p=2, r=2), r=32, order=4**16, q=4)
         tab = FieldTable(fake)
-        rng = np.random.default_rng(34)
-        A = rng.integers(0, 2, size=(34, 34))
-        codes = rng.integers(0, 1 << 34, size=4096, dtype=np.int64)
-        places = np.left_shift(1, np.arange(34, dtype=np.int64))
-        want = (codes[:, None] >> np.arange(34) & 1) @ A.T % 2 @ places
-        got = tab._image(tab._map_table(A), tab._split(codes))
-        assert np.array_equal(got, want)
+        assert tab.M < 1 << 31 <= tab.N
+        with pytest.raises(BudgetExceededError, match="full walk"):
+            tab.trace_codes_exp()
+        with pytest.raises(BudgetExceededError, match="full walk"):
+            tab.functionals_exp(np.eye(1, 32, dtype=np.int64))
 
     @pytest.mark.parametrize("p,d", [(3, 21), (2, 32)])
     def test_class_walk_refuses_before_touching_the_field(self, p, d):
@@ -376,14 +373,17 @@ class TestDigitWidth:
             FieldTable(fake).class_counts
 
     def test_functionals_refuse_rows_past_one_word(self, walk_codes):
-        tab = FieldTable(_tower(131, 1))  # w = 9: seven digits per word
-        codes = tab.functionals_exp(np.ones((7, 1), dtype=np.int64))
-        # every functional reads the one digit, the code of x is x * (1 + 131 + ... + 131**6)
-        assert codes.dtype == np.uint64
+        # every functional reads the one digit of F_131, so the code of x for
+        # k of them is x * (1 + 131 + ... + 131**(k - 1)); 131**9 - 1 fits
+        # 64 bits, 131**10 - 1 does not
+        tab = FieldTable(_tower(131, 1))
         enc = walk_codes(tab).astype(np.uint64)
-        assert (codes == enc * np.uint64(sum(131**j for j in range(7)))).all()
-        with pytest.raises(BudgetExceededError):
-            tab.functionals_exp(np.ones((8, 1), dtype=np.int64))
+        for k in (7, 9):
+            codes = tab.functionals_exp(np.ones((k, 1), dtype=np.int64))
+            assert codes.dtype == np.uint64
+            assert (codes == enc * np.uint64(sum(131**j for j in range(k)))).all()
+        with pytest.raises(BudgetExceededError, match="64 bits"):
+            tab.functionals_exp(np.ones((10, 1), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -512,16 +512,6 @@ def test_class_walk_is_the_prefix_of_the_full_walk(monkeypatch, walk_codes, q, n
     assert tab._lam0 == codes[tab.M]
 
 
-def _packed_words(tab, codes) -> np.ndarray:
-    digits = gf.code_digits(tab.tower, np.asarray(codes, dtype=np.int64))
-    return digits @ np.left_shift(1, tab.w * np.arange(tab.d, dtype=np.int64))
-
-
-def _word_codes(tab, words) -> np.ndarray:
-    digits = words[:, None] >> tab.w * np.arange(tab.d, dtype=np.int64) & (1 << tab.w) - 1
-    return digits @ tab.p ** np.arange(tab.d, dtype=np.int64)
-
-
 class TestClassWalkFaults:
     """Each corruption of the walk or of lam0 = gamma**M is refused by the
     checked stream, on the class walk and on the full walk alike."""
@@ -535,26 +525,29 @@ class TestClassWalkFaults:
                 walk(tab)
 
     @staticmethod
-    def _corrupt(monkeypatch, k, unit, of_c=False):
+    def _corrupt(monkeypatch, q, n, k, unit, of_c=False):
         """Set unit k of each walk's Y (of its C, with of_c) to the unit of
-        code unit(tab, codes), codes those of Y's (C's) units."""
-        real = FieldTable._double
+        code unit(tower, codes), codes those of Y's (C's) units, as the
+        doubling routine returns them.  C is the doubling of the matrix
+        that Y's doubling returned."""
+        real, tower, made = fastfield._double, _tower(q, n), []
 
-        def double(self, length, table):
-            words, last = real(self, length, table)
-            if (table is self._step) != of_c:
-                words[k] = _packed_words(self, [unit(self, _word_codes(self, words))])[0]
-            return words, last
+        def double(A, length, p):
+            units, power = real(A, length, p)
+            if any(A is m for m in made) == of_c:
+                codes = (p ** np.arange(len(units)) @ units).astype(np.int64)
+                units[:, k] = gf.code_digits(tower, np.array([unit(tower, codes)]))[0]
+            made.append(power)
+            return units, power
 
-        monkeypatch.setattr(FieldTable, "_double", double)
+        monkeypatch.setattr(fastfield, "_double", double)
 
     @staticmethod
     def _scaled(source):
         """2 times unit source; 2 is the code of a scalar other than 1 (a
         generator of F_4 when q = 4)."""
 
-        def unit(tab, codes):
-            tower = tab.tower
+        def unit(tower, codes):
             x = tower.from_code(int(codes[source]))
             return tower.code(tower.mul(tower.embed_base(tower.base.from_code(2)), x))
 
@@ -562,26 +555,26 @@ class TestClassWalkFaults:
 
     @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (4, 5), (3, 6)])
     def test_scalar_multiple_of_another_entry(self, monkeypatch, q, n):
-        self._corrupt(monkeypatch, 9, self._scaled(5))
+        self._corrupt(monkeypatch, q, n, 9, self._scaled(5))
         self._refused(q, n, "step chain at unit 9$")
 
     @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (4, 5), (3, 6)])
     def test_scalar_multiple_of_itself(self, monkeypatch, q, n):
         # unit 9 stays in its own F_q*-coset, so every coset is still met
         # once; only the step from unit 8 tells the walk from gamma**k
-        self._corrupt(monkeypatch, 9, self._scaled(9))
+        self._corrupt(monkeypatch, q, n, 9, self._scaled(9))
         self._refused(q, n, "step chain at unit 9$")
 
     @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (2, 8)])
     def test_duplicated_entry(self, monkeypatch, q, n):
-        self._corrupt(monkeypatch, 7, lambda tab, codes: int(codes[3]))
+        self._corrupt(monkeypatch, q, n, 7, lambda tower, codes: int(codes[3]))
         self._refused(q, n, "step chain at unit 7$")
 
     @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (2, 8)])
     def test_zero_in_place_of_one(self, monkeypatch, q, n):
         # the walk starts from gamma**0 = 1, so zero in its place is refused
         # before any step is compared
-        self._corrupt(monkeypatch, 0, lambda tab, codes: 0)
+        self._corrupt(monkeypatch, q, n, 0, lambda tower, codes: 0)
         self._refused(q, n, "step chain at unit 0$")
 
     @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (5, 3)])
@@ -614,11 +607,10 @@ class TestClassWalkFaults:
         self._refused(7, 2, "generate", beta)
 
     def test_lam0_of_lower_order_in_three_parts(self):
-        # beta = g**2 in F_{9^3}, whose words split into three parts: N = 728,
+        # beta = g**2 in F_{9^3}, three coordinates of two digits: N = 728,
         # M = 91 and gcd(2, 91) = 1, so the walk of beta meets every coset,
         # but beta**91 = g**182 has order 4 in F_9*, not 8
         def beta(tab):
-            assert len(tab._parts) == 3
             tab._generator = tab.tower.pow_(multiplicative_generator(tab.tower), 2)
 
         self._refused(9, 3, "generate", beta)
@@ -643,42 +635,70 @@ class TestClassWalkFaults:
         self._refused(q, n, rf"unit M/{ell} = {M // ell} lies in F_q\*$", beta)
 
     def test_corrupted_table_of_a_later_block(self, monkeypatch):
-        # Y is right, and each row of C is the image of the one before under
-        # the table of gamma**B; with gamma's table in its place, c_1 is gamma
+        # Y is right, and each unit of C is the image of the one before under
+        # the matrix of gamma**B that Y's doubling returns; with gamma's
+        # matrix in its place, c_1 is gamma
         _narrow(monkeypatch, 16)
-        real = FieldTable._double
+        real = fastfield._double
 
-        def corrupt(self, length, table):
-            words, last = real(self, length, table)
-            return words, [part.copy() for part in self._step]
+        def corrupt(A, length, p):
+            return real(A, length, p)[0], A
 
-        monkeypatch.setattr(FieldTable, "_double", corrupt)
+        monkeypatch.setattr(fastfield, "_double", corrupt)
         self._refused(7, 4, "step chain at unit 16$")
 
     @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (2, 8)])
     def test_corrupted_slot_of_the_table_of_gamma_b(self, monkeypatch, q, n):
-        # two valid slots of the first part of gamma**B's table map to one
-        # image; C's first step reads the slot of one, so c_1 is no longer
+        # one entry of column 0 of the matrix of gamma**B that Y's doubling
+        # returns is off by one; c_1 is that column, so it is no longer
         # gamma**B, which C's chain, read off the structure constants, refuses
         _narrow(monkeypatch, 16)
-        real = FieldTable._double
+        real = fastfield._double
 
-        def corrupt(self, length, table):
-            words, last = real(self, length, table)
-            if table is self._step:
-                slots = self._part_slots[0][1]
-                last[0][slots[1]] = last[0][slots[2]]
-            return words, last
+        def corrupt(A, length, p):
+            units, power = real(A, length, p)
+            power[1, 0] = (power[1, 0] + 1) % p
+            return units, power
 
-        monkeypatch.setattr(FieldTable, "_double", corrupt)
+        monkeypatch.setattr(fastfield, "_double", corrupt)
         self._refused(q, n, "step chain at unit 16$")
+
+    @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (2, 8)])
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_corrupted_square_of_a_later_round(self, monkeypatch, q, n, j):
+        # the square that round j of the doubling of gamma forms, the matrix
+        # of gamma**(2**j), is off by one in column 0, which is unit 2**j:
+        # below 2**j the units are right, and unit 2**j is not gamma's image
+        # of unit 2**j - 1; at j = 4 the square is gamma**B's matrix, which
+        # C's first unit reads
+        _narrow(monkeypatch, 16)
+
+        def squares(tab):
+            squarings = [0]
+
+            class Squares(np.ndarray):
+                """gamma's matrix, whose products with itself are counted:
+                the j-th comes out off by one in entry (1, 0)."""
+
+                def __matmul__(self, other):
+                    product = np.asarray(self) @ np.asarray(other)
+                    if other is not self:
+                        return product
+                    squarings[0] += 1
+                    if squarings[0] == j:
+                        product[1, 0] += 1
+                    return product.view(Squares)
+
+            tab._gamma = tab._gamma.astype(np.float64).view(Squares)
+
+        self._refused(q, n, f"step chain at unit {2**j}$", squares)
 
     @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (4, 5), (2, 8)])
     def test_corrupted_unit_of_c(self, monkeypatch, q, n):
         # c_3 = gamma**48 replaced by c_2; every other unit of both chains is
         # right
         _narrow(monkeypatch, 16)
-        self._corrupt(monkeypatch, 3, lambda tab, codes: int(codes[2]), of_c=True)
+        self._corrupt(monkeypatch, q, n, 3, lambda tower, codes: int(codes[2]), of_c=True)
         self._refused(q, n, "step chain at unit 48$")
 
     @pytest.mark.parametrize("q,n", [(7, 4), (9, 3), (16, 2), (2, 8)])
@@ -729,10 +749,9 @@ def test_histogram_streams_in_bounded_memory():
 
 
 def test_class_walk_of_a_wide_base_field_stays_small(full_walk_histogram, trace_pair_histogram):
-    # F_{243^2}: a word is two parts of one 15-bit coordinate each, and the
-    # class walk reads no table wider than a part's 9363 packed slots
+    # F_{243^2}, two coordinates of 5 digits each: the class counts hold the
+    # class walk's 244 codes, its two short chains and F_243's log tables
     tab = FieldTable(_tower(243, 2))
-    assert len(tab._parts) == 2
     tab.trace_rows()  # the Frobenius matrix is not the class counts' cost
     tracemalloc.start()
     try:
