@@ -36,11 +36,12 @@ bits, before any array is made.
 Every unit the grid forms is checked (see FieldTable._walk): each chain
 one step at a time against its multiplier's matrix from the structure
 constants, not the powers that doubled it; unit M against lam0 =
-gamma**M, gf's power, which must lie in F_q* and generate it; unit M / l,
-for each prime l | M, outside F_q*; each form G_f against f on products
-of the chain's units; and the product's row 0 and column 0 against f on
-Y and on C.  That gives gamma order N, so the full walk meets each unit
-once and the class walk each coset once.
+gamma**M, the norm of gamma taken on gf's arithmetic, which must lie in
+F_q* and generate it; unit M / l, for each prime l | M, outside F_q*;
+each form G_f against f on products of the chain's units; and the
+product's row 0 and column 0 against f on Y and on C.  That gives gamma
+order N, so the full walk meets each unit once and the class walk each
+coset once.
 
 The class counts (how many cosets have each product Tr(x) * Tr(1/x))
 read only the logs of the class walk's trace codes: scaling x by lam in
@@ -54,11 +55,14 @@ F_p matrices of multiplication by each basis element, and the chains'
 multipliers, the forms and the generator search (the matrices of the
 candidates, raised to N / l) read them.  Two checks stay on gf's
 definitional arithmetic, so every build still holds the matrices against
-gf.mul: a tower's trace is the literal sum of the Frobenius conjugates,
-composed as linear maps (the trace rows are those of sum_{j<n} Phi**j,
-Phi = frobenius_matrix, built from gf's x**q and its gf powers), and
-lam0 = gamma**M is gf's power.  No closed-form formula under test enters
-any table.
+gf.mul.  Both read Phi = frobenius_matrix, the matrix of x -> x**q built
+from gf's x**q and its gf powers: a tower's trace is the literal sum of
+the Frobenius conjugates, composed as linear maps (the trace rows are
+those of sum_{j<n} Phi**j), and lam0 = gamma**M is the product of gamma's
+n conjugates, by gf's mul along the norm chain of Itoh and Tsujii.  Phi
+itself is held to fix F_q and to be multiplicative against the structure
+constants, which pins it to the Frobenius.  No closed-form formula under
+test enters any table.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ from .gf import (
 from .numtheory import prime_factors
 
 _BLOCK = 1 << 14  # cells per block of a blocked pass: its temporaries stay in L2
-_FIRST_CANDIDATES = 4  # the generator search's first block; generators are common
+_FIRST_CANDIDATES = 4  # the generator search's first block, from code q; generators are common
 
 
 def _double(A: np.ndarray, length: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -104,10 +108,12 @@ def multiplicative_generator(tower: ExtensionField):
     """First element in canonical order that generates the unit group.
 
     a generates iff a**(N / l) != 1 for every prime l | N.  Candidates are
-    tested by code in blocks, each twice the last: M_a, the matrix of
-    b -> a * b from the structure constants, is raised to N / l by gf's
-    square-and-multiply, and a is rejected when the power maps 1 to 1.
-    Each prime is tried only on the candidates that passed the ones before.
+    tested by code in blocks, each twice the last, from code q in a field
+    of degree n >= 2 over F_q (the codes below q are F_q, a proper
+    subfield): M_a, the matrix of b -> a * b from the structure constants,
+    is raised to N / l by gf's square-and-multiply, and a is rejected when
+    the power maps 1 to 1.  Each prime is tried only on the candidates that
+    passed the ones before, until none is left.
     """
     N = tower.order - 1
     if N == 1:
@@ -117,13 +123,16 @@ def multiplicative_generator(tower: ExtensionField):
     T = structure_constants(tower).astype(np.float64)
     exponents = [N // ell for ell in prime_factors(N)]
     one = np.eye(D)[0]  # the digits of 1
-    start, rows = 1, _FIRST_CANDIDATES
+    start = tower.q if isinstance(tower, ExtensionField) and tower.n > 1 else 1
+    rows = _FIRST_CANDIDATES
     while start <= N:
         codes = np.arange(start, min(start + rows, N + 1), dtype=np.int64)
         M = gf._mod(mul_by_matrices(code_digits(tower, codes).astype(np.float64), T), p)
         for e in exponents:
             fixed = (gf._power(M, e, p)[:, :, 0] == one).all(axis=1)
             codes, M = codes[~fixed], M[~fixed]
+            if not codes.size:
+                break
         if codes.size:
             return tower.from_code(int(codes[0]))
         start += rows
@@ -216,10 +225,29 @@ class FieldTable:
 
     @cached_property
     def _lam0(self) -> int:
-        """The code of lam0 = gamma**M, gf's power, which both walks hold
-        against their unit M; raises unless it lies in F_q* and generates it."""
-        tower, q = self.tower, self.tower.q
-        lam0 = tower.pow_(self._generator, self.M)
+        """The code of lam0 = gamma**M, which both walks hold against their
+        unit M; raises unless it lies in F_q* and generates it.
+
+        M = (q**n - 1) / (q - 1), so lam0 = prod_{j<n} gamma**(q**j) is the
+        norm of gamma, taken by the chain of Itoh and Tsujii (Information
+        and Computation 78(3), 1988): beta_k = gamma**((q**k - 1) / (q - 1))
+        has beta_2k = beta_k * Phi**k(beta_k) and beta_(k+1) = gamma *
+        Phi(beta_k), along the bits of n.  The products are gf's mul and
+        the conjugates frobenius_matrix's powers (int64, mod p) on the
+        digits, so lam0 stays on gf's definitional arithmetic: no structure
+        constant enters it.
+        """
+        tower, q, p = self.tower, self.tower.q, self.p
+        gamma, phi = self._generator, self.frobenius_matrix
+
+        def conjugate(a, power):
+            return tower.from_flat_digits((power @ tower.flat_digits(a) % p).tolist())
+
+        lam0, power = gamma, phi  # beta_k and Phi**k, from k = 1
+        for bit in bin(tower.n)[3:]:  # the bits after the leading 1
+            lam0, power = tower.mul(lam0, conjugate(lam0, power)), power @ power % p
+            if bit == "1":
+                lam0, power = tower.mul(gamma, conjugate(lam0, phi)), power @ phi % p
         code, base = tower.code(lam0), tower.base
         if not 0 < code < q:
             raise InvariantError("gamma**M does not lie in F_q*")
@@ -381,8 +409,15 @@ class FieldTable:
         and (e_k * x**t)**q = e_k * (x**q)**t since e_k**q = e_k.  So one
         gf Frobenius, of x, and n - 2 gf products give the powers of x**q,
         and each column is a power scaled coordinatewise by e_k in F_q.
+
+        Raises unless Phi fixes F_q (its first r columns are those of I)
+        and is multiplicative: Phi T[i] = M_i Phi mod p for every i, T the
+        structure constants and M_i = sum_j Phi[j, i] T[j] the matrix of
+        multiplication by Phi(e_i), in three float64 products.  A map of
+        the tower that fixes F_q and is multiplicative is a power of the
+        Frobenius, and column x, gf's x**q, names which.
         """
-        tower, base = self.tower, self.tower.base
+        tower, base, p = self.tower, self.tower.base, self.p
         powers = [tower.one]
         if tower.n > 1:
             xq = tower.frobenius(tower.basis_element(base.r))  # x**q
@@ -394,6 +429,14 @@ class FieldTable:
             tower.flat_digits(tuple(base.mul(e, c) for c in y)) for y in powers for e in basis
         ]
         phi = np.array(cols, dtype=np.int64).T
+        if (phi[:, : base.r] != np.eye(self.d, base.r, dtype=np.int64)).any():
+            raise InvariantError("the Frobenius matrix moves F_q")
+        if tower.n > 1:  # at n = 1 the check above leaves only Phi = I
+            gf.check_power_bound(self.d, p)
+            T, f = structure_constants(tower).astype(np.float64), phi.astype(np.float64)
+            images = gf._mod(mul_by_matrices(f.T, T), p)  # M_i, row i of f.T being Phi(e_i)
+            if (gf._mod(f @ T, p) != gf._mod(images @ f, p)).any():
+                raise InvariantError("the Frobenius matrix is not multiplicative")
         phi.flags.writeable = False
         return phi
 

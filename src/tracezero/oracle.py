@@ -27,6 +27,7 @@ before it starts, through gf.check_element_cap.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
@@ -128,7 +129,7 @@ def enum_i_count(
     if method == "orbit":
         gf.check_element_cap(q, n, max_elements)
         tab = table_for(_tower(q, n))
-        return _degree_n_orbits(tab, n, _both_traces_zero(tab).copy())
+        return _degree_n_orbits(tab, n, _both_traces_zero(tab))
     return _enum_i_scan(q, n, max_elements)
 
 
@@ -140,32 +141,47 @@ def _both_traces_zero(tab) -> np.ndarray:
 
     The walk's check proves that gamma has order N and lam0 = gamma**M
     generates F_q*, so gamma**-k = lam0**-1 * gamma**(M-k) and the second
-    condition is the first at M - k: the mask is the trace-zero mask and-ed
-    with its reverse past entry 0, which is copied into the result first:
-    a reversed copy is fast in numpy, a logical_and reading a reversed
-    view is not.
+    condition is the first at M - k.  The codes are unsigned, so both
+    traces are zero iff codes[k] | codes[M-k] is: the codes past entry 0
+    are copied reversed into one fresh array (a reversed copy is fast in
+    numpy, a binary operation reading a reversed view is not), or-ed with
+    the codes in place and compared with zero, into that array's own bool
+    view when the codes are bytes.  So the mask costs one array of M codes.
     """
-    tz = tab.class_trace_codes == 0
-    both = np.empty_like(tz)
-    both[0] = tz[0]
-    both[1:] = tz[:0:-1]
-    both &= tz
+    codes = tab.class_trace_codes
+    either = np.empty_like(codes)
+    either[0] = codes[0]
+    either[1:] = codes[:0:-1]
+    either |= codes
+    if either.itemsize == 1:
+        both = either.view(bool)
+        np.equal(either, 0, out=both)
+    else:
+        both = either == 0
     both.flags.writeable = False
     return both
 
 
 def _degree_n_orbits(tab, n: int, keep: np.ndarray) -> int:
     """Number of Frobenius orbits of degree-n elements in keep, a mask over
-    the class walk's exponents k < M, each standing for q - 1 units.
+    the class walk's exponents k < M, each standing for q - 1 units; keep
+    is only read.
 
-    keep is narrowed in place to the cosets outside every maximal
-    subfield; F_{q^e}* is the exponents divisible by N / (q**e - 1), which
-    divides M, so a coset lies in it whole or not at all.
+    F_{q^e}* is the exponents divisible by N / (q**e - 1), which divides M,
+    so a coset lies in it whole or not at all.  The cosets of degree n are
+    those outside every maximal subfield F_{q^(n/l)}, l a prime of n, and
+    the subfields of a set S of those primes meet in F_{q^(n/prod S)}; so
+    by Moebius over the subsets S, the count is the sum of
+    (-1)**|S| * #keep[:: N / (q**(n/prod S) - 1)].
     """
-    q = tab.tower.q
-    for ell in prime_factors(n):
-        keep[:: tab.N // (q ** (n // ell) - 1)] = False
-    units = (q - 1) * int(np.count_nonzero(keep))
+    q, primes = tab.tower.q, prime_factors(n)
+    cosets = 0
+    # subsets by itertools, not numtheory's Moebius kernel: the closed forms read that
+    for size in range(len(primes) + 1):
+        for S in itertools.combinations(primes, size):
+            e = n // math.prod(S)
+            cosets += (-1) ** size * int(np.count_nonzero(keep[:: tab.N // (q**e - 1)]))
+    units = (q - 1) * cosets
     if units % n:
         raise InvariantError("degree-n element count not divisible by n")
     return units // n

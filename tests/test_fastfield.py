@@ -1,8 +1,9 @@
 """The generator walk of FieldTable: pinned outputs, the block-loop walk it
 replaced as a differential reference, the doubling routine that builds its
 chains, the generator search against the element loop it replaced, the
-refusals of walks too long to hold and codes too wide, the trace rows, the
-class walk behind the class counts, and the log tables of F_q."""
+refusals of walks too long to hold and codes too wide, the trace rows and
+the Frobenius matrix's fault checks, lam0's norm chain against gf's power,
+the class walk behind the class counts, and the log tables of F_q."""
 
 import hashlib
 import tracemalloc
@@ -419,6 +420,84 @@ def test_trace_rows_refuse_a_trace_outside_the_base_field(monkeypatch):
     monkeypatch.setattr(gf.ExtensionField, "frobenius", lambda self, a: a)
     with pytest.raises(InvariantError, match="base field"):
         FieldTable(_tower(3, 4)).trace_rows()
+
+
+class TestFrobeniusFaults:
+    """One wrong entry of Phi is refused when the matrix is built: Phi must
+    fix F_q and be multiplicative against the structure constants."""
+
+    @staticmethod
+    def _fault(monkeypatch, tower, row, column):
+        """gf gives digit row of Phi(e_column) one more mod p, so the
+        Frobenius matrix of tower is built with that one entry off."""
+        image = tower.from_flat_digits(FieldTable(tower).frobenius_matrix[:, column].tolist())
+        real = gf.ExtensionField.flat_digits
+
+        def flat_digits(self, a):
+            digits = real(self, a)
+            if self is tower and a == image:
+                digits = digits[:row] + ((digits[row] + 1) % tower.p,) + digits[row + 1 :]
+            return digits
+
+        monkeypatch.setattr(gf.ExtensionField, "flat_digits", flat_digits)
+
+    @pytest.mark.parametrize("q,n", [(16, 2), (5, 4), (4, 5), (9, 3), (3, 6), (2, 10)])
+    def test_every_single_entry_fault_is_refused(self, monkeypatch, q, n):
+        tower = _tower(q, n)
+        for row in range(tower.r):
+            for column in range(tower.r):
+                with monkeypatch.context() as patch:
+                    self._fault(patch, tower, row, column)
+                    with pytest.raises(InvariantError, match="the Frobenius matrix"):
+                        FieldTable(tower).frobenius_matrix
+
+    @pytest.mark.parametrize(
+        "q,n,row,column,match",
+        [
+            # digit 0 of x**16 in F_{16^2}, and of (x**5)**2 in F_{5^4}: each
+            # passes the trace-rows check and, before the multiplicativity
+            # check, gave a wrong enum_f_count
+            (16, 2, 0, 4, "is not multiplicative"),
+            (5, 4, 0, 2, "is not multiplicative"),
+            (16, 2, 1, 0, "moves F_q"),  # Phi(1) != 1
+        ],
+    )
+    def test_fault_is_refused_before_the_walk(self, monkeypatch, q, n, row, column, match):
+        def refuse(self, length, rows):
+            raise AssertionError("a walk ran on a faulty Frobenius matrix")
+
+        tower = _tower(q, n)
+        self._fault(monkeypatch, tower, row, column)
+        monkeypatch.setattr(FieldTable, "_walk", refuse)
+        with pytest.raises(InvariantError, match=f"the Frobenius matrix {match}$"):
+            oracle.enum_f_count(q, n, tower=tower)
+
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (5, 5)])
+    def test_identity_frobenius_is_refused_by_lam0(self, monkeypatch, q, n):
+        # the identity fixes F_q and is multiplicative, so Phi = I passes
+        # its own checks, and with p | n the trace rows n * I vanish in
+        # every row; lam0 reads the same Phi, so the norm chain gives
+        # gamma**n, which lies outside F_q*, where gf's power of gamma
+        # gave a wrong enum_f_count
+        tower = _tower(q, n)
+        monkeypatch.setattr(gf.ExtensionField, "frobenius", lambda self, a: a)
+        with pytest.raises(InvariantError, match=r"gamma\*\*M does not lie in F_q\*$"):
+            oracle.enum_f_count(q, n, tower=tower)
+
+
+# ---------------------------------------------------------------------------
+# lam0 = gamma**M: the norm chain against gf's power of the generator, the
+# route it replaced, kept here as the reference.
+
+
+@pytest.mark.parametrize(
+    "q,n",
+    [(q, n) for q in ENGINE_FIELDS + (25, 27) for n in range(1, 17) if q**n <= 1 << 16],
+)
+def test_lam0_is_the_power_of_the_generator(q, n):
+    tower = _tower(q, n)
+    tab = FieldTable(tower)
+    assert tab._lam0 == tower.code(tower.pow_(tab._generator, tab.M))
 
 
 # ---------------------------------------------------------------------------

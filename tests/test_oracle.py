@@ -1,6 +1,8 @@
 """Brute-force oracles: definitional cross-checks, both irreducible-count
-routes, zero-locus counts, and the full verification sweep on small fields."""
+routes, the Moebius degree count against the zeroing route it replaced,
+zero-locus counts, and the full verification sweep on small fields."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,7 +12,7 @@ from tracezero import fastfield, gf, oracle
 from tracezero.counting import engine_for
 from tracezero.errors import BudgetExceededError
 from tracezero.fastfield import FieldTable, table_for
-from tracezero.numtheory import prime_power_parts
+from tracezero.numtheory import prime_factors, prime_power_parts
 from tracezero.oracle import (
     enum_f_count,
     enum_f_count_small,
@@ -187,6 +189,52 @@ def test_enumerations_never_read_the_full_walk(monkeypatch, q, n):
         patch.setattr(FieldTable, "functionals_exp", refuse)
         got = enum_f_count(q, n), enum_i_count(q, n), enum_irreducible_total(q, n)
     assert got == _full_walk_counts(FieldTable(_tower(q, n)), n)
+
+
+def _zeroed_degree_n_orbits(tab, n, keep) -> int:
+    """The degree count by the route the Moebius sum replaced, kept as the
+    reference: a copy of keep with the cosets of every maximal subfield set
+    to False, counted."""
+    q, keep = tab.tower.q, keep.copy()
+    for ell in prime_factors(n):
+        keep[:: tab.N // (q ** (n // ell) - 1)] = False
+    units = (q - 1) * int(np.count_nonzero(keep))
+    assert units % n == 0
+    return units // n
+
+
+@pytest.mark.parametrize(
+    "q,n",
+    [
+        (q, n)
+        for q in (2, 3, 4, 5, 7, 8, 9, 16)
+        for n in range(2, 23)
+        if len(prime_factors(n)) == 2 and q**n <= 1 << 22
+    ],
+)
+def test_moebius_degree_count_matches_the_zeroing_route(q, n):
+    # n with two distinct primes, where the Moebius sum has a term of
+    # each sign besides the whole mask
+    tab = table_for(_tower(q, n))
+    want_i = _zeroed_degree_n_orbits(tab, n, oracle._both_traces_zero(tab))
+    want_total = _zeroed_degree_n_orbits(tab, n, np.ones(tab.M, dtype=bool))
+    assert (enum_i_count(q, n), enum_irreducible_total(q, n)) == (want_i, want_total)
+
+
+def test_enumerations_hold_one_mask():
+    # with the table warm, enum_f_count and enum_i_count at (2, 20) make one
+    # both-zero mask of M bytes, the bool view of the codes' or, and count
+    # degrees on it without a copy
+    tab = table_for(_tower(2, 20))
+    tab.class_trace_codes
+    oracle._both_traces_zero.cache_clear()
+    tracemalloc.start()
+    try:
+        enum_f_count(2, 20), enum_i_count(2, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * tab.M
 
 
 class TestZCount:
